@@ -14,18 +14,24 @@ Boundedness is read off the interval ends: each interval unbounded toward
 either zero rays (bounded) or exactly two; both right gives unbounded_right,
 both left unbounded_left, one each unbounded_other (wedges, half-planes and
 the top/bottom cells).
+
+Everything here reads the family's cached integer view (LineFamily.view):
+the intervals use its common-denominator (M_i, C_i) pairs, and the
+concurrency table groups its exact crossing keys line by line, so Point
+objects are built only for the vertices a caller asks for. The Point form
+of the whole vertex table, which cell enumeration walks, is cached on the
+same view.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
 from typing import Dict, FrozenSet, Literal, Optional, Sequence, Tuple
 
 from .errors import InfeasibleSignVectorError
-from .geometry import LineFamily, Point, intersect, side_of
+from .geometry import LineFamily, Point, side_of
 
 SignVector = Tuple[int, ...]
 
@@ -58,19 +64,10 @@ def _check_signs(family: LineFamily, signs: Sequence[int]) -> SignVector:
     return signs
 
 
-@lru_cache(maxsize=512)
-def _scaled(family: LineFamily) -> Tuple[Tuple[int, int], ...]:
-    # Common positive scale clears every denominator; x-coordinates of
-    # pairwise intersections and all orientation signs are unchanged.
-    scale = 1
-    for line in family:
-        scale = lcm(scale, line.m.denominator, line.c.denominator)
-    return tuple((int(line.m * scale), int(line.c * scale)) for line in family)
-
-
 def _line_interval(scaled, i: int, signs: SignVector):
     """Open x-interval of line i inside the cell named by signs.
 
+    scaled holds the family's integer (M, C) pairs (IntegerView.pairs).
     Bounds are (num, den) pairs with den > 0 so comparisons stay in integer
     cross products; None stands for an infinite end. Returns None when the
     interval is empty.
@@ -113,7 +110,7 @@ def bounding_lines(family: LineFamily, signs: Sequence[int]) -> FrozenSet[int]:
     cell is empty exactly when every line's interval is).
     """
     signs = _check_signs(family, signs)
-    scaled = _scaled(family)
+    scaled = family.view.pairs
     out = frozenset(
         i for i in range(len(scaled)) if _line_interval(scaled, i, signs) is not None
     )
@@ -125,7 +122,7 @@ def bounding_lines(family: LineFamily, signs: Sequence[int]) -> FrozenSet[int]:
 def classify_cell(family: LineFamily, signs: Sequence[int]) -> BoundClass:
     """Boundedness class from the directions of the cell's boundary rays."""
     signs = _check_signs(family, signs)
-    scaled = _scaled(family)
+    scaled = family.view.pairs
     rays_right = 0
     rays_left = 0
     feasible = False
@@ -148,18 +145,6 @@ def classify_cell(family: LineFamily, signs: Sequence[int]) -> BoundClass:
     if rays_left == 2 and rays_right == 0:
         return "unbounded_left"
     return "unbounded_other"
-
-
-@lru_cache(maxsize=512)
-def _vertex_items(family: LineFamily) -> Tuple[Tuple[Point, Tuple[int, ...]], ...]:
-    """Sorted (vertex, incident line indices) pairs."""
-    by_point: Dict[Point, set] = {}
-    n = len(family)
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = intersect(family[i], family[j])
-            by_point.setdefault(p, set()).update((i, j))
-    return tuple(sorted((p, tuple(sorted(inc))) for p, inc in by_point.items()))
 
 
 def _angle_key(d):
@@ -209,7 +194,7 @@ def enumerate_cells(family: LineFamily) -> Tuple[Cell, ...]:
             for sign in (-1, 1)
         )
     witnesses: Dict[SignVector, Point] = {}
-    for v, incident in _vertex_items(family):
+    for v, incident in family.view.vertex_items:
         dirs = []
         for i in incident:
             m = family[i].m
@@ -236,22 +221,49 @@ def enumerate_cells(family: LineFamily) -> Tuple[Cell, ...]:
     return tuple(cells)
 
 
+def _crossing_counts(family: LineFamily):
+    """Per line i, how many later lines cross it at each crossing key.
+
+    A vertex on k lines counts k - 1 at its lowest-index line and less at
+    each later one, down to 1 at the second-highest.
+    """
+    rows = family.view.crossings
+    return [Counter(row[i + 1 :]) for i, row in enumerate(rows[:-1])]
+
+
 def max_concurrency(family: LineFamily) -> ConcurrencyReport:
     """Largest number of family lines through a common point."""
     if len(family) < 2:
         return ConcurrencyReport(len(family), None, ())
-    items = _vertex_items(family)
-    best = max(len(inc) for _, inc in items)
-    points = tuple(p for p, inc in items if len(inc) == best)
-    return ConcurrencyReport(best, points[0], points)
+    counts = _crossing_counts(family)
+    top = max(max(c.values()) for c in counts)
+    view = family.view
+    tops = []
+    for i, c in enumerate(counts):
+        row = view.crossings[i]
+        # only a vertex's lowest-index line counts top; report each once
+        for j in range(i + 1, len(row)):
+            if c[row[j]] == top:
+                tops.append((i, j))
+                c[row[j]] = 0
+    tops.sort(key=lambda ij: view.vertex_key(*ij))
+    points = tuple(view.vertex(i, j) for i, j in tops)
+    return ConcurrencyReport(top + 1, points[0], points)
 
 
 def concurrency_profile(family: LineFamily) -> Dict[int, int]:
     """Map from concurrency count (>= 2) to number of vertices attaining it."""
-    profile: Dict[int, int] = {}
-    for _, inc in _vertex_items(family):
-        profile[len(inc)] = profile.get(len(inc), 0) + 1
-    return profile
+    if len(family) < 2:
+        return {}
+    # groups[t] counts (line, key) groups of size t; a vertex on k lines
+    # makes one group of each size 1..k-1, so groups[t] counts the
+    # vertices on more than t lines
+    groups = Counter(t for c in _crossing_counts(family) for t in c.values())
+    return {
+        t + 1: groups[t] - groups[t + 1]
+        for t in sorted(groups)
+        if groups[t] > groups[t + 1]
+    }
 
 
 def convex_position_cell(family: LineFamily) -> Optional[Cell]:
@@ -263,7 +275,7 @@ def convex_position_cell(family: LineFamily) -> Optional[Cell]:
     n = len(family)
     if n < 2:
         return None
-    scaled = _scaled(family)
+    scaled = family.view.pairs
     for mask in range(1 << n):
         signs = tuple(1 if (mask >> i) & 1 else -1 for i in range(n))
         intervals = []

@@ -8,20 +8,41 @@ slope order and those of a cap a strictly convex one. is_cup/is_cap use the
 primal cell test; the longest-chain search uses the dual characterization.
 Keeping the two independent lets each check the other.
 
+Longest chain: a chain of dual points in x-order is a strict cup exactly
+when its edge slopes strictly decrease, and a strict cap when they
+strictly increase. Taking the n(n-1)/2 dual edges in that slope order,
+equal slopes as one batch, and keeping the best chain ending at each
+point finds the longest one in O(n^2 log n).
+
 Unbounded cells admit a closed sign-vector form. In slope order, a cell
 unbounded to the right must lie above a prefix of the lines and below the
 rest (far right, higher slope means higher line), so its sign vector is
 (+1)^r (-1)^(n-r) with 0 < r < n; unbounded to the left is the mirror
 (-1)^r (+1)^(n-r). Scanning the n-1 staircases per side is exhaustive.
+For the right staircase r, line j confines line i to x > X_ij or to
+x < X_ij depending only on whether i < r and j < r: for i < r the
+interval is (max of X_ij over j < i or j >= r, min over i < j < r), and
+for i >= r it is (max over j < r or j > i, min over r <= j < i). Prefix
+and suffix extremes of line i's crossing keys give its interval in every
+staircase at once, so all n-1 counts take O(n^2). The left side is the
+same scan on the negated keys.
+
+Both searches read the family's cached integer view (LineFamily.view),
+whose exact crossing keys order the crossing abscissae X_ij. X_ij is also
+minus the slope of the dual edge between points i and j, so one table
+serves both. The cubic pair DP and the per-staircase interval loop they
+replaced are kept in tests/oracles.py as references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional, Tuple
+from itertools import accumulate, groupby
+from operator import itemgetter
+from typing import List, Literal, Optional, Tuple
 
-from .arrangement import Cell, _line_interval, _scaled, bounding_lines, classify_cell
+from .arrangement import Cell, bounding_lines
 from .errors import ParameterRangeError
 from .geometry import LineFamily, Point
 
@@ -45,54 +66,72 @@ def is_cap(family: LineFamily) -> bool:
     return len(bounding_lines(family, (-1,) * len(family))) == len(family)
 
 
-def _orient(a, b, c) -> int:
-    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return (d > 0) - (d < 0)
-
-
-def _longest_chain(family: LineFamily, turn: int, kind: ChainKind) -> ChainResult:
-    """Longest subfamily whose dual points turn strictly in one direction.
-
-    turn = -1 picks concave chains (cups), +1 convex chains (caps). Standard
-    cubic DP over ordered pairs; duals are already in x-order because the
-    family is slope-sorted.
-    """
-    pts = _scaled(family)
-    n = len(pts)
+def _longest_chain(family: LineFamily, kind: ChainKind) -> ChainResult:
+    """Longest subfamily whose dual points turn strictly one way: right
+    (concave) for cups, left (convex) for caps."""
+    rows = family.view.crossings
+    n = len(rows)
     if n == 1:
         return ChainResult(1, (0,), kind)
-    length = [[2] * n for _ in range(n)]
-    parent = [[-1] * n for _ in range(n)]
-    for mid in range(n):
-        for first in range(mid):
-            base = length[first][mid]
-            for last in range(mid + 1, n):
-                if _orient(pts[first], pts[mid], pts[last]) == turn:
-                    if base + 1 > length[mid][last]:
-                        length[mid][last] = base + 1
-                        parent[mid][last] = first
-    best = 2
-    best_edge = (0, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if length[i][j] > best:
-                best = length[i][j]
-                best_edge = (i, j)
-    chain = [best_edge[1], best_edge[0]]
-    i, j = best_edge
-    while parent[i][j] >= 0:
-        i, j = parent[i][j], i
-        chain.append(i)
-    chain.reverse()
-    return ChainResult(best, tuple(chain), kind)
+    # ascending crossing key is descending dual slope: the cup order
+    edges = sorted((rows[i][j], i, j) for i in range(n) for j in range(i + 1, n))
+    if kind == "cap":
+        edges.reverse()
+    # best[i] is (size, chain) for the longest chain ending at point i, the
+    # chain as nested (index, rest) pairs so that later updates share it
+    best = [(1, (i, None)) for i in range(n)]
+    for _, batch in groupby(edges, itemgetter(0)):
+        # edges of equal slope extend only chains from before the batch
+        grown = [(j, best[i]) for _, i, j in batch]
+        for j, (size, chain) in grown:
+            if size >= best[j][0]:
+                best[j] = (size + 1, (j, chain))
+    size, chain = max(best, key=itemgetter(0))
+    witness = []
+    while chain is not None:
+        witness.append(chain[0])
+        chain = chain[1]
+    return ChainResult(size, tuple(reversed(witness)), kind)
 
 
 def longest_cup(family: LineFamily) -> ChainResult:
-    return _longest_chain(family, -1, "cup")
+    return _longest_chain(family, "cup")
 
 
 def longest_cap(family: LineFamily) -> ChainResult:
-    return _longest_chain(family, +1, "cap")
+    return _longest_chain(family, "cap")
+
+
+def _staircases(family: LineFamily, side: str) -> List[List[int]]:
+    """Bounding lines of every staircase cell on one side: entry r lists,
+    in index order, the lines that bound the staircase r (0 < r < n)."""
+    view = family.view
+    rows = view.crossings
+    n = len(rows)
+    if side == "left":
+        rows = [[-key for key in row] for row in rows]
+    # slopes are distinct integers, so |X_ij| <= |C_i| + |C_j|: past every key
+    far = (2 * max(abs(c) for _, c in view.pairs) + 2) << view.shift
+    members = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        head, tail = row[:i], row[i + 1 :]
+        # staircases r > i: lo = max(head, tail[r-i-1:]), hi = min(tail[:r-i-1])
+        before = max(head, default=-far)
+        lows = list(accumulate(reversed(tail), max))
+        lows.reverse()
+        highs = accumulate(tail[:-1], min, initial=far)
+        for r, (low, high) in enumerate(zip(lows, highs), i + 1):
+            if before < high and low < high:
+                members[r].append(i)
+        # staircases r <= i: lo = max(head[:r], tail), hi = min(head[r:])
+        after = max(tail, default=-far)
+        lows = accumulate(head, max)
+        highs = list(accumulate(reversed(head[1:]), min, initial=far))
+        highs.reverse()
+        for r, (low, high) in enumerate(zip(lows, highs), 1):
+            if after < high and low < high:
+                members[r].append(i)
+    return members
 
 
 def find_unbounded_cell(family: LineFamily, k: int, side: str) -> Optional[Cell]:
@@ -103,41 +142,46 @@ def find_unbounded_cell(family: LineFamily, k: int, side: str) -> Optional[Cell]
     if k < 2:
         raise ParameterRangeError(f"k must be >= 2: {k}")
     n = len(family)
-    scaled = _scaled(family)
+    members = _staircases(family, side)
     for r in range(1, n):
+        if len(members[r]) < k:
+            continue
         if side == "right":
             signs = (1,) * r + (-1,) * (n - r)
         else:
             signs = (-1,) * r + (1,) * (n - r)
-        count = sum(
-            1 for i in range(n) if _line_interval(scaled, i, signs) is not None
-        )
-        if count < k:
-            continue
+        # the cell holds every far point between lines r-1 and r on its
+        # side, and its two boundary rays run along those lines, so both
+        # rays point that way
+        bound_class = "unbounded_right" if side == "right" else "unbounded_left"
         witness = _far_witness(family, r, side)
-        return Cell(signs, bounding_lines(family, signs), classify_cell(family, signs), witness)
+        return Cell(signs, frozenset(members[r]), bound_class, witness)
     return None
 
 
 def _far_witness(family: LineFamily, r: int, side: str) -> Point:
     # Beyond the last vertex the envelope order is slope order, so between
     # the two rail lines at a far enough abscissa we are inside the cell.
-    xs = [Fraction(0)]
-    n = len(family)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = family[i], family[j]
-            if a.m != b.m:
-                xs.append((b.c - a.c) / (a.m - b.m))
+    # The lines through the outermost vertex are adjacent in that order,
+    # so the outermost vertex is a crossing of two slope-neighbours.
+    view = family.view
+    rows = view.crossings
+    pick = max if side == "right" else min
+    i = pick(range(len(family) - 1), key=lambda i: rows[i][i + 1])
+    (mi, ci), (mj, cj) = view.pairs[i], view.pairs[i + 1]
+    x = pick(Fraction(0), Fraction(cj - ci, mi - mj))
     if side == "right":
-        x = max(xs) + 1
+        x += 1
         lower, upper = family[r - 1], family[r]
     else:
-        x = min(xs) - 1
+        x -= 1
         lower, upper = family[r], family[r - 1]
     return Point(x, (lower.y_at(x) + upper.y_at(x)) / 2)
 
 
 def has_k_cell_unbounded(family: LineFamily, k: int, side: str) -> bool:
-    """True iff some cell unbounded on the given side has >= k bounding lines."""
+    """True iff some cell unbounded on the given side has >= k bounding lines.
+
+    The answer is the staircase counts; a hit adds O(n) to build its Cell.
+    """
     return find_unbounded_cell(family, k, side) is not None

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .arrangement import _vertex_items, max_concurrency
+from .arrangement import max_concurrency
 from .chains import has_k_cell_unbounded, longest_cap, longest_cup
 from .errors import ConstructionError, ParameterRangeError
 from .geometry import Line, LineFamily, Point, Rat, _as_rat, intersect
@@ -125,7 +124,7 @@ def _contract_at(family: LineFamily, anchor: Point, mu: Rat, eps: Rat) -> LineFa
         raise ConstructionError(f"contraction anchor must lie below the axis: {anchor}")
     max_m = max(abs(line.m) for line in family)
     t = min(Fraction(1), eps / (2 * (1 + max_m)))
-    vertices = [p for p, _ in _vertex_items(family)] if len(family) > 1 else []
+    vertices = [p for p, _ in family.view.vertex_items] if len(family) > 1 else []
     if vertices:
         reach = max(abs(v.y) + abs(mu) * abs(v.x) for v in vertices)
         t = min(t, -py / (2 * (1 + reach)))
@@ -147,7 +146,7 @@ def _contract_ok(g: LineFamily, mu: Rat, eps: Rat, want) -> bool:
     if any(abs(line.m - mu) >= eps for line in g):
         return False
     if len(g) > 1:
-        pts = [p for p, _ in _vertex_items(g)]
+        pts = [p for p, _ in g.view.vertex_items]
         if max(p.y for p in pts) >= 0:
             return False
         dx = max(p.x for p in pts) - min(p.x for p in pts)
@@ -213,8 +212,20 @@ def _no_n_convex(family: LineFamily, n: int) -> Optional[bool]:
     return find_n_convex(family, n) is None
 
 
-@lru_cache(maxsize=None)
-def _construct_F_raw(p: int, q: int, l: int, scale: Rat) -> LineFamily:
+Memo = Dict[Tuple[int, int, int], LineFamily]
+
+
+def _construct_F_raw(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
+    """The (p, q, l) recursive family. memo holds the subfamilies already
+    built at this scale; it belongs to one public generator call, so no
+    family outlives that call."""
+    key = (p, q, l)
+    if key not in memo:
+        memo[key] = _build_F_raw(p, q, l, scale, memo)
+    return memo[key]
+
+
+def _build_F_raw(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
     # p == 1 or q == 1 collapses to a single line: two lines already form
     # both a 2-cup and a 2-cap
     if p == 1 or q == 1:
@@ -227,8 +238,8 @@ def _construct_F_raw(p: int, q: int, l: int, scale: Rat) -> LineFamily:
     carrier_caps = Line(Fraction(2), Fraction(2))
     eps = scale / 4
     for _ in range(MAX_RETRIES):
-        low = contract(_construct_F_raw(p - 1, q, l, scale), carrier_cups, eps)
-        high = contract(_construct_F_raw(p, q - 1, l, scale), carrier_caps, eps)
+        low = contract(_construct_F_raw(p - 1, q, l, scale, memo), carrier_cups, eps)
+        high = contract(_construct_F_raw(p, q - 1, l, scale, memo), carrier_caps, eps)
         fam = LineFamily(low.lines + high.lines)
         if (
             max_concurrency(fam).max_count < l
@@ -256,7 +267,7 @@ def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
     if l < 3:
         raise ParameterRangeError(f"l must be >= 3: {l}")
     scale = _positive_rat(epsilon_scale, "epsilon_scale")
-    fam = _construct_F_raw(p, q, l, scale)
+    fam = _construct_F_raw(p, q, l, scale, {})
     return fam.with_meta(
         provenance=(
             ("kind", "recursive_pq"),
@@ -278,7 +289,7 @@ def _shear_lift(family: LineFamily) -> LineFamily:
     shift = 1 - m_min
     sheared = LineFamily(tuple(Line(line.m + shift, line.c) for line in family))
     if len(sheared) > 1:
-        low = min(p.y for p, _ in _vertex_items(sheared))
+        low = min(p.y for p, _ in sheared.view.vertex_items)
     else:
         low = Fraction(0)
     lift = 1 - low
@@ -310,10 +321,10 @@ def _assemble(scaffold: LineFamily, pieces, l: int, n: int, eps0: Rat) -> LineFa
     raise ConstructionError(f"assembly for l={l}, n={n} did not stabilize")
 
 
-def _prop32_scaffold(k: int, scale: Rat) -> LineFamily:
+def _prop32_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
     """Positive-slope copy of the (k, k) triple-free family with all
     intersections above the axis and no 4-cell unbounded to the left."""
-    scaffold = _shear_lift(reflect_y(_construct_F_raw(k, k, 3, scale)))
+    scaffold = _shear_lift(reflect_y(_construct_F_raw(k, k, 3, scale, memo)))
     if has_k_cell_unbounded(scaffold, 4, "left") or max_concurrency(scaffold).max_count > 2:
         raise ConstructionError(f"scaffold for k={k} failed its checks")
     return scaffold
@@ -335,14 +346,15 @@ def construct_prop32(l: int, k: int, parity: str, epsilon_scale=1) -> LineFamily
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd': {parity!r}")
     scale = _positive_rat(epsilon_scale, "epsilon_scale")
-    scaffold = _prop32_scaffold(k, scale)
+    memo: Memo = {}
+    scaffold = _prop32_scaffold(k, scale, memo)
     if parity == "even":
         n = 2 * k + 2
-        pieces = [_construct_F_raw(k, k, l, scale) for _ in scaffold]
+        pieces = [_construct_F_raw(k, k, l, scale, memo) for _ in scaffold]
     else:
         n = 2 * k + 1
-        pieces = [_construct_F_raw(k, k, l, scale)]
-        pieces += [_construct_F_raw(k - 1, k, l, scale) for _ in range(len(scaffold) - 1)]
+        pieces = [_construct_F_raw(k, k, l, scale, memo)]
+        pieces += [_construct_F_raw(k - 1, k, l, scale, memo) for _ in range(len(scaffold) - 1)]
     fam = _assemble(scaffold, pieces, l, n, scale / 4)
     return fam.with_meta(
         provenance=(
@@ -353,11 +365,11 @@ def construct_prop32(l: int, k: int, parity: str, epsilon_scale=1) -> LineFamily
     )
 
 
-def _thm12_scaffold(k: int, scale: Rat) -> LineFamily:
+def _thm12_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
     """Two mirrored copies of the (k, k) triple-free family, one bundled
     around slope -1 and one around +1, every intersection above the axis.
     """
-    core = _construct_F_raw(k, k, 3, scale)
+    core = _construct_F_raw(k, k, 3, scale, memo)
     mirrored = reflect_y(core)
     eps = Fraction(1, 8)
     for _ in range(MAX_RETRIES):
@@ -368,7 +380,7 @@ def _thm12_scaffold(k: int, scale: Rat) -> LineFamily:
         # cross intersections must all stay above it near (0, 4)
         if _cross_above_axis(falling, rising) and max_concurrency(fam).max_count == 2:
             flipped = reflect_x(fam)
-            low = min(p.y for p, _ in _vertex_items(flipped))
+            low = min(p.y for p, _ in flipped.view.vertex_items)
             lifted = LineFamily(tuple(Line(line.m, line.c + 1 - low) for line in flipped))
             return lifted
         eps = eps / 2
@@ -395,14 +407,15 @@ def construct_thm12(l: int, n: int, epsilon_scale=1) -> LineFamily:
         k = (n - 2) // 2
     else:
         k = (n - 1) // 2
-    scaffold = _thm12_scaffold(k, scale)
+    memo: Memo = {}
+    scaffold = _thm12_scaffold(k, scale, memo)
     half = len(scaffold) // 2
-    big = _construct_F_raw(k, k, l, scale)
+    big = _construct_F_raw(k, k, l, scale, memo)
     big_mirror = reflect_y(big)
     if n % 2 == 0:
         pieces = [big_mirror] * half + [big] * half
     else:
-        small = _construct_F_raw(k - 1, k, l, scale)
+        small = _construct_F_raw(k - 1, k, l, scale, memo)
         small_mirror = reflect_y(small)
         pieces = [big_mirror] + [small_mirror] * (half - 1)
         pieces += [big] + [small] * (half - 1)

@@ -15,6 +15,10 @@ Sign conventions used throughout the package:
 * The duality ``D`` maps the line y = m*x + c to the point (m, c) and the
   point (a, b) to the line y = a*x + b. It preserves incidence, and above /
   below flips: p above L iff D(L) above D(p).
+
+The kernels that scan all pairs of lines work on ``LineFamily.view``, an
+integer form of the family built once per family and cached on it (see
+IntegerView).
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple
+from functools import cached_property
+from math import lcm
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import DuplicateSlopeError, ParallelLinesError
 
@@ -161,3 +167,98 @@ class LineFamily:
     def with_meta(self, name=None, provenance=None) -> "LineFamily":
         """Same lines, new metadata."""
         return LineFamily(self.lines, name=name, provenance=provenance)
+
+    @cached_property
+    def view(self) -> "IntegerView":
+        """The family's integer form, built on first use and kept with it."""
+        return IntegerView(self.lines)
+
+
+class IntegerView:
+    """Common-denominator integer form of a slope-sorted family.
+
+    With S the least common denominator of every slope and intercept, line
+    i becomes y = (M_i*x + C_i) / S for integers M_i = S*m_i and C_i =
+    S*c_i. Crossing abscissae, vertex order and orientation signs are
+    unchanged by the common positive scale, so predicates need only integer
+    arithmetic.
+
+    Lines i and j cross at X_ij = (C_j - C_i) / (M_i - M_j), which is also
+    minus the slope of the dual edge between them. Its denominator is at
+    most D = M_max - M_min, so two different crossing abscissae differ by
+    at least 1/D^2. With 2^shift >= D^2, floor(X_ij * 2^shift) therefore
+    takes distinct values at distinct abscissae and keeps their order: an
+    exact integer key for comparing and grouping crossings.
+
+    The derived tables are computed on first use and live as long as the
+    family does.
+    """
+
+    def __init__(self, lines: Tuple[Line, ...]):
+        scale = 1
+        for line in lines:
+            scale = lcm(scale, line.m.denominator, line.c.denominator)
+        self.scale = scale
+        self.pairs = tuple(
+            (
+                line.m.numerator * (scale // line.m.denominator),
+                line.c.numerator * (scale // line.c.denominator),
+            )
+            for line in lines
+        )
+        self.shift = 2 * (self.pairs[-1][0] - self.pairs[0][0]).bit_length()
+
+    @cached_property
+    def crossings(self) -> Tuple[List[int], ...]:
+        """crossings[i][j] is the key of X_ij; the diagonal holds 0.
+
+        The table is symmetric and both halves share each key object.
+        """
+        ms = [m for m, _ in self.pairs]
+        cs = [c << self.shift for _, c in self.pairs]
+        n = len(ms)
+        rows = tuple([0] * n for _ in range(n))
+        for i in range(n):
+            row, mi, ci = rows[i], ms[i], cs[i]
+            for j in range(i + 1, n):
+                key = (cs[j] - ci) // (mi - ms[j])
+                row[j] = key
+                rows[j][i] = key
+        return rows
+
+    def vertex(self, i: int, j: int) -> Point:
+        """The crossing of lines i and j as a Point."""
+        (mi, ci), (mj, cj) = self.pairs[i], self.pairs[j]
+        den = mi - mj
+        return Point(Fraction(cj - ci, den), Fraction(mi * cj - mj * ci, den * self.scale))
+
+    def vertex_key(self, i: int, j: int) -> Tuple[int, int]:
+        """Integer key that orders crossings as their Points order.
+
+        The crossing's height times scale has the same denominator mi - mj
+        as X_ij, so its floor key is exact in the same way.
+        """
+        (mi, ci), (mj, cj) = self.pairs[i], self.pairs[j]
+        return self.crossings[i][j], ((mi * cj - mj * ci) << self.shift) // (mi - mj)
+
+    @cached_property
+    def vertex_items(self) -> Tuple[Tuple[Point, Tuple[int, ...]], ...]:
+        """Sorted (vertex, incident line indices) pairs.
+
+        On line i a vertex is fixed by its abscissa, so the lines through it
+        are those with one crossing key. Each vertex is read off at its
+        lowest-index line, the one that meets no earlier line there.
+        """
+        rows = self.crossings
+        n = len(rows)
+        keyed = []
+        for i, row in enumerate(rows):
+            earlier = set(row[:i])
+            groups = {}
+            for j in range(i + 1, n):
+                key = row[j]
+                if key not in earlier:
+                    groups.setdefault(key, [i]).append(j)
+            keyed.extend((*self.vertex_key(i, inc[1]), tuple(inc)) for inc in groups.values())
+        keyed.sort()
+        return tuple((self.vertex(inc[0], inc[1]), inc) for _, _, inc in keyed)

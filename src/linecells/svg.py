@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .arrangement import SignVector, _vertex_items, bounding_lines
+from .arrangement import SignVector, bounding_lines
 from .errors import EmptyViewportError, ParameterRangeError
 from .geometry import Line, LineFamily, Point, Rat, _as_rat
 
@@ -41,7 +41,7 @@ class RenderOptions:
 
 def _auto_viewport(family: LineFamily) -> Tuple[Rat, Rat, Rat, Rat]:
     if len(family) > 1:
-        pts = [p for p, _ in _vertex_items(family)]
+        pts = [p for p, _ in family.view.vertex_items]
         xs = [p.x for p in pts]
         ys = [p.y for p in pts]
         x0, x1 = min(xs), max(xs)

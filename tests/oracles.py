@@ -1,0 +1,107 @@
+"""Slow reference kernels that the fast ones in linecells replaced.
+
+Each runs straight from the family's Fractions or through the per-line
+interval test (_line_interval), never through the cached integer view's
+crossing keys, so the fast kernels can be checked against them.
+"""
+
+from math import lcm
+
+from linecells import intersect
+from linecells.arrangement import _line_interval
+
+
+def scaled_pairs(family):
+    """The family's common-denominator integer (M, C) pairs."""
+    scale = 1
+    for line in family:
+        scale = lcm(scale, line.m.denominator, line.c.denominator)
+    return tuple((int(line.m * scale), int(line.c * scale)) for line in family)
+
+
+def staircase_signs(n, r, side):
+    if side == "right":
+        return (1,) * r + (-1,) * (n - r)
+    return (-1,) * r + (1,) * (n - r)
+
+
+def staircase_members(family, side):
+    """Cubic staircase scan: for each r in 1..n-1, the lines whose interval
+    in the staircase cell r is nonempty."""
+    scaled = scaled_pairs(family)
+    n = len(family)
+    out = {}
+    for r in range(1, n):
+        signs = staircase_signs(n, r, side)
+        out[r] = [i for i in range(n) if _line_interval(scaled, i, signs) is not None]
+    return out
+
+
+def _orient(a, b, c):
+    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (d > 0) - (d < 0)
+
+
+def longest_chain(family, turn):
+    """Cubic DP over ordered pairs of dual points: size and witness of the
+    longest chain turning strictly by turn (-1 cups, +1 caps)."""
+    pts = scaled_pairs(family)
+    n = len(pts)
+    if n == 1:
+        return 1, (0,)
+    length = [[2] * n for _ in range(n)]
+    parent = [[-1] * n for _ in range(n)]
+    for mid in range(n):
+        for first in range(mid):
+            base = length[first][mid]
+            for last in range(mid + 1, n):
+                if _orient(pts[first], pts[mid], pts[last]) == turn:
+                    if base + 1 > length[mid][last]:
+                        length[mid][last] = base + 1
+                        parent[mid][last] = first
+    best = 2
+    best_edge = (0, 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if length[i][j] > best:
+                best = length[i][j]
+                best_edge = (i, j)
+    chain = [best_edge[1], best_edge[0]]
+    i, j = best_edge
+    while parent[i][j] >= 0:
+        i, j = parent[i][j], i
+        chain.append(i)
+    chain.reverse()
+    return best, tuple(chain)
+
+
+def is_strict_chain(family, witness, turn):
+    """Witness sorted, and every consecutive triple of its dual points
+    turning strictly by turn."""
+    pts = [(family[i].m, family[i].c) for i in witness]
+    return list(witness) == sorted(set(witness)) and all(
+        _orient(a, b, c) == turn for a, b, c in zip(pts, pts[1:], pts[2:])
+    )
+
+
+def vertex_items(family):
+    """Sorted (vertex, incident lines) pairs from a dict of Fraction Points."""
+    by_point = {}
+    n = len(family)
+    for i in range(n):
+        for j in range(i + 1, n):
+            by_point.setdefault(intersect(family[i], family[j]), set()).update((i, j))
+    return tuple(sorted((p, tuple(sorted(inc))) for p, inc in by_point.items()))
+
+
+def concurrency(family):
+    """(max count, sorted points at that count, profile) from vertex_items."""
+    items = vertex_items(family)
+    if not items:
+        return len(family), (), {}
+    top = max(len(inc) for _, inc in items)
+    profile = {}
+    for _, inc in items:
+        profile[len(inc)] = profile.get(len(inc), 0) + 1
+    return top, tuple(p for p, inc in items if len(inc) == top), profile
+

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -221,3 +223,14 @@ def test_budget_constant_sane():
         "thm12_odd",
         "figure10",
     }
+
+
+
+def test_construct_F_keeps_no_family_alive():
+    # the returned family shares its Line objects with the one built inside,
+    # so a Line still alive after the caller drops the family was pinned
+    fam = construct_F(4, 4, 4, epsilon_scale=Fraction(1, 3))
+    refs = [weakref.ref(line) for line in fam]
+    del fam
+    gc.collect()
+    assert [ref() for ref in refs if ref() is not None] == []

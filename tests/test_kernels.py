@@ -1,0 +1,126 @@
+"""The integer-view kernels against the slow oracles in oracles.py.
+
+Families are drawn with pencils, so three or more concurrent lines and
+repeated crossing abscissae are common.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from linecells import (
+    Line,
+    LineFamily,
+    bounding_lines,
+    classify_cell,
+    concurrency_profile,
+    construct_F,
+    find_unbounded_cell,
+    has_k_cell_unbounded,
+    longest_cap,
+    longest_cup,
+    max_concurrency,
+)
+from linecells.chains import _staircases
+
+import oracles
+from conftest import signs_at
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+KERNELS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def pencil_families(draw, min_lines=2, max_lines=9):
+    """Lines with distinct slopes, each either free or through one of a
+    few shared apexes."""
+    n = draw(st.integers(min_lines, max_lines))
+    slopes = draw(st.lists(rationals, min_size=n, max_size=n, unique=True))
+    apexes = draw(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=3))
+    lines = []
+    for m in slopes:
+        pick = draw(st.integers(-1, len(apexes) - 1))
+        if pick < 0:
+            c = draw(rationals)
+        else:
+            x, y = apexes[pick]
+            c = y - m * x
+        lines.append(Line(m, c))
+    return LineFamily(tuple(lines))
+
+
+def check_staircases(fam):
+    n = len(fam)
+    for side in ("right", "left"):
+        want = oracles.staircase_members(fam, side)
+        got = _staircases(fam, side)
+        assert {r: got[r] for r in range(1, n)} == want
+        for k in range(2, 6):
+            first = next((r for r in range(1, n) if len(want[r]) >= k), None)
+            cell = find_unbounded_cell(fam, k, side)
+            assert has_k_cell_unbounded(fam, k, side) == (first is not None)
+            if first is None:
+                assert cell is None
+                continue
+            signs = oracles.staircase_signs(n, first, side)
+            assert cell.signs == signs
+            assert cell.bounding == bounding_lines(fam, signs)
+            assert cell.bound_class == classify_cell(fam, signs)
+            assert signs_at(fam, cell.witness_point) == signs
+
+
+def check_chains(fam):
+    for result, turn in ((longest_cup(fam), -1), (longest_cap(fam), +1)):
+        size, _ = oracles.longest_chain(fam, turn)
+        assert result.size == size
+        assert len(result.witness) == size
+        assert oracles.is_strict_chain(fam, result.witness, turn)
+
+
+def check_concurrency(fam):
+    top, points, profile = oracles.concurrency(fam)
+    report = max_concurrency(fam)
+    assert report.max_count == top
+    assert report.all_points_at_max == points
+    assert report.point == (points[0] if points else None)
+    assert concurrency_profile(fam) == profile
+    assert fam.view.vertex_items == oracles.vertex_items(fam)
+
+
+@KERNELS
+@given(pencil_families())
+def test_staircases_match_interval_scan(fam):
+    check_staircases(fam)
+
+
+@KERNELS
+@given(pencil_families())
+def test_chain_dp_matches_cubic_dp(fam):
+    check_chains(fam)
+
+
+@KERNELS
+@given(pencil_families())
+def test_concurrency_table_matches_point_grouping(fam):
+    check_concurrency(fam)
+
+
+def test_single_line_kernels():
+    fam = LineFamily((Line(2, 3),))
+    check_staircases(fam)
+    check_chains(fam)
+    assert max_concurrency(fam).max_count == 1
+    assert concurrency_profile(fam) == {}
+
+
+@pytest.fixture(scope="module")
+def f544():
+    return construct_F(5, 4, 4)
+
+
+def test_kernels_on_construct_F_5_4_4(f544):
+    check_staircases(f544)
+    check_chains(f544)
+    check_concurrency(f544)
