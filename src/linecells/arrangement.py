@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Literal, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Literal, Optional, Sequence, Tuple
 
 from .errors import InfeasibleSignVectorError
 from .geometry import LineFamily, Point, side_of
@@ -266,31 +266,51 @@ def concurrency_profile(family: LineFamily) -> Dict[int, int]:
     }
 
 
+def extend_bounded(pairs, cells) -> List[SignVector]:
+    """Sign vectors of the cells of arr(pairs) bounded by every line, given
+    cells, those of arr(pairs[:-1]); sorted by mask if cells is.
+
+    pairs are integer (M, C) pairs in slope order (IntegerView.pairs or a
+    selection of them). A cell bounded by every line of the larger
+    arrangement lies in a cell of the smaller one bounded by every line of
+    it, with each boundary piece on that cell's boundary on the same side,
+    so the candidates are the old sign vectors with either sign for the new
+    line, kept when every line's interval is nonempty (the new line's is
+    tested first). The empty arrangement's one cell, (), starts the fold.
+    The new line is the highest mask bit (bit i set means the cell lies
+    above line i), so listing every -1 extension before every +1 one keeps
+    the mask order.
+    """
+    order = range(len(pairs) - 1, -1, -1)
+    out = []
+    for s in (-1, 1):
+        for old in cells:
+            signs = old + (s,)
+            if all(_line_interval(pairs, i, signs) is not None for i in order):
+                out.append(signs)
+    return out
+
+
 def convex_position_cell(family: LineFamily) -> Optional[Cell]:
     """A cell bounded by every line of the family, or None.
 
-    Sign vectors are scanned in a fixed order (bit i set means the cell lies
-    above line i), so the witness is deterministic.
+    Of all such cells, the one with the smallest mask (bit i set means the
+    cell lies above line i), so the witness is deterministic.
     """
     n = len(family)
     if n < 2:
         return None
     scaled = family.view.pairs
-    for mask in range(1 << n):
-        signs = tuple(1 if (mask >> i) & 1 else -1 for i in range(n))
-        intervals = []
-        for i in range(n):
-            iv = _line_interval(scaled, i, signs)
-            if iv is None:
-                break
-            intervals.append(iv)
-        if len(intervals) < n:
-            continue
-        x0 = _interval_x(*intervals[0])
-        boundary = Point(x0, family[0].y_at(x0))
-        w = _step_from(family, boundary, (Fraction(0), Fraction(signs[0])), frozenset({0}))
-        return Cell(signs, frozenset(range(n)), classify_cell(family, signs), w)
-    return None
+    cells: List[SignVector] = [()]
+    for k in range(1, n + 1):
+        cells = extend_bounded(scaled[:k], cells)
+        if not cells:
+            return None
+    signs = cells[0]
+    x0 = _interval_x(*_line_interval(scaled, 0, signs))
+    boundary = Point(x0, family[0].y_at(x0))
+    w = _step_from(family, boundary, (Fraction(0), Fraction(signs[0])), frozenset({0}))
+    return Cell(signs, frozenset(range(n)), classify_cell(family, signs), w)
 
 
 def is_convex_position(family: LineFamily) -> bool:

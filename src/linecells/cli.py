@@ -29,6 +29,9 @@ from .verify import (
 )
 
 
+PRUNE_HELP = "accepted for compatibility; both values run the same search"
+
+
 def _read_family(path: str):
     if path == "-":
         return parse_family(sys.stdin.read())
@@ -175,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--k", type=int, default=4, help="unbounded cell size to exclude")
     ver.add_argument("--no-convex", type=int, help="also require no N in convex position")
-    ver.add_argument("--prune", choices=PRUNE_MODES, default="off")
+    ver.add_argument("--prune", choices=PRUNE_MODES, default="off", help=PRUNE_HELP)
     ver.set_defaults(func=_cmd_verify)
 
     sea = sub.add_parser("search", help="look for subsets in convex position")
@@ -183,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = sea.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, help="subset size to search for")
     group.add_argument("--largest", action="store_true", help="report the maximum size")
-    sea.add_argument("--prune", choices=PRUNE_MODES, default="off")
+    sea.add_argument("--prune", choices=PRUNE_MODES, default="off", help=PRUNE_HELP)
     sea.set_defaults(func=_cmd_search)
 
     bnd = sub.add_parser("bounds", help="print threshold bounds")

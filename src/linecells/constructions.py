@@ -396,7 +396,7 @@ def _cross_above_axis(left: LineFamily, right: LineFamily) -> bool:
 
 
 def construct_thm12(l: int, n: int, epsilon_scale=1) -> LineFamily:
-    """Family of more than lower_bound_value(l, n) lines, fewer than l
+    """Family of at least lower_bound_value(l, n) lines, fewer than l
     concurrent, with no n lines in convex position."""
     if l < 3:
         raise ParameterRangeError(f"l must be >= 3: {l}")

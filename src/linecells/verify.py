@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Optional, Sequence, Tuple
 
-from .arrangement import ConcurrencyReport, is_convex_position, max_concurrency
+from .arrangement import ConcurrencyReport, extend_bounded, max_concurrency
 from .chains import ChainResult, has_k_cell_unbounded, longest_cap, longest_cup
 from .errors import ParameterRangeError
 from .geometry import LineFamily, Rat, _as_rat
@@ -68,43 +67,44 @@ def f_L_bound(l: int, p: int, q: int, c=1) -> Rat:
     return c * (min(p - 1, q - 1) + l) * comb(p + q - 4, q - 2)
 
 
-def _subfamily(family: LineFamily, indices) -> LineFamily:
-    return LineFamily(tuple(family[i] for i in indices))
+def _check_prune(prune: str) -> None:
+    # kept for compatibility: every mode runs the same search
+    if prune not in PRUNE_MODES:
+        raise ValueError(f"prune must be one of {PRUNE_MODES}: {prune!r}")
 
 
 def find_n_convex(family: LineFamily, n: int, prune: str = "off") -> Optional[Tuple[int, ...]]:
     """First n-subset (lexicographic over slope-sorted indices) in convex
-    position, or None. prune="hereditary" skips extensions of subsets that
-    are already not in convex position; convex position is inherited by
-    subsets, so both modes return the same witness.
+    position, or None.
+
+    A depth-first search over index prefixes in lexicographic order, each
+    carrying the sign vectors of its cells bounded by every chosen line
+    (extend_bounded). Convex position is inherited by subsets, so a prefix
+    with no such cell ends its subtree. prune must be one of PRUNE_MODES;
+    both values run this same search and return the same witness.
     """
-    if prune not in PRUNE_MODES:
-        raise ValueError(f"prune must be one of {PRUNE_MODES}: {prune!r}")
+    _check_prune(prune)
     size = len(family)
     if not 2 <= n <= size:
         raise ParameterRangeError(f"need 2 <= n <= {size}: {n}")
-    if prune == "off":
-        for combo in combinations(range(size), n):
-            if is_convex_position(_subfamily(family, combo)):
-                return combo
+    pairs = family.view.pairs
+
+    def search(prefix, chosen, cells):
+        # leave room for the n - len(prefix) - 1 lines still to come
+        for i in range(prefix[-1] + 1 if prefix else 0, size - n + len(prefix) + 1):
+            sub = chosen + (pairs[i],)
+            bounded = extend_bounded(sub, cells)
+            if not bounded:
+                continue
+            cand = prefix + (i,)
+            if len(cand) == n:
+                return cand
+            found = search(cand, sub, bounded)
+            if found is not None:
+                return found
         return None
-    return _find_pruned(family, n, (), 0)
 
-
-def _find_pruned(family, n, prefix, start):
-    size = len(family)
-    need = n - len(prefix)
-    for i in range(start, size - need + 1):
-        cand = prefix + (i,)
-        # pairs are always in convex position, no point testing them
-        if len(cand) >= 3 and not is_convex_position(_subfamily(family, cand)):
-            continue
-        if len(cand) == n:
-            return cand
-        found = _find_pruned(family, n, cand, i + 1)
-        if found is not None:
-            return found
-    return None
+    return search((), (), [()])
 
 
 def exists_n_convex(family: LineFamily, n: int, prune: str = "off") -> bool:
@@ -113,22 +113,40 @@ def exists_n_convex(family: LineFamily, n: int, prune: str = "off") -> bool:
     Unlike find_n_convex this tolerates n beyond the family size, where the
     answer is plainly False.
     """
-    if prune not in PRUNE_MODES:
-        raise ValueError(f"prune must be one of {PRUNE_MODES}: {prune!r}")
+    _check_prune(prune)
     if n > len(family):
         return False
     return find_n_convex(family, n, prune) is not None
 
 
 def largest_convex_subset(family: LineFamily, prune: str = "off"):
-    """(size, witness indices) of a largest subset in convex position."""
-    if len(family) == 1:
-        return (1, (0,))
-    for n in range(len(family), 1, -1):
-        witness = find_n_convex(family, n, prune)
-        if witness is not None:
-            return (n, witness)
-    return (2, (0, 1))  # unreachable: two lines are always in convex position
+    """(size, witness indices) of a largest subset in convex position; the
+    witness is the lexicographically first subset of that size.
+
+    Walks find_n_convex's search tree once, skipping every subtree too
+    small to beat the best subset so far. prune is checked as there.
+    """
+    _check_prune(prune)
+    pairs = family.view.pairs
+    size = len(pairs)
+    best: Tuple[int, ...] = ()
+
+    def walk(prefix, chosen, cells):
+        nonlocal best
+        for i in range(prefix[-1] + 1 if prefix else 0, size):
+            # below prefix + (i,) lie at most len(prefix) + size - i lines
+            if len(prefix) + size - i <= len(best):
+                return
+            sub = chosen + (pairs[i],)
+            bounded = extend_bounded(sub, cells)
+            if bounded:
+                cand = prefix + (i,)
+                if len(cand) > len(best):
+                    best = cand
+                walk(cand, sub, bounded)
+
+    walk((), (), [()])
+    return (len(best), best)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,12 @@ interval test (_line_interval), never through the cached integer view's
 crossing keys, so the fast kernels can be checked against them.
 """
 
+from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
-from linecells import intersect
-from linecells.arrangement import _line_interval
+from linecells import Cell, LineFamily, Point, classify_cell, intersect
+from linecells.arrangement import _interval_x, _line_interval, _step_from
 
 
 def scaled_pairs(family):
@@ -105,3 +107,44 @@ def concurrency(family):
         profile[len(inc)] = profile.get(len(inc), 0) + 1
     return top, tuple(p for p, inc in items if len(inc) == top), profile
 
+
+def convex_position_cell(family):
+    """Scan all 2^n sign vectors in mask order (bit i set: above line i) for
+    the first whose every line interval is nonempty, as a Cell, or None."""
+    n = len(family)
+    if n < 2:
+        return None
+    scaled = scaled_pairs(family)
+    for mask in range(1 << n):
+        signs = tuple(1 if (mask >> i) & 1 else -1 for i in range(n))
+        intervals = []
+        for i in range(n):
+            iv = _line_interval(scaled, i, signs)
+            if iv is None:
+                break
+            intervals.append(iv)
+        if len(intervals) < n:
+            continue
+        x0 = _interval_x(*intervals[0])
+        boundary = Point(x0, family[0].y_at(x0))
+        w = _step_from(family, boundary, (Fraction(0), Fraction(signs[0])), frozenset({0}))
+        return Cell(signs, frozenset(range(n)), classify_cell(family, signs), w)
+    return None
+
+
+def find_n_convex(family, n):
+    """First n-subset in lexicographic order whose subfamily the 2^n scan
+    finds in convex position, or None."""
+    for combo in combinations(range(len(family)), n):
+        if convex_position_cell(LineFamily(tuple(family[i] for i in combo))):
+            return combo
+    return None
+
+
+def largest_convex_subset(family):
+    """(size, first witness) from find_n_convex, sizes downward."""
+    for n in range(len(family), 1, -1):
+        witness = find_n_convex(family, n)
+        if witness is not None:
+            return n, witness
+    return 1, (0,)

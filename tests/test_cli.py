@@ -1,4 +1,6 @@
-from linecells import cli_main, parse_family
+import pytest
+
+from linecells import cli_main, construct_F, parse_family, serialize_family
 
 
 def run(capsys, *argv):
@@ -113,6 +115,33 @@ def test_search_none_found(tmp_path, capsys):
     code, out, _ = run(capsys, "search", str(fam_path), "--n", "3")
     assert code == 0
     assert "no 3 lines in convex position" in out
+
+
+F434_SEARCHES = (
+    (["--n", "7"], 1, "found 7 lines in convex position: [0, 1, 2, 8, 9, 11, 12]\n"),
+    (["--n", "8"], 0, "no 8 lines in convex position\n"),
+    (["--largest"], 0, "largest convex position subset: 7 lines [0, 1, 2, 8, 9, 11, 12]\n"),
+)
+
+
+@pytest.mark.parametrize("argv, code, out", F434_SEARCHES)
+def test_search_prune_values_agree(tmp_path, capsys, argv, code, out):
+    fam_path = tmp_path / "f434.txt"
+    fam_path.write_text(serialize_family(construct_F(4, 3, 4)))
+    for prune in ("off", "hereditary"):
+        assert run(capsys, "search", str(fam_path), *argv, "--prune", prune) == (code, out, "")
+
+
+def test_unknown_prune_exits_2(tmp_path, capsys):
+    fam_path = tmp_path / "p.txt"
+    run(capsys, "generate", "--kind", "pencil", "--n", "5", "-o", str(fam_path))
+    code, _, _ = run(capsys, "search", str(fam_path), "--n", "3", "--prune", "fast")
+    assert code == 2
+    code, _, _ = run(
+        capsys, "verify", str(fam_path), "--l", "6", "--p", "2", "--q", "2",
+        "--no-convex", "3", "--prune", "fast",
+    )
+    assert code == 2
 
 
 def test_bounds_output(capsys):

@@ -22,6 +22,7 @@ from linecells import (
     contract,
     exists_n_convex,
     figure10_family,
+    find_n_convex,
     has_k_cell_unbounded,
     longest_cap,
     longest_cup,
@@ -156,6 +157,15 @@ def test_thm12_small_cases():
         assert len(fam) >= lower_bound_value(l, n)
         assert max_concurrency(fam).max_count < l
         assert not exists_n_convex(fam, n)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="construct_thm12(3, 7) has the 7 lines (0, 1, 2, 6, 7, 8, 21) in convex "
+    "position; its 7-convex self-check is over CONVEX_BUDGET and skipped",
+)
+def test_thm12_3_7_has_no_7_in_convex_position():
+    assert find_n_convex(construct_thm12(3, 7), 7) is None
 
 
 def test_thm12_validation():

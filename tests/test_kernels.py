@@ -1,4 +1,4 @@
-"""The integer-view kernels against the slow oracles in oracles.py.
+"""The fast kernels against the slow oracles in oracles.py.
 
 Families are drawn with pencils, so three or more concurrent lines and
 repeated crossing abscissae are common.
@@ -14,8 +14,11 @@ from linecells import (
     classify_cell,
     concurrency_profile,
     construct_F,
+    convex_position_cell,
+    find_n_convex,
     find_unbounded_cell,
     has_k_cell_unbounded,
+    largest_convex_subset,
     longest_cap,
     longest_cup,
     max_concurrency,
@@ -89,6 +92,19 @@ def check_concurrency(fam):
     assert fam.view.vertex_items == oracles.vertex_items(fam)
 
 
+def check_convex_search(fam):
+    # a line of a pencil may touch a cell only at its apex, which must not
+    # count as bounding it
+    assert convex_position_cell(fam) == oracles.convex_position_cell(fam)
+    for n in range(2, len(fam) + 1):
+        witness = find_n_convex(fam, n)
+        assert witness == oracles.find_n_convex(fam, n)
+        if witness is not None:
+            sub = LineFamily(tuple(fam[i] for i in witness))
+            assert convex_position_cell(sub) == oracles.convex_position_cell(sub)
+    assert largest_convex_subset(fam) == oracles.largest_convex_subset(fam)
+
+
 @KERNELS
 @given(pencil_families())
 def test_staircases_match_interval_scan(fam):
@@ -107,12 +123,20 @@ def test_concurrency_table_matches_point_grouping(fam):
     check_concurrency(fam)
 
 
+@KERNELS
+@given(pencil_families(max_lines=8))
+def test_convex_search_matches_exhaustive_scan(fam):
+    check_convex_search(fam)
+
+
 def test_single_line_kernels():
     fam = LineFamily((Line(2, 3),))
     check_staircases(fam)
     check_chains(fam)
     assert max_concurrency(fam).max_count == 1
     assert concurrency_profile(fam) == {}
+    assert convex_position_cell(fam) is None
+    assert largest_convex_subset(fam) == oracles.largest_convex_subset(fam)
 
 
 @pytest.fixture(scope="module")
