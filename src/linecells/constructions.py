@@ -10,10 +10,15 @@ a.m + eps) and gathers all internal intersections into a tiny disk below
 the x-axis. The recursive and scaffold builders then replace each line of
 a small arrangement by a contracted copy of a smaller family.
 
-Every generator re-checks its own output (concurrency, chain lengths,
-unbounded cells, and where affordable an exhaustive convex-position scan)
-and retries with a halved spread on failure, so a returned family always
-satisfies its contract.
+contract, the reflections and the shear preserve sign vectors exactly, so
+nothing they build is re-checked. Each public generator instead certifies
+its result once: concurrency, cup and cap lengths and unbounded 4-cells of
+the base families and of every recursive family it returns or assembles
+from, and the concurrency of each assembly, raising ConstructionError
+naming the check that failed. The exhaustive convex-position check of an
+assembly is skipped once it would scan more than CONVEX_BUDGET subsets, so
+the larger assemblies, among them construct_thm12(l, n) for n >= 7 and
+construct_prop32(l, 3, "even"), come back without it.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .errors import ConstructionError, ParameterRangeError
 from .geometry import Line, LineFamily, Point, Rat, _as_rat, intersect
 from .verify import find_n_convex, lower_bound_value
 
+# halvings of the pencil spread tried by construct_base and figure10_family
 MAX_RETRIES = 64
 
 # exhaustive convex-position self-checks are capped at this many subsets
@@ -84,76 +90,46 @@ def reflect_x(family: LineFamily) -> LineFamily:
     return LineFamily(tuple(Line(-line.m, -line.c) for line in family))
 
 
-def _signature(family: LineFamily):
-    # invariants of any affine map with positive determinant that fixes the
-    # up and right directions; used to confirm a contraction changed nothing
-    return (
-        len(family),
-        max_concurrency(family).max_count,
-        longest_cup(family).size,
-        longest_cap(family).size,
-        has_k_cell_unbounded(family, 4, "right"),
-        has_k_cell_unbounded(family, 4, "left"),
-    )
-
-
 def contract(family: LineFamily, a: Line, eps) -> LineFamily:
     """Squeeze family into a bundle that replaces the line a.
 
     The result G has all slopes in (a.m - eps, a.m + eps), every pairwise
     intersection of G below the x-axis, and all those intersections inside
-    a disk of diameter at most eps. Cup/cap lengths, concurrency and
-    unbounded 4-cells are preserved. Never raises for valid input: the
-    squeeze factor is halved until every condition holds.
+    a disk of diameter at most eps. G is the image of family under
+    (x, y) -> (t*x + px, t^2*y + mu*t*x + py), mu = a.m, py < 0, whose
+    determinant t^3 > 0 keeps up and right: sign vectors, cups, caps,
+    concurrency and left/right unbounded cells are preserved exactly.
+
+    With |x| <= X and |y| <= Y at every vertex and R = (1 + |mu|)X + Y,
+    t is the largest power of two at most 1, eps/(2(1 + max|m|)),
+    -py/(2(1 + R)) and eps/(2(1 + R)). Then slopes move by less than eps,
+    image vertices lie at heights at most tR + py < 0, and their bounding
+    box is at most 2tX wide and 2t(Y + |mu|X) tall, so its diagonal is
+    below 2tR < eps.
     """
     eps = _positive_rat(eps, "eps")
-    if a.m != 0:
-        anchor = Point((Fraction(-1) - a.c) / a.m, Fraction(-1))
+    mu = a.m
+    if mu != 0:
+        px, py = (-1 - a.c) / mu, Fraction(-1)
     elif a.c < 0:
-        anchor = Point(Fraction(0), a.c)
+        px, py = Fraction(0), a.c
     else:
         # horizontal carrier above the axis has no on-line anchor below it;
         # fall back to a point under the carrier
-        anchor = Point(Fraction(0), Fraction(-1))
-    return _contract_at(family, anchor, a.m, eps)
-
-
-def _contract_at(family: LineFamily, anchor: Point, mu: Rat, eps: Rat) -> LineFamily:
-    px, py = anchor.x, anchor.y
-    if py >= 0:
-        raise ConstructionError(f"contraction anchor must lie below the axis: {anchor}")
+        px, py = Fraction(0), Fraction(-1)
     max_m = max(abs(line.m) for line in family)
-    t = min(Fraction(1), eps / (2 * (1 + max_m)))
-    vertices = [p for p, _ in family.view.vertex_items] if len(family) > 1 else []
-    if vertices:
-        reach = max(abs(v.y) + abs(mu) * abs(v.x) for v in vertices)
-        t = min(t, -py / (2 * (1 + reach)))
-    want = _signature(family)
-    for _ in range(MAX_RETRIES):
-        g = LineFamily(
-            tuple(
-                Line(mu + t * line.m, t * t * line.c + py - (mu + t * line.m) * px)
-                for line in family
-            )
+    x_bound = family.view.abscissa_bound()
+    reach = (1 + abs(mu) + max_m) * x_bound + max(abs(line.c) for line in family)
+    bound = min(Fraction(1), eps / (2 * (1 + max_m)), min(-py, eps) / (2 * (1 + reach)))
+    # the largest 1/2^k <= bound is 1/2^k or 1/2^(k+1) for this k
+    k = max(0, bound.denominator.bit_length() - bound.numerator.bit_length())
+    t = Fraction(1, 1 << k) if Fraction(1, 1 << k) <= bound else Fraction(1, 2 << k)
+    return LineFamily(
+        tuple(
+            Line(mu + t * line.m, t * t * line.c + py - (mu + t * line.m) * px)
+            for line in family
         )
-        if _contract_ok(g, mu, eps, want):
-            return g
-        t = t / 2
-    raise ConstructionError("contraction did not stabilize")
-
-
-def _contract_ok(g: LineFamily, mu: Rat, eps: Rat, want) -> bool:
-    if any(abs(line.m - mu) >= eps for line in g):
-        return False
-    if len(g) > 1:
-        pts = [p for p, _ in g.view.vertex_items]
-        if max(p.y for p in pts) >= 0:
-            return False
-        dx = max(p.x for p in pts) - min(p.x for p in pts)
-        dy = max(p.y for p in pts) - min(p.y for p in pts)
-        if dx * dx + dy * dy > eps * eps:
-            return False
-    return _signature(g) == want
+    )
 
 
 def construct_base(p: int, l: int, epsilon_scale=1) -> LineFamily:
@@ -165,13 +141,20 @@ def construct_base(p: int, l: int, epsilon_scale=1) -> LineFamily:
     so pencils chain into cups but never into caps. For odd p one extra
     line tangent to the parabola at (m, m^2) extends the longest cup by
     one: it outslopes every pencil and passes below the last apex.
+
+    The spread delta starts at most 1/(l-1), so delta*(l-2) < 1 and the
+    slope windows of two pencils, 2 apart, never touch; it is halved until
+    every check holds.
     """
     if p < 2:
         raise ParameterRangeError(f"p must be >= 2: {p}")
     if l < 3:
         raise ParameterRangeError(f"l must be >= 3: {l}")
     clusters = p // 2
-    delta = _positive_rat(epsilon_scale, "epsilon_scale") / (4 * (l - 1) * (clusters + 1))
+    delta = min(
+        _positive_rat(epsilon_scale, "epsilon_scale") / (4 * (l - 1) * (clusters + 1)),
+        Fraction(1, l - 1),
+    )
     for _ in range(MAX_RETRIES):
         lines = []
         for h in range(clusters):
@@ -196,10 +179,9 @@ def construct_base(p: int, l: int, epsilon_scale=1) -> LineFamily:
 
 def construct_base_caps(q: int, l: int, epsilon_scale=1) -> LineFamily:
     """Mirror base: no l concurrent, no 3-cup, no (q+1)-cap, no 4-cell
-    unbounded to the right."""
+    unbounded to the right. reflect_x swaps the certified base's cups and
+    caps and keeps its left/right unboundedness, so nothing is re-checked."""
     fam = reflect_x(construct_base(q, l, epsilon_scale))
-    if has_k_cell_unbounded(fam, 4, "right") or longest_cup(fam).size > 2:
-        raise ConstructionError(f"cap base for q={q}, l={l} failed its checks")
     return fam.with_meta(provenance=(("kind", "base_2q"), ("q", str(q)), ("l", str(l))))
 
 
@@ -216,9 +198,9 @@ Memo = Dict[Tuple[int, int, int], LineFamily]
 
 
 def _construct_F_raw(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
-    """The (p, q, l) recursive family. memo holds the subfamilies already
-    built at this scale; it belongs to one public generator call, so no
-    family outlives that call."""
+    """The (p, q, l) recursive family, not yet certified. memo holds the
+    subfamilies already built at this scale; it belongs to one public
+    generator call, so no family outlives that call."""
     key = (p, q, l)
     if key not in memo:
         memo[key] = _build_F_raw(p, q, l, scale, memo)
@@ -234,22 +216,28 @@ def _build_F_raw(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
         return construct_base(p, l, scale)
     if p == 2:
         return construct_base_caps(q, l, scale)
-    carrier_cups = Line(Fraction(1), Fraction(2))
-    carrier_caps = Line(Fraction(2), Fraction(2))
-    eps = scale / 4
-    for _ in range(MAX_RETRIES):
-        low = contract(_construct_F_raw(p - 1, q, l, scale, memo), carrier_cups, eps)
-        high = contract(_construct_F_raw(p, q - 1, l, scale, memo), carrier_caps, eps)
-        fam = LineFamily(low.lines + high.lines)
-        if (
-            max_concurrency(fam).max_count < l
-            and longest_cup(fam).size <= p
-            and longest_cap(fam).size <= q
-            and not has_k_cell_unbounded(fam, 4, "right")
-        ):
-            return fam
-        eps = eps / 2
-    raise ConstructionError(f"recursion for p={p}, q={q}, l={l} did not stabilize")
+    # slope windows of half-width at most 1/4 around 1 and 2 stay disjoint
+    eps = min(scale, Fraction(1)) / 4
+    low = contract(_construct_F_raw(p - 1, q, l, scale, memo), Line(1, 2), eps)
+    high = contract(_construct_F_raw(p, q - 1, l, scale, memo), Line(2, 2), eps)
+    return LineFamily(low.lines + high.lines)
+
+
+def _certified_F(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
+    """The (p, q, l) recursive family once it is checked to have fewer
+    than l concurrent lines, no (p+1)-cup, no (q+1)-cap and no 4-cell
+    unbounded to the right; ConstructionError names a failed check."""
+    fam = _construct_F_raw(p, q, l, scale, memo)
+    found = {
+        "concurrency": (max_concurrency(fam).max_count, l - 1),
+        "longest cup": (longest_cup(fam).size, p),
+        "longest cap": (longest_cap(fam).size, q),
+        "right-unbounded 4-cells": (int(has_k_cell_unbounded(fam, 4, "right")), 0),
+    }
+    for check, (value, most) in found.items():
+        if value > most:
+            raise ConstructionError(f"F({p}, {q}, {l}) fails its {check} check: {value} > {most}")
+    return fam
 
 
 def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
@@ -261,13 +249,15 @@ def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
     other by a (p, q-1) copy. A cup through both bundles uses the low
     bundle as its tail, where at most one more line can extend it, and
     symmetrically for caps, which gives the additive size recurrence.
+    Contraction preserves every property of each copy, so only the
+    finished family is certified.
     """
     if p < 2 or q < 2:
         raise ParameterRangeError(f"p and q must be >= 2: p={p} q={q}")
     if l < 3:
         raise ParameterRangeError(f"l must be >= 3: {l}")
     scale = _positive_rat(epsilon_scale, "epsilon_scale")
-    fam = _construct_F_raw(p, q, l, scale, {})
+    fam = _certified_F(p, q, l, scale, {})
     return fam.with_meta(
         provenance=(
             ("kind", "recursive_pq"),
@@ -278,6 +268,15 @@ def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
     )
 
 
+def _lift(family: LineFamily) -> LineFamily:
+    """Translate family up by a whole number so every vertex sits at
+    height 1 or more, reading the lowest height off the integer keys."""
+    view, n = family.view, len(family)
+    low = min((view.vertex_key(i, j)[1] for i in range(n) for j in range(i + 1, n)), default=0)
+    lift = 1 - low // (view.scale << view.shift)
+    return LineFamily(tuple(Line(line.m, line.c + lift) for line in family))
+
+
 def _shear_lift(family: LineFamily) -> LineFamily:
     """Shear slopes positive and then translate all vertices above the axis.
 
@@ -285,49 +284,38 @@ def _shear_lift(family: LineFamily) -> LineFamily:
     point's side of each line unchanged, so cells, cups, caps, concurrency
     and left/right unboundedness all survive; the lift is a translation.
     """
-    m_min = min(line.m for line in family)
-    shift = 1 - m_min
-    sheared = LineFamily(tuple(Line(line.m + shift, line.c) for line in family))
-    if len(sheared) > 1:
-        low = min(p.y for p, _ in sheared.view.vertex_items)
-    else:
-        low = Fraction(0)
-    lift = 1 - low
-    return LineFamily(tuple(Line(line.m, line.c + lift) for line in sheared))
-
-
-def _scaffold_gaps(scaffold: LineFamily) -> Rat:
-    slopes = [line.m for line in scaffold]
-    return min(b - a for a, b in zip(slopes, slopes[1:]))
+    shift = 1 - min(line.m for line in family)
+    return _lift(LineFamily(tuple(Line(line.m + shift, line.c) for line in family)))
 
 
 def _assemble(scaffold: LineFamily, pieces, l: int, n: int, eps0: Rat) -> LineFamily:
     """Replace scaffold line i by a contracted copy of pieces[i], keeping
-    slope windows disjoint, then re-check the assembly."""
+    slope windows disjoint, then check the assembly's concurrency and,
+    within CONVEX_BUDGET, that no n lines are in convex position."""
     eps = eps0
     if len(scaffold) > 1:
-        eps = min(eps, _scaffold_gaps(scaffold) / 4)
+        eps = min(eps, min(b.m - a.m for a, b in zip(scaffold, scaffold.lines[1:])) / 4)
     # keep every slope window on its carrier's side of zero
     eps = min(eps, min(abs(line.m) for line in scaffold) / 2)
-    for _ in range(MAX_RETRIES):
-        lines = []
-        for piece, carrier in zip(pieces, scaffold):
-            lines.extend(contract(piece, carrier, eps).lines)
-        fam = LineFamily(tuple(lines))
-        convex = _no_n_convex(fam, n)
-        if max_concurrency(fam).max_count < l and convex is not False:
-            return fam
-        eps = eps / 2
-    raise ConstructionError(f"assembly for l={l}, n={n} did not stabilize")
+    lines = []
+    for piece, carrier in zip(pieces, scaffold):
+        lines.extend(contract(piece, carrier, eps).lines)
+    fam = LineFamily(tuple(lines))
+    count = max_concurrency(fam).max_count
+    if count >= l:
+        raise ConstructionError(f"assembly for l={l}, n={n} has {count} concurrent lines")
+    if _no_n_convex(fam, n) is False:
+        raise ConstructionError(f"assembly for l={l}, n={n} has {n} lines in convex position")
+    return fam
 
 
 def _prop32_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
     """Positive-slope copy of the (k, k) triple-free family with all
-    intersections above the axis and no 4-cell unbounded to the left."""
-    scaffold = _shear_lift(reflect_y(_construct_F_raw(k, k, 3, scale, memo)))
-    if has_k_cell_unbounded(scaffold, 4, "left") or max_concurrency(scaffold).max_count > 2:
-        raise ConstructionError(f"scaffold for k={k} failed its checks")
-    return scaffold
+    intersections above the axis and no 4-cell unbounded to the left.
+
+    reflect_y turns the certified family's missing right-unbounded 4-cell
+    into a missing left-unbounded one; the shear and the lift keep both."""
+    return _shear_lift(reflect_y(_certified_F(k, k, 3, scale, memo)))
 
 
 def construct_prop32(l: int, k: int, parity: str, epsilon_scale=1) -> LineFamily:
@@ -348,13 +336,13 @@ def construct_prop32(l: int, k: int, parity: str, epsilon_scale=1) -> LineFamily
     scale = _positive_rat(epsilon_scale, "epsilon_scale")
     memo: Memo = {}
     scaffold = _prop32_scaffold(k, scale, memo)
+    big = _certified_F(k, k, l, scale, memo)
     if parity == "even":
         n = 2 * k + 2
-        pieces = [_construct_F_raw(k, k, l, scale, memo) for _ in scaffold]
+        pieces = [big] * len(scaffold)
     else:
         n = 2 * k + 1
-        pieces = [_construct_F_raw(k, k, l, scale, memo)]
-        pieces += [_construct_F_raw(k - 1, k, l, scale, memo) for _ in range(len(scaffold) - 1)]
+        pieces = [big] + [_certified_F(k - 1, k, l, scale, memo)] * (len(scaffold) - 1)
     fam = _assemble(scaffold, pieces, l, n, scale / 4)
     return fam.with_meta(
         provenance=(
@@ -369,30 +357,19 @@ def _thm12_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
     """Two mirrored copies of the (k, k) triple-free family, one bundled
     around slope -1 and one around +1, every intersection above the axis.
     """
-    core = _construct_F_raw(k, k, 3, scale, memo)
-    mirrored = reflect_y(core)
+    core = _certified_F(k, k, 3, scale, memo)
     eps = Fraction(1, 8)
-    for _ in range(MAX_RETRIES):
-        rising = contract(core, Line(Fraction(1), Fraction(4)), eps)
-        falling = contract(mirrored, Line(Fraction(-1), Fraction(4)), eps)
-        fam = LineFamily(falling.lines + rising.lines)
-        # bundle-internal vertices sit below the axis by construction; the
-        # cross intersections must all stay above it near (0, 4)
-        if _cross_above_axis(falling, rising) and max_concurrency(fam).max_count == 2:
-            flipped = reflect_x(fam)
-            low = min(p.y for p, _ in flipped.view.vertex_items)
-            lifted = LineFamily(tuple(Line(line.m, line.c + 1 - low) for line in flipped))
-            return lifted
-        eps = eps / 2
-    raise ConstructionError(f"double scaffold for k={k} did not stabilize")
-
-
-def _cross_above_axis(left: LineFamily, right: LineFamily) -> bool:
-    for a in left:
-        for b in right:
-            if intersect(a, b).y <= 0:
-                return False
-    return True
+    rising = contract(core, Line(Fraction(1), Fraction(4)), eps)
+    falling = contract(reflect_y(core), Line(Fraction(-1), Fraction(4)), eps)
+    fam = LineFamily(falling.lines + rising.lines)
+    # bundle-internal vertices sit below the axis by construction; the
+    # cross intersections must all stay above it near (0, 4)
+    if any(intersect(a, b).y <= 0 for a in falling for b in rising):
+        raise ConstructionError(f"double scaffold for k={k} has a cross vertex below the axis")
+    count = max_concurrency(fam).max_count
+    if count != 2:
+        raise ConstructionError(f"double scaffold for k={k} has {count} concurrent lines")
+    return _lift(reflect_x(fam))
 
 
 def construct_thm12(l: int, n: int, epsilon_scale=1) -> LineFamily:
@@ -410,12 +387,12 @@ def construct_thm12(l: int, n: int, epsilon_scale=1) -> LineFamily:
     memo: Memo = {}
     scaffold = _thm12_scaffold(k, scale, memo)
     half = len(scaffold) // 2
-    big = _construct_F_raw(k, k, l, scale, memo)
+    big = _certified_F(k, k, l, scale, memo)
     big_mirror = reflect_y(big)
     if n % 2 == 0:
         pieces = [big_mirror] * half + [big] * half
     else:
-        small = _construct_F_raw(k - 1, k, l, scale, memo)
+        small = _certified_F(k - 1, k, l, scale, memo)
         small_mirror = reflect_y(small)
         pieces = [big_mirror] + [small_mirror] * (half - 1)
         pieces += [big] + [small] * (half - 1)
@@ -441,10 +418,17 @@ def figure10_family(l: int, epsilon_scale=1) -> LineFamily:
     fan-apex height. The steep pair closes a 4-gon with one line of each
     fan but dives below an apex before any fifth line can join, and the
     central cell under both fans is a cap of at most four lines.
+
+    The spread delta starts at most 1/(l-1), so each fan's slopes stay
+    within 1/2 of +-3/4, on its own side of zero, and is halved until
+    every check holds.
     """
     if l < 3:
         raise ParameterRangeError(f"l must be >= 3: {l}")
-    delta = _positive_rat(epsilon_scale, "epsilon_scale") / (8 * (l - 1))
+    delta = min(
+        _positive_rat(epsilon_scale, "epsilon_scale") / (8 * (l - 1)),
+        Fraction(1, l - 1),
+    )
     for _ in range(MAX_RETRIES):
         eta = delta / 3
         lines = []

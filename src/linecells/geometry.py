@@ -241,6 +241,15 @@ class IntegerView:
         (mi, ci), (mj, cj) = self.pairs[i], self.pairs[j]
         return self.crossings[i][j], ((mi * cj - mj * ci) << self.shift) // (mi - mj)
 
+    def abscissa_bound(self) -> Rat:
+        """A bound on |x| over every crossing, read off the crossing keys.
+
+        X_ij lies in [key, key + 1) / 2^shift, so (max |key| + 1) / 2^shift
+        is at least every |X_ij|.
+        """
+        top = max(abs(key) for row in self.crossings for key in row)
+        return Fraction(top + 1, 1 << self.shift)
+
     @cached_property
     def vertex_items(self) -> Tuple[Tuple[Point, Tuple[int, ...]], ...]:
         """Sorted (vertex, incident line indices) pairs.

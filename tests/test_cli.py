@@ -1,6 +1,7 @@
 import pytest
 
-from linecells import cli_main, construct_F, parse_family, serialize_family
+from linecells import Point, cli_main, construct_F, parse_family, pencil, serialize_family
+from linecells import constructions
 
 
 def run(capsys, *argv):
@@ -51,6 +52,39 @@ def test_generate_parity_mismatch_exits_2(capsys):
     code, _, err = run(capsys, "generate", "--kind", "thm12_even", "--l", "3", "--n", "5")
     assert code == 2
     assert "thm12_even" in err
+
+
+LARGE_SCALE_GENERATES = (
+    (["--kind", "recursive_pq", "--p", "4", "--q", "4", "--l", "6", "--epsilon-scale", "30"],
+     ["--l", "6", "--p", "4", "--q", "4"]),
+    (["--kind", "base_pq2", "--p", "8", "--l", "6", "--epsilon-scale", "100"],
+     ["--l", "6", "--p", "8", "--q", "2"]),
+    # figure10's contract: fewer than 6 concurrent, no 5 in convex position
+    (["--kind", "figure10", "--l", "6", "--epsilon-scale", "30"],
+     ["--l", "6", "--p", "12", "--q", "12", "--k", "5", "--no-convex", "5"]),
+)
+
+
+@pytest.mark.parametrize("gen_argv, verify_argv", LARGE_SCALE_GENERATES)
+def test_generate_large_epsilon_scale(tmp_path, capsys, gen_argv, verify_argv):
+    fam_path = tmp_path / "f.txt"
+    code, _, err = run(capsys, "generate", *gen_argv, "-o", str(fam_path))
+    assert (code, err) == (0, "")
+    code, out, _ = run(capsys, "verify", str(fam_path), *verify_argv)
+    assert code == 0, out
+
+
+def test_generate_exits_1_when_certification_fails(capsys, monkeypatch):
+    # a pencil of l lines breaks the "fewer than l concurrent" contract
+    monkeypatch.setattr(
+        constructions, "_construct_F_raw",
+        lambda p, q, l, scale, memo: pencil(Point(0, -1), l, range(1, l + 1)),
+    )
+    code, out, err = run(
+        capsys, "generate", "--kind", "recursive_pq", "--p", "3", "--q", "3", "--l", "4",
+    )
+    assert (code, out) == (1, "")
+    assert "concurrency" in err
 
 
 def test_verify_pass_and_fail(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from linecells import (
     CONVEX_BUDGET,
+    ConstructionError,
     ConstructionSpec,
     KINDS,
     Line,
@@ -33,6 +34,7 @@ from linecells import (
     reflect_y,
     verify_properties,
 )
+from linecells import constructions
 
 from conftest import random_family
 
@@ -132,6 +134,42 @@ def test_contract_single_line():
 def test_contract_rejects_bad_eps():
     with pytest.raises(ParameterRangeError):
         contract(LineFamily((Line(1, 0),)), Line(0, -1), 0)
+
+
+def test_contract_reads_no_vertex_table():
+    fam = construct_F(4, 4, 4)
+    g = contract(fam, Line(Fraction(3, 2), 4), Fraction(1, 10))
+    assert "vertex_items" not in fam.view.__dict__
+    assert "vertex_items" not in g.view.__dict__
+
+
+def test_construct_F_coordinate_bits():
+    # 128 bits is what the retrying contraction reached; the closed form stays within it
+    fam = construct_F(6, 5, 4)
+    bits = max(
+        max(abs(v.numerator).bit_length(), v.denominator.bit_length())
+        for line in fam
+        for v in (line.m, line.c)
+    )
+    assert bits <= 128
+
+
+CERTIFIED_GENERATORS = (
+    lambda: construct_F(3, 3, 4),
+    lambda: construct_prop32(4, 2, "even"),
+    lambda: construct_thm12(4, 6),
+)
+
+
+@pytest.mark.parametrize("build", CERTIFIED_GENERATORS)
+def test_certification_is_never_silent(monkeypatch, build):
+    # a pencil of l lines breaks the "fewer than l concurrent" contract
+    monkeypatch.setattr(
+        constructions, "_construct_F_raw",
+        lambda p, q, l, scale, memo: pencil(Point(0, -1), l, range(1, l + 1)),
+    )
+    with pytest.raises(ConstructionError, match="concurrency"):
+        build()
 
 
 def test_prop32_sizes():

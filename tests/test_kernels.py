@@ -4,6 +4,8 @@ Families are drawn with pencils, so three or more concurrent lines and
 repeated crossing abscissae are common.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -127,6 +129,14 @@ def test_concurrency_table_matches_point_grouping(fam):
 @given(pencil_families(max_lines=8))
 def test_convex_search_matches_exhaustive_scan(fam):
     check_convex_search(fam)
+
+
+@KERNELS
+@given(pencil_families())
+def test_abscissa_bound_is_tight(fam):
+    view = fam.view
+    top = max(abs(point.x) for point, _ in oracles.vertex_items(fam))
+    assert view.abscissa_bound() - Fraction(2, 1 << view.shift) < top <= view.abscissa_bound()
 
 
 def test_single_line_kernels():
