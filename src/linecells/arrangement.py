@@ -18,9 +18,13 @@ the top/bottom cells).
 Everything here reads the family's cached integer view (LineFamily.view):
 the intervals use its common-denominator (M_i, C_i) pairs, and the
 concurrency table groups its exact crossing keys line by line, so Point
-objects are built only for the vertices a caller asks for. The Point form
-of the whole vertex table, which cell enumeration walks, is cached on the
-same view.
+objects are built only for the vertices a caller asks for. Cell
+enumeration groups the same keys into vertices and reads every cell off
+the sectors around them in integers: sign vectors from one integer
+expression per vertex and line, bounding sets and classes from the lines
+that form each sector and which of their pieces are rays. It builds one
+Fraction witness per cell and calls neither the per-line intervals nor
+side_of.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Literal, Optional, Sequence, Tuple
 
 from .errors import InfeasibleSignVectorError
-from .geometry import LineFamily, Point, side_of
+from .geometry import LineFamily, Point
 
 SignVector = Tuple[int, ...]
 
@@ -119,6 +123,16 @@ def bounding_lines(family: LineFamily, signs: Sequence[int]) -> FrozenSet[int]:
     return out
 
 
+def _bound_class(rays_right: int, rays_left: int) -> BoundClass:
+    if rays_right == 0 and rays_left == 0:
+        return "bounded"
+    if rays_right == 2 and rays_left == 0:
+        return "unbounded_right"
+    if rays_left == 2 and rays_right == 0:
+        return "unbounded_left"
+    return "unbounded_other"
+
+
 def classify_cell(family: LineFamily, signs: Sequence[int]) -> BoundClass:
     """Boundedness class from the directions of the cell's boundary rays."""
     signs = _check_signs(family, signs)
@@ -138,28 +152,7 @@ def classify_cell(family: LineFamily, signs: Sequence[int]) -> BoundClass:
             rays_left += 1
     if not feasible:
         raise InfeasibleSignVectorError(f"no cell has sign vector {signs}")
-    if rays_right == 0 and rays_left == 0:
-        return "bounded"
-    if rays_right == 2 and rays_left == 0:
-        return "unbounded_right"
-    if rays_left == 2 and rays_right == 0:
-        return "unbounded_left"
-    return "unbounded_other"
-
-
-def _angle_key(d):
-    # Total angular order of rational direction vectors, CCW from +x axis.
-    x, y = d
-    if y > 0 or (y == 0 and x > 0):
-        half = 0
-    else:
-        half = 1
-        x, y = -x, -y
-    if x > 0:
-        return (half, 0, Fraction(y, x))
-    if x == 0:
-        return (half, 1, Fraction(0))
-    return (half, 2, Fraction(y, x))
+    return _bound_class(rays_right, rays_left)
 
 
 def _step_from(family: LineFamily, v: Point, s, incident) -> Point:
@@ -179,12 +172,66 @@ def _step_from(family: LineFamily, v: Point, s, incident) -> Point:
     return Point(v.x + eps * s[0], v.y + eps * s[1])
 
 
+def _vertices(view) -> List[Tuple[int, ...]]:
+    """Incident lines of every vertex, in slope order, with the vertices
+    sorted as their Points sort (by view.vertex_key).
+
+    On line i a vertex is fixed by its crossing key, so the lines through it
+    are those with one key. Each vertex is read off at its lowest-index
+    line, the one that meets no earlier line there.
+    """
+    rows = view.crossings
+    n = len(rows)
+    keyed = []
+    for i, row in enumerate(rows):
+        earlier = set(row[:i])
+        groups: Dict[int, List[int]] = {}
+        for j in range(i + 1, n):
+            if row[j] not in earlier:
+                groups.setdefault(row[j], [i]).append(j)
+        keyed.extend((view.vertex_key(i, inc[1]), tuple(inc)) for inc in groups.values())
+    keyed.sort()
+    return [inc for _, inc in keyed]
+
+
+def _sector_witness(pairs, heights, a, b, top, scale, sx, sy) -> Point:
+    """_step_from for one sector at the vertex (a/b, top/(b*scale)), in
+    integers: the point v + eps*(sx, sy/scale).
+
+    heights[l] is b*scale times the vertex's height over line l (zero on
+    the incident lines), and line l drifts by (sy - M_l*sx)/scale per unit
+    step, so eps is half of min(1, |heights[l]| / (b*|sy - M_l*sx|)).
+    """
+    num, den = b, 1
+    for (m, _), h in zip(pairs, heights):
+        d = sy - m * sx
+        if h and d and abs(h) * den < num * abs(d):
+            num, den = abs(h), abs(d)
+    eps = Fraction(num, 2 * den * b)
+    return Point(Fraction(a, b) + eps * sx, Fraction(top, b * scale) + eps * Fraction(sy, scale))
+
+
 def enumerate_cells(family: LineFamily) -> Tuple[Cell, ...]:
     """Every cell of the arrangement, sorted by sign vector.
 
-    Sampling walks each vertex's angular sectors: with at least two
-    pairwise non-parallel lines every cell has a vertex on its closure, so
-    the sweep is exhaustive. A single line is handled directly.
+    With at least two lines (so pairwise non-parallel) every cell has a
+    vertex on its closure and every boundary piece ends at a vertex, so the
+    sectors around the vertices give every cell and all of its boundary. A
+    vertex on k lines i_1 < ... < i_k (slope order) has 2k sectors: right
+    sector r lies above i_1..i_r and below the rest, left sector r below
+    i_1..i_r and above the rest, plus the sectors above and below all k.
+    Each sector is formed by two rays, and a cell's bounding set is the
+    union of those pairs over its corner sectors. The piece of line u that
+    leaves the vertex to the right (left) is a ray exactly when the vertex
+    is u's last crossing that way, its largest (smallest) crossing key, and
+    the cell's right and left rays give its class.
+
+    Everything but one witness per cell is integer work on the family's
+    view: O(n) per vertex for the other lines' sides and O(n) per sector for
+    its sign vector, O(n^3) in all. A cell has one corner sector per
+    vertex on its closure; its witness is stepped into the sector at the
+    first of those vertices in Point order, as _step_from does. A single
+    line is handled directly.
     """
     n = len(family)
     if n == 1:
@@ -193,32 +240,48 @@ def enumerate_cells(family: LineFamily) -> Tuple[Cell, ...]:
             Cell((sign,), frozenset({0}), "unbounded_other", Point(0, c + sign))
             for sign in (-1, 1)
         )
-    witnesses: Dict[SignVector, Point] = {}
-    for v, incident in family.view.vertex_items:
-        dirs = []
-        for i in incident:
-            m = family[i].m
-            dirs.append((Fraction(1), m))
-            dirs.append((Fraction(-1), -m))
-        dirs.sort(key=_angle_key)
-        inc_set = frozenset(incident)
-        for d_a, d_b in zip(dirs, dirs[1:] + dirs[:1]):
-            s = (d_a[0] + d_b[0], d_a[1] + d_b[1])
-            p = _step_from(family, v, s, inc_set)
-            signs = tuple(side_of(line, p) for line in family)
-            if signs not in witnesses:
-                witnesses[signs] = p
-    cells = []
-    for signs in sorted(witnesses):
-        cells.append(
-            Cell(
-                signs,
-                bounding_lines(family, signs),
-                classify_cell(family, signs),
-                witnesses[signs],
-            )
-        )
-    return tuple(cells)
+    view = family.view
+    pairs = view.pairs
+    rows = view.crossings
+    last = [max(row[:u] + row[u + 1 :]) for u, row in enumerate(rows)]
+    first = [min(row[:u] + row[u + 1 :]) for u, row in enumerate(rows)]
+    # sign vector -> (witness, bounding lines, [right rays, left rays])
+    found: Dict[SignVector, tuple] = {}
+    for inc in _vertices(view):
+        i, j = inc[0], inc[1]
+        (mi, ci), (mj, cj) = pairs[i], pairs[j]
+        # the vertex is (a/b, top/(b*scale)) with b > 0
+        a, b = ci - cj, mj - mi
+        top = mi * a + ci * b
+        heights = [top - m * a - c * b for m, c in pairs]
+        base = [1 if h > 0 else -1 for h in heights]
+        key = rows[i][j]
+        k = len(inc)
+        # ray positions 0..k-1 go right along inc[0..k-1], k..2k-1 go left,
+        # one unit of x per step and dy[r]/scale of y; sector p lies between
+        # rays p and p + 1 (mod 2k)
+        is_ray = [key == last[u] for u in inc] + [key == first[u] for u in inc]
+        dy = [pairs[u][0] for u in inc]
+        dy += [-m for m in dy]
+        for p in range(2 * k):
+            q = (p + 1) % (2 * k)
+            signs = base[:]
+            for t, u in enumerate(inc):
+                signs[u] = 1 if (t <= p if p < k else t > p - k) else -1
+            signs = tuple(signs)
+            cell = found.get(signs)
+            if cell is None:
+                sx = (1 if p < k else -1) + (1 if q < k else -1)
+                w = _sector_witness(pairs, heights, a, b, top, view.scale, sx, dy[p] + dy[q])
+                cell = found[signs] = (w, set(), [0, 0])
+            cell[1].update((inc[p % k], inc[q % k]))
+            for r in (p, q):
+                if is_ray[r]:
+                    cell[2][r >= k] += 1
+    return tuple(
+        Cell(signs, frozenset(bounding), _bound_class(*rays), w)
+        for signs, (w, bounding, rays) in sorted(found.items())
+    )
 
 
 def _crossing_counts(family: LineFamily):

@@ -442,7 +442,7 @@ def figure10_family(l: int, epsilon_scale=1) -> LineFamily:
         if (
             len(fam) == 2 * l
             and max_concurrency(fam).max_count == l - 1
-            and _no_n_convex(fam, 5) is True
+            and find_n_convex(fam, 5) is None
         ):
             return fam.with_meta(provenance=(("kind", "figure10"), ("l", str(l))))
         delta = delta / 2

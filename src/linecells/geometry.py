@@ -249,25 +249,3 @@ class IntegerView:
         """
         top = max(abs(key) for row in self.crossings for key in row)
         return Fraction(top + 1, 1 << self.shift)
-
-    @cached_property
-    def vertex_items(self) -> Tuple[Tuple[Point, Tuple[int, ...]], ...]:
-        """Sorted (vertex, incident line indices) pairs.
-
-        On line i a vertex is fixed by its abscissa, so the lines through it
-        are those with one crossing key. Each vertex is read off at its
-        lowest-index line, the one that meets no earlier line there.
-        """
-        rows = self.crossings
-        n = len(rows)
-        keyed = []
-        for i, row in enumerate(rows):
-            earlier = set(row[:i])
-            groups = {}
-            for j in range(i + 1, n):
-                key = row[j]
-                if key not in earlier:
-                    groups.setdefault(key, [i]).append(j)
-            keyed.extend((*self.vertex_key(i, inc[1]), tuple(inc)) for inc in groups.values())
-        keyed.sort()
-        return tuple((self.vertex(inc[0], inc[1]), inc) for _, _, inc in keyed)

@@ -41,11 +41,17 @@ class RenderOptions:
 
 def _auto_viewport(family: LineFamily) -> Tuple[Rat, Rat, Rat, Rat]:
     if len(family) > 1:
-        pts = [p for p, _ in family.view.vertex_items]
-        xs = [p.x for p in pts]
-        ys = [p.y for p in pts]
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = min(ys), max(ys)
+        # the integer keys order crossings exactly as their coordinates do,
+        # so only the four extreme vertices are built as Points
+        view = family.view
+        n = len(family)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        xs = {view.crossings[i][j]: (i, j) for i, j in pairs}
+        ys = {view.vertex_key(i, j)[1]: (i, j) for i, j in pairs}
+        x0 = view.vertex(*xs[min(xs)]).x
+        x1 = view.vertex(*xs[max(xs)]).x
+        y0 = view.vertex(*ys[min(ys)]).y
+        y1 = view.vertex(*ys[max(ys)]).y
     else:
         line = family[0]
         x0, x1 = Fraction(-1), Fraction(1)

@@ -9,7 +9,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from linecells import Cell, LineFamily, Point, classify_cell, intersect
+from linecells import (
+    Cell,
+    LineFamily,
+    Point,
+    bounding_lines,
+    classify_cell,
+    intersect,
+    side_of,
+)
 from linecells.arrangement import _interval_x, _line_interval, _step_from
 
 
@@ -94,6 +102,65 @@ def vertex_items(family):
         for j in range(i + 1, n):
             by_point.setdefault(intersect(family[i], family[j]), set()).update((i, j))
     return tuple(sorted((p, tuple(sorted(inc))) for p, inc in by_point.items()))
+
+
+def _angle_key(d):
+    # Total angular order of rational direction vectors, CCW from +x axis.
+    x, y = d
+    if y > 0 or (y == 0 and x > 0):
+        half = 0
+    else:
+        half = 1
+        x, y = -x, -y
+    if x > 0:
+        return (half, 0, Fraction(y, x))
+    if x == 0:
+        return (half, 1, Fraction(0))
+    return (half, 2, Fraction(y, x))
+
+
+def enumerate_cells(family):
+    """Every cell, sorted by sign vector, from Fraction sample points.
+
+    Each vertex's angular sectors are stepped into with _step_from and the
+    sign vector read with side_of; the first point found names the cell's
+    witness, and bounding_lines/classify_cell give the rest.
+    """
+    if len(family) == 1:
+        c = family[0].c
+        return tuple(
+            Cell((sign,), frozenset({0}), "unbounded_other", Point(0, c + sign))
+            for sign in (-1, 1)
+        )
+    witnesses = {}
+    for v, incident in vertex_items(family):
+        dirs = []
+        for i in incident:
+            m = family[i].m
+            dirs.append((Fraction(1), m))
+            dirs.append((Fraction(-1), -m))
+        dirs.sort(key=_angle_key)
+        inc_set = frozenset(incident)
+        for d_a, d_b in zip(dirs, dirs[1:] + dirs[:1]):
+            s = (d_a[0] + d_b[0], d_a[1] + d_b[1])
+            p = _step_from(family, v, s, inc_set)
+            signs = tuple(side_of(line, p) for line in family)
+            witnesses.setdefault(signs, p)
+    return tuple(
+        Cell(signs, bounding_lines(family, signs), classify_cell(family, signs), witnesses[signs])
+        for signs in sorted(witnesses)
+    )
+
+
+def viewport(family):
+    """The SVG auto viewport of a family of two or more lines: the box of
+    its vertex_items Points, padded by a tenth of its larger side (at
+    least 1/10)."""
+    pts = [p for p, _ in vertex_items(family)]
+    x0, x1 = min(p.x for p in pts), max(p.x for p in pts)
+    y0, y1 = min(p.y for p in pts), max(p.y for p in pts)
+    pad = max(x1 - x0, y1 - y0, Fraction(1)) / 10
+    return (x0 - pad, y0 - pad, x1 + pad, y1 + pad)
 
 
 def concurrency(family):

@@ -87,6 +87,20 @@ def test_single_line_cells():
         assert signs_at(fam, cell.witness_point) == cell.signs
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_pencil_cells(k):
+    fam = pencil(Point(Fraction(1, 2), -3), k, range(-1, k - 1))
+    cells = enumerate_cells(fam)
+    assert len(cells) == 2 * k
+    classes = [cell.bound_class for cell in cells]
+    assert classes.count("unbounded_right") == k - 1
+    assert classes.count("unbounded_left") == k - 1
+    assert classes.count("unbounded_other") == 2
+    for cell in cells:
+        assert len(cell.bounding) == 2
+        assert signs_at(fam, cell.witness_point) == cell.signs
+
+
 def test_fig2_right_opening_cell():
     signs = (1, -1, -1, -1)
     assert bounding_lines(FIG2, signs) == frozenset({0, 1, 2, 3})

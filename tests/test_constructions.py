@@ -221,6 +221,13 @@ def test_figure10_counts():
         assert not exists_n_convex(fam, 5)
 
 
+def test_figure10_builds_past_the_convex_budget():
+    # C(32, 5) subsets exceed CONVEX_BUDGET; the 5-convex check still runs
+    fam = figure10_family(16)
+    assert len(fam) == 32
+    assert max_concurrency(fam).max_count == 15
+
+
 def test_construction_spec_round_trip():
     spec = ConstructionSpec(kind="recursive_pq", p=3, q=4, l=5)
     pairs = spec.provenance()

@@ -17,6 +17,7 @@ from linecells import (
     concurrency_profile,
     construct_F,
     convex_position_cell,
+    enumerate_cells,
     find_n_convex,
     find_unbounded_cell,
     has_k_cell_unbounded,
@@ -26,6 +27,7 @@ from linecells import (
     max_concurrency,
 )
 from linecells.chains import _staircases
+from linecells.svg import _auto_viewport
 
 import oracles
 from conftest import signs_at
@@ -91,7 +93,25 @@ def check_concurrency(fam):
     assert report.all_points_at_max == points
     assert report.point == (points[0] if points else None)
     assert concurrency_profile(fam) == profile
-    assert fam.view.vertex_items == oracles.vertex_items(fam)
+    assert _auto_viewport(fam) == oracles.viewport(fam)
+
+
+def coordinate_bits(point):
+    return max(
+        max(abs(v.numerator).bit_length(), v.denominator.bit_length())
+        for v in (point.x, point.y)
+    )
+
+
+def check_cells(fam):
+    want = oracles.enumerate_cells(fam)
+    got = enumerate_cells(fam)
+    assert [cell.signs for cell in got] == [cell.signs for cell in want]
+    for cell, ref in zip(got, want):
+        assert cell.bounding == ref.bounding, cell.signs
+        assert cell.bound_class == ref.bound_class, cell.signs
+        assert signs_at(fam, cell.witness_point) == cell.signs
+        assert coordinate_bits(cell.witness_point) <= coordinate_bits(ref.witness_point)
 
 
 def check_convex_search(fam):
@@ -126,6 +146,12 @@ def test_concurrency_table_matches_point_grouping(fam):
 
 
 @KERNELS
+@given(pencil_families())
+def test_cell_enumeration_matches_sector_walk(fam):
+    check_cells(fam)
+
+
+@KERNELS
 @given(pencil_families(max_lines=8))
 def test_convex_search_matches_exhaustive_scan(fam):
     check_convex_search(fam)
@@ -143,10 +169,16 @@ def test_single_line_kernels():
     fam = LineFamily((Line(2, 3),))
     check_staircases(fam)
     check_chains(fam)
+    check_cells(fam)
     assert max_concurrency(fam).max_count == 1
     assert concurrency_profile(fam) == {}
     assert convex_position_cell(fam) is None
     assert largest_convex_subset(fam) == oracles.largest_convex_subset(fam)
+
+
+@pytest.mark.parametrize("p, q", [(4, 3), (4, 4)])
+def test_cell_enumeration_on_construct_F(p, q):
+    check_cells(construct_F(p, q, 4))
 
 
 @pytest.fixture(scope="module")
