@@ -16,8 +16,11 @@ both left unbounded_left, one each unbounded_other (wedges, half-planes and
 the top/bottom cells).
 
 Everything here reads the family's cached integer view (LineFamily.view):
-the intervals use its common-denominator (M_i, C_i) pairs, and the
-concurrency table groups its exact crossing keys line by line, so Point
+the per-line intervals of bounding_lines and classify_cell use its
+common-denominator (M_i, C_i) pairs. The convex-position fold
+(extend_on_keys) carries each interval as two exact crossing keys instead,
+so adding a line costs integer compares, not cross products. The
+concurrency table groups the same keys line by line, so Point
 objects are built only for the vertices a caller asks for. Cell
 enumeration groups the same keys into vertices and reads every cell off
 the sectors around them in integers: sign vectors from one integer
@@ -32,6 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt, lt
 from typing import Dict, FrozenSet, List, Literal, Optional, Sequence, Tuple
 
 from .errors import InfeasibleSignVectorError
@@ -329,29 +333,43 @@ def concurrency_profile(family: LineFamily) -> Dict[int, int]:
     }
 
 
-def extend_bounded(pairs, cells) -> List[SignVector]:
-    """Sign vectors of the cells of arr(pairs) bounded by every line, given
-    cells, those of arr(pairs[:-1]); sorted by mask if cells is.
+KeyCell = Tuple[SignVector, Tuple[int, ...], Tuple[int, ...]]
 
-    pairs are integer (M, C) pairs in slope order (IntegerView.pairs or a
-    selection of them). A cell bounded by every line of the larger
-    arrangement lies in a cell of the smaller one bounded by every line of
-    it, with each boundary piece on that cell's boundary on the same side,
-    so the candidates are the old sign vectors with either sign for the new
-    line, kept when every line's interval is nonempty (the new line's is
-    tested first). The empty arrangement's one cell, (), starts the fold.
-    The new line is the highest mask bit (bit i set means the cell lies
-    above line i), so listing every -1 extension before every +1 one keeps
-    the mask order.
+
+def extend_on_keys(keys: Sequence[int], cells: Sequence[KeyCell], far: int) -> List[KeyCell]:
+    """The cells bounded by every chosen line once line t joins them.
+
+    t has a higher slope than every chosen line, and keys[a] is the
+    crossing key of t with the a-th chosen line. Each cell is (signs, lo,
+    hi): its sign vector over the chosen lines and, for the a-th one, the
+    keys lo[a] < hi[a] that end that line's open interval inside the cell,
+    with -far and far (IntegerView.key_sentinel) for infinite ends. The empty
+    arrangement's one cell, ((), (), ()), starts the fold.
+
+    A cell bounded by every line of the larger arrangement lies in one
+    bounded by every line of the smaller, so the candidates are the old
+    cells with either sign for t. Line t runs from its last crossing with a
+    line the cell lies above to its first with one it lies below, for both
+    signs. Below t, line a keeps only x > X_at, so keys[a] is its new lo;
+    above t, x < X_at and keys[a] is its new hi. A candidate is kept when
+    every interval stays nonempty: O(k) integer compares for k chosen
+    lines. The keys order and group the abscissae exactly (IntegerView), so
+    this is the interval test of _line_interval. t is the highest mask bit
+    (bit i set means the cell lies above line i), so listing every -1
+    extension before every +1 one keeps cells sorted by mask.
     """
-    order = range(len(pairs) - 1, -1, -1)
-    out = []
-    for s in (-1, 1):
-        for old in cells:
-            signs = old + (s,)
-            if all(_line_interval(pairs, i, signs) is not None for i in order):
-                out.append(signs)
-    return out
+    below, above = [], []
+    for signs, lo, hi in cells:
+        lo_t = max((k for k, s in zip(keys, signs) if s > 0), default=-far)
+        hi_t = min((k for k, s in zip(keys, signs) if s < 0), default=far)
+        if lo_t >= hi_t:
+            continue
+        # lo[a] < hi[a] already, so only the new end needs checking
+        if all(map(lt, keys, hi)):
+            below.append((signs + (-1,), tuple(map(max, lo, keys)) + (lo_t,), hi + (hi_t,)))
+        if all(map(gt, keys, lo)):
+            above.append((signs + (1,), lo + (lo_t,), tuple(map(min, hi, keys)) + (hi_t,)))
+    return below + above
 
 
 def convex_position_cell(family: LineFamily) -> Optional[Cell]:
@@ -363,14 +381,15 @@ def convex_position_cell(family: LineFamily) -> Optional[Cell]:
     n = len(family)
     if n < 2:
         return None
-    scaled = family.view.pairs
-    cells: List[SignVector] = [()]
-    for k in range(1, n + 1):
-        cells = extend_bounded(scaled[:k], cells)
+    view = family.view
+    far = view.key_sentinel
+    cells: List[KeyCell] = [((), (), ())]
+    for t, row in enumerate(view.crossings):
+        cells = extend_on_keys(row[:t], cells, far)
         if not cells:
             return None
-    signs = cells[0]
-    x0 = _interval_x(*_line_interval(scaled, 0, signs))
+    signs = cells[0][0]
+    x0 = _interval_x(*_line_interval(view.pairs, 0, signs))
     boundary = Point(x0, family[0].y_at(x0))
     w = _step_from(family, boundary, (Fraction(0), Fraction(signs[0])), frozenset({0}))
     return Cell(signs, frozenset(range(n)), classify_cell(family, signs), w)

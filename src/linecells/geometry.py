@@ -241,11 +241,15 @@ class IntegerView:
         (mi, ci), (mj, cj) = self.pairs[i], self.pairs[j]
         return self.crossings[i][j], ((mi * cj - mj * ci) << self.shift) // (mi - mj)
 
+    @cached_property
+    def key_sentinel(self) -> int:
+        """max |key| + 1, an integer past every crossing key."""
+        return max(abs(key) for row in self.crossings for key in row) + 1
+
     def abscissa_bound(self) -> Rat:
         """A bound on |x| over every crossing, read off the crossing keys.
 
-        X_ij lies in [key, key + 1) / 2^shift, so (max |key| + 1) / 2^shift
+        X_ij lies in [key, key + 1) / 2^shift, so key_sentinel / 2^shift
         is at least every |X_ij|.
         """
-        top = max(abs(key) for row in self.crossings for key in row)
-        return Fraction(top + 1, 1 << self.shift)
+        return Fraction(self.key_sentinel, 1 << self.shift)

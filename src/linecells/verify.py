@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence, Tuple
 
-from .arrangement import ConcurrencyReport, extend_bounded, max_concurrency
+from .arrangement import ConcurrencyReport, extend_on_keys, max_concurrency
 from .chains import ChainResult, has_k_cell_unbounded, longest_cap, longest_cup
 from .errors import ParameterRangeError
 from .geometry import LineFamily, Rat, _as_rat
@@ -73,38 +73,55 @@ def _check_prune(prune: str) -> None:
         raise ValueError(f"prune must be one of {PRUNE_MODES}: {prune!r}")
 
 
+def convex_bound(family: LineFamily) -> int:
+    """Most lines any subset in convex position can have: longest cup plus
+    longest cap.
+
+    The lines below a cell bounded by all of them are a cup (the cell lies
+    in their top cell and meets each of them along a segment) and the lines
+    above it a cap, as in the Erdos-Szekeres cup/cap split.
+    """
+    return longest_cup(family).size + longest_cap(family).size
+
+
 def find_n_convex(family: LineFamily, n: int, prune: str = "off") -> Optional[Tuple[int, ...]]:
     """First n-subset (lexicographic over slope-sorted indices) in convex
     position, or None.
 
-    A depth-first search over index prefixes in lexicographic order, each
-    carrying the sign vectors of its cells bounded by every chosen line
-    (extend_bounded). Convex position is inherited by subsets, so a prefix
-    with no such cell ends its subtree. prune must be one of PRUNE_MODES;
-    both values run this same search and return the same witness.
+    None at once when n exceeds convex_bound. Otherwise a depth-first
+    search over index prefixes in lexicographic order, each carrying its
+    cells bounded by every chosen line with their interval ends as crossing
+    keys (extend_on_keys). Convex position is inherited by subsets, so a
+    prefix with no such cell ends its subtree. The search is exponential in
+    general. prune must be one of PRUNE_MODES; both values run this same
+    search and return the same witness.
     """
     _check_prune(prune)
     size = len(family)
     if not 2 <= n <= size:
         raise ParameterRangeError(f"need 2 <= n <= {size}: {n}")
-    pairs = family.view.pairs
+    if n > convex_bound(family):
+        return None
+    view = family.view
+    rows = view.crossings
+    far = view.key_sentinel
 
-    def search(prefix, chosen, cells):
+    def search(prefix, cells):
         # leave room for the n - len(prefix) - 1 lines still to come
         for i in range(prefix[-1] + 1 if prefix else 0, size - n + len(prefix) + 1):
-            sub = chosen + (pairs[i],)
-            bounded = extend_bounded(sub, cells)
+            row = rows[i]
+            bounded = extend_on_keys([row[j] for j in prefix], cells, far)
             if not bounded:
                 continue
             cand = prefix + (i,)
             if len(cand) == n:
                 return cand
-            found = search(cand, sub, bounded)
+            found = search(cand, bounded)
             if found is not None:
                 return found
         return None
 
-    return search((), (), [()])
+    return search((), [((), (), ())])
 
 
 def exists_n_convex(family: LineFamily, n: int, prune: str = "off") -> bool:
@@ -124,28 +141,34 @@ def largest_convex_subset(family: LineFamily, prune: str = "off"):
     witness is the lexicographically first subset of that size.
 
     Walks find_n_convex's search tree once, skipping every subtree too
-    small to beat the best subset so far. prune is checked as there.
+    small to beat the best subset so far, and stops when the best subset
+    reaches convex_bound: every later subset comes after it and is no
+    larger. Only that stop keeps the walk short; without it the walk is
+    exponential. prune is checked as there.
     """
     _check_prune(prune)
-    pairs = family.view.pairs
-    size = len(pairs)
+    view = family.view
+    rows = view.crossings
+    size = len(rows)
+    far = view.key_sentinel
+    bound = convex_bound(family)
     best: Tuple[int, ...] = ()
 
-    def walk(prefix, chosen, cells):
+    def walk(prefix, cells):
         nonlocal best
         for i in range(prefix[-1] + 1 if prefix else 0, size):
             # below prefix + (i,) lie at most len(prefix) + size - i lines
-            if len(prefix) + size - i <= len(best):
+            if len(best) == bound or len(prefix) + size - i <= len(best):
                 return
-            sub = chosen + (pairs[i],)
-            bounded = extend_bounded(sub, cells)
+            row = rows[i]
+            bounded = extend_on_keys([row[j] for j in prefix], cells, far)
             if bounded:
                 cand = prefix + (i,)
                 if len(cand) > len(best):
                     best = cand
-                walk(cand, sub, bounded)
+                walk(cand, bounded)
 
-    walk((), (), [()])
+    walk((), [((), (), ())])
     return (len(best), best)
 
 

@@ -5,6 +5,7 @@ repeated crossing abscissae are common.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,18 +15,24 @@ from linecells import (
     LineFamily,
     bounding_lines,
     classify_cell,
+    cli_main,
     concurrency_profile,
     construct_F,
+    construct_thm12,
     convex_position_cell,
     enumerate_cells,
     find_n_convex,
     find_unbounded_cell,
     has_k_cell_unbounded,
+    is_cap,
+    is_cup,
     largest_convex_subset,
     longest_cap,
     longest_cup,
     max_concurrency,
+    parse_family,
 )
+from linecells import verify
 from linecells.chains import _staircases
 from linecells.svg import _auto_viewport
 
@@ -114,6 +121,16 @@ def check_cells(fam):
         assert coordinate_bits(cell.witness_point) <= coordinate_bits(ref.witness_point)
 
 
+def check_cup_cap_split(sub, cell):
+    """The lemma behind the search's cup+cap bound, by the primal cell
+    test: the lines below a cell bounded by all of them form a cup, and
+    the lines above it a cap."""
+    for side, is_chain in ((1, is_cup), (-1, is_cap)):
+        part = tuple(line for line, s in zip(sub, cell.signs) if s == side)
+        if part:
+            assert is_chain(LineFamily(part)), (side, cell.signs)
+
+
 def check_convex_search(fam):
     # a line of a pencil may touch a cell only at its apex, which must not
     # count as bounding it
@@ -123,8 +140,12 @@ def check_convex_search(fam):
         assert witness == oracles.find_n_convex(fam, n)
         if witness is not None:
             sub = LineFamily(tuple(fam[i] for i in witness))
-            assert convex_position_cell(sub) == oracles.convex_position_cell(sub)
-    assert largest_convex_subset(fam) == oracles.largest_convex_subset(fam)
+            cell = oracles.convex_position_cell(sub)
+            assert convex_position_cell(sub) == cell
+            check_cup_cap_split(sub, cell)
+    largest = oracles.largest_convex_subset(fam)
+    assert largest_convex_subset(fam) == largest
+    assert largest[0] <= longest_cup(fam).size + longest_cap(fam).size
 
 
 @KERNELS
@@ -179,6 +200,38 @@ def test_single_line_kernels():
 @pytest.mark.parametrize("p, q", [(4, 3), (4, 4)])
 def test_cell_enumeration_on_construct_F(p, q):
     check_cells(construct_F(p, q, 4))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: construct_F(3, 3, 4), lambda: construct_thm12(3, 6)],
+    ids=["F334", "thm12_3_6"],
+)
+def test_convex_search_on_constructed_families(build):
+    # 8 lines each, with crossing keys of 30 and 83 bits
+    check_convex_search(build())
+
+
+def test_find_n_convex_stops_at_the_cup_cap_bound(monkeypatch):
+    def fold(*args):
+        raise AssertionError("searched past the cup+cap bound")
+
+    fam = construct_F(4, 3, 4)
+    monkeypatch.setattr(verify, "extend_on_keys", fold)
+    assert longest_cup(fam).size + longest_cap(fam).size == 7
+    assert find_n_convex(fam, 8) is None
+
+
+F544_FILE = Path(__file__).resolve().parents[1] / "bench" / "families" / "F544.txt"
+
+
+def test_largest_convex_subset_of_F544_reaches_the_bound(capsys):
+    assert cli_main(["search", str(F544_FILE), "--largest"]) == 0
+    out = capsys.readouterr().out
+    assert out == "largest convex position subset: 9 lines [0, 1, 3, 4, 28, 29, 32, 36, 42]\n"
+    fam = parse_family(F544_FILE.read_text())
+    sub = LineFamily(tuple(fam[i] for i in (0, 1, 3, 4, 28, 29, 32, 36, 42)))
+    assert oracles.convex_position_cell(sub) is not None
 
 
 @pytest.fixture(scope="module")
