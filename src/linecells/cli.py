@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a requested property failed to hold (or a
-generator could not stabilize), 2 bad usage or unreadable input.
+generator failed its certification), 2 bad usage or unreadable input.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .familyfile import parse_family, serialize_family
 from .geometry import parse_rat
 from .svg import RenderOptions, render_svg
 from .verify import (
-    PRUNE_MODES,
     exists_n_convex,
     f_L_bound,
     find_n_convex,
@@ -27,9 +26,6 @@ from .verify import (
     upper_bound_value,
     verify_properties,
 )
-
-
-PRUNE_HELP = "accepted for compatibility; both values run the same search"
 
 
 def _read_family(path: str):
@@ -75,7 +71,7 @@ def _cmd_verify(args) -> int:
         if not line.startswith("result:"):
             print(line)
     if args.no_convex is not None:
-        ok = not exists_n_convex(family, args.no_convex, prune=args.prune)
+        ok = not exists_n_convex(family, args.no_convex)
         print(f"check no {args.no_convex} in convex position: {'pass' if ok else 'FAIL'}")
         passed = passed and ok
     print(f"result: {'PASS' if passed else 'FAIL'}")
@@ -85,10 +81,10 @@ def _cmd_verify(args) -> int:
 def _cmd_search(args) -> int:
     family = _read_family(args.family)
     if args.largest:
-        size, witness = largest_convex_subset(family, prune=args.prune)
+        size, witness = largest_convex_subset(family)
         print(f"largest convex position subset: {size} lines {list(witness)}")
         return 0
-    witness = find_n_convex(family, args.n, prune=args.prune)
+    witness = find_n_convex(family, args.n)
     if witness is None:
         print(f"no {args.n} lines in convex position")
         return 0
@@ -178,7 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--k", type=int, default=4, help="unbounded cell size to exclude")
     ver.add_argument("--no-convex", type=int, help="also require no N in convex position")
-    ver.add_argument("--prune", choices=PRUNE_MODES, default="off", help=PRUNE_HELP)
     ver.set_defaults(func=_cmd_verify)
 
     sea = sub.add_parser("search", help="look for subsets in convex position")
@@ -186,7 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group = sea.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, help="subset size to search for")
     group.add_argument("--largest", action="store_true", help="report the maximum size")
-    sea.add_argument("--prune", choices=PRUNE_MODES, default="off", help=PRUNE_HELP)
     sea.set_defaults(func=_cmd_search)
 
     bnd = sub.add_parser("bounds", help="print threshold bounds")

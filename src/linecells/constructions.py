@@ -12,20 +12,21 @@ a small arrangement by a contracted copy of a smaller family.
 
 contract, the reflections and the shear preserve sign vectors exactly, so
 nothing they build is re-checked. Each public generator instead certifies
-its result once: concurrency, cup and cap lengths and unbounded 4-cells of
-the base families and of every recursive family it returns or assembles
-from, and the concurrency of each assembly, raising ConstructionError
-naming the check that failed. The exhaustive convex-position check of an
-assembly is skipped once it would scan more than CONVEX_BUDGET subsets, so
-the larger assemblies, among them construct_thm12(l, n) for n >= 7 and
-construct_prop32(l, 3, "even"), come back without it.
+its result once, through _certify: concurrency, cup and cap lengths and
+unbounded 4-cells of the base families and of every recursive family it
+returns or assembles from, and the concurrency and the exhaustive
+no-n-convex search of each assembly and of figure10_family. No check is
+ever skipped; the first that fails raises ConstructionError naming the
+generator, the check, the measured value and the bound. So
+construct_thm12(l, n) for n >= 7, whose assembly has n lines in convex
+position, raises instead of returning.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Dict, Optional, Sequence, Tuple
 
 from .arrangement import max_concurrency
@@ -33,12 +34,6 @@ from .chains import has_k_cell_unbounded, longest_cap, longest_cup
 from .errors import ConstructionError, ParameterRangeError
 from .geometry import Line, LineFamily, Point, Rat, _as_rat, intersect
 from .verify import find_n_convex, lower_bound_value
-
-# halvings of the pencil spread tried by construct_base and figure10_family
-MAX_RETRIES = 64
-
-# exhaustive convex-position self-checks are capped at this many subsets
-CONVEX_BUDGET = 200_000
 
 KINDS = (
     "pencil",
@@ -58,6 +53,52 @@ def _positive_rat(value, name: str) -> Rat:
     if value <= 0:
         raise ParameterRangeError(f"{name} must be positive: {value}")
     return value
+
+
+_RELATIONS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge, "is": operator.is_}
+
+
+def _certify(generator: str, family: LineFamily, checks) -> LineFamily:
+    """Return family once every check holds.
+
+    checks are (name, measure, relation, bound) tuples, run in order; the
+    first whose measure(family) does not stand in relation to bound stops
+    the run with a ConstructionError naming the generator, the check, the
+    measured value and the bound.
+    """
+    for name, measure, relation, bound in checks:
+        value = measure(family)
+        if not _RELATIONS[relation](value, bound):
+            want = "none" if bound is None else f"{relation} {bound}"
+            raise ConstructionError(
+                f"{generator} fails its {name} check: found {value}, want {want}"
+            )
+    return family
+
+
+def _concurrency(relation: str, bound: int):
+    return ("concurrency", lambda fam: max_concurrency(fam).max_count, relation, bound)
+
+
+def _chain_checks(l: int, p: int, q: int, exact: bool):
+    """Concurrency l-1 and longest cup p (exactly, or at most), longest cap
+    at most q and no 4-cell unbounded to the right."""
+    relation = "==" if exact else "<="
+    return (
+        _concurrency(relation, l - 1),
+        ("longest cup", lambda fam: longest_cup(fam).size, relation, p),
+        ("longest cap", lambda fam: longest_cap(fam).size, "<=", q),
+        ("right-unbounded 4-cell", lambda fam: has_k_cell_unbounded(fam, 4, "right"), "==", False),
+    )
+
+
+def _no_convex(n: int):
+    """No n lines in convex position; a failure names the first witness."""
+
+    def witness(family: LineFamily):
+        return find_n_convex(family, n) if n <= len(family) else None
+
+    return (f"no {n} in convex position", witness, "is", None)
 
 
 def pencil(apex: Point, count: int, slopes: Sequence) -> LineFamily:
@@ -142,9 +183,9 @@ def construct_base(p: int, l: int, epsilon_scale=1) -> LineFamily:
     line tangent to the parabola at (m, m^2) extends the longest cup by
     one: it outslopes every pencil and passes below the last apex.
 
-    The spread delta starts at most 1/(l-1), so delta*(l-2) < 1 and the
-    slope windows of two pencils, 2 apart, never touch; it is halved until
-    every check holds.
+    The spread delta is at most 1/(l-1), so delta*(l-2) < 1 and the slope
+    windows of two pencils, 2 apart, never touch. The family is built once
+    and certified to have concurrency exactly l-1 and longest cup exactly p.
     """
     if p < 2:
         raise ParameterRangeError(f"p must be >= 2: {p}")
@@ -155,26 +196,16 @@ def construct_base(p: int, l: int, epsilon_scale=1) -> LineFamily:
         _positive_rat(epsilon_scale, "epsilon_scale") / (4 * (l - 1) * (clusters + 1)),
         Fraction(1, l - 1),
     )
-    for _ in range(MAX_RETRIES):
-        lines = []
-        for h in range(clusters):
-            for j in range(l - 1):
-                s = 2 * h + delta * Fraction(2 * j - (l - 2), 2)
-                lines.append(Line(s, h * h - s * h))
-        if p % 2 == 1:
-            lines.append(Line(2 * clusters, -(clusters * clusters)))
-        fam = LineFamily(tuple(lines))
-        if (
-            max_concurrency(fam).max_count == l - 1
-            and longest_cup(fam).size == p
-            and longest_cap(fam).size <= 2
-            and not has_k_cell_unbounded(fam, 4, "right")
-        ):
-            return fam.with_meta(
-                provenance=(("kind", "base_pq2"), ("p", str(p)), ("l", str(l)))
-            )
-        delta = delta / 2
-    raise ConstructionError(f"base family for p={p}, l={l} did not stabilize")
+    lines = []
+    for h in range(clusters):
+        for j in range(l - 1):
+            s = 2 * h + delta * Fraction(2 * j - (l - 2), 2)
+            lines.append(Line(s, h * h - s * h))
+    if p % 2 == 1:
+        lines.append(Line(2 * clusters, -(clusters * clusters)))
+    fam = LineFamily(tuple(lines))
+    fam = _certify(f"construct_base({p}, {l})", fam, _chain_checks(l, p, 2, True))
+    return fam.with_meta(provenance=(("kind", "base_pq2"), ("p", str(p)), ("l", str(l))))
 
 
 def construct_base_caps(q: int, l: int, epsilon_scale=1) -> LineFamily:
@@ -183,15 +214,6 @@ def construct_base_caps(q: int, l: int, epsilon_scale=1) -> LineFamily:
     caps and keeps its left/right unboundedness, so nothing is re-checked."""
     fam = reflect_x(construct_base(q, l, epsilon_scale))
     return fam.with_meta(provenance=(("kind", "base_2q"), ("q", str(q)), ("l", str(l))))
-
-
-def _no_n_convex(family: LineFamily, n: int) -> Optional[bool]:
-    """True if checked and absent, False if found, None if over budget."""
-    if n > len(family):
-        return True
-    if comb(len(family), n) > CONVEX_BUDGET:
-        return None
-    return find_n_convex(family, n) is None
 
 
 Memo = Dict[Tuple[int, int, int], LineFamily]
@@ -226,18 +248,9 @@ def _build_F_raw(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
 def _certified_F(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
     """The (p, q, l) recursive family once it is checked to have fewer
     than l concurrent lines, no (p+1)-cup, no (q+1)-cap and no 4-cell
-    unbounded to the right; ConstructionError names a failed check."""
+    unbounded to the right."""
     fam = _construct_F_raw(p, q, l, scale, memo)
-    found = {
-        "concurrency": (max_concurrency(fam).max_count, l - 1),
-        "longest cup": (longest_cup(fam).size, p),
-        "longest cap": (longest_cap(fam).size, q),
-        "right-unbounded 4-cells": (int(has_k_cell_unbounded(fam, 4, "right")), 0),
-    }
-    for check, (value, most) in found.items():
-        if value > most:
-            raise ConstructionError(f"F({p}, {q}, {l}) fails its {check} check: {value} > {most}")
-    return fam
+    return _certify(f"F({p}, {q}, {l})", fam, _chain_checks(l, p, q, False))
 
 
 def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
@@ -288,10 +301,10 @@ def _shear_lift(family: LineFamily) -> LineFamily:
     return _lift(LineFamily(tuple(Line(line.m + shift, line.c) for line in family)))
 
 
-def _assemble(scaffold: LineFamily, pieces, l: int, n: int, eps0: Rat) -> LineFamily:
+def _assemble(scaffold: LineFamily, pieces, eps0: Rat) -> LineFamily:
     """Replace scaffold line i by a contracted copy of pieces[i], keeping
-    slope windows disjoint, then check the assembly's concurrency and,
-    within CONVEX_BUDGET, that no n lines are in convex position."""
+    slope windows disjoint. The assembly is not yet certified: its
+    generator runs its concurrency and no-n-convex checks."""
     eps = eps0
     if len(scaffold) > 1:
         eps = min(eps, min(b.m - a.m for a, b in zip(scaffold, scaffold.lines[1:])) / 4)
@@ -300,13 +313,7 @@ def _assemble(scaffold: LineFamily, pieces, l: int, n: int, eps0: Rat) -> LineFa
     lines = []
     for piece, carrier in zip(pieces, scaffold):
         lines.extend(contract(piece, carrier, eps).lines)
-    fam = LineFamily(tuple(lines))
-    count = max_concurrency(fam).max_count
-    if count >= l:
-        raise ConstructionError(f"assembly for l={l}, n={n} has {count} concurrent lines")
-    if _no_n_convex(fam, n) is False:
-        raise ConstructionError(f"assembly for l={l}, n={n} has {n} lines in convex position")
-    return fam
+    return LineFamily(tuple(lines))
 
 
 def _prop32_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
@@ -343,7 +350,11 @@ def construct_prop32(l: int, k: int, parity: str, epsilon_scale=1) -> LineFamily
     else:
         n = 2 * k + 1
         pieces = [big] + [_certified_F(k - 1, k, l, scale, memo)] * (len(scaffold) - 1)
-    fam = _assemble(scaffold, pieces, l, n, scale / 4)
+    fam = _certify(
+        f"construct_prop32({l}, {k}, {parity!r})",
+        _assemble(scaffold, pieces, scale / 4),
+        (_concurrency("<=", l - 1), _no_convex(n)),
+    )
     return fam.with_meta(
         provenance=(
             ("kind", f"prop32_{parity}"),
@@ -361,14 +372,21 @@ def _thm12_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
     eps = Fraction(1, 8)
     rising = contract(core, Line(Fraction(1), Fraction(4)), eps)
     falling = contract(reflect_y(core), Line(Fraction(-1), Fraction(4)), eps)
-    fam = LineFamily(falling.lines + rising.lines)
     # bundle-internal vertices sit below the axis by construction; the
     # cross intersections must all stay above it near (0, 4)
-    if any(intersect(a, b).y <= 0 for a in falling for b in rising):
-        raise ConstructionError(f"double scaffold for k={k} has a cross vertex below the axis")
-    count = max_concurrency(fam).max_count
-    if count != 2:
-        raise ConstructionError(f"double scaffold for k={k} has {count} concurrent lines")
+    fam = _certify(
+        f"double scaffold for k={k}",
+        LineFamily(falling.lines + rising.lines),
+        (
+            (
+                "cross vertices below the axis",
+                lambda _: sum(intersect(a, b).y <= 0 for a in falling for b in rising),
+                "==",
+                0,
+            ),
+            _concurrency("==", 2),
+        ),
+    )
     return _lift(reflect_x(fam))
 
 
@@ -396,11 +414,11 @@ def construct_thm12(l: int, n: int, epsilon_scale=1) -> LineFamily:
         small_mirror = reflect_y(small)
         pieces = [big_mirror] + [small_mirror] * (half - 1)
         pieces += [big] + [small] * (half - 1)
-    fam = _assemble(scaffold, pieces, l, n, scale / 4)
-    if len(fam) < lower_bound_value(l, n):
-        raise ConstructionError(
-            f"assembly for l={l}, n={n} came out too small: {len(fam)}"
-        )
+    fam = _certify(
+        f"construct_thm12({l}, {n})",
+        _assemble(scaffold, pieces, scale / 4),
+        (_concurrency("<=", l - 1), ("size", len, ">=", lower_bound_value(l, n)), _no_convex(n)),
+    )
     return fam.with_meta(
         provenance=(
             ("kind", f"thm12_{'even' if n % 2 == 0 else 'odd'}"),
@@ -419,34 +437,27 @@ def figure10_family(l: int, epsilon_scale=1) -> LineFamily:
     fan but dives below an apex before any fifth line can join, and the
     central cell under both fans is a cap of at most four lines.
 
-    The spread delta starts at most 1/(l-1), so each fan's slopes stay
-    within 1/2 of +-3/4, on its own side of zero, and is halved until
-    every check holds.
+    The spread delta = min(epsilon_scale, 2)/(8(l-1)) keeps each fan's
+    slopes within 1/8 of +-3/4, so all 2l slopes are distinct; the family
+    is built once and certified.
     """
     if l < 3:
         raise ParameterRangeError(f"l must be >= 3: {l}")
-    delta = min(
-        _positive_rat(epsilon_scale, "epsilon_scale") / (8 * (l - 1)),
-        Fraction(1, l - 1),
+    delta = min(_positive_rat(epsilon_scale, "epsilon_scale"), Fraction(2)) / (8 * (l - 1))
+    eta = delta / 3
+    lines = []
+    for j in range(l - 1):
+        s = Fraction(3, 4) + delta * Fraction(2 * j - (l - 2), 2)
+        lines.append(Line(s, 4 * s))
+        lines.append(Line(-s, 4 * s))
+    lines.append(Line(Fraction(3), -eta))
+    lines.append(Line(Fraction(-3), -eta))
+    fam = _certify(
+        f"figure10_family({l})",
+        LineFamily(tuple(lines)),
+        (_concurrency("==", l - 1), _no_convex(5)),
     )
-    for _ in range(MAX_RETRIES):
-        eta = delta / 3
-        lines = []
-        for j in range(l - 1):
-            s = Fraction(3, 4) + delta * Fraction(2 * j - (l - 2), 2)
-            lines.append(Line(s, 4 * s))
-            lines.append(Line(-s, 4 * s))
-        lines.append(Line(Fraction(3), -eta))
-        lines.append(Line(Fraction(-3), -eta))
-        fam = LineFamily(tuple(lines))
-        if (
-            len(fam) == 2 * l
-            and max_concurrency(fam).max_count == l - 1
-            and find_n_convex(fam, 5) is None
-        ):
-            return fam.with_meta(provenance=(("kind", "figure10"), ("l", str(l))))
-        delta = delta / 2
-    raise ConstructionError(f"figure-10 family for l={l} did not stabilize")
+    return fam.with_meta(provenance=(("kind", "figure10"), ("l", str(l))))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,6 @@ from .chains import ChainResult, has_k_cell_unbounded, longest_cap, longest_cup
 from .errors import ParameterRangeError
 from .geometry import LineFamily, Rat, _as_rat
 
-PRUNE_MODES = ("off", "hereditary")
-
 
 def known_exact(l: int, n: int) -> Optional[int]:
     """Exact threshold for small n, None where only bounds are known."""
@@ -67,12 +65,6 @@ def f_L_bound(l: int, p: int, q: int, c=1) -> Rat:
     return c * (min(p - 1, q - 1) + l) * comb(p + q - 4, q - 2)
 
 
-def _check_prune(prune: str) -> None:
-    # kept for compatibility: every mode runs the same search
-    if prune not in PRUNE_MODES:
-        raise ValueError(f"prune must be one of {PRUNE_MODES}: {prune!r}")
-
-
 def convex_bound(family: LineFamily) -> int:
     """Most lines any subset in convex position can have: longest cup plus
     longest cap.
@@ -84,7 +76,7 @@ def convex_bound(family: LineFamily) -> int:
     return longest_cup(family).size + longest_cap(family).size
 
 
-def find_n_convex(family: LineFamily, n: int, prune: str = "off") -> Optional[Tuple[int, ...]]:
+def find_n_convex(family: LineFamily, n: int) -> Optional[Tuple[int, ...]]:
     """First n-subset (lexicographic over slope-sorted indices) in convex
     position, or None.
 
@@ -93,10 +85,8 @@ def find_n_convex(family: LineFamily, n: int, prune: str = "off") -> Optional[Tu
     cells bounded by every chosen line with their interval ends as crossing
     keys (extend_on_keys). Convex position is inherited by subsets, so a
     prefix with no such cell ends its subtree. The search is exponential in
-    general. prune must be one of PRUNE_MODES; both values run this same
-    search and return the same witness.
+    general.
     """
-    _check_prune(prune)
     size = len(family)
     if not 2 <= n <= size:
         raise ParameterRangeError(f"need 2 <= n <= {size}: {n}")
@@ -124,19 +114,18 @@ def find_n_convex(family: LineFamily, n: int, prune: str = "off") -> Optional[Tu
     return search((), [((), (), ())])
 
 
-def exists_n_convex(family: LineFamily, n: int, prune: str = "off") -> bool:
+def exists_n_convex(family: LineFamily, n: int) -> bool:
     """True iff some n lines of the family are in convex position.
 
     Unlike find_n_convex this tolerates n beyond the family size, where the
     answer is plainly False.
     """
-    _check_prune(prune)
     if n > len(family):
         return False
-    return find_n_convex(family, n, prune) is not None
+    return find_n_convex(family, n) is not None
 
 
-def largest_convex_subset(family: LineFamily, prune: str = "off"):
+def largest_convex_subset(family: LineFamily):
     """(size, witness indices) of a largest subset in convex position; the
     witness is the lexicographically first subset of that size.
 
@@ -144,9 +133,8 @@ def largest_convex_subset(family: LineFamily, prune: str = "off"):
     small to beat the best subset so far, and stops when the best subset
     reaches convex_bound: every later subset comes after it and is no
     larger. Only that stop keeps the walk short; without it the walk is
-    exponential. prune is checked as there.
+    exponential.
     """
-    _check_prune(prune)
     view = family.view
     rows = view.crossings
     size = len(rows)

@@ -87,6 +87,16 @@ def test_generate_exits_1_when_certification_fails(capsys, monkeypatch):
     assert "concurrency" in err
 
 
+def test_generate_exits_1_on_a_convex_position_witness(tmp_path, capsys):
+    fam_path = tmp_path / "F"
+    code, out, err = run(
+        capsys, "generate", "--kind", "thm12_odd", "--l", "3", "--n", "7", "-o", str(fam_path),
+    )
+    assert (code, out) == (1, "")
+    assert "no 7 in convex position" in err
+    assert not fam_path.exists()
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     fam_path = tmp_path / "p.txt"
     code, out, _ = run(capsys, "generate", "--kind", "pencil", "--n", "4", "-o", str(fam_path))
@@ -110,7 +120,7 @@ def test_verify_no_convex_option(tmp_path, capsys):
         "--l", "3", "-o", str(fam_path))
     code, out, _ = run(
         capsys, "verify", str(fam_path), "--l", "3", "--p", "3", "--q", "3",
-        "--no-convex", "7", "--prune", "hereditary",
+        "--no-convex", "7",
     )
     assert code == 0
     assert "check no 7 in convex position: pass" in out
@@ -162,20 +172,7 @@ F434_SEARCHES = (
 def test_search_prune_values_agree(tmp_path, capsys, argv, code, out):
     fam_path = tmp_path / "f434.txt"
     fam_path.write_text(serialize_family(construct_F(4, 3, 4)))
-    for prune in ("off", "hereditary"):
-        assert run(capsys, "search", str(fam_path), *argv, "--prune", prune) == (code, out, "")
-
-
-def test_unknown_prune_exits_2(tmp_path, capsys):
-    fam_path = tmp_path / "p.txt"
-    run(capsys, "generate", "--kind", "pencil", "--n", "5", "-o", str(fam_path))
-    code, _, _ = run(capsys, "search", str(fam_path), "--n", "3", "--prune", "fast")
-    assert code == 2
-    code, _, _ = run(
-        capsys, "verify", str(fam_path), "--l", "6", "--p", "2", "--q", "2",
-        "--no-convex", "3", "--prune", "fast",
-    )
-    assert code == 2
+    assert run(capsys, "search", str(fam_path), *argv) == (code, out, "")
 
 
 def test_bounds_output(capsys):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from linecells import (
-    CONVEX_BUDGET,
     ConstructionError,
     ConstructionSpec,
     KINDS,
@@ -199,11 +198,35 @@ def test_thm12_small_cases():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="construct_thm12(3, 7) has the 7 lines (0, 1, 2, 6, 7, 8, 21) in convex "
-    "position; its 7-convex self-check is over CONVEX_BUDGET and skipped",
+    raises=ConstructionError,
+    reason="the thm12(3, 7) assembly has the 7 lines (0, 1, 2, 6, 7, 8, 21) in convex "
+    "position, so its certification raises",
 )
 def test_thm12_3_7_has_no_7_in_convex_position():
     assert find_n_convex(construct_thm12(3, 7), 7) is None
+
+
+@pytest.mark.parametrize(
+    "l, witness", [(3, (0, 1, 2, 6, 7, 8, 21)), (4, (0, 1, 2, 8, 9, 11, 28))]
+)
+def test_thm12_n7_fails_its_convex_position_check(l, witness):
+    with pytest.raises(ConstructionError, match="no 7 in convex position") as info:
+        construct_thm12(l, 7)
+    assert str(witness) in str(info.value)
+
+
+def test_every_assembly_runs_its_convex_position_check(monkeypatch):
+    # C(28, 7) subsets: the largest check an assembly of this size makes
+    calls = []
+
+    def spy(family, n):
+        calls.append((len(family), n))
+        return None
+
+    monkeypatch.setattr(constructions, "find_n_convex", spy)
+    fam = construct_prop32(4, 3, "odd")
+    assert len(fam) == 28
+    assert (28, 7) in calls
 
 
 def test_thm12_validation():
@@ -222,10 +245,19 @@ def test_figure10_counts():
 
 
 def test_figure10_builds_past_the_convex_budget():
-    # C(32, 5) subsets exceed CONVEX_BUDGET; the 5-convex check still runs
+    # 32 lines, C(32, 5) = 201376 subsets: the 5-convex check runs in full
     fam = figure10_family(16)
     assert len(fam) == 32
     assert max_concurrency(fam).max_count == 15
+
+
+@pytest.mark.parametrize("l", [3, 4, 5, 6])
+@pytest.mark.parametrize("scale", [Fraction(1, 1000), 1, 10, 1000])
+def test_figure10_contract_at_every_scale(l, scale):
+    fam = figure10_family(l, scale)
+    assert len(fam) == 2 * l
+    assert max_concurrency(fam).max_count == l - 1
+    assert not exists_n_convex(fam, 5)
 
 
 def test_construction_spec_round_trip():
@@ -265,8 +297,7 @@ def test_provenance_tags_present():
     assert spec.kind == "figure10" and spec.l == 3
 
 
-def test_budget_constant_sane():
-    assert CONVEX_BUDGET >= 10_000
+def test_kinds_name_every_generator():
     assert set(KINDS) == {
         "pencil",
         "base_pq2",

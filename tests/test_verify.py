@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +19,6 @@ from linecells import (
     verify_properties,
 )
 
-from conftest import random_family, subfamily
 
 TRIANGLE = LineFamily((Line(1, 0), Line(-1, 0), Line(0, 1)))
 
@@ -82,25 +80,12 @@ def test_find_n_convex_validation():
         find_n_convex(TRIANGLE, 4)
     with pytest.raises(ParameterRangeError):
         find_n_convex(TRIANGLE, 1)
-    with pytest.raises(ValueError):
-        find_n_convex(TRIANGLE, 3, prune="fast")
 
 
 def test_pencil_has_no_triple_in_convex_position():
     fam = pencil(Point(0, -1), 5, (1, 2, 3, 4, 5))
     assert find_n_convex(fam, 3) is None
     assert largest_convex_subset(fam) == (2, (0, 1))
-
-
-def test_prune_modes_agree():
-    rng = random.Random(1105)
-    for _ in range(15):
-        fam = random_family(rng, min_lines=4, max_lines=7)
-        for n in range(2, len(fam) + 1):
-            assert find_n_convex(fam, n) == find_n_convex(fam, n, prune="hereditary")
-        assert largest_convex_subset(fam) == largest_convex_subset(
-            fam, prune="hereditary"
-        )
 
 
 def test_largest_convex_subset_single():
