@@ -15,19 +15,22 @@ either zero rays (bounded) or exactly two; both right gives unbounded_right,
 both left unbounded_left, one each unbounded_other (wedges, half-planes and
 the top/bottom cells).
 
-Everything here reads the family's cached integer view (LineFamily.view):
-the per-line intervals of bounding_lines and classify_cell use its
-common-denominator (M_i, C_i) pairs. The convex-position fold
-(extend_on_keys) carries each interval as two exact crossing keys instead,
-so adding a line costs integer compares, not cross products. The
-concurrency table groups the same keys line by line, so Point
+Everything here reads the family's cached integer view (LineFamily.view)
+and answers "is line i's interval inside the cell nonempty?" one way: the
+interval's ends are exact crossing keys X_ij, so the test is one integer
+compare. bounding_lines and classify_cell take each line's ends from
+_key_interval; the convex-position fold (extend_on_keys) carries them
+line by line, so adding a line costs O(k) compares, and the cell it finds
+takes its class from those ends and its witness from one integer step off
+line 0. The concurrency table groups the same keys line by line, so Point
 objects are built only for the vertices a caller asks for. Cell
 enumeration groups the same keys into vertices and reads every cell off
 the sectors around them in integers: sign vectors from one integer
 expression per vertex and line, bounding sets and classes from the lines
 that form each sector and which of their pieces are rays. It builds one
 Fraction witness per cell and calls neither the per-line intervals nor
-side_of.
+side_of. The cross-product interval test and the Fraction stepper these
+replaced are the references in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -72,43 +75,27 @@ def _check_signs(family: LineFamily, signs: Sequence[int]) -> SignVector:
     return signs
 
 
-def _line_interval(scaled, i: int, signs: SignVector):
-    """Open x-interval of line i inside the cell named by signs.
+def _key_interval(view, i: int, signs: SignVector) -> Optional[Tuple[int, int]]:
+    """Crossing keys (lo, hi) ending line i's open interval inside the cell
+    named by signs, or None when that interval is empty.
 
-    scaled holds the family's integer (M, C) pairs (IntegerView.pairs).
-    Bounds are (num, den) pairs with den > 0 so comparisons stay in integer
-    cross products; None stands for an infinite end. Returns None when the
-    interval is empty.
+    Line j confines line i to x > X_ij, giving a lower end, exactly when
+    (j < i) == (signs[j] > 0): above a line of lower slope or below one of
+    higher slope. Otherwise it gives an upper end. The keys order and group
+    the abscissae exactly (IntegerView), so the interval is nonempty iff
+    lo < hi. Infinite ends are -/+ view.key_sentinel.
     """
-    mi, ci = scaled[i]
-    lo = None
-    hi = None
-    for j, (mj, cj) in enumerate(scaled):
+    far = view.key_sentinel
+    lo, hi = -far, far
+    for j, (key, s) in enumerate(zip(view.crossings[i], signs)):
         if j == i:
             continue
-        # height of line i over line j at abscissa x is (mi-mj)*x + (ci-cj)
-        g = signs[j] * (mi - mj)
-        s = signs[j] * (ci - cj)
-        if g > 0:
-            if lo is None or -s * lo[1] > lo[0] * g:
-                lo = (-s, g)
-        else:
-            if hi is None or s * hi[1] < hi[0] * -g:
-                hi = (s, -g)
-    if lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
-        return None
-    return (lo, hi)
-
-
-def _interval_x(lo, hi) -> Fraction:
-    """Some abscissa strictly inside the open interval (lo, hi)."""
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        return Fraction(hi[0], hi[1]) - 1
-    if hi is None:
-        return Fraction(lo[0], lo[1]) + 1
-    return (Fraction(lo[0], lo[1]) + Fraction(hi[0], hi[1])) / 2
+        if (j < i) == (s > 0):
+            if key > lo:
+                lo = key
+        elif key < hi:
+            hi = key
+    return (lo, hi) if lo < hi else None
 
 
 def bounding_lines(family: LineFamily, signs: Sequence[int]) -> FrozenSet[int]:
@@ -118,10 +105,8 @@ def bounding_lines(family: LineFamily, signs: Sequence[int]) -> FrozenSet[int]:
     cell is empty exactly when every line's interval is).
     """
     signs = _check_signs(family, signs)
-    scaled = family.view.pairs
-    out = frozenset(
-        i for i in range(len(scaled)) if _line_interval(scaled, i, signs) is not None
-    )
+    view = family.view
+    out = frozenset(i for i in range(len(signs)) if _key_interval(view, i, signs) is not None)
     if not out:
         raise InfeasibleSignVectorError(f"no cell has sign vector {signs}")
     return out
@@ -140,40 +125,13 @@ def _bound_class(rays_right: int, rays_left: int) -> BoundClass:
 def classify_cell(family: LineFamily, signs: Sequence[int]) -> BoundClass:
     """Boundedness class from the directions of the cell's boundary rays."""
     signs = _check_signs(family, signs)
-    scaled = family.view.pairs
-    rays_right = 0
-    rays_left = 0
-    feasible = False
-    for i in range(len(scaled)):
-        iv = _line_interval(scaled, i, signs)
-        if iv is None:
-            continue
-        feasible = True
-        lo, hi = iv
-        if hi is None:
-            rays_right += 1
-        if lo is None:
-            rays_left += 1
-    if not feasible:
+    view = family.view
+    far = view.key_sentinel
+    ends = [_key_interval(view, i, signs) for i in range(len(signs))]
+    ends = [iv for iv in ends if iv is not None]
+    if not ends:
         raise InfeasibleSignVectorError(f"no cell has sign vector {signs}")
-    return _bound_class(rays_right, rays_left)
-
-
-def _step_from(family: LineFamily, v: Point, s, incident) -> Point:
-    """Point v + eps*s with eps small enough that no non-incident line's
-    side changes between v and the result."""
-    eps = Fraction(1)
-    for j, line in enumerate(family):
-        if j in incident:
-            continue
-        height = v.y - line.y_at(v.x)
-        drift = s[1] - line.m * s[0]
-        if drift != 0:
-            bound = abs(height) / abs(drift)
-            if bound < eps:
-                eps = bound
-    eps = eps / 2
-    return Point(v.x + eps * s[0], v.y + eps * s[1])
+    return _bound_class(sum(hi == far for _, hi in ends), sum(lo == -far for lo, _ in ends))
 
 
 def _vertices(view) -> List[Tuple[int, ...]]:
@@ -199,8 +157,9 @@ def _vertices(view) -> List[Tuple[int, ...]]:
 
 
 def _sector_witness(pairs, heights, a, b, top, scale, sx, sy) -> Point:
-    """_step_from for one sector at the vertex (a/b, top/(b*scale)), in
-    integers: the point v + eps*(sx, sy/scale).
+    """A point inside one sector at the vertex v = (a/b, top/(b*scale)):
+    v + eps*(sx, sy/scale), with eps small enough that no line off v
+    changes side between v and the result.
 
     heights[l] is b*scale times the vertex's height over line l (zero on
     the incident lines), and line l drifts by (sy - M_l*sx)/scale per unit
@@ -234,8 +193,8 @@ def enumerate_cells(family: LineFamily) -> Tuple[Cell, ...]:
     view: O(n) per vertex for the other lines' sides and O(n) per sector for
     its sign vector, O(n^3) in all. A cell has one corner sector per
     vertex on its closure; its witness is stepped into the sector at the
-    first of those vertices in Point order, as _step_from does. A single
-    line is handled directly.
+    first of those vertices in Point order. A single line is handled
+    directly.
     """
     n = len(family)
     if n == 1:
@@ -353,10 +312,10 @@ def extend_on_keys(keys: Sequence[int], cells: Sequence[KeyCell], far: int) -> L
     signs. Below t, line a keeps only x > X_at, so keys[a] is its new lo;
     above t, x < X_at and keys[a] is its new hi. A candidate is kept when
     every interval stays nonempty: O(k) integer compares for k chosen
-    lines. The keys order and group the abscissae exactly (IntegerView), so
-    this is the interval test of _line_interval. t is the highest mask bit
-    (bit i set means the cell lies above line i), so listing every -1
-    extension before every +1 one keeps cells sorted by mask.
+    lines. This is the interval test of _key_interval, carried line by
+    line. t is the highest mask bit (bit i set means the cell lies above
+    line i), so listing every -1 extension before every +1 one keeps cells
+    sorted by mask.
     """
     below, above = [], []
     for signs, lo, hi in cells:
@@ -388,11 +347,29 @@ def convex_position_cell(family: LineFamily) -> Optional[Cell]:
         cells = extend_on_keys(row[:t], cells, far)
         if not cells:
             return None
-    signs = cells[0][0]
-    x0 = _interval_x(*_line_interval(view.pairs, 0, signs))
-    boundary = Point(x0, family[0].y_at(x0))
-    w = _step_from(family, boundary, (Fraction(0), Fraction(signs[0])), frozenset({0}))
-    return Cell(signs, frozenset(range(n)), classify_cell(family, signs), w)
+    signs, lo, hi = cells[0]
+    # step up or down off line 0 at x = a/b, the middle of its interval or
+    # 1 past its one finite end; an end with key k is X_0j = p/q for any
+    # j > 0 with that key (j = 0 is the diagonal, whose key is 0 too)
+    pairs = view.pairs
+    m0, c0 = pairs[0]
+    keys = view.crossings[0]
+    ends = []
+    for key in (lo[0], hi[0]):
+        if abs(key) != far:
+            mj, cj = pairs[next(j for j in range(1, n) if keys[j] == key)]
+            ends.append((c0 - cj, mj - m0))
+    if len(ends) == 2:
+        (p1, q1), (p2, q2) = ends
+        a, b = p1 * q2 + p2 * q1, 2 * q1 * q2
+    else:
+        [(p, q)] = ends
+        a, b = p + q if abs(hi[0]) == far else p - q, q
+    top = m0 * a + c0 * b
+    heights = [top - m * a - c * b for m, c in pairs]
+    w = _sector_witness(pairs, heights, a, b, top, view.scale, 0, signs[0] * view.scale)
+    rays = (sum(key == far for key in hi), sum(key == -far for key in lo))
+    return Cell(signs, frozenset(range(n)), _bound_class(*rays), w)
 
 
 def is_convex_position(family: LineFamily) -> bool:

@@ -5,8 +5,9 @@ of them (the "top" cell touches each line in a positive-length segment); a
 cap is the mirror notion for the cell below every line. Equivalently, in
 the dual plane (m, c) the points of a cup form a strictly concave chain in
 slope order and those of a cap a strictly convex one. is_cup/is_cap use the
-primal cell test; the longest-chain search uses the dual characterization.
-Keeping the two independent lets each check the other.
+primal cell test and the longest-chain search the dual characterization,
+both on the same crossing keys. The independent primal test, in cross
+products, lives in tests/oracles.py, and the tests check both against it.
 
 Longest chain: a chain of dual points in x-order is a strict cup exactly
 when its edge slopes strictly decrease, and a strict cap when they

@@ -32,7 +32,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from .arrangement import max_concurrency
 from .chains import has_k_cell_unbounded, longest_cap, longest_cup
 from .errors import ConstructionError, ParameterRangeError
-from .geometry import Line, LineFamily, Point, Rat, _as_rat, intersect
+from .geometry import Line, LineFamily, Point, Rat, _as_rat
 from .verify import find_n_convex, lower_bound_value
 
 KINDS = (
@@ -373,14 +373,21 @@ def _thm12_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
     rising = contract(core, Line(Fraction(1), Fraction(4)), eps)
     falling = contract(reflect_y(core), Line(Fraction(-1), Fraction(4)), eps)
     # bundle-internal vertices sit below the axis by construction; the
-    # cross intersections must all stay above it near (0, 4)
+    # cross intersections must all stay above it near (0, 4). Falling line
+    # i meets rising line j at height (M_i*C_j - M_j*C_i) / ((M_i - M_j)*S)
+    # with M_i < M_j, so at or below the axis iff M_i*C_j >= M_j*C_i.
+    half = len(falling)
     fam = _certify(
         f"double scaffold for k={k}",
         LineFamily(falling.lines + rising.lines),
         (
             (
                 "cross vertices below the axis",
-                lambda _: sum(intersect(a, b).y <= 0 for a in falling for b in rising),
+                lambda fam: sum(
+                    mi * cj - mj * ci >= 0
+                    for mi, ci in fam.view.pairs[:half]
+                    for mj, cj in fam.view.pairs[half:]
+                ),
                 "==",
                 0,
             ),

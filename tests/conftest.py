@@ -1,25 +1,18 @@
 """Shared helpers: seeded random families and independent oracles.
 
 The oracles deliberately avoid the code paths they are used to check:
-chain maxima come from exhaustive subset scans through the geometric
-is_cup/is_cap predicates, and concurrency comes from counting collinear
-dual points.
+chain maxima come from exhaustive subset scans through the cross-product
+is_cup/is_cap references in oracles.py, and concurrency comes from counting
+collinear dual points.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from linecells import (
-    Line,
-    LineFamily,
-    dual_line,
-    is_cap,
-    is_cup,
-    max_concurrency,
-    orientation,
-    side_of,
-)
+from linecells import Line, LineFamily, dual_line, max_concurrency, orientation, side_of
+
+from oracles import is_cap, is_cup
 
 
 def random_family(rng, min_lines=2, max_lines=8, span=9, denom=5, simple=False):

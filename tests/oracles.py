@@ -1,24 +1,18 @@
 """Slow reference kernels that the fast ones in linecells replaced.
 
 Each runs straight from the family's Fractions or through the per-line
-interval test (_line_interval), never through the cached integer view's
-crossing keys, so the fast kernels can be checked against them.
+interval test in cross products (_line_interval), never through the cached
+integer view's crossing keys, so the fast kernels can be checked against
+them. bounding_lines, classify_cell, is_cup and is_cap here are the
+references for the crossing-key versions in linecells, and every oracle
+below that needs a cell's bounding set or class takes it from them.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from linecells import (
-    Cell,
-    LineFamily,
-    Point,
-    bounding_lines,
-    classify_cell,
-    intersect,
-    side_of,
-)
-from linecells.arrangement import _interval_x, _line_interval, _step_from
+from linecells import Cell, InfeasibleSignVectorError, LineFamily, Point, intersect, side_of
 
 
 def scaled_pairs(family):
@@ -27,6 +21,95 @@ def scaled_pairs(family):
     for line in family:
         scale = lcm(scale, line.m.denominator, line.c.denominator)
     return tuple((int(line.m * scale), int(line.c * scale)) for line in family)
+
+
+def _line_interval(scaled, i, signs):
+    """Open x-interval of line i inside the cell named by signs.
+
+    scaled holds the family's integer (M, C) pairs (scaled_pairs). Bounds
+    are (num, den) pairs with den > 0 so comparisons stay in integer cross
+    products; None stands for an infinite end. Returns None when the
+    interval is empty.
+    """
+    mi, ci = scaled[i]
+    lo = None
+    hi = None
+    for j, (mj, cj) in enumerate(scaled):
+        if j == i:
+            continue
+        # height of line i over line j at abscissa x is (mi-mj)*x + (ci-cj)
+        g = signs[j] * (mi - mj)
+        s = signs[j] * (ci - cj)
+        if g > 0:
+            if lo is None or -s * lo[1] > lo[0] * g:
+                lo = (-s, g)
+        else:
+            if hi is None or s * hi[1] < hi[0] * -g:
+                hi = (s, -g)
+    if lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
+        return None
+    return (lo, hi)
+
+
+def _interval_x(lo, hi):
+    """Some abscissa strictly inside the open interval (lo, hi)."""
+    if lo is None and hi is None:
+        return Fraction(0)
+    if lo is None:
+        return Fraction(hi[0], hi[1]) - 1
+    if hi is None:
+        return Fraction(lo[0], lo[1]) + 1
+    return (Fraction(lo[0], lo[1]) + Fraction(hi[0], hi[1])) / 2
+
+
+def _step_from(family, v, s, incident):
+    """Point v + eps*s with eps small enough that no non-incident line's
+    side changes between v and the result."""
+    eps = Fraction(1)
+    for j, line in enumerate(family):
+        if j in incident:
+            continue
+        height = v.y - line.y_at(v.x)
+        drift = s[1] - line.m * s[0]
+        if drift != 0:
+            bound = abs(height) / abs(drift)
+            if bound < eps:
+                eps = bound
+    eps = eps / 2
+    return Point(v.x + eps * s[0], v.y + eps * s[1])
+
+
+def _intervals(family, signs):
+    """Every line's interval (or None) in the cell named by signs; raises
+    InfeasibleSignVectorError when all are empty."""
+    scaled = scaled_pairs(family)
+    out = [_line_interval(scaled, i, tuple(signs)) for i in range(len(family))]
+    if all(iv is None for iv in out):
+        raise InfeasibleSignVectorError(f"no cell has sign vector {tuple(signs)}")
+    return out
+
+
+def bounding_lines(family, signs):
+    """The lines whose interval in the cell is nonempty."""
+    return frozenset(i for i, iv in enumerate(_intervals(family, signs)) if iv is not None)
+
+
+def classify_cell(family, signs):
+    """The cell's class from its rays: intervals with an infinite end."""
+    ends = [iv for iv in _intervals(family, signs) if iv is not None]
+    rays = (sum(hi is None for _, hi in ends), sum(lo is None for lo, _ in ends))
+    classes = {(0, 0): "bounded", (2, 0): "unbounded_right", (0, 2): "unbounded_left"}
+    return classes.get(rays, "unbounded_other")
+
+
+def is_cup(family):
+    """The cell above every line is bounded by all of them."""
+    return len(bounding_lines(family, (1,) * len(family))) == len(family)
+
+
+def is_cap(family):
+    """The cell below every line is bounded by all of them."""
+    return len(bounding_lines(family, (-1,) * len(family))) == len(family)
 
 
 def staircase_signs(n, r, side):
@@ -124,7 +207,7 @@ def enumerate_cells(family):
 
     Each vertex's angular sectors are stepped into with _step_from and the
     sign vector read with side_of; the first point found names the cell's
-    witness, and bounding_lines/classify_cell give the rest.
+    witness, and the references bounding_lines/classify_cell give the rest.
     """
     if len(family) == 1:
         c = family[0].c

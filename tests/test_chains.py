@@ -18,6 +18,7 @@ from linecells import (
     reflect_x,
 )
 
+import oracles
 from conftest import (
     brute_longest_cap,
     brute_longest_cup,
@@ -81,7 +82,8 @@ def test_dp_witness_is_a_chain():
     rng = random.Random(2718)
     for _ in range(20):
         fam = random_family(rng, max_lines=7)
-        for result, pred in ((longest_cup(fam), is_cup), (longest_cap(fam), is_cap)):
+        checks = ((longest_cup(fam), oracles.is_cup), (longest_cap(fam), oracles.is_cap))
+        for result, pred in checks:
             assert pred(subfamily(fam, result.witness))
             assert result.size == len(result.witness)
 

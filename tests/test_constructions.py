@@ -215,6 +215,16 @@ def test_thm12_n7_fails_its_convex_position_check(l, witness):
     assert str(witness) in str(info.value)
 
 
+def test_thm12_scaffold_checks_its_cross_vertices(monkeypatch):
+    # every bundle 10 lower puts the falling/rising crossings near (0, -6)
+    def lowered(family, a, eps):
+        return LineFamily(tuple(Line(line.m, line.c - 10) for line in contract(family, a, eps)))
+
+    monkeypatch.setattr(constructions, "contract", lowered)
+    with pytest.raises(ConstructionError, match="cross vertices below the axis"):
+        construct_thm12(3, 6)
+
+
 def test_every_assembly_runs_its_convex_position_check(monkeypatch):
     # C(28, 7) subsets: the largest check an assembly of this size makes
     calls = []

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from linecells import (
+    InfeasibleSignVectorError,
     Line,
     LineFamily,
     bounding_lines,
@@ -24,8 +25,6 @@ from linecells import (
     find_n_convex,
     find_unbounded_cell,
     has_k_cell_unbounded,
-    is_cap,
-    is_cup,
     largest_convex_subset,
     longest_cap,
     longest_cup,
@@ -80,9 +79,25 @@ def check_staircases(fam):
                 continue
             signs = oracles.staircase_signs(n, first, side)
             assert cell.signs == signs
-            assert cell.bounding == bounding_lines(fam, signs)
-            assert cell.bound_class == classify_cell(fam, signs)
+            assert cell.bounding == oracles.bounding_lines(fam, signs)
+            assert cell.bound_class == oracles.classify_cell(fam, signs)
             assert signs_at(fam, cell.witness_point) == signs
+
+
+def check_cell_predicates(fam):
+    """bounding_lines and classify_cell on every sign vector, infeasible
+    ones included, against the cross-product references."""
+    n = len(fam)
+    for mask in range(1 << n):
+        signs = tuple(1 if (mask >> i) & 1 else -1 for i in range(n))
+        try:
+            want = oracles.bounding_lines(fam, signs), oracles.classify_cell(fam, signs)
+        except InfeasibleSignVectorError:
+            for predicate in (bounding_lines, classify_cell):
+                with pytest.raises(InfeasibleSignVectorError):
+                    predicate(fam, signs)
+            continue
+        assert (bounding_lines(fam, signs), classify_cell(fam, signs)) == want, signs
 
 
 def check_chains(fam):
@@ -123,9 +138,9 @@ def check_cells(fam):
 
 def check_cup_cap_split(sub, cell):
     """The lemma behind the search's cup+cap bound, by the primal cell
-    test: the lines below a cell bounded by all of them form a cup, and
-    the lines above it a cap."""
-    for side, is_chain in ((1, is_cup), (-1, is_cap)):
+    test in cross products: the lines below a cell bounded by all of them
+    form a cup, and the lines above it a cap."""
+    for side, is_chain in ((1, oracles.is_cup), (-1, oracles.is_cap)):
         part = tuple(line for line, s in zip(sub, cell.signs) if s == side)
         if part:
             assert is_chain(LineFamily(part)), (side, cell.signs)
@@ -152,6 +167,12 @@ def check_convex_search(fam):
 @given(pencil_families())
 def test_staircases_match_interval_scan(fam):
     check_staircases(fam)
+
+
+@KERNELS
+@given(pencil_families(max_lines=8))
+def test_cell_predicates_match_interval_scan(fam):
+    check_cell_predicates(fam)
 
 
 @KERNELS
@@ -204,11 +225,17 @@ def test_cell_enumeration_on_construct_F(p, q):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: construct_F(3, 3, 4), lambda: construct_thm12(3, 6)],
-    ids=["F334", "thm12_3_6"],
+    [
+        lambda: construct_F(3, 3, 4),
+        lambda: construct_thm12(3, 6),
+        lambda: LineFamily((Line(-1, 0), Line(1, 0))),
+    ],
+    ids=["F334", "thm12_3_6", "cross_at_0"],
 )
 def test_convex_search_on_constructed_families(build):
-    # 8 lines each, with crossing keys of 30 and 83 bits
+    # F334 and thm12(3, 6) have 8 lines each, with crossing keys of 30 and
+    # 83 bits; the two lines crossing at x = 0 share their key, 0, with the
+    # crossing table's diagonal
     check_convex_search(build())
 
 
