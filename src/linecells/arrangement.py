@@ -20,17 +20,18 @@ and answers "is line i's interval inside the cell nonempty?" one way: the
 interval's ends are exact crossing keys X_ij, so the test is one integer
 compare. bounding_lines and classify_cell take each line's ends from
 _key_interval; the convex-position fold (extend_on_keys) carries them
-line by line, so adding a line costs O(k) compares, and the cell it finds
-takes its class from those ends and its witness from one integer step off
-line 0. The concurrency table groups the same keys line by line, so Point
-objects are built only for the vertices a caller asks for. Cell
-enumeration groups the same keys into vertices and reads every cell off
-the sectors around them in integers: sign vectors from one integer
-expression per vertex and line, bounding sets and classes from the lines
-that form each sector and which of their pieces are rays. It builds one
-Fraction witness per cell and calls neither the per-line intervals nor
-side_of. The cross-product interval test and the Fraction stepper these
-replaced are the references in tests/oracles.py.
+line by line, so adding a line costs O(k) compares. One walk over subsets
+(_convex_walk) runs the fold for convex_position_cell and the searches in
+verify, which differ only in its stop rules need and goal. The concurrency
+table groups the same keys line by line, so Point objects are built only
+for the vertices a caller asks for. Cell enumeration groups the same keys
+into vertices and reads every cell off the sectors around them in
+integers: sign vectors from one integer expression per vertex and line,
+bounding sets and classes from the lines that form each sector and which
+of their pieces are rays. It builds one Fraction witness per cell and
+calls neither the per-line intervals nor side_of. The cross-product
+interval test and the Fraction stepper these replaced are the references
+in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -98,18 +99,23 @@ def _key_interval(view, i: int, signs: SignVector) -> Optional[Tuple[int, int]]:
     return (lo, hi) if lo < hi else None
 
 
-def bounding_lines(family: LineFamily, signs: Sequence[int]) -> FrozenSet[int]:
-    """Indices of lines contributing a positive-length piece of the boundary.
+def _cell_intervals(family: LineFamily, signs: Sequence[int]) -> Dict[int, Tuple[int, int]]:
+    """Line i -> its nonempty _key_interval in the cell named by signs.
 
     Raises InfeasibleSignVectorError when no point realizes the signs (the
     cell is empty exactly when every line's interval is).
     """
     signs = _check_signs(family, signs)
     view = family.view
-    out = frozenset(i for i in range(len(signs)) if _key_interval(view, i, signs) is not None)
+    out = {i: iv for i in range(len(signs)) if (iv := _key_interval(view, i, signs))}
     if not out:
         raise InfeasibleSignVectorError(f"no cell has sign vector {signs}")
     return out
+
+
+def bounding_lines(family: LineFamily, signs: Sequence[int]) -> FrozenSet[int]:
+    """Indices of lines contributing a positive-length piece of the boundary."""
+    return frozenset(_cell_intervals(family, signs))
 
 
 def _bound_class(rays_right: int, rays_left: int) -> BoundClass:
@@ -124,13 +130,8 @@ def _bound_class(rays_right: int, rays_left: int) -> BoundClass:
 
 def classify_cell(family: LineFamily, signs: Sequence[int]) -> BoundClass:
     """Boundedness class from the directions of the cell's boundary rays."""
-    signs = _check_signs(family, signs)
-    view = family.view
-    far = view.key_sentinel
-    ends = [_key_interval(view, i, signs) for i in range(len(signs))]
-    ends = [iv for iv in ends if iv is not None]
-    if not ends:
-        raise InfeasibleSignVectorError(f"no cell has sign vector {signs}")
+    ends = _cell_intervals(family, signs).values()
+    far = family.view.key_sentinel
     return _bound_class(sum(hi == far for _, hi in ends), sum(lo == -far for lo, _ in ends))
 
 
@@ -331,6 +332,44 @@ def extend_on_keys(keys: Sequence[int], cells: Sequence[KeyCell], far: int) -> L
     return below + above
 
 
+def _convex_walk(family: LineFamily, need: int, goal: int):
+    """(subset, its cells from extend_on_keys) for the best subset in convex
+    position, or ((), ()) when none has need lines.
+
+    Walks index prefixes depth-first in lexicographic order; convex position
+    is inherited by subsets, so a prefix with no cell ends its subtree. The
+    best is the first subset found with at least need lines and more than
+    the best before it. A subtree is walked only if it can reach floor =
+    max(need, len(best) + 1) lines, and a best of goal lines sets floor past
+    the family size, ending the walk. The walk is exponential in general.
+    """
+    view = family.view
+    rows = view.crossings
+    size = len(rows)
+    far = view.key_sentinel
+    best = ((), ())
+    floor = need
+
+    def walk(prefix, cells):
+        nonlocal best, floor
+        k = len(prefix)
+        for i in range(prefix[-1] + 1 if prefix else 0, size):
+            # below prefix + (i,) lie at most k + size - i lines
+            if k + size - i < floor:
+                return
+            row = rows[i]
+            bounded = extend_on_keys([row[j] for j in prefix], cells, far)
+            if bounded:
+                cand = prefix + (i,)
+                if k + 1 >= floor:
+                    best = (cand, bounded)
+                    floor = size + 1 if k + 1 == goal else k + 2
+                walk(cand, bounded)
+
+    walk((), [((), (), ())])
+    return best
+
+
 def convex_position_cell(family: LineFamily) -> Optional[Cell]:
     """A cell bounded by every line of the family, or None.
 
@@ -342,11 +381,9 @@ def convex_position_cell(family: LineFamily) -> Optional[Cell]:
         return None
     view = family.view
     far = view.key_sentinel
-    cells: List[KeyCell] = [((), (), ())]
-    for t, row in enumerate(view.crossings):
-        cells = extend_on_keys(row[:t], cells, far)
-        if not cells:
-            return None
+    _, cells = _convex_walk(family, n, n)
+    if not cells:
+        return None
     signs, lo, hi = cells[0]
     # step up or down off line 0 at x = a/b, the middle of its interval or
     # 1 past its one finite end; an end with key k is X_0j = p/q for any

@@ -111,8 +111,7 @@ def _staircases(family: LineFamily, side: str) -> List[List[int]]:
     n = len(rows)
     if side == "left":
         rows = [[-key for key in row] for row in rows]
-    # slopes are distinct integers, so |X_ij| <= |C_i| + |C_j|: past every key
-    far = (2 * max(abs(c) for _, c in view.pairs) + 2) << view.shift
+    far = view.key_sentinel
     members = [[] for _ in range(n)]
     for i, row in enumerate(rows):
         head, tail = row[:i], row[i + 1 :]

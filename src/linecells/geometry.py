@@ -47,7 +47,7 @@ def parse_rat(text: str) -> Rat:
     m = _RAT_RE.match(text)
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    if m.group(1) == "0":
+    if m.group(1) is not None and int(m.group(1)) == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(text)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence, Tuple
 
-from .arrangement import ConcurrencyReport, extend_on_keys, max_concurrency
+from .arrangement import ConcurrencyReport, _convex_walk, max_concurrency
 from .chains import ChainResult, has_k_cell_unbounded, longest_cap, longest_cup
 from .errors import ParameterRangeError
 from .geometry import LineFamily, Rat, _as_rat
@@ -80,38 +80,17 @@ def find_n_convex(family: LineFamily, n: int) -> Optional[Tuple[int, ...]]:
     """First n-subset (lexicographic over slope-sorted indices) in convex
     position, or None.
 
-    None at once when n exceeds convex_bound. Otherwise a depth-first
-    search over index prefixes in lexicographic order, each carrying its
-    cells bounded by every chosen line with their interval ends as crossing
-    keys (extend_on_keys). Convex position is inherited by subsets, so a
-    prefix with no such cell ends its subtree. The search is exponential in
-    general.
+    None at once when n exceeds convex_bound. Otherwise the convex-position
+    walk (arrangement._convex_walk) with need and goal both n: it walks only
+    the subtrees with room for n lines and stops at the first n-subset. The
+    walk is exponential in general.
     """
     size = len(family)
     if not 2 <= n <= size:
         raise ParameterRangeError(f"need 2 <= n <= {size}: {n}")
     if n > convex_bound(family):
         return None
-    view = family.view
-    rows = view.crossings
-    far = view.key_sentinel
-
-    def search(prefix, cells):
-        # leave room for the n - len(prefix) - 1 lines still to come
-        for i in range(prefix[-1] + 1 if prefix else 0, size - n + len(prefix) + 1):
-            row = rows[i]
-            bounded = extend_on_keys([row[j] for j in prefix], cells, far)
-            if not bounded:
-                continue
-            cand = prefix + (i,)
-            if len(cand) == n:
-                return cand
-            found = search(cand, bounded)
-            if found is not None:
-                return found
-        return None
-
-    return search((), [((), (), ())])
+    return _convex_walk(family, n, n)[0] or None
 
 
 def exists_n_convex(family: LineFamily, n: int) -> bool:
@@ -129,34 +108,13 @@ def largest_convex_subset(family: LineFamily):
     """(size, witness indices) of a largest subset in convex position; the
     witness is the lexicographically first subset of that size.
 
-    Walks find_n_convex's search tree once, skipping every subtree too
-    small to beat the best subset so far, and stops when the best subset
-    reaches convex_bound: every later subset comes after it and is no
-    larger. Only that stop keeps the walk short; without it the walk is
-    exponential.
+    The convex-position walk (arrangement._convex_walk) with need 1 and
+    goal convex_bound: it skips every subtree too small to beat the best
+    subset so far and stops when the best subset reaches convex_bound,
+    since every later subset comes after it and is no larger. Only that
+    stop keeps the walk short; without it the walk is exponential.
     """
-    view = family.view
-    rows = view.crossings
-    size = len(rows)
-    far = view.key_sentinel
-    bound = convex_bound(family)
-    best: Tuple[int, ...] = ()
-
-    def walk(prefix, cells):
-        nonlocal best
-        for i in range(prefix[-1] + 1 if prefix else 0, size):
-            # below prefix + (i,) lie at most len(prefix) + size - i lines
-            if len(best) == bound or len(prefix) + size - i <= len(best):
-                return
-            row = rows[i]
-            bounded = extend_on_keys([row[j] for j in prefix], cells, far)
-            if bounded:
-                cand = prefix + (i,)
-                if len(cand) > len(best):
-                    best = cand
-                walk(cand, bounded)
-
-    walk((), [((), (), ())])
+    best, _ = _convex_walk(family, 1, convex_bound(family))
     return (len(best), best)
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from linecells import Point, cli_main, construct_F, parse_family, pencil, serialize_family
@@ -134,6 +136,23 @@ def test_verify_garbage_exits_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_verify_zero_denominator_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1/00 1\n")
+    code, _, err = run(capsys, "verify", str(bad), "--l", "3", "--p", "2", "--q", "2")
+    assert code == 2
+    assert "line 1" in err
+
+
+def test_generate_zero_denominator_epsilon_scale_exits_2(capsys):
+    code, _, err = run(
+        capsys, "generate", "--kind", "base_pq2", "--p", "2", "--l", "3",
+        "--epsilon-scale", "1/00",
+    )
+    assert code == 2
+    assert "zero denominator" in err
+
+
 def test_verify_missing_file_exits_2(tmp_path, capsys):
     code, _, _ = run(
         capsys, "verify", str(tmp_path / "nope.txt"), "--l", "3", "--p", "2", "--q", "2"
@@ -161,17 +180,30 @@ def test_search_none_found(tmp_path, capsys):
     assert "no 3 lines in convex position" in out
 
 
-F434_SEARCHES = (
-    (["--n", "7"], 1, "found 7 lines in convex position: [0, 1, 2, 8, 9, 11, 12]\n"),
-    (["--n", "8"], 0, "no 8 lines in convex position\n"),
-    (["--largest"], 0, "largest convex position subset: 7 lines [0, 1, 2, 8, 9, 11, 12]\n"),
+FIG8_FILE = Path(__file__).resolve().parents[1] / "bench" / "families" / "fig8.txt"
+
+SEARCHES = (
+    ("F434", ["--n", "7"], 1, "found 7 lines in convex position: [0, 1, 2, 8, 9, 11, 12]\n"),
+    ("F434", ["--n", "8"], 0, "no 8 lines in convex position\n"),
+    ("F434", ["--largest"], 0,
+     "largest convex position subset: 7 lines [0, 1, 2, 8, 9, 11, 12]\n"),
+    # the largest subset (4) stays below the cup+cap bound (8), so both
+    # searches walk to the end
+    ("fig8", ["--largest"], 0, "largest convex position subset: 4 lines [0, 1, 2, 8]\n"),
+    ("fig8", ["--n", "5"], 0, "no 5 lines in convex position\n"),
 )
 
 
-@pytest.mark.parametrize("argv, code, out", F434_SEARCHES)
-def test_search_prune_values_agree(tmp_path, capsys, argv, code, out):
-    fam_path = tmp_path / "f434.txt"
-    fam_path.write_text(serialize_family(construct_F(4, 3, 4)))
+@pytest.mark.parametrize(
+    "family, argv, code, out", SEARCHES,
+    ids=["F434-n7", "F434-n8", "F434-largest", "fig8-largest", "fig8-n5"],
+)
+def test_search_prints_the_first_witness(tmp_path, capsys, family, argv, code, out):
+    if family == "F434":
+        fam_path = tmp_path / "f434.txt"
+        fam_path.write_text(serialize_family(construct_F(4, 3, 4)))
+    else:
+        fam_path = FIG8_FILE
     assert run(capsys, "search", str(fam_path), *argv) == (code, out, "")
 
 

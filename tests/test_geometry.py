@@ -25,7 +25,7 @@ def test_parse_rat_literals():
     assert parse_rat("0") == 0
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1/0", "1 /2", "", "a", "1/-2", "--3", "1e3"])
+@pytest.mark.parametrize("bad", ["1.5", "1/0", "1/00", "1 /2", "", "a", "1/-2", "--3", "1e3"])
 def test_parse_rat_rejects(bad):
     with pytest.raises(ValueError):
         parse_rat(bad)

@@ -31,7 +31,7 @@ from linecells import (
     max_concurrency,
     parse_family,
 )
-from linecells import verify
+from linecells import arrangement
 from linecells.chains import _staircases
 from linecells.svg import _auto_viewport
 
@@ -244,7 +244,7 @@ def test_find_n_convex_stops_at_the_cup_cap_bound(monkeypatch):
         raise AssertionError("searched past the cup+cap bound")
 
     fam = construct_F(4, 3, 4)
-    monkeypatch.setattr(verify, "extend_on_keys", fold)
+    monkeypatch.setattr(arrangement, "extend_on_keys", fold)
     assert longest_cup(fam).size + longest_cap(fam).size == 7
     assert find_n_convex(fam, 8) is None
 
