@@ -162,14 +162,10 @@ def find_unbounded_cell(family: LineFamily, k: int, side: str) -> Optional[Cell]
 def _far_witness(family: LineFamily, r: int, side: str) -> Point:
     # Beyond the last vertex the envelope order is slope order, so between
     # the two rail lines at a far enough abscissa we are inside the cell.
-    # The lines through the outermost vertex are adjacent in that order,
-    # so the outermost vertex is a crossing of two slope-neighbours.
     view = family.view
-    rows = view.crossings
     pick = max if side == "right" else min
-    i = pick(range(len(family) - 1), key=lambda i: rows[i][i + 1])
-    (mi, ci), (mj, cj) = view.pairs[i], view.pairs[i + 1]
-    x = pick(Fraction(0), Fraction(cj - ci, mi - mj))
+    outermost = pick(view.rim, key=lambda pair: view.vertex_key(*pair)[0])
+    x = pick(Fraction(0), view.vertex(*outermost).x)
     if side == "right":
         x += 1
         lower, upper = family[r - 1], family[r]

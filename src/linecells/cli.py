@@ -47,15 +47,10 @@ def _cmd_generate(args) -> int:
         value = getattr(args, name)
         if value is not None:
             params[name] = value
-    spec = ConstructionSpec(kind=args.kind, **params)
-    scale = parse_rat(args.epsilon_scale)
-    family = spec.build(epsilon_scale=scale)
-    if scale != 1:
-        extra = (("epsilon_scale", str(scale)),)
-        family = family.with_meta(
-            name=family.name, provenance=(family.provenance or ()) + extra
-        )
-    _write_text(args.output, serialize_family(family))
+    spec = ConstructionSpec(
+        kind=args.kind, epsilon_scale=parse_rat(args.epsilon_scale), **params
+    )
+    _write_text(args.output, serialize_family(spec.build()))
     return 0
 
 

@@ -32,7 +32,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from .arrangement import max_concurrency
 from .chains import has_k_cell_unbounded, longest_cap, longest_cup
 from .errors import ConstructionError, ParameterRangeError
-from .geometry import Line, LineFamily, Point, Rat, _as_rat
+from .geometry import Line, LineFamily, Point, Rat, _as_rat, format_rat, parse_rat
 from .verify import find_n_convex, lower_bound_value
 
 KINDS = (
@@ -283,9 +283,9 @@ def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
 
 def _lift(family: LineFamily) -> LineFamily:
     """Translate family up by a whole number so every vertex sits at
-    height 1 or more, reading the lowest height off the integer keys."""
-    view, n = family.view, len(family)
-    low = min((view.vertex_key(i, j)[1] for i in range(n) for j in range(i + 1, n)), default=0)
+    height 1 or more, reading the lowest height off the rim's keys."""
+    view = family.view
+    low = min((view.vertex_key(i, j)[1] for i, j in view.rim), default=0)
     lift = 1 - low // (view.scale << view.shift)
     return LineFamily(tuple(Line(line.m, line.c + lift) for line in family))
 
@@ -469,7 +469,8 @@ def figure10_family(l: int, epsilon_scale=1) -> LineFamily:
 
 @dataclass(frozen=True)
 class ConstructionSpec:
-    """Serializable recipe naming a generator and its parameters."""
+    """Serializable recipe naming a generator, its parameters and the
+    slope spread scale it passes on (ignored by pencil)."""
 
     kind: str
     p: Optional[int] = None
@@ -477,8 +478,10 @@ class ConstructionSpec:
     l: Optional[int] = None
     k: Optional[int] = None
     n: Optional[int] = None
+    epsilon_scale: Rat = Fraction(1)
 
     def __post_init__(self):
+        object.__setattr__(self, "epsilon_scale", _as_rat(self.epsilon_scale))
         if self.kind not in KINDS:
             raise ParameterRangeError(f"unknown construction kind: {self.kind!r}")
         for name in _REQUIRED[self.kind]:
@@ -509,6 +512,8 @@ class ConstructionSpec:
             value = getattr(self, name)
             if value is not None:
                 pairs.append((name, str(value)))
+        if self.epsilon_scale != 1:
+            pairs.append(("epsilon_scale", format_rat(self.epsilon_scale)))
         return tuple(pairs)
 
     @classmethod
@@ -520,29 +525,38 @@ class ConstructionSpec:
                 kind = value
             elif key in ("p", "q", "l", "k", "n"):
                 params[key] = int(value)
+            elif key == "epsilon_scale":
+                params[key] = parse_rat(value)
         if kind is None:
             return None
         return cls(kind=kind, **params)
 
-    def build(self, epsilon_scale=1) -> LineFamily:
+    def build(self) -> LineFamily:
+        """Run the generator. A scale other than 1 is appended to the
+        family's provenance, so from_provenance rebuilds the same call."""
+        scale = self.epsilon_scale
         if self.kind == "pencil":
             fam = pencil(
                 Point(Fraction(0), Fraction(-1)),
                 self.n,
                 tuple(Fraction(i) for i in range(1, self.n + 1)),
             )
-            return fam
-        if self.kind == "base_pq2":
-            return construct_base(self.p, self.l, epsilon_scale)
-        if self.kind == "base_2q":
-            return construct_base_caps(self.q, self.l, epsilon_scale)
-        if self.kind == "recursive_pq":
-            return construct_F(self.p, self.q, self.l, epsilon_scale)
-        if self.kind in ("prop32_even", "prop32_odd"):
-            return construct_prop32(self.l, self.k, self.kind.split("_")[1], epsilon_scale)
-        if self.kind in ("thm12_even", "thm12_odd"):
-            return construct_thm12(self.l, self.n, epsilon_scale)
-        return figure10_family(self.l, epsilon_scale)
+        elif self.kind == "base_pq2":
+            fam = construct_base(self.p, self.l, scale)
+        elif self.kind == "base_2q":
+            fam = construct_base_caps(self.q, self.l, scale)
+        elif self.kind == "recursive_pq":
+            fam = construct_F(self.p, self.q, self.l, scale)
+        elif self.kind in ("prop32_even", "prop32_odd"):
+            fam = construct_prop32(self.l, self.k, self.kind.split("_")[1], scale)
+        elif self.kind in ("thm12_even", "thm12_odd"):
+            fam = construct_thm12(self.l, self.n, scale)
+        else:
+            fam = figure10_family(self.l, scale)
+        if scale != 1:
+            extra = (("epsilon_scale", format_rat(scale)),)
+            fam = fam.with_meta(name=fam.name, provenance=fam.provenance + extra)
+        return fam
 
 
 _REQUIRED = {

@@ -12,13 +12,10 @@ Sign conventions used throughout the package:
 * ``side_of(line, p)`` is the sign of ``p.y - (m*p.x + c)``: +1 strictly
   above the line, -1 strictly below, 0 on it. Equivalently it is
   ``orientation((0, c), (1, m + c), p)``.
-* The duality ``D`` maps the line y = m*x + c to the point (m, c) and the
-  point (a, b) to the line y = a*x + b. It preserves incidence, and above /
-  below flips: p above L iff D(L) above D(p).
 
-The kernels that scan all pairs of lines work on ``LineFamily.view``, an
-integer form of the family built once per family and cached on it (see
-IntegerView).
+The predicates work on ``LineFamily.view``, an integer form of the family
+cached on it (see IntegerView); the extreme vertices are read off the n
+crossings of ``IntegerView.rim``, without the n^2 crossing table.
 """
 
 from __future__ import annotations
@@ -100,16 +97,6 @@ def intersect(a: Line, b: Line) -> Point:
     return Point(x, a.y_at(x))
 
 
-def dual_line(line: Line) -> Point:
-    """D maps y = m*x + c to the point (m, c)."""
-    return Point(line.m, line.c)
-
-
-def dual_point(p: Point) -> Line:
-    """D maps the point (a, b) to the line y = a*x + b."""
-    return Line(p.x, p.y)
-
-
 def orientation(a: Point, b: Point, c: Point) -> int:
     """Sign of the signed area of the triangle a, b, c (CCW positive)."""
     d = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
@@ -160,10 +147,6 @@ class LineFamily:
     def slopes(self) -> Tuple[Rat, ...]:
         return tuple(line.m for line in self.lines)
 
-    def duals(self) -> Tuple[Point, ...]:
-        """Dual points in slope order, i.e. sorted by x."""
-        return tuple(dual_line(line) for line in self.lines)
-
     def with_meta(self, name=None, provenance=None) -> "LineFamily":
         """Same lines, new metadata."""
         return LineFamily(self.lines, name=name, provenance=provenance)
@@ -191,7 +174,8 @@ class IntegerView:
     exact integer key for comparing and grouping crossings.
 
     The derived tables are computed on first use and live as long as the
-    family does.
+    family does. Only kernels that read every crossing build the n^2
+    crossing table; the extreme vertices come from the n pairs of ``rim``.
     """
 
     def __init__(self, lines: Tuple[Line, ...]):
@@ -233,18 +217,38 @@ class IntegerView:
         return Point(Fraction(cj - ci, den), Fraction(mi * cj - mj * ci, den * self.scale))
 
     def vertex_key(self, i: int, j: int) -> Tuple[int, int]:
-        """Integer key that orders crossings as their Points order.
+        """Integer key that orders crossings as their Points order: the
+        key of X_ij (crossings[i][j]) and the key of the crossing's height.
 
         The crossing's height times scale has the same denominator mi - mj
         as X_ij, so its floor key is exact in the same way.
         """
         (mi, ci), (mj, cj) = self.pairs[i], self.pairs[j]
-        return self.crossings[i][j], ((mi * cj - mj * ci) << self.shift) // (mi - mj)
+        den = mi - mj
+        return ((cj - ci) << self.shift) // den, ((mi * cj - mj * ci) << self.shift) // den
+
+    @cached_property
+    def rim(self) -> Tuple[Tuple[int, int], ...]:
+        """Slope neighbours (i, i + 1) and, once n > 2, the wrap pair
+        (0, n - 1): every vertex extreme in some direction is a crossing of
+        one of these n pairs (Atallah, J. Algorithms 1986).
+
+        Beyond its last vertex in any direction, the lines run in cyclic
+        slope order. A line whose slope lies between those of two lines
+        meeting at an extreme vertex must pass through that vertex, or it
+        would cross one of them beyond it. The wrap pair is needed: the
+        lowest vertex of y = -2x, y = -x + 5, y = x + 5 and y = 2x is
+        (0, 0), where only lines 0 and 3 cross.
+        """
+        n = len(self.pairs)
+        wrap = ((0, n - 1),) if n > 2 else ()
+        return tuple((i, i + 1) for i in range(n - 1)) + wrap
 
     @cached_property
     def key_sentinel(self) -> int:
-        """max |key| + 1, an integer past every crossing key."""
-        return max(abs(key) for row in self.crossings for key in row) + 1
+        """max |key| + 1, an integer past every crossing key; the keys
+        keep the abscissa order, so the largest |key| is at a rim pair."""
+        return max((abs(self.vertex_key(i, j)[0]) for i, j in self.rim), default=0) + 1
 
     def abscissa_bound(self) -> Rat:
         """A bound on |x| over every crossing, read off the crossing keys.

@@ -44,14 +44,13 @@ def _auto_viewport(family: LineFamily) -> Tuple[Rat, Rat, Rat, Rat]:
         # the integer keys order crossings exactly as their coordinates do,
         # so only the four extreme vertices are built as Points
         view = family.view
-        n = len(family)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        xs = {view.crossings[i][j]: (i, j) for i, j in pairs}
-        ys = {view.vertex_key(i, j)[1]: (i, j) for i, j in pairs}
-        x0 = view.vertex(*xs[min(xs)]).x
-        x1 = view.vertex(*xs[max(xs)]).x
-        y0 = view.vertex(*ys[min(ys)]).y
-        y1 = view.vertex(*ys[max(ys)]).y
+        keys = {pair: view.vertex_key(*pair) for pair in view.rim}
+
+        def extreme(pick, axis):
+            return view.vertex(*pick(keys, key=lambda pair: keys[pair][axis]))
+
+        x0, x1 = extreme(min, 0).x, extreme(max, 0).x
+        y0, y1 = extreme(min, 1).y, extreme(max, 1).y
     else:
         line = family[0]
         x0, x1 = Fraction(-1), Fraction(1)
@@ -81,27 +80,24 @@ def _visible_span(line: Line, box) -> Optional[Tuple[Rat, Rat]]:
 
 
 def _clip_cell(family: LineFamily, signs: SignVector, box):
-    """Viewport rectangle cut down to the cell, as a rational polygon."""
+    """Viewport rectangle cut down to the cell, as a rational polygon.
+
+    Only the cell's bounding lines cut it: the closed side of any other
+    line holds the whole cell. Raises InfeasibleSignVectorError for a sign
+    vector with no cell at all.
+    """
     x0, y0, x1, y1 = box
     poly = [Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)]
-    for line, sign in zip(family, signs):
-        if not poly:
-            return []
-        def value(p: Point) -> Rat:
-            return p.y - (line.m * p.x + line.c)
-
+    for i in sorted(bounding_lines(family, signs)):
+        m, c, sign = family[i].m, family[i].c, signs[i]
         clipped = []
-        for idx in range(len(poly)):
-            cur = poly[idx]
-            nxt = poly[(idx + 1) % len(poly)]
-            vc = value(cur) * sign
-            vn = value(nxt) * sign
-            if vn >= 0:
-                if vc < 0:
-                    clipped.append(_edge_cross(cur, nxt, vc, vn))
-                clipped.append(nxt)
-            elif vc >= 0:
+        for cur, nxt in zip(poly, poly[1:] + poly[:1]):
+            vc = sign * (cur.y - m * cur.x - c)
+            vn = sign * (nxt.y - m * nxt.x - c)
+            if (vc < 0) != (vn < 0):
                 clipped.append(_edge_cross(cur, nxt, vc, vn))
+            if vn >= 0:
+                clipped.append(nxt)
         poly = clipped
     return poly
 
@@ -163,8 +159,6 @@ def render_svg(family: LineFamily, options: Optional[RenderOptions] = None) -> s
     parts.append(f'<rect width="{width}" height="{_fmt(height)}" fill="#ffffff"/>')
 
     if options.highlight is not None:
-        # raises InfeasibleSignVectorError for vectors with no cell at all
-        bounding_lines(family, options.highlight)
         poly = _clip_cell(family, options.highlight, box)
         if len(poly) >= 3 and _area2(poly) != 0:
             coords = " ".join(",".join(to_svg(p)) for p in poly)

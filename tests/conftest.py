@@ -10,7 +10,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from linecells import Line, LineFamily, dual_line, max_concurrency, orientation, side_of
+from linecells import Line, LineFamily, Point, max_concurrency, orientation, side_of
 
 from oracles import is_cap, is_cup
 
@@ -66,7 +66,7 @@ def brute_longest_cap(family):
 
 def max_collinear_duals(family):
     """Largest number of collinear dual points, the concurrency oracle."""
-    pts = [dual_line(line) for line in family]
+    pts = [Point(line.m, line.c) for line in family]
     if len(pts) <= 2:
         return len(pts)
     best = 2

@@ -298,3 +298,24 @@ def largest_convex_subset(family):
         if witness is not None:
             return n, witness
     return 1, (0,)
+
+
+def clip_cell(family, signs, box):
+    """The box (x0, y0, x1, y1) cut down to the cell named by signs: the
+    rectangle clipped in Fractions by the closed side of every line, one
+    line after another."""
+    x0, y0, x1, y1 = box
+    poly = [Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)]
+    for line, sign in zip(family, signs):
+        values = [sign * (p.y - line.y_at(p.x)) for p in poly]
+        clipped = []
+        for idx in range(len(poly)):
+            cur, nxt = poly[idx], poly[(idx + 1) % len(poly)]
+            vc, vn = values[idx], values[(idx + 1) % len(poly)]
+            if (vc < 0) != (vn < 0):
+                t = vc / (vc - vn)
+                clipped.append(Point(cur.x + t * (nxt.x - cur.x), cur.y + t * (nxt.y - cur.y)))
+            if vn >= 0:
+                clipped.append(nxt)
+        poly = clipped
+    return poly

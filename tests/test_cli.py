@@ -2,7 +2,15 @@ from pathlib import Path
 
 import pytest
 
-from linecells import Point, cli_main, construct_F, parse_family, pencil, serialize_family
+from linecells import (
+    ConstructionSpec,
+    Point,
+    cli_main,
+    construct_F,
+    parse_family,
+    pencil,
+    serialize_family,
+)
 from linecells import constructions
 
 
@@ -36,7 +44,9 @@ def test_generate_epsilon_scale_tag(capsys):
         "--epsilon-scale", "1/3",
     )
     assert code == 0
-    assert dict(parse_family(out).provenance)["epsilon_scale"] == "1/3"
+    fam = parse_family(out)
+    assert dict(fam.provenance)["epsilon_scale"] == "1/3"
+    assert ConstructionSpec.from_provenance(fam.provenance).build().lines == fam.lines
 
 
 def test_generate_missing_param_exits_2(capsys):

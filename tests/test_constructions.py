@@ -271,10 +271,17 @@ def test_figure10_contract_at_every_scale(l, scale):
 
 
 def test_construction_spec_round_trip():
-    spec = ConstructionSpec(kind="recursive_pq", p=3, q=4, l=5)
-    pairs = spec.provenance()
-    assert ("kind", "recursive_pq") in pairs
-    assert ConstructionSpec.from_provenance(pairs) == spec
+    for spec in (
+        ConstructionSpec(kind="recursive_pq", p=3, q=4, l=5),
+        ConstructionSpec(kind="recursive_pq", p=3, q=3, l=4, epsilon_scale=Fraction(1, 3)),
+    ):
+        pairs = spec.provenance()
+        assert ("kind", "recursive_pq") in pairs
+        assert ConstructionSpec.from_provenance(pairs) == spec
+        # the family's header rebuilds the same family
+        fam = spec.build()
+        rebuilt = ConstructionSpec.from_provenance(fam.provenance).build()
+        assert (rebuilt.lines, rebuilt.provenance) == (fam.lines, fam.provenance)
     assert ConstructionSpec.from_provenance((("note", "x"),)) is None
 
 

@@ -8,8 +8,6 @@ from linecells import (
     LineFamily,
     ParallelLinesError,
     Point,
-    dual_line,
-    dual_point,
     format_rat,
     intersect,
     orientation,
@@ -57,23 +55,6 @@ def test_intersect_fixture():
 def test_intersect_parallel_raises():
     with pytest.raises(ParallelLinesError):
         intersect(Line(1, 0), Line(1, 5))
-
-
-def test_duality_round_trip():
-    line = Line(Fraction(2, 3), Fraction(-7, 5))
-    assert dual_point(dual_line(line)) == line
-    p = Point(Fraction(1, 4), Fraction(9))
-    assert dual_line(dual_point(p)) == p
-
-
-def test_duality_incidence_preserved():
-    # p on l iff the dual of l is on the dual of p... up to the usual sign:
-    # y = mx + c through (a, b) iff b = ma + c iff (m, c) satisfies c = -am + b
-    line = Line(Fraction(3, 2), -1)
-    p = Point(2, line.y_at(2))
-    image = dual_line(line)
-    assert p.y == line.m * p.x + line.c
-    assert image.y == -p.x * image.x + p.y
 
 
 def test_orientation_signs():

@@ -18,6 +18,7 @@ from linecells import (
     classify_cell,
     cli_main,
     concurrency_profile,
+    contract,
     construct_F,
     construct_thm12,
     convex_position_cell,
@@ -30,15 +31,21 @@ from linecells import (
     longest_cup,
     max_concurrency,
     parse_family,
+    render_svg,
 )
 from linecells import arrangement
 from linecells.chains import _staircases
+from linecells.constructions import _lift
 from linecells.svg import _auto_viewport
 
 import oracles
 from conftest import signs_at
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+FAMILIES = Path(__file__).resolve().parents[1] / "bench" / "families"
+F434_FILE = FAMILIES / "F434.txt"
+F544_FILE = FAMILIES / "F544.txt"
 
 KERNELS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -207,6 +214,39 @@ def test_abscissa_bound_is_tight(fam):
     assert view.abscissa_bound() - Fraction(2, 1 << view.shift) < top <= view.abscissa_bound()
 
 
+@KERNELS
+@given(pencil_families())
+def test_rim_crossings_are_the_extreme_vertices(fam):
+    view = fam.view
+    assert view.key_sentinel == max(abs(key) for row in view.crossings for key in row) + 1
+    points = [point for point, _ in oracles.vertex_items(fam)]
+    for axis, coord in enumerate(("x", "y")):
+        for pick in (min, max):
+            pair = pick(view.rim, key=lambda pair: view.vertex_key(*pair)[axis])
+            want = pick(getattr(point, coord) for point in points)
+            assert getattr(view.vertex(*pair), coord) == want, (coord, pick)
+    low = min(point.y for point, _ in oracles.vertex_items(_lift(fam)))
+    assert 1 <= low < 2
+
+
+def test_viewport_reaches_the_wrap_pair_vertex():
+    # the lowest vertex, (0, 0), is the crossing of lines 0 and 3 only
+    fam = LineFamily((Line(-2, 0), Line(-1, 5), Line(1, 5), Line(2, 0)))
+    assert _auto_viewport(fam) == (-6, -1, 6, 11)
+    assert _auto_viewport(fam) == oracles.viewport(fam)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [render_svg, lambda fam: contract(fam, Line(1, 2), Fraction(1, 4)), _lift],
+    ids=["render_svg", "contract", "lift"],
+)
+def test_extreme_vertices_leave_the_crossing_table_unbuilt(use):
+    fam = parse_family(F434_FILE.read_text())
+    use(fam)
+    assert "crossings" not in vars(fam.view)
+
+
 def test_single_line_kernels():
     fam = LineFamily((Line(2, 3),))
     check_staircases(fam)
@@ -247,9 +287,6 @@ def test_find_n_convex_stops_at_the_cup_cap_bound(monkeypatch):
     monkeypatch.setattr(arrangement, "extend_on_keys", fold)
     assert longest_cup(fam).size + longest_cap(fam).size == 7
     assert find_n_convex(fam, 8) is None
-
-
-F544_FILE = Path(__file__).resolve().parents[1] / "bench" / "families" / "F544.txt"
 
 
 def test_largest_convex_subset_of_F544_reaches_the_bound(capsys):

@@ -10,8 +10,6 @@ from linecells import (
     LineFamily,
     Point,
     contract,
-    dual_line,
-    dual_point,
     enumerate_cells,
     has_k_cell_unbounded,
     is_convex_position,
@@ -66,13 +64,6 @@ def test_side_of_is_shear_invariant(fam, shear, px, py):
         assert side_of(line, Point(px, py)) == side_of(
             moved, Point(px, py + shear * px)
         )
-
-
-@LOOSE
-@given(families(max_lines=4))
-def test_duality_round_trips(fam):
-    for line in fam:
-        assert dual_point(dual_line(line)) == line
 
 
 @LOOSE

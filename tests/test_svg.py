@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +10,15 @@ from linecells import (
     LineFamily,
     ParameterRangeError,
     RenderOptions,
+    enumerate_cells,
+    parse_family,
     render_svg,
 )
+from linecells.svg import _area2, _auto_viewport, _clip_cell
+
+import oracles
+
+FAMILIES = Path(__file__).resolve().parents[1] / "bench" / "families"
 
 TRIANGLE = LineFamily((Line(1, 0), Line(-1, 0), Line(0, 1)))
 
@@ -74,3 +82,26 @@ def test_render_width_knob():
     assert '<svg xmlns="http://www.w3.org/2000/svg" width="320"' in svg
     with pytest.raises(ParameterRangeError):
         render_svg(TRIANGLE, RenderOptions(width=0))
+
+
+def cycle(poly):
+    """The polygon's vertex cycle without consecutive repeats, started at
+    its least vertex."""
+    kept = [p for idx, p in enumerate(poly) if p != poly[idx - 1]]
+    start = kept.index(min(kept))
+    return kept[start:] + kept[:start]
+
+
+@pytest.mark.parametrize("name", ["F334", "F434"])
+def test_clip_cell_matches_clipping_by_every_line(name):
+    fam = parse_family((FAMILIES / f"{name}.txt").read_text())
+    box = _auto_viewport(fam)
+    x0, y0, x1, y1 = box
+    for cell in enumerate_cells(fam):
+        poly = _clip_cell(fam, cell.signs, box)
+        assert _area2(poly) != 0, cell.signs
+        for p in poly:
+            assert x0 <= p.x <= x1 and y0 <= p.y <= y1
+            for line, sign in zip(fam, cell.signs):
+                assert sign * (p.y - line.y_at(p.x)) >= 0, cell.signs
+        assert cycle(poly) == cycle(oracles.clip_cell(fam, cell.signs, box)), cell.signs
