@@ -13,7 +13,10 @@ Longest chain: a chain of dual points in x-order is a strict cup exactly
 when its edge slopes strictly decrease, and a strict cap when they
 strictly increase. Taking the n(n-1)/2 dual edges in that slope order,
 equal slopes as one batch, and keeping the best chain ending at each
-point finds the longest one in O(n^2 log n).
+point finds the longest one in O(n^2 log n). The edges are sorted once
+per family (IntegerView.edge_order) and shared: the cup DP walks that
+order forwards and the cap DP backwards, so a repeated call costs only
+its O(n^2) walk.
 
 Unbounded cells admit a closed sign-vector form. In slope order, a cell
 unbounded to the right must lie above a prefix of the lines and below the
@@ -31,7 +34,8 @@ same scan on the negated keys.
 Both searches read the family's cached integer view (LineFamily.view),
 whose exact crossing keys order the crossing abscissae X_ij. X_ij is also
 minus the slope of the dual edge between points i and j, so one table
-serves both. The cubic pair DP and the per-staircase interval loop they
+serves both. The cubic pair DP, the chain DP that sorted (key, i, j)
+tuples on every call and the per-staircase interval loop that they
 replaced are kept in tests/oracles.py as references.
 """
 
@@ -39,8 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby
-from operator import itemgetter
+from itertools import accumulate
 from typing import List, Literal, Optional, Tuple
 
 from .arrangement import Cell, bounding_lines
@@ -70,29 +73,52 @@ def is_cap(family: LineFamily) -> bool:
 def _longest_chain(family: LineFamily, kind: ChainKind) -> ChainResult:
     """Longest subfamily whose dual points turn strictly one way: right
     (concave) for cups, left (convex) for caps."""
-    rows = family.view.crossings
-    n = len(rows)
+    view = family.view
+    n = len(view.pairs)
     if n == 1:
         return ChainResult(1, (0,), kind)
+    keys, order = view.edge_order
     # ascending crossing key is descending dual slope: the cup order
-    edges = sorted((rows[i][j], i, j) for i in range(n) for j in range(i + 1, n))
-    if kind == "cap":
-        edges.reverse()
-    # best[i] is (size, chain) for the longest chain ending at point i, the
+    edges = order if kind == "cup" else reversed(order)
+    # size[i] and chain[i] describe the longest chain ending at point i, the
     # chain as nested (index, rest) pairs so that later updates share it
-    best = [(1, (i, None)) for i in range(n)]
-    for _, batch in groupby(edges, itemgetter(0)):
-        # edges of equal slope extend only chains from before the batch
-        grown = [(j, best[i]) for _, i, j in batch]
-        for j, (size, chain) in grown:
-            if size >= best[j][0]:
-                best[j] = (size + 1, (j, chain))
-    size, chain = max(best, key=itemgetter(0))
+    size = [1] * n
+    chain = [(i, None) for i in range(n)]
+
+    def settle(grown):
+        for j, s, c in grown:
+            if s >= size[j]:
+                size[j] = s + 1
+                chain[j] = (j, c)
+
+    # Edges of equal slope extend only chains from before their batch, so
+    # the batch's first edge waits in (hj, hs, hc) and the rest in tied
+    # until the key changes. Ties are rare; the first edge is settled inline.
+    hj, hs, hc = 0, 0, None
+    tied = []
+    last = None
+    for e in edges:
+        key = keys[e]
+        i, j = divmod(e, n)
+        if key == last:
+            tied.append((j, size[i], chain[i]))
+            continue
+        last = key
+        if hs >= size[hj]:
+            size[hj] = hs + 1
+            chain[hj] = (hj, hc)
+        if tied:
+            settle(tied)
+            tied = []
+        hj, hs, hc = j, size[i], chain[i]
+    settle([(hj, hs, hc)] + tied)
+    top = max(size)
+    link = chain[size.index(top)]
     witness = []
-    while chain is not None:
-        witness.append(chain[0])
-        chain = chain[1]
-    return ChainResult(size, tuple(reversed(witness)), kind)
+    while link is not None:
+        witness.append(link[0])
+        link = link[1]
+    return ChainResult(top, tuple(reversed(witness)), kind)
 
 
 def longest_cup(family: LineFamily) -> ChainResult:

@@ -481,7 +481,9 @@ class ConstructionSpec:
     epsilon_scale: Rat = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon_scale", _as_rat(self.epsilon_scale))
+        object.__setattr__(
+            self, "epsilon_scale", _positive_rat(self.epsilon_scale, "epsilon_scale")
+        )
         if self.kind not in KINDS:
             raise ParameterRangeError(f"unknown construction kind: {self.kind!r}")
         for name in _REQUIRED[self.kind]:

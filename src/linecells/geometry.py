@@ -174,8 +174,13 @@ class IntegerView:
     exact integer key for comparing and grouping crossings.
 
     The derived tables are computed on first use and live as long as the
-    family does. Only kernels that read every crossing build the n^2
-    crossing table; the extreme vertices come from the n pairs of ``rim``.
+    family does:
+    - ``crossings``, the n^2 key table, built only by kernels that read
+      every crossing;
+    - ``edge_order``, the n(n-1)/2 edges sorted once by key, shared by the
+      cup and the cap DP;
+    - ``rim``, the n pairs whose crossings hold the extreme vertices, and
+      ``key_sentinel``, read off them, so that neither needs the n^2 table.
     """
 
     def __init__(self, lines: Tuple[Line, ...]):
@@ -209,6 +214,20 @@ class IntegerView:
                 row[j] = key
                 rows[j][i] = key
         return rows
+
+    @cached_property
+    def edge_order(self) -> Tuple[List[int], List[int]]:
+        """(keys, order): keys[i*n + j] is crossings[i][j], row-major, and
+        order lists the edges i < j as e = i*n + j by ascending key.
+
+        The sort is stable, so edges of equal key keep their (i, j) order.
+        Both chain DPs walk this one order, the cap DP backwards.
+        """
+        rows = self.crossings
+        n = len(rows)
+        keys = [key for row in rows for key in row]
+        edges = (e for i in range(n) for e in range(i * n + i + 1, i * n + n))
+        return keys, sorted(edges, key=keys.__getitem__)
 
     def vertex(self, i: int, j: int) -> Point:
         """The crossing of lines i and j as a Point."""

@@ -6,13 +6,27 @@ integer view's crossing keys, so the fast kernels can be checked against
 them. bounding_lines, classify_cell, is_cup and is_cap here are the
 references for the crossing-key versions in linecells, and every oracle
 below that needs a cell's bounding set or class takes it from them.
+
+tuple_sort_chain is the one exception: it is the chain DP that sorted
+(key, i, j) tuples once per call, on the view's crossing keys, kept as the
+reference for the exact witness, tie order included, of the DP that walks
+the view's cached edge order.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import lcm
+from operator import itemgetter
 
-from linecells import Cell, InfeasibleSignVectorError, LineFamily, Point, intersect, side_of
+from linecells import (
+    Cell,
+    ChainResult,
+    InfeasibleSignVectorError,
+    LineFamily,
+    Point,
+    intersect,
+    side_of,
+)
 
 
 def scaled_pairs(family):
@@ -166,6 +180,34 @@ def longest_chain(family, turn):
         chain.append(i)
     chain.reverse()
     return best, tuple(chain)
+
+
+def tuple_sort_chain(family, kind):
+    """Longest subfamily whose dual points turn strictly one way: right
+    (concave) for cups, left (convex) for caps."""
+    rows = family.view.crossings
+    n = len(rows)
+    if n == 1:
+        return ChainResult(1, (0,), kind)
+    # ascending crossing key is descending dual slope: the cup order
+    edges = sorted((rows[i][j], i, j) for i in range(n) for j in range(i + 1, n))
+    if kind == "cap":
+        edges.reverse()
+    # best[i] is (size, chain) for the longest chain ending at point i, the
+    # chain as nested (index, rest) pairs so that later updates share it
+    best = [(1, (i, None)) for i in range(n)]
+    for _, batch in groupby(edges, itemgetter(0)):
+        # edges of equal slope extend only chains from before the batch
+        grown = [(j, best[i]) for _, i, j in batch]
+        for j, (size, chain) in grown:
+            if size >= best[j][0]:
+                best[j] = (size + 1, (j, chain))
+    size, chain = max(best, key=itemgetter(0))
+    witness = []
+    while chain is not None:
+        witness.append(chain[0])
+        chain = chain[1]
+    return ChainResult(size, tuple(reversed(witness)), kind)
 
 
 def is_strict_chain(family, witness, turn):

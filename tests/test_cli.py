@@ -163,6 +163,17 @@ def test_generate_zero_denominator_epsilon_scale_exits_2(capsys):
     assert "zero denominator" in err
 
 
+@pytest.mark.parametrize("scale", ["-1", "0"])
+def test_generate_pencil_non_positive_epsilon_scale_exits_2(capsys, scale):
+    # pencil ignores the scale, but the spec checks it for every kind
+    code, out, err = run(
+        capsys, "generate", "--kind", "pencil", "--n", "3", "--epsilon-scale", scale
+    )
+    assert code == 2
+    assert out == ""
+    assert "epsilon_scale must be positive" in err
+
+
 def test_verify_missing_file_exits_2(tmp_path, capsys):
     code, _, _ = run(
         capsys, "verify", str(tmp_path / "nope.txt"), "--l", "3", "--p", "2", "--q", "2"

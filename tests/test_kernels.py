@@ -37,6 +37,7 @@ from linecells import arrangement
 from linecells.chains import _staircases
 from linecells.constructions import _lift
 from linecells.svg import _auto_viewport
+from linecells.verify import convex_bound
 
 import oracles
 from conftest import signs_at
@@ -190,6 +191,32 @@ def test_chain_dp_matches_cubic_dp(fam):
 
 @KERNELS
 @given(pencil_families())
+def test_chain_dp_matches_tuple_sort_on_pencils(fam):
+    # dual points of lines through one apex are collinear, so their edges
+    # tie on key and the DP meets batches of more than one edge
+    assert longest_cup(fam) == oracles.tuple_sort_chain(fam, "cup")
+    assert longest_cap(fam) == oracles.tuple_sort_chain(fam, "cap")
+
+
+@pytest.mark.parametrize("path", sorted(FAMILIES.glob("*.txt")), ids=lambda path: path.stem)
+def test_chain_dp_matches_tuple_sort_on_bench_families(path):
+    fam = parse_family(path.read_text())
+    assert longest_cup(fam) == oracles.tuple_sort_chain(fam, "cup")
+    assert longest_cap(fam) == oracles.tuple_sort_chain(fam, "cap")
+
+
+def test_edge_order_is_sorted_once_per_family():
+    fam = parse_family(F434_FILE.read_text())
+    longest_cup(fam)
+    order = fam.view.edge_order
+    longest_cap(fam)
+    convex_bound(fam)
+    assert find_n_convex(fam, 8) is None
+    assert fam.view.edge_order is order
+
+
+@KERNELS
+@given(pencil_families())
 def test_concurrency_table_matches_point_grouping(fam):
     check_concurrency(fam)
 
@@ -245,6 +272,17 @@ def test_extreme_vertices_leave_the_crossing_table_unbuilt(use):
     fam = parse_family(F434_FILE.read_text())
     use(fam)
     assert "crossings" not in vars(fam.view)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [max_concurrency, lambda fam: has_k_cell_unbounded(fam, 4, "right"), render_svg],
+    ids=["max_concurrency", "has_k_cell_unbounded", "render_svg"],
+)
+def test_kernels_off_the_chain_dp_leave_the_edge_order_unbuilt(use):
+    fam = parse_family(F434_FILE.read_text())
+    use(fam)
+    assert "edge_order" not in vars(fam.view)
 
 
 def test_single_line_kernels():
