@@ -22,25 +22,31 @@ compare. bounding_lines and classify_cell take each line's ends from
 _key_interval; the convex-position fold (extend_on_keys) carries them
 line by line, so adding a line costs O(k) compares. One walk over subsets
 (_convex_walk) runs the fold for convex_position_cell and the searches in
-verify, which differ only in its stop rules need and goal. The concurrency
-table groups the same keys line by line, so Point objects are built only
-for the vertices a caller asks for. Cell enumeration groups the same keys
-into vertices and reads every cell off the sectors around them in
-integers: sign vectors from one integer expression per vertex and line,
-bounding sets and classes from the lines that form each sector and which
-of their pieces are rays. It builds one Fraction witness per cell and
+verify, which differ only in its stop rules need and goal. The vertices
+come off the family's sorted edge order (IntegerView.edge_order, shared
+with the chain DPs): an edge alone at its key is a two-line vertex, and a
+run of equal keys splits into the vertices on it. The concurrency report
+and profile look only at those runs, and build a Point only for the first
+vertex at the maximum until a caller reads them all. Cell enumeration
+reads every cell off the sectors around the vertices in integers: sign
+vectors from one integer expression per vertex and line, bounding sets
+and classes from the lines that form each sector and which of their
+pieces are rays. It builds one Fraction witness per cell and
 calls neither the per-line intervals nor side_of. The cross-product
-interval test and the Fraction stepper these replaced are the references
-in tests/oracles.py.
+interval test, the Fraction stepper and the per-line grouping of the
+crossing table that these replaced are the references in
+tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import gt, lt
-from typing import Dict, FrozenSet, List, Literal, Optional, Sequence, Tuple
+from functools import cached_property
+from itertools import compress, count, islice
+from operator import eq, gt, lt
+from typing import Callable, Dict, FrozenSet, Iterator, List, Literal, Optional, Sequence, Tuple
 
 from .errors import InfeasibleSignVectorError
 from .geometry import LineFamily, Point
@@ -60,11 +66,34 @@ class Cell:
     witness_point: Point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConcurrencyReport:
+    """The largest number of lines through one point, the first such point
+    in Point order, and all of them.
+
+    all_points_at_max is built from find_points on first read: without
+    three concurrent lines it holds every vertex of the family.
+    """
+
     max_count: int
     point: Optional[Point]
-    all_points_at_max: Tuple[Point, ...]
+    find_points: Callable[[], Tuple[Point, ...]] = field(repr=False)
+
+    @cached_property
+    def all_points_at_max(self) -> Tuple[Point, ...]:
+        return self.find_points()
+
+    def __eq__(self, other):
+        if not isinstance(other, ConcurrencyReport):
+            return NotImplemented
+        return (self.max_count, self.point, self.all_points_at_max) == (
+            other.max_count,
+            other.point,
+            other.all_points_at_max,
+        )
+
+    def __hash__(self):
+        return hash((self.max_count, self.point))
 
 
 def _check_signs(family: LineFamily, signs: Sequence[int]) -> SignVector:
@@ -135,26 +164,71 @@ def classify_cell(family: LineFamily, signs: Sequence[int]) -> BoundClass:
     return _bound_class(sum(hi == far for _, hi in ends), sum(lo == -far for lo, _ in ends))
 
 
-def _vertices(view) -> List[Tuple[int, ...]]:
-    """Incident lines of every vertex, in slope order, with the vertices
-    sorted as their Points sort (by view.vertex_key).
+def _tie_runs(keys, order):
+    """(start, stop) slices of order, in order, that hold runs of more
+    than one edge with equal key."""
+    at = keys.__getitem__
+    ties = compress(count(1), map(eq, map(at, order), map(at, islice(order, 1, None))))
+    start = stop = None
+    for t in ties:
+        if t != stop:
+            if start is not None:
+                yield start, stop
+            start = t - 1
+        stop = t + 1
+    if start is not None:
+        yield start, stop
 
-    On line i a vertex is fixed by its crossing key, so the lines through it
-    are those with one key. Each vertex is read off at its lowest-index
-    line, the one that meets no earlier line there.
+
+def _split_run(view, edges, n) -> List[Tuple[int, ...]]:
+    """The vertices on one run of equal-key edges e = i*n + j, in (i, j)
+    order, as incident lines in slope order, sorted as their Points sort.
+
+    Two crossings on one line at one abscissa are one point, and every two
+    lines through a vertex cross there, so each vertex is the clique of its
+    lowest line: that line's edges in the run, met before any edge of a
+    higher line of the vertex.
     """
-    rows = view.crossings
-    n = len(rows)
-    keyed = []
-    for i, row in enumerate(rows):
-        earlier = set(row[:i])
-        groups: Dict[int, List[int]] = {}
-        for j in range(i + 1, n):
-            if row[j] not in earlier:
-                groups.setdefault(row[j], [i]).append(j)
-        keyed.extend((view.vertex_key(i, inc[1]), tuple(inc)) for inc in groups.values())
-    keyed.sort()
-    return [inc for _, inc in keyed]
+    groups: Dict[int, List[int]] = {}
+    seen = set()
+    for e in edges:
+        i, j = divmod(e, n)
+        if i not in seen:
+            groups.setdefault(i, [i]).append(j)
+            seen.add(j)
+    return sorted(map(tuple, groups.values()), key=lambda inc: view.vertex_key(*inc[:2])[1])
+
+
+def _vertices(view) -> Iterator[Tuple[int, ...]]:
+    """Incident lines of every vertex, in slope order, with the vertices
+    in Point order (view.vertex_key).
+
+    The edge order sorts crossings by abscissa, so a vertex is a single
+    edge outside the runs of equal keys, and the runs split by _split_run.
+    """
+    keys, order = view.edge_order
+    n = len(view.pairs)
+    done = 0
+    for start, stop in _tie_runs(keys, order):
+        for e in order[done:start]:
+            yield divmod(e, n)
+        yield from _split_run(view, order[start:stop], n)
+        done = stop
+    for e in order[done:]:
+        yield divmod(e, n)
+
+
+def _concurrent(view) -> List[Tuple[int, ...]]:
+    """The vertices on three or more lines, in Point order: only runs of
+    equal keys can hold one."""
+    keys, order = view.edge_order
+    n = len(view.pairs)
+    return [
+        inc
+        for start, stop in _tie_runs(keys, order)
+        for inc in _split_run(view, order[start:stop], n)
+        if len(inc) > 2
+    ]
 
 
 def _sector_witness(pairs, heights, a, b, top, scale, sx, sy) -> Point:
@@ -248,49 +322,35 @@ def enumerate_cells(family: LineFamily) -> Tuple[Cell, ...]:
     )
 
 
-def _crossing_counts(family: LineFamily):
-    """Per line i, how many later lines cross it at each crossing key.
-
-    A vertex on k lines counts k - 1 at its lowest-index line and less at
-    each later one, down to 1 at the second-highest.
-    """
-    rows = family.view.crossings
-    return [Counter(row[i + 1 :]) for i, row in enumerate(rows[:-1])]
-
-
 def max_concurrency(family: LineFamily) -> ConcurrencyReport:
     """Largest number of family lines through a common point."""
-    if len(family) < 2:
-        return ConcurrencyReport(len(family), None, ())
-    counts = _crossing_counts(family)
-    top = max(max(c.values()) for c in counts)
+    n = len(family)
+    if n < 2:
+        return ConcurrencyReport(n, None, tuple)
     view = family.view
-    tops = []
-    for i, c in enumerate(counts):
-        row = view.crossings[i]
-        # only a vertex's lowest-index line counts top; report each once
-        for j in range(i + 1, len(row)):
-            if c[row[j]] == top:
-                tops.append((i, j))
-                c[row[j]] = 0
-    tops.sort(key=lambda ij: view.vertex_key(*ij))
-    points = tuple(view.vertex(i, j) for i, j in tops)
-    return ConcurrencyReport(top + 1, points[0], points)
+    multi = _concurrent(view)
+    top = max(map(len, multi), default=2)
+
+    def at_max():
+        # with no three lines concurrent, every vertex is at the maximum
+        return _vertices(view) if top == 2 else (inc for inc in multi if len(inc) == top)
+
+    first = next(at_max())
+    return ConcurrencyReport(
+        top, view.vertex(*first[:2]), lambda: tuple(view.vertex(*inc[:2]) for inc in at_max())
+    )
 
 
 def concurrency_profile(family: LineFamily) -> Dict[int, int]:
     """Map from concurrency count (>= 2) to number of vertices attaining it."""
-    if len(family) < 2:
+    n = len(family)
+    if n < 2:
         return {}
-    # groups[t] counts (line, key) groups of size t; a vertex on k lines
-    # makes one group of each size 1..k-1, so groups[t] counts the
-    # vertices on more than t lines
-    groups = Counter(t for c in _crossing_counts(family) for t in c.values())
-    return {
-        t + 1: groups[t] - groups[t + 1]
-        for t in sorted(groups)
-        if groups[t] > groups[t + 1]
-    }
+    multi = _concurrent(family.view)
+    # every edge off a vertex on three or more lines is a two-line vertex
+    profile = Counter(map(len, multi))
+    profile[2] = n * (n - 1) // 2 - sum(k * (k - 1) // 2 for k in map(len, multi))
+    return {k: profile[k] for k in sorted(profile) if profile[k]}
 
 
 KeyCell = Tuple[SignVector, Tuple[int, ...], Tuple[int, ...]]

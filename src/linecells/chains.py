@@ -23,27 +23,31 @@ unbounded to the right must lie above a prefix of the lines and below the
 rest (far right, higher slope means higher line), so its sign vector is
 (+1)^r (-1)^(n-r) with 0 < r < n; unbounded to the left is the mirror
 (-1)^r (+1)^(n-r). Scanning the n-1 staircases per side is exhaustive.
-For the right staircase r, line j confines line i to x > X_ij or to
-x < X_ij depending only on whether i < r and j < r: for i < r the
-interval is (max of X_ij over j < i or j >= r, min over i < j < r), and
-for i >= r it is (max over j < r or j > i, min over r <= j < i). Prefix
-and suffix extremes of line i's crossing keys give its interval in every
-staircase at once, so all n-1 counts take O(n^2). The left side is the
-same scan on the negated keys.
+The right staircase r is the region between the upper envelope U of
+lines 0..r-1 and the lower envelope L of lines r..n-1. U - L falls
+strictly from left to right, so the cell is everything right of the one
+abscissa where the envelopes meet, and its bounding lines are the pieces
+of U and L beyond it. Both envelopes are persistent stacks: U for every
+r is built by pushing lines in slope order, L by pushing them in reverse.
+Walking both stacks left from +infinity, one piece at a time, finds where
+they meet and lists the staircase's lines, so all n-1 staircases cost
+O(n + total bounding lines) crossing keys, computed on demand, and no
+n^2 table. The left side is the right side of the mirror image x -> -x:
+the lines in reverse order, their keys negated.
 
-Both searches read the family's cached integer view (LineFamily.view),
+The searches read the family's cached integer view (LineFamily.view),
 whose exact crossing keys order the crossing abscissae X_ij. X_ij is also
-minus the slope of the dual edge between points i and j, so one table
-serves both. The cubic pair DP, the chain DP that sorted (key, i, j)
-tuples on every call and the per-staircase interval loop that they
-replaced are kept in tests/oracles.py as references.
+minus the slope of the dual edge between points i and j, so the chain DP
+and the staircases share one key. The cubic pair DP, the chain DP that
+sorted (key, i, j) tuples on every call, the per-staircase interval loop
+and the prefix/suffix scan of every line's keys that they replaced are
+kept in tests/oracles.py as references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import List, Literal, Optional, Tuple
 
 from .arrangement import Cell, bounding_lines
@@ -129,34 +133,69 @@ def longest_cap(family: LineFamily) -> ChainResult:
     return _longest_chain(family, "cap")
 
 
+def _push(top, t, cross, far):
+    """The envelope stack top with line t pushed on its right end.
+
+    t has the highest slope on an upper envelope built in slope order, or
+    the lowest on a lower one built in reverse, so it is the envelope far to
+    the right. A node is (line, key of its piece's left end, next node to
+    the left). Lines whose piece shrinks to zero length leave the stack;
+    the popped nodes stay shared with the earlier stacks.
+    """
+    while top is not None:
+        key = cross(top[0], t)
+        if key > top[1]:
+            return (t, key, top)
+        top = top[2]
+    return (t, -far, None)
+
+
 def _staircases(family: LineFamily, side: str) -> List[List[int]]:
     """Bounding lines of every staircase cell on one side: entry r lists,
     in index order, the lines that bound the staircase r (0 < r < n)."""
     view = family.view
-    rows = view.crossings
-    n = len(rows)
-    if side == "left":
-        rows = [[-key for key in row] for row in rows]
+    n = len(view.pairs)
+    # the left side is the right side of the mirror image x -> -x, whose
+    # line p is line n-1-p and whose crossing keys are the negated ones
+    pairs, sign = (view.pairs, 1) if side == "right" else (view.pairs[::-1], -1)
+    ms = [m for m, _ in pairs]
+    cs = [c << view.shift for _, c in pairs]
+
+    def cross(i, j):
+        return sign * ((cs[j] - cs[i]) // (ms[i] - ms[j]))
+
     far = view.key_sentinel
+    # ups[r] is the upper envelope of lines 0..r-1, lows[r] the lower one
+    # of lines r..n-1
+    ups, lows = [None] * n, [None] * n
+    top = None
+    for t in range(n - 1):
+        top = ups[t + 1] = _push(top, t, cross, far)
+    top = None
+    for t in range(n - 1, 0, -1):
+        top = lows[t] = _push(top, t, cross, far)
     members = [[] for _ in range(n)]
-    for i, row in enumerate(rows):
-        head, tail = row[:i], row[i + 1 :]
-        # staircases r > i: lo = max(head, tail[r-i-1:]), hi = min(tail[:r-i-1])
-        before = max(head, default=-far)
-        lows = list(accumulate(reversed(tail), max))
-        lows.reverse()
-        highs = accumulate(tail[:-1], min, initial=far)
-        for r, (low, high) in enumerate(zip(lows, highs), i + 1):
-            if before < high and low < high:
-                members[r].append(i)
-        # staircases r <= i: lo = max(head[:r], tail), hi = min(head[r:])
-        after = max(tail, default=-far)
-        lows = accumulate(head, max)
-        highs = list(accumulate(reversed(head[1:]), min, initial=far))
-        highs.reverse()
-        for r, (low, high) in enumerate(zip(lows, highs), 1):
-            if after < high and low < high:
-                members[r].append(i)
+    for r in range(1, n):
+        up, low = ups[r], lows[r]
+        above, below = [up[0]], [low[0]]
+        # walk left until the two current lines cross at or right of both
+        # pieces' left ends; otherwise the envelopes meet left of the larger
+        # end, so step past it
+        while True:
+            key = cross(up[0], low[0])
+            if key >= up[1] and key >= low[1]:
+                break
+            if up[1] >= low[1]:
+                up = up[2]
+                above.append(up[0])
+            else:
+                low = low[2]
+                below.append(low[0])
+        lines = above[::-1] + below
+        if side == "right":
+            members[r] = lines
+        else:
+            members[n - r] = [n - 1 - p for p in reversed(lines)]
     return members
 
 

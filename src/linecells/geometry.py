@@ -175,12 +175,15 @@ class IntegerView:
 
     The derived tables are computed on first use and live as long as the
     family does:
-    - ``crossings``, the n^2 key table, built only by kernels that read
-      every crossing;
+    - ``crossings``, the n^2 key table, read by the cell predicates, the
+      convex-position walk and cell enumeration, and the source of
+      ``edge_order``;
     - ``edge_order``, the n(n-1)/2 edges sorted once by key, shared by the
-      cup and the cap DP;
+      cup and the cap DP, the concurrency report and cell enumeration,
+      which read the vertices off its runs of equal keys;
     - ``rim``, the n pairs whose crossings hold the extreme vertices, and
       ``key_sentinel``, read off them, so that neither needs the n^2 table.
+    The staircases need neither table: they compute the O(n) keys they read.
     """
 
     def __init__(self, lines: Tuple[Line, ...]):

@@ -7,14 +7,19 @@ them. bounding_lines, classify_cell, is_cup and is_cap here are the
 references for the crossing-key versions in linecells, and every oracle
 below that needs a cell's bounding set or class takes it from them.
 
-tuple_sort_chain is the one exception: it is the chain DP that sorted
-(key, i, j) tuples once per call, on the view's crossing keys, kept as the
-reference for the exact witness, tie order included, of the DP that walks
-the view's cached edge order.
+The exceptions read the view's crossing table, since they are the
+references for exact outputs, order and ties included, of kernels that
+read it another way: tuple_sort_chain, the chain DP that sorted (key, i,
+j) tuples once per call, for the DP that walks the view's cached edge
+order; scan_staircases, the prefix/suffix scan of every line's keys, for
+the staircases from two envelope stacks; and row_grouped_vertices with
+the crossing_counts behind counted_concurrency and counted_profile, which
+grouped each line's keys, for the vertices read off the edge order.
 """
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import accumulate, combinations, groupby
 from math import lcm
 from operator import itemgetter
 
@@ -142,6 +147,45 @@ def staircase_members(family, side):
         signs = staircase_signs(n, r, side)
         out[r] = [i for i in range(n) if _line_interval(scaled, i, signs) is not None]
     return out
+
+
+def scan_staircases(family, side):
+    """Bounding lines of every staircase cell on one side, from prefix and
+    suffix extremes of each line's crossing keys: entry r lists, in index
+    order, the lines that bound the staircase r (0 < r < n).
+
+    For the right staircase r, line j confines line i to x > X_ij or to
+    x < X_ij depending only on whether i < r and j < r: for i < r the
+    interval is (max of X_ij over j < i or j >= r, min over i < j < r), and
+    for i >= r it is (max over j < r or j > i, min over r <= j < i). The
+    left side is the same scan on the negated keys.
+    """
+    view = family.view
+    rows = view.crossings
+    n = len(rows)
+    if side == "left":
+        rows = [[-key for key in row] for row in rows]
+    far = view.key_sentinel
+    members = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        head, tail = row[:i], row[i + 1 :]
+        # staircases r > i: lo = max(head, tail[r-i-1:]), hi = min(tail[:r-i-1])
+        before = max(head, default=-far)
+        lows = list(accumulate(reversed(tail), max))
+        lows.reverse()
+        highs = accumulate(tail[:-1], min, initial=far)
+        for r, (low, high) in enumerate(zip(lows, highs), i + 1):
+            if before < high and low < high:
+                members[r].append(i)
+        # staircases r <= i: lo = max(head[:r], tail), hi = min(head[r:])
+        after = max(tail, default=-far)
+        lows = accumulate(head, max)
+        highs = list(accumulate(reversed(head[1:]), min, initial=far))
+        highs.reverse()
+        for r, (low, high) in enumerate(zip(lows, highs), 1):
+            if after < high and low < high:
+                members[r].append(i)
+    return members
 
 
 def _orient(a, b, c):
@@ -298,6 +342,74 @@ def concurrency(family):
     for _, inc in items:
         profile[len(inc)] = profile.get(len(inc), 0) + 1
     return top, tuple(p for p, inc in items if len(inc) == top), profile
+
+
+def row_grouped_vertices(view):
+    """Incident lines of every vertex, in slope order, with the vertices
+    sorted as their Points sort (by view.vertex_key).
+
+    On line i a vertex is fixed by its crossing key, so the lines through it
+    are those with one key. Each vertex is read off at its lowest-index
+    line, the one that meets no earlier line there.
+    """
+    rows = view.crossings
+    n = len(rows)
+    keyed = []
+    for i, row in enumerate(rows):
+        earlier = set(row[:i])
+        groups = {}
+        for j in range(i + 1, n):
+            if row[j] not in earlier:
+                groups.setdefault(row[j], [i]).append(j)
+        keyed.extend((view.vertex_key(i, inc[1]), tuple(inc)) for inc in groups.values())
+    keyed.sort()
+    return [inc for _, inc in keyed]
+
+
+def crossing_counts(family):
+    """Per line i, how many later lines cross it at each crossing key.
+
+    A vertex on k lines counts k - 1 at its lowest-index line and less at
+    each later one, down to 1 at the second-highest.
+    """
+    rows = family.view.crossings
+    return [Counter(row[i + 1 :]) for i, row in enumerate(rows[:-1])]
+
+
+def counted_concurrency(family):
+    """(max count, first point at it, all points at it, in Point order),
+    from the per-line crossing_counts."""
+    if len(family) < 2:
+        return len(family), None, ()
+    counts = crossing_counts(family)
+    top = max(max(c.values()) for c in counts)
+    view = family.view
+    tops = []
+    for i, c in enumerate(counts):
+        row = view.crossings[i]
+        # only a vertex's lowest-index line counts top; report each once
+        for j in range(i + 1, len(row)):
+            if c[row[j]] == top:
+                tops.append((i, j))
+                c[row[j]] = 0
+    tops.sort(key=lambda ij: view.vertex_key(*ij))
+    points = tuple(view.vertex(i, j) for i, j in tops)
+    return top + 1, points[0], points
+
+
+def counted_profile(family):
+    """Concurrency count -> number of vertices, from crossing_counts."""
+    if len(family) < 2:
+        return {}
+    # groups[t] counts (line, key) groups of size t; a vertex on k lines
+    # makes one group of each size 1..k-1, so groups[t] counts the
+    # vertices on more than t lines
+    groups = Counter(t for c in crossing_counts(family) for t in c.values())
+    return {
+        t + 1: groups[t] - groups[t + 1]
+        for t in sorted(groups)
+        if groups[t] > groups[t + 1]
+    }
 
 
 def convex_position_cell(family):

@@ -6,6 +6,7 @@ repeated crossing abscissae are common.
 
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -36,6 +37,7 @@ from linecells import (
 from linecells import arrangement
 from linecells.chains import _staircases
 from linecells.constructions import _lift
+from linecells.geometry import IntegerView
 from linecells.svg import _auto_viewport
 from linecells.verify import convex_bound
 
@@ -78,6 +80,7 @@ def check_staircases(fam):
         want = oracles.staircase_members(fam, side)
         got = _staircases(fam, side)
         assert {r: got[r] for r in range(1, n)} == want
+        assert got == oracles.scan_staircases(fam, side)
         for k in range(2, 6):
             first = next((r for r in range(1, n) if len(want[r]) >= k), None)
             cell = find_unbounded_cell(fam, k, side)
@@ -124,6 +127,27 @@ def check_concurrency(fam):
     assert report.point == (points[0] if points else None)
     assert concurrency_profile(fam) == profile
     assert _auto_viewport(fam) == oracles.viewport(fam)
+
+
+def check_vertex_runs(fam):
+    """The vertices, concurrency report and profile read off the edge
+    order, field for field against the row-grouping references."""
+    report = max_concurrency(fam)
+    want = oracles.counted_concurrency(fam)
+    assert (report.max_count, report.point, report.all_points_at_max) == want
+    profile = concurrency_profile(fam)
+    assert list(profile.items()) == list(oracles.counted_profile(fam).items())
+    if len(fam) > 1:
+        view = fam.view
+        assert list(arrangement._vertices(view)) == oracles.row_grouped_vertices(view)
+
+
+def check_cells_on_grouped_vertices(fam):
+    """enumerate_cells, field for field, against itself fed the vertices
+    of the row-grouping reference."""
+    got = enumerate_cells(fam)
+    with patch.object(arrangement, "_vertices", oracles.row_grouped_vertices):
+        assert got == enumerate_cells(fam)
 
 
 def coordinate_bits(point):
@@ -177,6 +201,74 @@ def test_staircases_match_interval_scan(fam):
     check_staircases(fam)
 
 
+BENCH_FAMILIES = pytest.mark.parametrize(
+    "path", sorted(FAMILIES.glob("*.txt")), ids=lambda path: path.stem
+)
+
+
+@BENCH_FAMILIES
+def test_staircases_match_key_scan_on_bench_families(path):
+    fam = parse_family(path.read_text())
+    for side in ("right", "left"):
+        assert _staircases(fam, side) == oracles.scan_staircases(fam, side)
+
+
+@pytest.mark.parametrize(
+    "lines, right",
+    [
+        # lines 0, 1 and 2 meet at (0, 0), the break of the upper envelope
+        # of lines 0 and 1 at r = 2; line 3 stays above line 2 for x > -1
+        ([(-1, 0), (0, 0), (1, 0), (2, 1)], {1: [0, 1], 2: [1, 2], 3: [0, 2, 3]}),
+        # all four meet at (0, 0), a break of both envelopes at r = 2
+        ([(-1, 0), (0, 0), (1, 0), (2, 0)], {1: [0, 1], 2: [1, 2], 3: [2, 3]}),
+    ],
+    ids=["three_at_upper_break", "four_at_both_breaks"],
+)
+def test_staircase_envelopes_meeting_at_a_break(lines, right):
+    fam = LineFamily(tuple(Line(m, c) for m, c in lines))
+    got = _staircases(fam, "right")
+    assert {r: got[r] for r in range(1, 4)} == right
+    check_staircases(fam)
+
+
+@KERNELS
+@given(pencil_families())
+def test_vertex_runs_match_row_grouping(fam):
+    check_vertex_runs(fam)
+    check_cells_on_grouped_vertices(fam)
+
+
+@BENCH_FAMILIES
+def test_vertex_runs_match_row_grouping_on_bench_families(path):
+    fam = parse_family(path.read_text())
+    check_vertex_runs(fam)
+    # F654's 177 lines take seconds per enumeration; the vertex list that
+    # enumerate_cells consumes is checked above
+    if len(fam) < 100:
+        check_cells_on_grouped_vertices(fam)
+
+
+def test_max_concurrency_builds_one_point_until_all_are_read():
+    fam = construct_F(4, 4, 3)
+    calls = []
+    vertex = IntegerView.vertex
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return vertex(self, i, j)
+
+    with patch.object(IntegerView, "vertex", counted):
+        report = max_concurrency(fam)
+        assert report.max_count == 2
+        assert len(calls) == 1
+        points = report.all_points_at_max
+    n = len(fam)
+    assert len(calls) == 1 + n * (n - 1) // 2
+    assert isinstance(points, tuple)
+    assert report.all_points_at_max is points
+    assert (report.max_count, report.point, points) == oracles.counted_concurrency(fam)
+
+
 @KERNELS
 @given(pencil_families(max_lines=8))
 def test_cell_predicates_match_interval_scan(fam):
@@ -198,7 +290,7 @@ def test_chain_dp_matches_tuple_sort_on_pencils(fam):
     assert longest_cap(fam) == oracles.tuple_sort_chain(fam, "cap")
 
 
-@pytest.mark.parametrize("path", sorted(FAMILIES.glob("*.txt")), ids=lambda path: path.stem)
+@BENCH_FAMILIES
 def test_chain_dp_matches_tuple_sort_on_bench_families(path):
     fam = parse_family(path.read_text())
     assert longest_cup(fam) == oracles.tuple_sort_chain(fam, "cup")
@@ -276,12 +368,23 @@ def test_extreme_vertices_leave_the_crossing_table_unbuilt(use):
 
 @pytest.mark.parametrize(
     "use",
-    [max_concurrency, lambda fam: has_k_cell_unbounded(fam, 4, "right"), render_svg],
-    ids=["max_concurrency", "has_k_cell_unbounded", "render_svg"],
+    [lambda fam: has_k_cell_unbounded(fam, 4, "right"), render_svg],
+    ids=["has_k_cell_unbounded", "render_svg"],
 )
 def test_kernels_off_the_chain_dp_leave_the_edge_order_unbuilt(use):
     fam = parse_family(F434_FILE.read_text())
     use(fam)
+    assert "edge_order" not in vars(fam.view)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize(
+    "use", [find_unbounded_cell, has_k_cell_unbounded], ids=lambda use: use.__name__
+)
+def test_staircases_leave_both_key_tables_unbuilt(use, side):
+    fam = parse_family(F434_FILE.read_text())
+    use(fam, 3, side)
+    assert "crossings" not in vars(fam.view)
     assert "edge_order" not in vars(fam.view)
 
 
