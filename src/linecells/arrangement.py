@@ -18,24 +18,26 @@ the top/bottom cells).
 Everything here reads the family's cached integer view (LineFamily.view)
 and answers "is line i's interval inside the cell nonempty?" one way: the
 interval's ends are exact crossing keys X_ij, so the test is one integer
-compare. bounding_lines and classify_cell take each line's ends from
-_key_interval; the convex-position fold (extend_on_keys) carries them
-line by line, so adding a line costs O(k) compares. One walk over subsets
-(_convex_walk) runs the fold for convex_position_cell and the searches in
-verify, which differ only in its stop rules need and goal. The vertices
-come off the family's sorted edge order (IntegerView.edge_order, shared
-with the chain DPs): an edge alone at its key is a two-line vertex, and a
-run of equal keys splits into the vertices on it. The concurrency report
-and profile look only at those runs, and build a Point only for the first
-vertex at the maximum until a caller reads them all. Cell enumeration
-reads every cell off the sectors around the vertices in integers: sign
-vectors from one integer expression per vertex and line, bounding sets
-and classes from the lines that form each sector and which of their
-pieces are rays. It builds one Fraction witness per cell and
-calls neither the per-line intervals nor side_of. The cross-product
+compare. The keys come from the view's one key table, the flat list
+IntegerView.keys, whose row i is keys[i*n : i*n + n]. bounding_lines and
+classify_cell take each line's ends from that row in _key_interval; the
+convex-position fold (extend_on_keys) carries them line by line, so adding
+a line costs O(k) compares. One walk over subsets (_convex_walk) runs the
+fold for convex_position_cell and the searches in verify, which differ
+only in its stop rules need and goal. The vertices come off the family's
+sorted edge order (IntegerView.edge_order, the edges e = i*n + j by
+keys[e], shared with the chain DPs): an edge alone at its key is a
+two-line vertex, and a run of equal keys splits into the vertices on it.
+The concurrency report and profile look only at those runs, and build a
+Point only for the first vertex at the maximum until a caller reads them
+all. Cell enumeration reads every cell off the sectors around the
+vertices in integers: sign vectors from one integer expression per vertex
+and line, bounding sets and classes from the lines that form each sector
+and which of their pieces are rays, told by each line's first and last
+key on its row of keys. It builds one Fraction witness per cell and calls
+neither the per-line intervals nor a Fraction side test. The cross-product
 interval test, the Fraction stepper and the per-line grouping of the
-crossing table that these replaced are the references in
-tests/oracles.py.
+crossing keys that these replaced are the references in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ def _key_interval(view, i: int, signs: SignVector) -> Optional[Tuple[int, int]]:
     """
     far = view.key_sentinel
     lo, hi = -far, far
-    for j, (key, s) in enumerate(zip(view.crossings[i], signs)):
+    n = len(signs)
+    for j, (key, s) in enumerate(zip(view.keys[i * n : i * n + n], signs)):
         if j == i:
             continue
         if (j < i) == (s > 0):
@@ -206,7 +209,7 @@ def _vertices(view) -> Iterator[Tuple[int, ...]]:
     The edge order sorts crossings by abscissa, so a vertex is a single
     edge outside the runs of equal keys, and the runs split by _split_run.
     """
-    keys, order = view.edge_order
+    keys, order = view.keys, view.edge_order
     n = len(view.pairs)
     done = 0
     for start, stop in _tie_runs(keys, order):
@@ -221,7 +224,7 @@ def _vertices(view) -> Iterator[Tuple[int, ...]]:
 def _concurrent(view) -> List[Tuple[int, ...]]:
     """The vertices on three or more lines, in Point order: only runs of
     equal keys can hold one."""
-    keys, order = view.edge_order
+    keys, order = view.keys, view.edge_order
     n = len(view.pairs)
     return [
         inc
@@ -280,9 +283,13 @@ def enumerate_cells(family: LineFamily) -> Tuple[Cell, ...]:
         )
     view = family.view
     pairs = view.pairs
-    rows = view.crossings
-    last = [max(row[:u] + row[u + 1 :]) for u, row in enumerate(rows)]
-    first = [min(row[:u] + row[u + 1 :]) for u, row in enumerate(rows)]
+    keys = view.keys
+    # line u's largest and smallest crossing keys: its row off the diagonal
+    last, first = [], []
+    for u in range(n):
+        row = keys[u * n : u * n + u] + keys[u * n + u + 1 : u * n + n]
+        last.append(max(row))
+        first.append(min(row))
     # sign vector -> (witness, bounding lines, [right rays, left rays])
     found: Dict[SignVector, tuple] = {}
     for inc in _vertices(view):
@@ -293,7 +300,7 @@ def enumerate_cells(family: LineFamily) -> Tuple[Cell, ...]:
         top = mi * a + ci * b
         heights = [top - m * a - c * b for m, c in pairs]
         base = [1 if h > 0 else -1 for h in heights]
-        key = rows[i][j]
+        key = keys[i * n + j]
         k = len(inc)
         # ray positions 0..k-1 go right along inc[0..k-1], k..2k-1 go left,
         # one unit of x per step and dy[r]/scale of y; sector p lies between
@@ -404,8 +411,8 @@ def _convex_walk(family: LineFamily, need: int, goal: int):
     the family size, ending the walk. The walk is exponential in general.
     """
     view = family.view
-    rows = view.crossings
-    size = len(rows)
+    keys = view.keys
+    size = len(view.pairs)
     far = view.key_sentinel
     best = ((), ())
     floor = need
@@ -417,8 +424,8 @@ def _convex_walk(family: LineFamily, need: int, goal: int):
             # below prefix + (i,) lie at most k + size - i lines
             if k + size - i < floor:
                 return
-            row = rows[i]
-            bounded = extend_on_keys([row[j] for j in prefix], cells, far)
+            row = i * size
+            bounded = extend_on_keys([keys[row + j] for j in prefix], cells, far)
             if bounded:
                 cand = prefix + (i,)
                 if k + 1 >= floor:
@@ -447,10 +454,11 @@ def convex_position_cell(family: LineFamily) -> Optional[Cell]:
     signs, lo, hi = cells[0]
     # step up or down off line 0 at x = a/b, the middle of its interval or
     # 1 past its one finite end; an end with key k is X_0j = p/q for any
-    # j > 0 with that key (j = 0 is the diagonal, whose key is 0 too)
+    # j > 0 with that key (j = 0 is the diagonal, whose key is 0 too), and
+    # keys[j] is X_0j's key, row 0 of the table
     pairs = view.pairs
     m0, c0 = pairs[0]
-    keys = view.crossings[0]
+    keys = view.keys
     ends = []
     for key in (lo[0], hi[0]):
         if abs(key) != far:

@@ -14,9 +14,10 @@ when its edge slopes strictly decrease, and a strict cap when they
 strictly increase. Taking the n(n-1)/2 dual edges in that slope order,
 equal slopes as one batch, and keeping the best chain ending at each
 point finds the longest one in O(n^2 log n). The edges are sorted once
-per family (IntegerView.edge_order) and shared: the cup DP walks that
-order forwards and the cap DP backwards, so a repeated call costs only
-its O(n^2) walk.
+per family (IntegerView.edge_order, edge e = i*n + j by its key
+IntegerView.keys[e]) and shared: the cup DP walks that order forwards and
+the cap DP backwards, reading each edge's key from keys, so a repeated
+call costs only its O(n^2) walk.
 
 Unbounded cells admit a closed sign-vector form. In slope order, a cell
 unbounded to the right must lie above a prefix of the lines and below the
@@ -31,9 +32,9 @@ of U and L beyond it. Both envelopes are persistent stacks: U for every
 r is built by pushing lines in slope order, L by pushing them in reverse.
 Walking both stacks left from +infinity, one piece at a time, finds where
 they meet and lists the staircase's lines, so all n-1 staircases cost
-O(n + total bounding lines) crossing keys, computed on demand, and no
-n^2 table. The left side is the right side of the mirror image x -> -x:
-the lines in reverse order, their keys negated.
+O(n + total bounding lines) crossing keys, each computed on demand by
+IntegerView.key, and no n^2 table. The left side is the right side of the
+mirror image x -> -x: the lines in reverse order, their keys negated.
 
 The searches read the family's cached integer view (LineFamily.view),
 whose exact crossing keys order the crossing abscissae X_ij. X_ij is also
@@ -81,7 +82,7 @@ def _longest_chain(family: LineFamily, kind: ChainKind) -> ChainResult:
     n = len(view.pairs)
     if n == 1:
         return ChainResult(1, (0,), kind)
-    keys, order = view.edge_order
+    keys, order = view.keys, view.edge_order
     # ascending crossing key is descending dual slope: the cup order
     edges = order if kind == "cup" else reversed(order)
     # size[i] and chain[i] describe the longest chain ending at point i, the
@@ -155,14 +156,11 @@ def _staircases(family: LineFamily, side: str) -> List[List[int]]:
     in index order, the lines that bound the staircase r (0 < r < n)."""
     view = family.view
     n = len(view.pairs)
+
     # the left side is the right side of the mirror image x -> -x, whose
     # line p is line n-1-p and whose crossing keys are the negated ones
-    pairs, sign = (view.pairs, 1) if side == "right" else (view.pairs[::-1], -1)
-    ms = [m for m, _ in pairs]
-    cs = [c << view.shift for _, c in pairs]
-
     def cross(i, j):
-        return sign * ((cs[j] - cs[i]) // (ms[i] - ms[j]))
+        return view.key(i, j) if side == "right" else -view.key(n - 1 - i, n - 1 - j)
 
     far = view.key_sentinel
     # ups[r] is the upper envelope of lines 0..r-1, lows[r] the lower one

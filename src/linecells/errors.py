@@ -5,10 +5,6 @@ class LinecellsError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class ParallelLinesError(LinecellsError, ValueError):
-    """Two lines with equal slope were asked for an intersection point."""
-
-
 class DuplicateSlopeError(LinecellsError, ValueError):
     """A family contained two lines with the same slope.
 

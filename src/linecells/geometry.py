@@ -4,18 +4,12 @@ Everything downstream works over Q. Floats never enter a computation; they
 are rejected at the constructors so a stray literal fails loudly instead of
 silently poisoning an exact result.
 
-Sign conventions used throughout the package:
-
-* ``orientation(a, b, c)`` is the sign of the cross product (b-a) x (c-a):
-  +1 when the walk a->b->c turns left (counterclockwise), -1 when it turns
-  right, 0 when the three points are collinear.
-* ``side_of(line, p)`` is the sign of ``p.y - (m*p.x + c)``: +1 strictly
-  above the line, -1 strictly below, 0 on it. Equivalently it is
-  ``orientation((0, c), (1, m + c), p)``.
-
 The predicates work on ``LineFamily.view``, an integer form of the family
-cached on it (see IntegerView); the extreme vertices are read off the n
-crossings of ``IntegerView.rim``, without the n^2 crossing table.
+cached on it (see IntegerView). This module alone knows the crossing-key
+formula: ``IntegerView.key`` computes one key, and ``IntegerView.keys``
+is the one n^2 table of them, the flat list that the sorted edge order
+reads. The extreme vertices are read off the n crossings of
+``IntegerView.rim``, without the table.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterator, List, Optional, Tuple
 
-from .errors import DuplicateSlopeError, ParallelLinesError
+from .errors import DuplicateSlopeError
 
 Rat = Fraction
 
@@ -87,26 +81,6 @@ class Line:
 
     def y_at(self, x) -> Rat:
         return self.m * _as_rat(x) + self.c
-
-
-def intersect(a: Line, b: Line) -> Point:
-    """Intersection point of two non-parallel lines."""
-    if a.m == b.m:
-        raise ParallelLinesError(f"equal slopes: {a} and {b}")
-    x = (b.c - a.c) / (a.m - b.m)
-    return Point(x, a.y_at(x))
-
-
-def orientation(a: Point, b: Point, c: Point) -> int:
-    """Sign of the signed area of the triangle a, b, c (CCW positive)."""
-    d = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-    return (d > 0) - (d < 0)
-
-
-def side_of(line: Line, p: Point) -> int:
-    """+1 if p lies strictly above the line, -1 strictly below, 0 on it."""
-    d = p.y - line.y_at(p.x)
-    return (d > 0) - (d < 0)
 
 
 @dataclass(frozen=True)
@@ -173,17 +147,20 @@ class IntegerView:
     takes distinct values at distinct abscissae and keeps their order: an
     exact integer key for comparing and grouping crossings.
 
-    The derived tables are computed on first use and live as long as the
-    family does:
-    - ``crossings``, the n^2 key table, read by the cell predicates, the
-      convex-position walk and cell enumeration, and the source of
-      ``edge_order``;
-    - ``edge_order``, the n(n-1)/2 edges sorted once by key, shared by the
-      cup and the cap DP, the concurrency report and cell enumeration,
-      which read the vertices off its runs of equal keys;
+    ``key(i, j)`` computes one key. The derived tables are computed on
+    first use and live as long as the family does:
+    - ``keys``, the one n^2 key table, a flat row-major list: line i's
+      keys are keys[i*n : i*n + n]. The cell predicates, the
+      convex-position walk and cell enumeration index it, and the chain
+      DPs and the vertex runs read the keys of ``edge_order`` from it;
+    - ``edge_order``, the n(n-1)/2 edges i < j as e = i*n + j, sorted once
+      by keys[e] and shared by the cup and the cap DP, the concurrency
+      report and cell enumeration, which read the vertices off its runs of
+      equal keys;
     - ``rim``, the n pairs whose crossings hold the extreme vertices, and
-      ``key_sentinel``, read off them, so that neither needs the n^2 table.
-    The staircases need neither table: they compute the O(n) keys they read.
+      ``key_sentinel``, read off them, so that neither needs ``keys``.
+    The staircases build no table: they call ``key`` for the O(n) keys
+    they read.
     """
 
     def __init__(self, lines: Tuple[Line, ...]):
@@ -200,37 +177,39 @@ class IntegerView:
         )
         self.shift = 2 * (self.pairs[-1][0] - self.pairs[0][0]).bit_length()
 
-    @cached_property
-    def crossings(self) -> Tuple[List[int], ...]:
-        """crossings[i][j] is the key of X_ij; the diagonal holds 0.
+    def key(self, i: int, j: int) -> int:
+        """The key of X_ij, floor(X_ij * 2^shift), for lines i != j."""
+        (mi, ci), (mj, cj) = self.pairs[i], self.pairs[j]
+        return ((cj - ci) << self.shift) // (mi - mj)
 
-        The table is symmetric and both halves share each key object.
+    @cached_property
+    def keys(self) -> List[int]:
+        """keys[i*n + j] is the key of X_ij, row-major; the diagonal holds 0.
+
+        The table is symmetric and both halves share each key object: row
+        i's keys right of the diagonal are also column i's below it.
         """
         ms = [m for m, _ in self.pairs]
         cs = [c << self.shift for _, c in self.pairs]
         n = len(ms)
-        rows = tuple([0] * n for _ in range(n))
+        keys = [0] * (n * n)
         for i in range(n):
-            row, mi, ci = rows[i], ms[i], cs[i]
-            for j in range(i + 1, n):
-                key = (cs[j] - ci) // (mi - ms[j])
-                row[j] = key
-                rows[j][i] = key
-        return rows
+            mi, ci = ms[i], cs[i]
+            row = [(cj - ci) // (mi - mj) for mj, cj in zip(ms[i + 1 :], cs[i + 1 :])]
+            keys[i * n + i + 1 : i * n + n] = row
+            keys[i * n + n + i :: n] = row
+        return keys
 
     @cached_property
-    def edge_order(self) -> Tuple[List[int], List[int]]:
-        """(keys, order): keys[i*n + j] is crossings[i][j], row-major, and
-        order lists the edges i < j as e = i*n + j by ascending key.
+    def edge_order(self) -> List[int]:
+        """The edges i < j as e = i*n + j, by ascending keys[e].
 
         The sort is stable, so edges of equal key keep their (i, j) order.
         Both chain DPs walk this one order, the cap DP backwards.
         """
-        rows = self.crossings
-        n = len(rows)
-        keys = [key for row in rows for key in row]
+        n = len(self.pairs)
         edges = (e for i in range(n) for e in range(i * n + i + 1, i * n + n))
-        return keys, sorted(edges, key=keys.__getitem__)
+        return sorted(edges, key=self.keys.__getitem__)
 
     def vertex(self, i: int, j: int) -> Point:
         """The crossing of lines i and j as a Point."""
@@ -240,14 +219,13 @@ class IntegerView:
 
     def vertex_key(self, i: int, j: int) -> Tuple[int, int]:
         """Integer key that orders crossings as their Points order: the
-        key of X_ij (crossings[i][j]) and the key of the crossing's height.
+        key of X_ij (key(i, j)) and the key of the crossing's height.
 
         The crossing's height times scale has the same denominator mi - mj
         as X_ij, so its floor key is exact in the same way.
         """
         (mi, ci), (mj, cj) = self.pairs[i], self.pairs[j]
-        den = mi - mj
-        return ((cj - ci) << self.shift) // den, ((mi * cj - mj * ci) << self.shift) // den
+        return self.key(i, j), ((mi * cj - mj * ci) << self.shift) // (mi - mj)
 
     @cached_property
     def rim(self) -> Tuple[Tuple[int, int], ...]:

@@ -10,9 +10,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from linecells import Line, LineFamily, Point, max_concurrency, orientation, side_of
+from linecells import Line, LineFamily, Point, max_concurrency
 
-from oracles import is_cap, is_cup
+from oracles import is_cap, is_cup, orientation, side_of
 
 
 def random_family(rng, min_lines=2, max_lines=8, span=9, denom=5, simple=False):

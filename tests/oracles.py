@@ -7,14 +7,26 @@ them. bounding_lines, classify_cell, is_cup and is_cap here are the
 references for the crossing-key versions in linecells, and every oracle
 below that needs a cell's bounding set or class takes it from them.
 
-The exceptions read the view's crossing table, since they are the
-references for exact outputs, order and ties included, of kernels that
-read it another way: tuple_sort_chain, the chain DP that sorted (key, i,
-j) tuples once per call, for the DP that walks the view's cached edge
-order; scan_staircases, the prefix/suffix scan of every line's keys, for
-the staircases from two envelope stacks; and row_grouped_vertices with
-the crossing_counts behind counted_concurrency and counted_profile, which
+The exceptions read crossing keys, since they are the references for
+exact outputs, order and ties included, of kernels that read the keys
+another way. They take them from crossing_rows, computed from the view's
+integer pairs alone, never from the view's own key table:
+tuple_sort_chain, the chain DP that sorted (key, i, j) tuples once per
+call, for the DP that walks the view's cached edge order;
+scan_staircases, the prefix/suffix scan of every line's keys, for the
+staircases from two envelope stacks; and row_grouped_vertices with the
+crossing_counts behind counted_concurrency and counted_profile, which
 grouped each line's keys, for the vertices read off the edge order.
+
+intersect, orientation and side_of are the Fraction primitives that the
+tests build families and points with. Their sign conventions:
+
+* ``orientation(a, b, c)`` is the sign of the cross product (b-a) x (c-a):
+  +1 when the walk a->b->c turns left (counterclockwise), -1 when it turns
+  right, 0 when the three points are collinear.
+* ``side_of(line, p)`` is the sign of ``p.y - (m*p.x + c)``: +1 strictly
+  above the line, -1 strictly below, 0 on it. Equivalently it is
+  ``orientation((0, c), (1, m + c), p)``.
 """
 
 from collections import Counter
@@ -29,9 +41,27 @@ from linecells import (
     InfeasibleSignVectorError,
     LineFamily,
     Point,
-    intersect,
-    side_of,
 )
+
+
+def intersect(a, b):
+    """Intersection point of two non-parallel lines."""
+    if a.m == b.m:
+        raise ValueError(f"equal slopes: {a} and {b}")
+    x = (b.c - a.c) / (a.m - b.m)
+    return Point(x, a.y_at(x))
+
+
+def orientation(a, b, c):
+    """Sign of the signed area of the triangle a, b, c (CCW positive)."""
+    d = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    return (d > 0) - (d < 0)
+
+
+def side_of(line, p):
+    """+1 if p lies strictly above the line, -1 strictly below, 0 on it."""
+    d = p.y - line.y_at(p.x)
+    return (d > 0) - (d < 0)
 
 
 def scaled_pairs(family):
@@ -40,6 +70,18 @@ def scaled_pairs(family):
     for line in family:
         scale = lcm(scale, line.m.denominator, line.c.denominator)
     return tuple((int(line.m * scale), int(line.c * scale)) for line in family)
+
+
+def crossing_rows(view):
+    """rows[i][j] is the key of X_ij, floor(X_ij * 2^shift), with 0 on the
+    diagonal, computed from view.pairs alone: shift is twice the bit length
+    of the integer slopes' spread, so that 2^shift is at least its square."""
+    pairs = view.pairs
+    shift = 2 * (pairs[-1][0] - pairs[0][0]).bit_length()
+    return [
+        [0 if i == j else (cj - ci) * (1 << shift) // (mi - mj) for j, (mj, cj) in enumerate(pairs)]
+        for i, (mi, ci) in enumerate(pairs)
+    ]
 
 
 def _line_interval(scaled, i, signs):
@@ -161,7 +203,7 @@ def scan_staircases(family, side):
     left side is the same scan on the negated keys.
     """
     view = family.view
-    rows = view.crossings
+    rows = crossing_rows(view)
     n = len(rows)
     if side == "left":
         rows = [[-key for key in row] for row in rows]
@@ -229,7 +271,7 @@ def longest_chain(family, turn):
 def tuple_sort_chain(family, kind):
     """Longest subfamily whose dual points turn strictly one way: right
     (concave) for cups, left (convex) for caps."""
-    rows = family.view.crossings
+    rows = crossing_rows(family.view)
     n = len(rows)
     if n == 1:
         return ChainResult(1, (0,), kind)
@@ -352,7 +394,7 @@ def row_grouped_vertices(view):
     are those with one key. Each vertex is read off at its lowest-index
     line, the one that meets no earlier line there.
     """
-    rows = view.crossings
+    rows = crossing_rows(view)
     n = len(rows)
     keyed = []
     for i, row in enumerate(rows):
@@ -372,7 +414,7 @@ def crossing_counts(family):
     A vertex on k lines counts k - 1 at its lowest-index line and less at
     each later one, down to 1 at the second-highest.
     """
-    rows = family.view.crossings
+    rows = crossing_rows(family.view)
     return [Counter(row[i + 1 :]) for i, row in enumerate(rows[:-1])]
 
 
@@ -384,9 +426,10 @@ def counted_concurrency(family):
     counts = crossing_counts(family)
     top = max(max(c.values()) for c in counts)
     view = family.view
+    rows = crossing_rows(view)
     tops = []
     for i, c in enumerate(counts):
-        row = view.crossings[i]
+        row = rows[i]
         # only a vertex's lowest-index line counts top; report each once
         for j in range(i + 1, len(row)):
             if c[row[j]] == top:

@@ -21,7 +21,6 @@ from linecells import (
     figure10_family,
     find_n_convex,
     has_k_cell_unbounded,
-    intersect,
     known_exact,
     largest_convex_subset,
     longest_cap,
@@ -43,6 +42,7 @@ from conftest import (
     random_point,
     signs_at,
 )
+from oracles import intersect
 
 
 def _pencil_family(l):

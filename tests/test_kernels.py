@@ -33,6 +33,7 @@ from linecells import (
     max_concurrency,
     parse_family,
     render_svg,
+    verify_properties,
 )
 from linecells import arrangement
 from linecells.chains import _staircases
@@ -72,6 +73,20 @@ def pencil_families(draw, min_lines=2, max_lines=9):
             c = y - m * x
         lines.append(Line(m, c))
     return LineFamily(tuple(lines))
+
+
+def check_keys(fam):
+    """The view's one key table against the oracle's rows, entry for
+    entry: 0 on the diagonal, symmetric, and key(i, j) off it."""
+    view = fam.view
+    n = len(fam)
+    keys = view.keys
+    assert keys == [key for row in oracles.crossing_rows(view) for key in row]
+    for i in range(n):
+        assert keys[i * n + i] == 0
+        for j in range(i + 1, n):
+            assert keys[i * n + j] is keys[j * n + i]
+            assert view.key(i, j) == keys[i * n + j]
 
 
 def check_staircases(fam):
@@ -206,6 +221,37 @@ BENCH_FAMILIES = pytest.mark.parametrize(
 )
 
 
+@KERNELS
+@given(pencil_families())
+def test_key_table_matches_crossing_rows(fam):
+    check_keys(fam)
+
+
+@BENCH_FAMILIES
+def test_key_table_matches_crossing_rows_on_bench_families(path):
+    check_keys(parse_family(path.read_text()))
+
+
+def _entries(value):
+    """Leaf entries of a list or tuple, nested ones counted through."""
+    if not isinstance(value, (list, tuple)):
+        return 1
+    return sum(map(_entries, value))
+
+
+def test_keys_are_the_views_only_n_squared_table():
+    fam = parse_family(F434_FILE.read_text())
+    n = len(fam)
+    verify_properties(fam, 4, 4, 3, check_unbounded=("left", "right"))
+    enumerate_cells(fam)
+    assert find_n_convex(fam, 7) is not None
+    render_svg(fam)
+    # a row table of n lists counts n^2 entries too
+    sized = [name for name, value in vars(fam.view).items() if _entries(value) >= n * n]
+    assert sized == ["keys"]
+    assert len(fam.view.keys) == n * n
+
+
 @BENCH_FAMILIES
 def test_staircases_match_key_scan_on_bench_families(path):
     fam = parse_family(path.read_text())
@@ -299,12 +345,23 @@ def test_chain_dp_matches_tuple_sort_on_bench_families(path):
 
 def test_edge_order_is_sorted_once_per_family():
     fam = parse_family(F434_FILE.read_text())
-    longest_cup(fam)
-    order = fam.view.edge_order
-    longest_cap(fam)
-    convex_bound(fam)
-    assert find_n_convex(fam, 8) is None
+    builds = []
+    build_keys = IntegerView.keys.func
+
+    def counted(view):
+        builds.append(view)
+        return build_keys(view)
+
+    with patch.object(IntegerView.keys, "func", counted):
+        longest_cup(fam)
+        order = fam.view.edge_order
+        longest_cap(fam)
+        convex_bound(fam)
+        assert find_n_convex(fam, 8) is None
+        assert find_n_convex(fam, 7) is not None
+        enumerate_cells(fam)
     assert fam.view.edge_order is order
+    assert builds == [fam.view]
 
 
 @KERNELS
@@ -337,7 +394,8 @@ def test_abscissa_bound_is_tight(fam):
 @given(pencil_families())
 def test_rim_crossings_are_the_extreme_vertices(fam):
     view = fam.view
-    assert view.key_sentinel == max(abs(key) for row in view.crossings for key in row) + 1
+    rows = oracles.crossing_rows(view)
+    assert view.key_sentinel == max(abs(key) for row in rows for key in row) + 1
     points = [point for point, _ in oracles.vertex_items(fam)]
     for axis, coord in enumerate(("x", "y")):
         for pick in (min, max):
@@ -363,7 +421,7 @@ def test_viewport_reaches_the_wrap_pair_vertex():
 def test_extreme_vertices_leave_the_crossing_table_unbuilt(use):
     fam = parse_family(F434_FILE.read_text())
     use(fam)
-    assert "crossings" not in vars(fam.view)
+    assert "keys" not in vars(fam.view)
 
 
 @pytest.mark.parametrize(
@@ -384,7 +442,7 @@ def test_kernels_off_the_chain_dp_leave_the_edge_order_unbuilt(use):
 def test_staircases_leave_both_key_tables_unbuilt(use, side):
     fam = parse_family(F434_FILE.read_text())
     use(fam, 3, side)
-    assert "crossings" not in vars(fam.view)
+    assert "keys" not in vars(fam.view)
     assert "edge_order" not in vars(fam.view)
 
 

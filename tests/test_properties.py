@@ -17,11 +17,9 @@ from linecells import (
     longest_cap,
     longest_cup,
     max_concurrency,
-    orientation,
     parse_family,
     reflect_y,
     serialize_family,
-    side_of,
 )
 
 from conftest import (
@@ -31,6 +29,7 @@ from conftest import (
     signs_at,
     subfamily,
 )
+from oracles import orientation, side_of
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 
