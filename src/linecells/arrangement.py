@@ -28,10 +28,10 @@ only in its stop rules need and goal. The vertices come off the family's
 sorted edge order (IntegerView.edge_order, the edges e = i*n + j by
 keys[e], shared with the chain DPs): an edge alone at its key is a
 two-line vertex, and a run of equal keys splits into the vertices on it.
-The concurrency report and profile look only at those runs, and build a
-Point only for the first vertex at the maximum until a caller reads them
-all. Cell enumeration reads every cell off the sectors around the
-vertices in integers: sign vectors from one integer expression per vertex
+The concurrency report and profile look only at those runs, and the
+report builds a Point only for the first vertex at the maximum. Cell
+enumeration reads every cell off the sectors around the vertices in
+integers: sign vectors from one integer expression per vertex
 and line, bounding sets and classes from the lines that form each sector
 and which of their pieces are rays, told by each line's first and last
 key on its row of keys. It builds one Fraction witness per cell and calls
@@ -43,12 +43,11 @@ crossing keys that these replaced are the references in tests/oracles.py.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress, count, islice
 from operator import eq, gt, lt
-from typing import Callable, Dict, FrozenSet, Iterator, List, Literal, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Literal, Optional, Sequence, Tuple
 
 from .errors import InfeasibleSignVectorError
 from .geometry import LineFamily, Point
@@ -68,34 +67,13 @@ class Cell:
     witness_point: Point
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ConcurrencyReport:
-    """The largest number of lines through one point, the first such point
-    in Point order, and all of them.
-
-    all_points_at_max is built from find_points on first read: without
-    three concurrent lines it holds every vertex of the family.
-    """
+    """The largest number of lines through one point and the first such
+    point in Point order."""
 
     max_count: int
     point: Optional[Point]
-    find_points: Callable[[], Tuple[Point, ...]] = field(repr=False)
-
-    @cached_property
-    def all_points_at_max(self) -> Tuple[Point, ...]:
-        return self.find_points()
-
-    def __eq__(self, other):
-        if not isinstance(other, ConcurrencyReport):
-            return NotImplemented
-        return (self.max_count, self.point, self.all_points_at_max) == (
-            other.max_count,
-            other.point,
-            other.all_points_at_max,
-        )
-
-    def __hash__(self):
-        return hash((self.max_count, self.point))
 
 
 def _check_signs(family: LineFamily, signs: Sequence[int]) -> SignVector:
@@ -333,19 +311,13 @@ def max_concurrency(family: LineFamily) -> ConcurrencyReport:
     """Largest number of family lines through a common point."""
     n = len(family)
     if n < 2:
-        return ConcurrencyReport(n, None, tuple)
+        return ConcurrencyReport(n, None)
     view = family.view
     multi = _concurrent(view)
     top = max(map(len, multi), default=2)
-
-    def at_max():
-        # with no three lines concurrent, every vertex is at the maximum
-        return _vertices(view) if top == 2 else (inc for inc in multi if len(inc) == top)
-
-    first = next(at_max())
-    return ConcurrencyReport(
-        top, view.vertex(*first[:2]), lambda: tuple(view.vertex(*inc[:2]) for inc in at_max())
-    )
+    # with no three lines concurrent, every vertex is at the maximum
+    first = next(_vertices(view) if top == 2 else (inc for inc in multi if len(inc) == top))
+    return ConcurrencyReport(top, view.vertex(*first[:2]))
 
 
 def concurrency_profile(family: LineFamily) -> Dict[int, int]:

@@ -35,24 +35,16 @@ from .errors import ConstructionError, ParameterRangeError
 from .geometry import Line, LineFamily, Point, Rat, _as_rat, format_rat, parse_rat
 from .verify import find_n_convex, lower_bound_value
 
-KINDS = (
-    "pencil",
-    "base_pq2",
-    "base_2q",
-    "recursive_pq",
-    "prop32_even",
-    "prop32_odd",
-    "thm12_even",
-    "thm12_odd",
-    "figure10",
-)
-
 
 def _positive_rat(value, name: str) -> Rat:
     value = _as_rat(value)
     if value <= 0:
         raise ParameterRangeError(f"{name} must be positive: {value}")
     return value
+
+
+def _thm12_kind(n: int) -> str:
+    return f"thm12_{'even' if n % 2 == 0 else 'odd'}"
 
 
 _RELATIONS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge, "is": operator.is_}
@@ -102,7 +94,10 @@ def _no_convex(n: int):
 
 
 def pencil(apex: Point, count: int, slopes: Sequence) -> LineFamily:
-    """count concurrent lines through apex with the given distinct slopes."""
+    """count concurrent lines through apex with the given distinct slopes.
+
+    A primitive like contract: it writes no provenance. Only the pencil
+    recipe of ConstructionSpec, apex (0, -1) and slopes 1..n, does."""
     slopes = tuple(_as_rat(s) for s in slopes)
     if count != len(slopes):
         raise ParameterRangeError(f"count {count} != number of slopes {len(slopes)}")
@@ -110,8 +105,7 @@ def pencil(apex: Point, count: int, slopes: Sequence) -> LineFamily:
         raise ParameterRangeError(f"count must be >= 1: {count}")
     if not isinstance(apex, Point):
         apex = Point(*apex)
-    fam = LineFamily(tuple(Line(m, apex.y - m * apex.x) for m in slopes))
-    return fam.with_meta(provenance=(("kind", "pencil"), ("n", str(count))))
+    return LineFamily(tuple(Line(m, apex.y - m * apex.x) for m in slopes))
 
 
 def reflect_y(family: LineFamily) -> LineFamily:
@@ -187,15 +181,9 @@ def construct_base(p: int, l: int, epsilon_scale=1) -> LineFamily:
     windows of two pencils, 2 apart, never touch. The family is built once
     and certified to have concurrency exactly l-1 and longest cup exactly p.
     """
-    if p < 2:
-        raise ParameterRangeError(f"p must be >= 2: {p}")
-    if l < 3:
-        raise ParameterRangeError(f"l must be >= 3: {l}")
+    spec = ConstructionSpec("base_pq2", p=p, l=l, epsilon_scale=epsilon_scale)
     clusters = p // 2
-    delta = min(
-        _positive_rat(epsilon_scale, "epsilon_scale") / (4 * (l - 1) * (clusters + 1)),
-        Fraction(1, l - 1),
-    )
+    delta = min(spec.epsilon_scale / (4 * (l - 1) * (clusters + 1)), Fraction(1, l - 1))
     lines = []
     for h in range(clusters):
         for j in range(l - 1):
@@ -205,15 +193,16 @@ def construct_base(p: int, l: int, epsilon_scale=1) -> LineFamily:
         lines.append(Line(2 * clusters, -(clusters * clusters)))
     fam = LineFamily(tuple(lines))
     fam = _certify(f"construct_base({p}, {l})", fam, _chain_checks(l, p, 2, True))
-    return fam.with_meta(provenance=(("kind", "base_pq2"), ("p", str(p)), ("l", str(l))))
+    return fam.with_meta(provenance=spec.provenance())
 
 
 def construct_base_caps(q: int, l: int, epsilon_scale=1) -> LineFamily:
     """Mirror base: no l concurrent, no 3-cup, no (q+1)-cap, no 4-cell
     unbounded to the right. reflect_x swaps the certified base's cups and
     caps and keeps its left/right unboundedness, so nothing is re-checked."""
-    fam = reflect_x(construct_base(q, l, epsilon_scale))
-    return fam.with_meta(provenance=(("kind", "base_2q"), ("q", str(q)), ("l", str(l))))
+    spec = ConstructionSpec("base_2q", q=q, l=l, epsilon_scale=epsilon_scale)
+    fam = reflect_x(construct_base(q, l, spec.epsilon_scale))
+    return fam.with_meta(provenance=spec.provenance())
 
 
 Memo = Dict[Tuple[int, int, int], LineFamily]
@@ -265,20 +254,9 @@ def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
     Contraction preserves every property of each copy, so only the
     finished family is certified.
     """
-    if p < 2 or q < 2:
-        raise ParameterRangeError(f"p and q must be >= 2: p={p} q={q}")
-    if l < 3:
-        raise ParameterRangeError(f"l must be >= 3: {l}")
-    scale = _positive_rat(epsilon_scale, "epsilon_scale")
-    fam = _certified_F(p, q, l, scale, {})
-    return fam.with_meta(
-        provenance=(
-            ("kind", "recursive_pq"),
-            ("p", str(p)),
-            ("q", str(q)),
-            ("l", str(l)),
-        )
-    )
+    spec = ConstructionSpec("recursive_pq", p=p, q=q, l=l, epsilon_scale=epsilon_scale)
+    fam = _certified_F(p, q, l, spec.epsilon_scale, {})
+    return fam.with_meta(provenance=spec.provenance())
 
 
 def _lift(family: LineFamily) -> LineFamily:
@@ -334,13 +312,8 @@ def construct_prop32(l: int, k: int, parity: str, epsilon_scale=1) -> LineFamily
     already bounded by too many lines; bounded n-cells die because each
     bundle is collapsed far below the scaffold's vertices.
     """
-    if l < 3:
-        raise ParameterRangeError(f"l must be >= 3: {l}")
-    if k < 2:
-        raise ParameterRangeError(f"k must be >= 2: {k}")
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd': {parity!r}")
-    scale = _positive_rat(epsilon_scale, "epsilon_scale")
+    spec = ConstructionSpec(f"prop32_{parity}", l=l, k=k, epsilon_scale=epsilon_scale)
+    scale = spec.epsilon_scale
     memo: Memo = {}
     scaffold = _prop32_scaffold(k, scale, memo)
     big = _certified_F(k, k, l, scale, memo)
@@ -355,13 +328,7 @@ def construct_prop32(l: int, k: int, parity: str, epsilon_scale=1) -> LineFamily
         _assemble(scaffold, pieces, scale / 4),
         (_concurrency("<=", l - 1), _no_convex(n)),
     )
-    return fam.with_meta(
-        provenance=(
-            ("kind", f"prop32_{parity}"),
-            ("l", str(l)),
-            ("k", str(k)),
-        )
-    )
+    return fam.with_meta(provenance=spec.provenance())
 
 
 def _thm12_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
@@ -400,11 +367,8 @@ def _thm12_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
 def construct_thm12(l: int, n: int, epsilon_scale=1) -> LineFamily:
     """Family of at least lower_bound_value(l, n) lines, fewer than l
     concurrent, with no n lines in convex position."""
-    if l < 3:
-        raise ParameterRangeError(f"l must be >= 3: {l}")
-    if n < 5:
-        raise ParameterRangeError(f"n must be >= 5: {n}")
-    scale = _positive_rat(epsilon_scale, "epsilon_scale")
+    spec = ConstructionSpec(_thm12_kind(n), l=l, n=n, epsilon_scale=epsilon_scale)
+    scale = spec.epsilon_scale
     if n % 2 == 0:
         k = (n - 2) // 2
     else:
@@ -426,13 +390,7 @@ def construct_thm12(l: int, n: int, epsilon_scale=1) -> LineFamily:
         _assemble(scaffold, pieces, scale / 4),
         (_concurrency("<=", l - 1), ("size", len, ">=", lower_bound_value(l, n)), _no_convex(n)),
     )
-    return fam.with_meta(
-        provenance=(
-            ("kind", f"thm12_{'even' if n % 2 == 0 else 'odd'}"),
-            ("l", str(l)),
-            ("n", str(n)),
-        )
-    )
+    return fam.with_meta(provenance=spec.provenance())
 
 
 def figure10_family(l: int, epsilon_scale=1) -> LineFamily:
@@ -448,9 +406,8 @@ def figure10_family(l: int, epsilon_scale=1) -> LineFamily:
     slopes within 1/8 of +-3/4, so all 2l slopes are distinct; the family
     is built once and certified.
     """
-    if l < 3:
-        raise ParameterRangeError(f"l must be >= 3: {l}")
-    delta = min(_positive_rat(epsilon_scale, "epsilon_scale"), Fraction(2)) / (8 * (l - 1))
+    spec = ConstructionSpec("figure10", l=l, epsilon_scale=epsilon_scale)
+    delta = min(spec.epsilon_scale, Fraction(2)) / (8 * (l - 1))
     eta = delta / 3
     lines = []
     for j in range(l - 1):
@@ -464,13 +421,18 @@ def figure10_family(l: int, epsilon_scale=1) -> LineFamily:
         LineFamily(tuple(lines)),
         (_concurrency("==", l - 1), _no_convex(5)),
     )
-    return fam.with_meta(provenance=(("kind", "figure10"), ("l", str(l))))
+    return fam.with_meta(provenance=spec.provenance())
 
 
 @dataclass(frozen=True)
 class ConstructionSpec:
     """Serializable recipe naming a generator, its parameters and the
-    slope spread scale it passes on (ignored by pencil)."""
+    slope spread scale it passes on (ignored by pencil).
+
+    Every generator starts by building its spec, which alone checks the
+    parameter domains, and stamps spec.provenance() on the family it
+    returns, so from_provenance of a family's header rebuilds that family.
+    """
 
     kind: str
     p: Optional[int] = None
@@ -484,29 +446,16 @@ class ConstructionSpec:
         object.__setattr__(
             self, "epsilon_scale", _positive_rat(self.epsilon_scale, "epsilon_scale")
         )
-        if self.kind not in KINDS:
+        if self.kind not in _RECIPES:
             raise ParameterRangeError(f"unknown construction kind: {self.kind!r}")
-        for name in _REQUIRED[self.kind]:
-            if getattr(self, name) is None:
+        for name, low in _RECIPES[self.kind][0].items():
+            value = getattr(self, name)
+            if value is None:
                 raise ParameterRangeError(f"kind {self.kind!r} needs parameter {name}")
-        if self.p is not None and self.p < 2:
-            raise ParameterRangeError(f"p must be >= 2: {self.p}")
-        if self.q is not None and self.q < 2:
-            raise ParameterRangeError(f"q must be >= 2: {self.q}")
-        if self.l is not None and self.l < 3:
-            raise ParameterRangeError(f"l must be >= 3: {self.l}")
-        if self.k is not None and self.k < 2:
-            raise ParameterRangeError(f"k must be >= 2: {self.k}")
-        if self.kind == "pencil" and self.n is not None and self.n < 1:
-            raise ParameterRangeError(f"n must be >= 1: {self.n}")
-        if self.kind.startswith("thm12"):
-            if self.n < 5:
-                raise ParameterRangeError(f"n must be >= 5: {self.n}")
-            want_even = self.kind.endswith("even")
-            if (self.n % 2 == 0) != want_even:
-                raise ParameterRangeError(
-                    f"kind {self.kind!r} does not match n={self.n}"
-                )
+            if value < low:
+                raise ParameterRangeError(f"{name} must be >= {low}: {value}")
+        if self.kind.startswith("thm12") and self.kind != _thm12_kind(self.n):
+            raise ParameterRangeError(f"kind {self.kind!r} does not match n={self.n}")
 
     def provenance(self) -> Tuple[Tuple[str, str], ...]:
         pairs = [("kind", self.kind)]
@@ -534,41 +483,34 @@ class ConstructionSpec:
         return cls(kind=kind, **params)
 
     def build(self) -> LineFamily:
-        """Run the generator. A scale other than 1 is appended to the
-        family's provenance, so from_provenance rebuilds the same call."""
-        scale = self.epsilon_scale
-        if self.kind == "pencil":
-            fam = pencil(
-                Point(Fraction(0), Fraction(-1)),
-                self.n,
-                tuple(Fraction(i) for i in range(1, self.n + 1)),
-            )
-        elif self.kind == "base_pq2":
-            fam = construct_base(self.p, self.l, scale)
-        elif self.kind == "base_2q":
-            fam = construct_base_caps(self.q, self.l, scale)
-        elif self.kind == "recursive_pq":
-            fam = construct_F(self.p, self.q, self.l, scale)
-        elif self.kind in ("prop32_even", "prop32_odd"):
-            fam = construct_prop32(self.l, self.k, self.kind.split("_")[1], scale)
-        elif self.kind in ("thm12_even", "thm12_odd"):
-            fam = construct_thm12(self.l, self.n, scale)
-        else:
-            fam = figure10_family(self.l, scale)
-        if scale != 1:
-            extra = (("epsilon_scale", format_rat(scale)),)
-            fam = fam.with_meta(name=fam.name, provenance=fam.provenance + extra)
-        return fam
+        """Run the generator; the family carries this recipe's provenance."""
+        return _RECIPES[self.kind][1](self)
 
 
-_REQUIRED = {
-    "pencil": ("n",),
-    "base_pq2": ("p", "l"),
-    "base_2q": ("q", "l"),
-    "recursive_pq": ("p", "q", "l"),
-    "prop32_even": ("l", "k"),
-    "prop32_odd": ("l", "k"),
-    "thm12_even": ("l", "n"),
-    "thm12_odd": ("l", "n"),
-    "figure10": ("l",),
+# kind -> (least value of each required parameter, generator call)
+_RECIPES = {
+    "pencil": (
+        {"n": 1},
+        lambda s: pencil(Point(0, -1), s.n, range(1, s.n + 1)).with_meta(
+            provenance=s.provenance()
+        ),
+    ),
+    "base_pq2": ({"p": 2, "l": 3}, lambda s: construct_base(s.p, s.l, s.epsilon_scale)),
+    "base_2q": ({"q": 2, "l": 3}, lambda s: construct_base_caps(s.q, s.l, s.epsilon_scale)),
+    "recursive_pq": (
+        {"p": 2, "q": 2, "l": 3},
+        lambda s: construct_F(s.p, s.q, s.l, s.epsilon_scale),
+    ),
+    "prop32_even": (
+        {"l": 3, "k": 2},
+        lambda s: construct_prop32(s.l, s.k, "even", s.epsilon_scale),
+    ),
+    "prop32_odd": (
+        {"l": 3, "k": 2},
+        lambda s: construct_prop32(s.l, s.k, "odd", s.epsilon_scale),
+    ),
+    "thm12_even": ({"l": 3, "n": 5}, lambda s: construct_thm12(s.l, s.n, s.epsilon_scale)),
+    "thm12_odd": ({"l": 3, "n": 5}, lambda s: construct_thm12(s.l, s.n, s.epsilon_scale)),
+    "figure10": ({"l": 3}, lambda s: figure10_family(s.l, s.epsilon_scale)),
 }
+KINDS = tuple(_RECIPES)

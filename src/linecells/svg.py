@@ -18,6 +18,7 @@ from .geometry import Line, LineFamily, Point, Rat, _as_rat
 __all__ = ["RenderOptions", "render_svg"]
 
 _STROKE = "#1f2937"
+_STROKE_WIDTH = 1.5
 _HIGHLIGHT_FILL = "#fcd34d"
 _HIGHLIGHT_STROKE = "#dc2626"
 
@@ -36,7 +37,6 @@ class RenderOptions:
     highlight: Optional[SignVector] = None
     highlight_lines: Optional[Tuple[int, ...]] = None
     width: int = 640
-    stroke_width: float = 1.5
 
 
 def _auto_viewport(family: LineFamily) -> Tuple[Rat, Rat, Rat, Rat]:
@@ -175,9 +175,9 @@ def render_svg(family: LineFamily, options: Optional[RenderOptions] = None) -> s
         b = Point(span[1], line.y_at(span[1]))
         (ax, ay), (bx, by) = to_svg(a), to_svg(b)
         if idx in accents:
-            color, sw = _HIGHLIGHT_STROKE, options.stroke_width * 2
+            color, sw = _HIGHLIGHT_STROKE, _STROKE_WIDTH * 2
         else:
-            color, sw = _STROKE, options.stroke_width
+            color, sw = _STROKE, _STROKE_WIDTH
         parts.append(
             f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" '
             f'stroke="{color}" stroke-width="{_fmt(sw)}"/>'

@@ -305,6 +305,39 @@ def test_construction_spec_build_matches_direct():
     assert max_concurrency(fam).max_count == 4
 
 
+# the smallest direct call of each generator, at a given epsilon_scale
+DIRECT_CALLS = {
+    "base_pq2": lambda scale: construct_base(2, 3, scale),
+    "base_2q": lambda scale: construct_base_caps(2, 3, scale),
+    "recursive_pq": lambda scale: construct_F(3, 3, 4, epsilon_scale=scale),
+    "prop32_even": lambda scale: construct_prop32(3, 2, "even", scale),
+    "prop32_odd": lambda scale: construct_prop32(3, 2, "odd", scale),
+    "thm12_even": lambda scale: construct_thm12(3, 6, scale),
+    "thm12_odd": lambda scale: construct_thm12(3, 5, scale),
+    "figure10": lambda scale: figure10_family(3, scale),
+}
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 3)], ids=["scale1", "scale1_3"])
+@pytest.mark.parametrize("kind", sorted(DIRECT_CALLS))
+def test_every_generators_header_rebuilds_it(kind, scale):
+    fam = DIRECT_CALLS[kind](scale)
+    assert dict(fam.provenance)["kind"] == kind
+    rebuilt = ConstructionSpec.from_provenance(fam.provenance).build()
+    assert (rebuilt.lines, rebuilt.provenance) == (fam.lines, fam.provenance)
+
+
+def test_only_the_pencil_recipe_writes_a_header():
+    assert set(DIRECT_CALLS) == set(KINDS) - {"pencil"}
+    fam = ConstructionSpec(kind="pencil", n=3).build()
+    assert fam.provenance == (("kind", "pencil"), ("n", "3"))
+    rebuilt = ConstructionSpec.from_provenance(fam.provenance).build()
+    assert (rebuilt.lines, rebuilt.provenance) == (fam.lines, fam.provenance)
+    assert fam.lines == pencil(Point(0, -1), 3, [1, 2, 3]).lines
+    assert pencil(Point(0, -1), 3, [1, 2, 3]).provenance is None
+    assert pencil(Point(0, 0), 3, [1, 2, 3]).provenance is None
+
+
 def test_provenance_tags_present():
     fam = construct_F(3, 3, 3)
     assert dict(fam.provenance)["kind"] == "recursive_pq"

@@ -138,7 +138,6 @@ def check_concurrency(fam):
     top, points, profile = oracles.concurrency(fam)
     report = max_concurrency(fam)
     assert report.max_count == top
-    assert report.all_points_at_max == points
     assert report.point == (points[0] if points else None)
     assert concurrency_profile(fam) == profile
     assert _auto_viewport(fam) == oracles.viewport(fam)
@@ -149,7 +148,7 @@ def check_vertex_runs(fam):
     order, field for field against the row-grouping references."""
     report = max_concurrency(fam)
     want = oracles.counted_concurrency(fam)
-    assert (report.max_count, report.point, report.all_points_at_max) == want
+    assert (report.max_count, report.point) == want[:2]
     profile = concurrency_profile(fam)
     assert list(profile.items()) == list(oracles.counted_profile(fam).items())
     if len(fam) > 1:
@@ -294,7 +293,7 @@ def test_vertex_runs_match_row_grouping_on_bench_families(path):
         check_cells_on_grouped_vertices(fam)
 
 
-def test_max_concurrency_builds_one_point_until_all_are_read():
+def test_max_concurrency_builds_one_point():
     fam = construct_F(4, 4, 3)
     calls = []
     vertex = IntegerView.vertex
@@ -305,14 +304,8 @@ def test_max_concurrency_builds_one_point_until_all_are_read():
 
     with patch.object(IntegerView, "vertex", counted):
         report = max_concurrency(fam)
-        assert report.max_count == 2
-        assert len(calls) == 1
-        points = report.all_points_at_max
-    n = len(fam)
-    assert len(calls) == 1 + n * (n - 1) // 2
-    assert isinstance(points, tuple)
-    assert report.all_points_at_max is points
-    assert (report.max_count, report.point, points) == oracles.counted_concurrency(fam)
+    assert len(calls) == 1
+    assert (report.max_count, report.point) == oracles.counted_concurrency(fam)[:2]
 
 
 @KERNELS
