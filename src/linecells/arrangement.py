@@ -20,14 +20,11 @@ and answers "is line i's interval inside the cell nonempty?" one way: the
 interval's ends are exact crossing keys X_ij, so the test is one integer
 compare. The keys come from the view's one key table, the flat list
 IntegerView.keys, whose row i is keys[i*n : i*n + n]. bounding_lines and
-classify_cell take each line's ends from that row in _key_interval; the
-convex-position fold (extend_on_keys) carries them line by line, so adding
-a line costs O(k) compares. One walk over subsets (_convex_walk) runs the
-fold for convex_position_cell and the searches in verify, which differ
-only in its stop rules need and goal. The vertices come off the family's
-sorted edge order (IntegerView.edge_order, the edges e = i*n + j by
-keys[e], shared with the chain DPs): an edge alone at its key is a
-two-line vertex, and a run of equal keys splits into the vertices on it.
+classify_cell take each line's ends from that row in _key_interval. The
+vertices come off the family's sorted edge order (IntegerView.edge_order,
+the edges e = i*n + j by keys[e], shared with the chain DPs): an edge
+alone at its key is a two-line vertex, and a run of equal keys splits
+into the vertices on it.
 The concurrency report and profile look only at those runs, and the
 report builds a Point only for the first vertex at the maximum. Cell
 enumeration reads every cell off the sectors around the vertices in
@@ -35,9 +32,19 @@ integers: sign vectors from one integer expression per vertex
 and line, bounding sets and classes from the lines that form each sector
 and which of their pieces are rays, told by each line's first and last
 key on its row of keys. It builds one Fraction witness per cell and calls
-neither the per-line intervals nor a Fraction side test. The cross-product
-interval test, the Fraction stepper and the per-line grouping of the
-crossing keys that these replaced are the references in tests/oracles.py.
+neither the per-line intervals nor a Fraction side test.
+
+Lines are in convex position when one cell is bounded by all of them.
+The lines below that cell form a cup and the lines above it a cap, and
+the cell's left and right vertices fix how the crossing keys along both
+chains may run. So one DP over the edge order (_convex_split) finds a
+largest subset in convex position, anchored at each possible left vertex
+in turn and pruned by the longest cup and cap the anchor leaves. It answers
+convex_position_cell and the searches in verify, which differ only in
+its stop rules need and goal. The cross-product interval test, the
+Fraction stepper, the per-line grouping of the crossing keys and the
+exponential walk over subsets that these replaced are the references in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, islice
-from operator import eq, gt, lt
+from operator import eq
 from typing import Dict, FrozenSet, Iterator, List, Literal, Optional, Sequence, Tuple
 
 from .errors import InfeasibleSignVectorError
@@ -332,107 +339,234 @@ def concurrency_profile(family: LineFamily) -> Dict[int, int]:
     return {k: profile[k] for k in sorted(profile) if profile[k]}
 
 
-KeyCell = Tuple[SignVector, Tuple[int, ...], Tuple[int, ...]]
+# a family's edges i < j in ascending key order, as parallel lists: the
+# keys, the lower lines, the higher lines, and whether the next edge has
+# the same key
+Frame = Tuple[List[int], List[int], List[int], List[bool]]
+
+# a chain of lines as nested (line, rest) pairs, so that longer chains
+# share their tails
+Link = Optional[Tuple[int, "Link"]]
 
 
-def extend_on_keys(keys: Sequence[int], cells: Sequence[KeyCell], far: int) -> List[KeyCell]:
-    """The cells bounded by every chosen line once line t joins them.
+def _frames(view) -> Tuple[Frame, Frame]:
+    """The edge order as a Frame, and the same for the mirror image x -> -x.
 
-    t has a higher slope than every chosen line, and keys[a] is the
-    crossing key of t with the a-th chosen line. Each cell is (signs, lo,
-    hi): its sign vector over the chosen lines and, for the a-th one, the
-    keys lo[a] < hi[a] that end that line's open interval inside the cell,
-    with -far and far (IntegerView.key_sentinel) for infinite ends. The empty
-    arrangement's one cell, ((), (), ()), starts the fold.
-
-    A cell bounded by every line of the larger arrangement lies in one
-    bounded by every line of the smaller, so the candidates are the old
-    cells with either sign for t. Line t runs from its last crossing with a
-    line the cell lies above to its first with one it lies below, for both
-    signs. Below t, line a keeps only x > X_at, so keys[a] is its new lo;
-    above t, x < X_at and keys[a] is its new hi. A candidate is kept when
-    every interval stays nonempty: O(k) integer compares for k chosen
-    lines. This is the interval test of _key_interval, carried line by
-    line. t is the highest mask bit (bit i set means the cell lies above
-    line i), so listing every -1 extension before every +1 one keeps cells
-    sorted by mask.
+    The mirror's line i is line n-1-i and its keys are the negated ones,
+    so its edge order is the edge order reversed and relabelled.
     """
-    below, above = [], []
-    for signs, lo, hi in cells:
-        lo_t = max((k for k, s in zip(keys, signs) if s > 0), default=-far)
-        hi_t = min((k for k, s in zip(keys, signs) if s < 0), default=far)
-        if lo_t >= hi_t:
-            continue
-        # lo[a] < hi[a] already, so only the new end needs checking
-        if all(map(lt, keys, hi)):
-            below.append((signs + (-1,), tuple(map(max, lo, keys)) + (lo_t,), hi + (hi_t,)))
-        if all(map(gt, keys, lo)):
-            above.append((signs + (1,), lo + (lo_t,), tuple(map(min, hi, keys)) + (hi_t,)))
-    return below + above
+    keys, order = view.keys, view.edge_order
+    n = len(view.pairs)
+    ks = [keys[e] for e in order]
+    xs = [e // n for e in order]
+    ys = [e % n for e in order]
+    top = n - 1
+    mirror = (
+        [-k for k in reversed(ks)],
+        [top - y for y in reversed(ys)],
+        [top - x for x in reversed(xs)],
+    )
+    return tuple(
+        (ks, xs, ys, [*map(eq, ks, islice(ks, 1, None)), False])
+        for ks, xs, ys in ((ks, xs, ys), mirror)
+    )
 
 
-def _convex_walk(family: LineFamily, need: int, goal: int):
-    """(subset, its cells from extend_on_keys) for the best subset in convex
-    position, or ((), ()) when none has need lines.
+def _chain(link: Link) -> Tuple[int, ...]:
+    """The lines of a chain from its Link, its head first."""
+    out = []
+    while link is not None:
+        out.append(link[0])
+        link = link[1]
+    return tuple(out)
 
-    Walks index prefixes depth-first in lexicographic order; convex position
-    is inherited by subsets, so a prefix with no cell ends its subtree. The
-    best is the first subset found with at least need lines and more than
-    the best before it. A subtree is walked only if it can reach floor =
-    max(need, len(best) + 1) lines, and a best of goal lines sets floor past
-    the family size, ending the walk. The walk is exponential in general.
+
+def _bounds(frame: Frame, n: int):
+    """The longest cup, the longest cap, and the anchor bounds, from one
+    walk down the frame's edges in batches of equal key.
+
+    The walk keeps, for each line x, the longest cup starting at x and the
+    longest cap running down from x (its keys rising as the lines fall)
+    over the keys above the current one. Before its batch, edge (a, b)
+    reads the anchor bound of its left vertex: the longest cup from a plus
+    the longest cap down from b over the keys above X_ab, which no cell
+    anchored there can beat. Returns (size, lines) of the longest cup and
+    cap and levels, where levels[s] lists the edges whose bound is s.
     """
-    view = family.view
-    keys = view.keys
-    size = len(view.pairs)
-    far = view.key_sentinel
-    best = ((), ())
-    floor = need
+    _, xs, ys, tied = frame
+    cup, cap = [1] * n, [1] * n
+    cupl: List[Link] = [(v, None) for v in range(n)]
+    capl = cupl[:]
+    levels: List[List[int]] = [[] for _ in range(2 * n + 1)]
+    grown = []
+    for p in range(len(xs) - 1, -1, -1):
+        x, y = xs[p], ys[p]
+        levels[cup[x] + cap[y]].append(p)
+        grown.append((x, y, cup[y], cupl[y], cap[x], capl[x]))
+        # edges of one key extend only chains over the keys above it
+        if not tied[p - 1]:
+            for x, y, u, ul, v, vl in grown:
+                if u >= cup[x]:
+                    cup[x], cupl[x] = u + 1, (x, ul)
+                if v >= cap[y]:
+                    cap[y], capl[y] = v + 1, (y, vl)
+            grown = []
+    x = max(range(n), key=cup.__getitem__)
+    y = max(range(n), key=cap.__getitem__)
+    return (cup[x], _chain(cupl[x])), (cap[y], _chain(capl[y])[::-1]), levels
 
-    def walk(prefix, cells):
-        nonlocal best, floor
-        k = len(prefix)
-        for i in range(prefix[-1] + 1 if prefix else 0, size):
-            # below prefix + (i,) lie at most k + size - i lines
-            if k + size - i < floor:
-                return
-            row = i * size
-            bounded = extend_on_keys([keys[row + j] for j in prefix], cells, far)
-            if bounded:
-                cand = prefix + (i,)
-                if k + 1 >= floor:
-                    best = (cand, bounded)
-                    floor = size + 1 if k + 1 == goal else k + 2
-                walk(cand, bounded)
 
-    walk((), [((), (), ())])
-    return best
+def _sweep(frame: Frame, n: int, p: int, stop: int):
+    """(size, (cup, cap, class)) of the largest cell anchored at the left
+    vertex of edge p, (a, b) = (xs[p], ys[p]), found before the size
+    reaches stop; the cup and cap are Links, the cup's read backwards.
+
+    The cell lies above a cup C from a and below a cap D up to b, with
+    every key of both above T = X_ab. Walking the edges above T in batches
+    of equal key, cup[v] is the longest such cup ending at v and cap[v]
+    the longest such cap starting at v, 0 until reached. Edge (x, y) first
+    closes the bounded cell with right vertex (y, x), of size cup[y] +
+    cap[x] from before the batch, then extends the cups through x to y and
+    the caps through y down to x. After the walk, the cells unbounded to
+    the right pair a cup ending at c with a cap from d, for c < d.
+    """
+    _, xs, ys, tied = frame
+    a, b = xs[p], ys[p]
+    cup, cap = [0] * n, [0] * n
+    cupl: List[Link] = [None] * n
+    capl: List[Link] = [None] * n
+    cup[a] = cap[b] = 1
+    cupl[a], capl[b] = (a, None), (b, None)
+    best, found = 0, None
+    grown = []
+    while tied[p]:
+        p += 1
+    for p in range(p + 1, len(xs)):
+        x, y = xs[p], ys[p]
+        cy, px = cup[y], cap[x]
+        if cy and px and cy + px > best:
+            best, found = cy + px, (cupl[y], capl[x], "bounded")
+            if best >= stop:
+                return best, found
+        cx, py = cup[x], cap[y]
+        grow_cup = cx and cx >= cy
+        grow_cap = py and py >= px
+        if tied[p] or grown:
+            # edges of one key extend only chains from before their batch
+            grown.append((x, y, grow_cup and (y, cupl[x]), grow_cap and (x, capl[y]), cx, py))
+            if tied[p]:
+                continue
+            for x, y, ul, vl, u, v in grown:
+                if ul and u >= cup[y]:
+                    cup[y], cupl[y] = u + 1, ul
+                if vl and v >= cap[x]:
+                    cap[x], capl[x] = v + 1, vl
+            grown = []
+        else:
+            if grow_cup:
+                cup[y], cupl[y] = cx + 1, (y, cupl[x])
+            if grow_cap:
+                cap[x], capl[x] = py + 1, (x, capl[y])
+    # the longest cup ending left of each d, against the cap from d
+    lead = lead_at = 0
+    for d in range(n):
+        if cap[d] and lead and lead + cap[d] > best:
+            best, found = lead + cap[d], (cupl[lead_at], capl[d], "unbounded_right")
+        if cup[d] > lead:
+            lead, lead_at = cup[d], d
+    return best, found
+
+
+def _convex_split(view, need: int, goal: int):
+    """(C, D, class) for a largest subset in convex position: the lines
+    below a cell bounded by all of them (a cup), the lines above it (a
+    cap), and the cell's class. The search stops once a subset has goal
+    lines, and gives None when none has need lines.
+
+    S is in convex position exactly when it splits into a cup C and a cap
+    D, either possibly empty, such that, with a = min C, b = max D, c =
+    max C and d = min D: if a < b, every chain key lies above X_ab (the
+    cell's left vertex); if c > d, every chain key lies below X_cd (its
+    right vertex); and not both a > b and c < d. With D empty the cell is
+    the top cell and with C empty the bottom one, so the longest cup and
+    cap are candidates. The cells with a left vertex, bounded or unbounded
+    to the right, come from a _sweep from their anchor (a, b), and those
+    unbounded to the left from the same sweep on the mirror image.
+
+    _bounds gives the longest cup and cap and every anchor's bound, so no
+    more than cup + cap lines are sought. Anchors are swept by descending
+    bound, capped at goal, and at equal bound from the highest X_ab down,
+    since a sweep from there is short and often meets the bound at once.
+    The search stops when no bound left beats the best size. A sweep costs
+    O(n^2), so the search is O(n^4) at worst.
+    """
+    n = len(view.pairs)
+    frames = _frames(view)
+    (cup, cup_lines), (cap, cap_lines), levels = _bounds(frames[0], n)
+    mirror_levels = _bounds(frames[1], n)[2]
+    best = max(cup, cap)
+    split = (cup_lines, (), "unbounded_other") if cup >= cap else ((), cap_lines, "unbounded_other")
+    top = min(goal, cup + cap)
+    anchored = None
+    for level in range(top, max(need, best + 1) - 1, -1):
+        if level <= best:
+            break
+        bounds = range(level, 2 * n + 1) if level == top else (level,)
+        anchors = [
+            (frames[f][0][p], f, p)
+            for f, by_bound in enumerate((levels, mirror_levels))
+            for s in bounds
+            for p in by_bound[s]
+        ]
+        for _, f, p in sorted(anchors, reverse=True):
+            size, found = _sweep(frames[f], n, p, level)
+            if size > best:
+                best, anchored = size, (f, found)
+                if best >= level:
+                    break
+    if best < need:
+        return None
+    if anchored is None:
+        return split
+    f, (low, high, bound_class) = anchored
+    below, above = _chain(low)[::-1], _chain(high)
+    if f:
+        below = tuple(n - 1 - v for v in reversed(below))
+        above = tuple(n - 1 - v for v in reversed(above))
+        if bound_class == "unbounded_right":
+            bound_class = "unbounded_left"
+    return below, above, bound_class
 
 
 def convex_position_cell(family: LineFamily) -> Optional[Cell]:
     """A cell bounded by every line of the family, or None.
 
-    Of all such cells, the one with the smallest mask (bit i set means the
-    cell lies above line i), so the witness is deterministic.
+    The cell lies above the cup and below the cap of the family's split
+    (_convex_split with need and goal the family size).
     """
     n = len(family)
     if n < 2:
         return None
     view = family.view
-    far = view.key_sentinel
-    _, cells = _convex_walk(family, n, n)
-    if not cells:
+    split = _convex_split(view, n, n)
+    if split is None:
         return None
-    signs, lo, hi = cells[0]
+    below, _, bound_class = split
+    signs = [-1] * n
+    for i in below:
+        signs[i] = 1
+    signs = tuple(signs)
+    lo, hi = _cell_intervals(family, signs)[0]
     # step up or down off line 0 at x = a/b, the middle of its interval or
     # 1 past its one finite end; an end with key k is X_0j = p/q for any
     # j > 0 with that key (j = 0 is the diagonal, whose key is 0 too), and
     # keys[j] is X_0j's key, row 0 of the table
+    far = view.key_sentinel
     pairs = view.pairs
     m0, c0 = pairs[0]
     keys = view.keys
     ends = []
-    for key in (lo[0], hi[0]):
+    for key in (lo, hi):
         if abs(key) != far:
             mj, cj = pairs[next(j for j in range(1, n) if keys[j] == key)]
             ends.append((c0 - cj, mj - m0))
@@ -441,12 +575,11 @@ def convex_position_cell(family: LineFamily) -> Optional[Cell]:
         a, b = p1 * q2 + p2 * q1, 2 * q1 * q2
     else:
         [(p, q)] = ends
-        a, b = p + q if abs(hi[0]) == far else p - q, q
+        a, b = p + q if abs(hi) == far else p - q, q
     top = m0 * a + c0 * b
     heights = [top - m * a - c * b for m, c in pairs]
     w = _sector_witness(pairs, heights, a, b, top, view.scale, 0, signs[0] * view.scale)
-    rays = (sum(key == far for key in hi), sum(key == -far for key in lo))
-    return Cell(signs, frozenset(range(n)), _bound_class(*rays), w)
+    return Cell(signs, frozenset(range(n)), bound_class, w)
 
 
 def is_convex_position(family: LineFamily) -> bool:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Literal, Optional, Tuple
 
-from .arrangement import Cell, bounding_lines
+from .arrangement import Cell, _chain, bounding_lines
 from .errors import ParameterRangeError
 from .geometry import LineFamily, Point
 
@@ -118,12 +118,7 @@ def _longest_chain(family: LineFamily, kind: ChainKind) -> ChainResult:
         hj, hs, hc = j, size[i], chain[i]
     settle([(hj, hs, hc)] + tied)
     top = max(size)
-    link = chain[size.index(top)]
-    witness = []
-    while link is not None:
-        witness.append(link[0])
-        link = link[1]
-    return ChainResult(top, tuple(reversed(witness)), kind)
+    return ChainResult(top, _chain(chain[size.index(top)])[::-1], kind)
 
 
 def longest_cup(family: LineFamily) -> ChainResult:

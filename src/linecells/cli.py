@@ -61,15 +61,15 @@ def _cmd_verify(args) -> int:
         family, l=args.l, p=args.p, q=args.q, check_unbounded=sides, k=args.k
     )
     passed = report.passed
-    # hold the result line back until the optional convex check has printed
-    for line in format_report(report).splitlines():
-        if not line.startswith("result:"):
-            print(line)
+    lines = format_report(report).splitlines()
+    # every check runs before anything prints, so a usage error prints none
     if args.no_convex is not None:
         ok = not exists_n_convex(family, args.no_convex)
-        print(f"check no {args.no_convex} in convex position: {'pass' if ok else 'FAIL'}")
+        verdict = "pass" if ok else "FAIL"
+        lines.insert(-1, f"check no {args.no_convex} in convex position: {verdict}")
         passed = passed and ok
-    print(f"result: {'PASS' if passed else 'FAIL'}")
+        lines[-1] = f"result: {'PASS' if passed else 'FAIL'}"
+    print("\n".join(lines))
     return 0 if passed else 1
 
 

@@ -14,12 +14,14 @@ contract, the reflections and the shear preserve sign vectors exactly, so
 nothing they build is re-checked. Each public generator instead certifies
 its result once, through _certify: concurrency, cup and cap lengths and
 unbounded 4-cells of the base families and of every recursive family it
-returns or assembles from, and the concurrency and the exhaustive
-no-n-convex search of each assembly and of figure10_family. No check is
-ever skipped; the first that fails raises ConstructionError naming the
-generator, the check, the measured value and the bound. So
-construct_thm12(l, n) for n >= 7, whose assembly has n lines in convex
-position, raises instead of returning.
+returns or assembles from, and the concurrency and the no-n-convex check
+of each assembly and of figure10_family. That check is the polynomial
+cup/cap-split search (verify.find_n_convex), which proves that no n lines
+are in convex position or names n that are. No check is ever skipped;
+the first that fails raises ConstructionError naming the generator, the
+check, the measured value and the bound. So construct_thm12(l, n) for
+n >= 7 and construct_prop32(3, 4, "odd"), whose assemblies have n lines
+in convex position, raise instead of returning.
 """
 
 from __future__ import annotations
@@ -427,11 +429,14 @@ def figure10_family(l: int, epsilon_scale=1) -> LineFamily:
 @dataclass(frozen=True)
 class ConstructionSpec:
     """Serializable recipe naming a generator, its parameters and the
-    slope spread scale it passes on (ignored by pencil).
+    slope spread scale it passes on.
 
     Every generator starts by building its spec, which alone checks the
-    parameter domains, and stamps spec.provenance() on the family it
-    returns, so from_provenance of a family's header rebuilds that family.
+    parameters: each one its kind's recipe lists must be given and in
+    range, any other must be left unset, and the pencil, which has no
+    slope spread, takes only the default scale 1. Every generator stamps
+    spec.provenance() on the family it returns, so from_provenance of a
+    family's header rebuilds that family.
     """
 
     kind: str
@@ -448,12 +453,20 @@ class ConstructionSpec:
         )
         if self.kind not in _RECIPES:
             raise ParameterRangeError(f"unknown construction kind: {self.kind!r}")
-        for name, low in _RECIPES[self.kind][0].items():
+        lows = _RECIPES[self.kind][0]
+        for name in ("p", "q", "l", "k", "n"):
             value = getattr(self, name)
-            if value is None:
+            if name not in lows:
+                if value is not None:
+                    raise ParameterRangeError(f"kind {self.kind!r} takes no {name}: {value}")
+            elif value is None:
                 raise ParameterRangeError(f"kind {self.kind!r} needs parameter {name}")
-            if value < low:
-                raise ParameterRangeError(f"{name} must be >= {low}: {value}")
+            elif value < lows[name]:
+                raise ParameterRangeError(f"{name} must be >= {lows[name]}: {value}")
+        if self.kind == "pencil" and self.epsilon_scale != 1:
+            raise ParameterRangeError(
+                f"kind 'pencil' takes no epsilon_scale: {format_rat(self.epsilon_scale)}"
+            )
         if self.kind.startswith("thm12") and self.kind != _thm12_kind(self.n):
             raise ParameterRangeError(f"kind {self.kind!r} does not match n={self.n}")
 

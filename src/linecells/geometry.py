@@ -150,13 +150,13 @@ class IntegerView:
     ``key(i, j)`` computes one key. The derived tables are computed on
     first use and live as long as the family does:
     - ``keys``, the one n^2 key table, a flat row-major list: line i's
-      keys are keys[i*n : i*n + n]. The cell predicates, the
-      convex-position walk and cell enumeration index it, and the chain
-      DPs and the vertex runs read the keys of ``edge_order`` from it;
+      keys are keys[i*n : i*n + n]. The cell predicates and cell
+      enumeration index it, and the chain DPs, the convex-position split
+      DP and the vertex runs read the keys of ``edge_order`` from it;
     - ``edge_order``, the n(n-1)/2 edges i < j as e = i*n + j, sorted once
-      by keys[e] and shared by the cup and the cap DP, the concurrency
-      report and cell enumeration, which read the vertices off its runs of
-      equal keys;
+      by keys[e] and shared by the cup and the cap DP, the split DP, the
+      concurrency report and cell enumeration, which read the vertices off
+      its runs of equal keys;
     - ``rim``, the n pairs whose crossings hold the extreme vertices, and
       ``key_sentinel``, read off them, so that neither needs ``keys``.
     The staircases build no table: they call ``key`` for the O(n) keys
@@ -205,7 +205,8 @@ class IntegerView:
         """The edges i < j as e = i*n + j, by ascending keys[e].
 
         The sort is stable, so edges of equal key keep their (i, j) order.
-        Both chain DPs walk this one order, the cap DP backwards.
+        Both chain DPs walk this one order, the cap DP backwards, and the
+        convex-position split DP walks it and its mirror image.
         """
         n = len(self.pairs)
         edges = (e for i in range(n) for e in range(i * n + i + 1, i * n + n))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence, Tuple
 
-from .arrangement import ConcurrencyReport, _convex_walk, max_concurrency
+from .arrangement import ConcurrencyReport, _convex_split, max_concurrency
 from .chains import ChainResult, has_k_cell_unbounded, longest_cap, longest_cup
 from .errors import ParameterRangeError
 from .geometry import LineFamily, Rat, _as_rat
@@ -65,32 +65,23 @@ def f_L_bound(l: int, p: int, q: int, c=1) -> Rat:
     return c * (min(p - 1, q - 1) + l) * comb(p + q - 4, q - 2)
 
 
-def convex_bound(family: LineFamily) -> int:
-    """Most lines any subset in convex position can have: longest cup plus
-    longest cap.
-
-    The lines below a cell bounded by all of them are a cup (the cell lies
-    in their top cell and meets each of them along a segment) and the lines
-    above it a cap, as in the Erdos-Szekeres cup/cap split.
-    """
-    return longest_cup(family).size + longest_cap(family).size
-
-
 def find_n_convex(family: LineFamily, n: int) -> Optional[Tuple[int, ...]]:
-    """First n-subset (lexicographic over slope-sorted indices) in convex
-    position, or None.
+    """n lines in convex position, or None.
 
-    None at once when n exceeds convex_bound. Otherwise the convex-position
-    walk (arrangement._convex_walk) with need and goal both n: it walks only
-    the subtrees with room for n lines and stops at the first n-subset. The
-    walk is exponential in general.
+    The cup/cap-split DP (arrangement._convex_split) with need and goal
+    both n: it returns None at once when n exceeds the longest cup plus the
+    longest cap, and otherwise stops at the first split of n or more
+    lines. Convex position passes to subsets, so the first n of its lines
+    are the witness.
     """
     size = len(family)
     if not 2 <= n <= size:
         raise ParameterRangeError(f"need 2 <= n <= {size}: {n}")
-    if n > convex_bound(family):
+    split = _convex_split(family.view, n, n)
+    if split is None:
         return None
-    return _convex_walk(family, n, n)[0] or None
+    below, above, _ = split
+    return tuple(sorted(below + above)[:n])
 
 
 def exists_n_convex(family: LineFamily, n: int) -> bool:
@@ -105,17 +96,17 @@ def exists_n_convex(family: LineFamily, n: int) -> bool:
 
 
 def largest_convex_subset(family: LineFamily):
-    """(size, witness indices) of a largest subset in convex position; the
-    witness is the lexicographically first subset of that size.
+    """(size, witness indices) of a largest subset in convex position.
 
-    The convex-position walk (arrangement._convex_walk) with need 1 and
-    goal convex_bound: it skips every subtree too small to beat the best
-    subset so far and stops when the best subset reaches convex_bound,
-    since every later subset comes after it and is no larger. Only that
-    stop keeps the walk short; without it the walk is exponential.
+    The cup/cap-split DP (arrangement._convex_split) with need 1 and goal
+    the family size. The lines below a cell bounded by all of them are a
+    cup (the cell lies in their top cell and meets each of them along a
+    segment) and the lines above it a cap, so no subset has more than the
+    longest cup plus the longest cap, and the DP stops there.
     """
-    best, _ = _convex_walk(family, 1, convex_bound(family))
-    return (len(best), best)
+    below, above, _ = _convex_split(family.view, 1, len(family))
+    witness = tuple(sorted(below + above))
+    return (len(witness), witness)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,12 @@ integer pairs alone, never from the view's own key table:
 tuple_sort_chain, the chain DP that sorted (key, i, j) tuples once per
 call, for the DP that walks the view's cached edge order;
 scan_staircases, the prefix/suffix scan of every line's keys, for the
-staircases from two envelope stacks; and row_grouped_vertices with the
+staircases from two envelope stacks; row_grouped_vertices with the
 crossing_counts behind counted_concurrency and counted_profile, which
-grouped each line's keys, for the vertices read off the edge order.
+grouped each line's keys, for the vertices read off the edge order; and
+convex_walk, the exponential walk over subsets that folds in one line at
+a time (extend_on_keys), for the cup/cap-split DP of the convex-position
+search.
 
 intersect, orientation and side_of are the Fraction primitives that the
 tests build families and points with. Their sign conventions:
@@ -33,7 +36,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations, groupby
 from math import lcm
-from operator import itemgetter
+from operator import gt, itemgetter, lt
 
 from linecells import (
     Cell,
@@ -495,6 +498,81 @@ def largest_convex_subset(family):
         if witness is not None:
             return n, witness
     return 1, (0,)
+
+
+def extend_on_keys(keys, cells, far):
+    """The cells bounded by every chosen line once line t joins them.
+
+    t has a higher slope than every chosen line, and keys[a] is the
+    crossing key of t with the a-th chosen line. Each cell is (signs, lo,
+    hi): its sign vector over the chosen lines and, for the a-th one, the
+    keys lo[a] < hi[a] that end that line's open interval inside the cell,
+    with -far and far for infinite ends. The empty arrangement's one cell,
+    ((), (), ()), starts the fold.
+
+    A cell bounded by every line of the larger arrangement lies in one
+    bounded by every line of the smaller, so the candidates are the old
+    cells with either sign for t. Line t runs from its last crossing with a
+    line the cell lies above to its first with one it lies below, for both
+    signs. Below t, line a keeps only x > X_at, so keys[a] is its new lo;
+    above t, x < X_at and keys[a] is its new hi. A candidate is kept when
+    every interval stays nonempty.
+    """
+    below, above = [], []
+    for signs, lo, hi in cells:
+        lo_t = max((k for k, s in zip(keys, signs) if s > 0), default=-far)
+        hi_t = min((k for k, s in zip(keys, signs) if s < 0), default=far)
+        if lo_t >= hi_t:
+            continue
+        # lo[a] < hi[a] already, so only the new end needs checking
+        if all(map(lt, keys, hi)):
+            below.append((signs + (-1,), tuple(map(max, lo, keys)) + (lo_t,), hi + (hi_t,)))
+        if all(map(gt, keys, lo)):
+            above.append((signs + (1,), lo + (lo_t,), tuple(map(min, hi, keys)) + (hi_t,)))
+    return below + above
+
+
+def convex_walk(family, need, goal):
+    """The lexicographically first subset in convex position with at least
+    need lines and more than any before it, walked until one has goal
+    lines; () when none has need lines.
+
+    Walks index prefixes depth-first in lexicographic order, folding in one
+    line at a time with extend_on_keys; convex position is inherited by
+    subsets, so a prefix with no cell ends its subtree, and a subtree too
+    small to reach max(need, best + 1) lines is skipped. Exponential in
+    general.
+    """
+    rows = crossing_rows(family.view)
+    size = len(rows)
+    far = max(abs(key) for row in rows for key in row) + 1
+    best = ()
+    floor = need
+
+    def walk(prefix, cells):
+        nonlocal best, floor
+        k = len(prefix)
+        for i in range(prefix[-1] + 1 if prefix else 0, size):
+            # below prefix + (i,) lie at most k + size - i lines
+            if k + size - i < floor:
+                return
+            bounded = extend_on_keys([rows[i][j] for j in prefix], cells, far)
+            if bounded:
+                cand = prefix + (i,)
+                if k + 1 >= floor:
+                    best = cand
+                    floor = size + 1 if k + 1 == goal else k + 2
+                walk(cand, bounded)
+
+    walk((), [((), (), ())])
+    return best
+
+
+def walk_largest(family):
+    """The size of a largest subset in convex position, by convex_walk
+    stopped at the cup+cap bound of tuple_sort_chain."""
+    goal = tuple_sort_chain(family, "cup").size + tuple_sort_chain(family, "cap").size
+    return len(convex_walk(family, 1, goal))
 
 
 def clip_cell(family, signs, box):

@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,9 @@ from linecells import (
     serialize_family,
 )
 from linecells import constructions
+
+import oracles
+from conftest import subfamily
 
 
 def run(capsys, *argv):
@@ -58,6 +62,20 @@ def test_generate_missing_param_exits_2(capsys):
 def test_generate_bad_kind_exits_2(capsys):
     code, _, _ = run(capsys, "generate", "--kind", "mystery")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--kind", "figure10", "--l", "3", "--p", "5"], "p"),
+        (["--kind", "pencil", "--n", "4", "--epsilon-scale", "1/3"], "epsilon_scale"),
+    ],
+    ids=["figure10-p", "pencil-epsilon-scale"],
+)
+def test_generate_rejects_a_parameter_its_kind_does_not_take(capsys, argv, name):
+    code, out, err = run(capsys, "generate", *argv)
+    assert (code, out) == (2, "")
+    assert f"takes no {name}" in err
 
 
 def test_generate_parity_mismatch_exits_2(capsys):
@@ -138,6 +156,18 @@ def test_verify_no_convex_option(tmp_path, capsys):
     assert "check no 7 in convex position: pass" in out
 
 
+def test_verify_bad_no_convex_exits_2_before_any_output(tmp_path, capsys):
+    fam_path = tmp_path / "f.txt"
+    run(capsys, "generate", "--kind", "recursive_pq", "--p", "3", "--q", "3",
+        "--l", "3", "-o", str(fam_path))
+    code, out, err = run(
+        capsys, "verify", str(fam_path), "--l", "3", "--p", "3", "--q", "3",
+        "--no-convex", "1",
+    )
+    assert (code, out) == (2, "")
+    assert "need 2 <= n" in err
+
+
 def test_verify_garbage_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a family\n")
@@ -204,28 +234,45 @@ def test_search_none_found(tmp_path, capsys):
 FIG8_FILE = Path(__file__).resolve().parents[1] / "bench" / "families" / "fig8.txt"
 
 SEARCHES = (
-    ("F434", ["--n", "7"], 1, "found 7 lines in convex position: [0, 1, 2, 8, 9, 11, 12]\n"),
-    ("F434", ["--n", "8"], 0, "no 8 lines in convex position\n"),
-    ("F434", ["--largest"], 0,
-     "largest convex position subset: 7 lines [0, 1, 2, 8, 9, 11, 12]\n"),
+    ("F434", ["--n", "7"]),
+    ("F434", ["--n", "8"]),
+    ("F434", ["--largest"]),
     # the largest subset (4) stays below the cup+cap bound (8), so both
-    # searches walk to the end
-    ("fig8", ["--largest"], 0, "largest convex position subset: 4 lines [0, 1, 2, 8]\n"),
-    ("fig8", ["--n", "5"], 0, "no 5 lines in convex position\n"),
+    # searches sweep anchors until no bound is left above the best
+    ("fig8", ["--largest"]),
+    ("fig8", ["--n", "5"]),
 )
 
 
 @pytest.mark.parametrize(
-    "family, argv, code, out", SEARCHES,
+    "family, argv", SEARCHES,
     ids=["F434-n7", "F434-n8", "F434-largest", "fig8-largest", "fig8-n5"],
 )
-def test_search_prints_the_first_witness(tmp_path, capsys, family, argv, code, out):
+def test_search_prints_the_first_witness(tmp_path, capsys, family, argv):
+    # the exit code and the size are the walk oracle's, and the printed
+    # witness is that many lines that the 2^n scan finds in convex position
     if family == "F434":
         fam_path = tmp_path / "f434.txt"
         fam_path.write_text(serialize_family(construct_F(4, 3, 4)))
     else:
         fam_path = FIG8_FILE
-    assert run(capsys, "search", str(fam_path), *argv) == (code, out, "")
+    fam = parse_family(fam_path.read_text())
+    code, out, err = run(capsys, "search", str(fam_path), *argv)
+    if argv == ["--largest"]:
+        size = oracles.walk_largest(fam)
+        want_code, head = 0, f"largest convex position subset: {size} lines "
+    else:
+        size = int(argv[1])
+        if not oracles.convex_walk(fam, size, size):
+            assert (code, out, err) == (0, f"no {size} lines in convex position\n", "")
+            return
+        want_code, head = 1, f"found {size} lines in convex position: "
+    assert (code, err) == (want_code, "")
+    assert out.startswith(head)
+    witness = ast.literal_eval(out[len(head):])
+    assert out == f"{head}{witness}\n"
+    assert len(witness) == size and witness == sorted(set(witness))
+    assert oracles.convex_position_cell(subfamily(fam, witness)) is not None
 
 
 def test_bounds_output(capsys):

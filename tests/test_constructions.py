@@ -1,7 +1,10 @@
+import ast
 import gc
 import random
+import re
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,7 @@ from linecells import (
     longest_cup,
     lower_bound_value,
     max_concurrency,
+    parse_family,
     pencil,
     reflect_x,
     reflect_y,
@@ -35,7 +39,10 @@ from linecells import (
 )
 from linecells import constructions
 
-from conftest import random_family
+import oracles
+from conftest import random_family, subfamily
+
+BENCH_FAMILIES = Path(__file__).resolve().parents[1] / "bench" / "families"
 
 
 def test_pencil_basics():
@@ -199,20 +206,39 @@ def test_thm12_small_cases():
 @pytest.mark.xfail(
     strict=True,
     raises=ConstructionError,
-    reason="the thm12(3, 7) assembly has the 7 lines (0, 1, 2, 6, 7, 8, 21) in convex "
-    "position, so its certification raises",
+    reason="the thm12(3, 7) assembly has 7 lines in convex position, so its "
+    "certification raises",
 )
 def test_thm12_3_7_has_no_7_in_convex_position():
     assert find_n_convex(construct_thm12(3, 7), 7) is None
 
 
-@pytest.mark.parametrize(
-    "l, witness", [(3, (0, 1, 2, 6, 7, 8, 21)), (4, (0, 1, 2, 8, 9, 11, 28))]
-)
-def test_thm12_n7_fails_its_convex_position_check(l, witness):
-    with pytest.raises(ConstructionError, match="no 7 in convex position") as info:
-        construct_thm12(l, 7)
-    assert str(witness) in str(info.value)
+def check_convex_position_failure(monkeypatch, build, n):
+    """build raises on its no-n-convex check, and the error names n lines
+    of the searched family that the 2^n scan finds in convex position."""
+    searched = []
+
+    def spy(family, size):
+        searched.append(family)
+        return find_n_convex(family, size)
+
+    monkeypatch.setattr(constructions, "find_n_convex", spy)
+    with pytest.raises(ConstructionError, match=f"no {n} in convex position") as info:
+        build()
+    witness = ast.literal_eval(re.search(r"found (\(.*?\))", str(info.value)).group(1))
+    assert len(witness) == n and list(witness) == sorted(set(witness))
+    assert oracles.convex_position_cell(subfamily(searched[-1], witness)) is not None
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_thm12_n7_fails_its_convex_position_check(monkeypatch, l):
+    check_convex_position_failure(monkeypatch, lambda: construct_thm12(l, 7), 7)
+
+
+def test_prop32_3_4_odd_fails_its_convex_position_check(monkeypatch):
+    # 210 lines with a 10-cup: the assembly is broken at k = 4, and the
+    # cup alone settles the check
+    check_convex_position_failure(monkeypatch, lambda: construct_prop32(3, 4, "odd"), 9)
 
 
 def test_thm12_scaffold_checks_its_cross_vertices(monkeypatch):
@@ -294,6 +320,30 @@ def test_construction_spec_validation():
         ConstructionSpec(kind="thm12_even", l=3, n=5)
     with pytest.raises(ParameterRangeError):
         ConstructionSpec(kind="base_pq2", p=1, l=3)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        dict(kind="figure10", l=3, p=5),
+        dict(kind="recursive_pq", p=3, q=3, l=4, k=2),
+        dict(kind="thm12_even", l=3, n=6, q=2),
+        dict(kind="pencil", n=4, epsilon_scale=Fraction(1, 3)),
+    ],
+    ids=["figure10-p", "recursive_pq-k", "thm12-q", "pencil-scale"],
+)
+def test_construction_spec_rejects_what_its_kind_does_not_take(params):
+    with pytest.raises(ParameterRangeError, match="takes no"):
+        ConstructionSpec(**params)
+
+
+@pytest.mark.parametrize("path", sorted(BENCH_FAMILIES.glob("*.txt")), ids=lambda path: path.stem)
+def test_bench_family_headers_rebuild_through_from_provenance(path):
+    # the stored files keep the lines of the generator that wrote them, so
+    # only the size and the header must come back
+    fam = parse_family(path.read_text())
+    rebuilt = ConstructionSpec.from_provenance(fam.provenance).build()
+    assert (len(rebuilt), rebuilt.provenance) == (len(fam), fam.provenance)
 
 
 def test_construction_spec_build_matches_direct():

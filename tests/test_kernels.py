@@ -4,6 +4,8 @@ Families are drawn with pencils, so three or more concurrent lines and
 repeated crossing abscissae are common.
 """
 
+import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
@@ -40,10 +42,9 @@ from linecells.chains import _staircases
 from linecells.constructions import _lift
 from linecells.geometry import IntegerView
 from linecells.svg import _auto_viewport
-from linecells.verify import convex_bound
 
 import oracles
-from conftest import signs_at
+from conftest import random_family, signs_at, subfamily
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -192,21 +193,58 @@ def check_cup_cap_split(sub, cell):
             assert is_chain(LineFamily(part)), (side, cell.signs)
 
 
+def check_convex_cell(fam, cell, ref):
+    """cell is None exactly when the 2^n scan's ref is; otherwise every
+    line bounds it by the cross-product interval test, its class is that
+    test's, and its witness point realizes its signs."""
+    assert (cell is None) == (ref is None)
+    if cell is not None:
+        everyone = frozenset(range(len(fam)))
+        assert cell.bounding == everyone
+        assert oracles.bounding_lines(fam, cell.signs) == everyone
+        assert cell.bound_class == oracles.classify_cell(fam, cell.signs)
+        assert signs_at(fam, cell.witness_point) == cell.signs
+
+
+def check_convex_witness(fam, witness, size):
+    """witness is size sorted lines that the 2^n scan finds in convex
+    position."""
+    assert len(witness) == size and list(witness) == sorted(set(witness))
+    sub = subfamily(fam, witness)
+    cell = oracles.convex_position_cell(sub)
+    assert size < 2 or cell is not None
+    return sub, cell
+
+
 def check_convex_search(fam):
     # a line of a pencil may touch a cell only at its apex, which must not
     # count as bounding it
-    assert convex_position_cell(fam) == oracles.convex_position_cell(fam)
+    check_convex_cell(fam, convex_position_cell(fam), oracles.convex_position_cell(fam))
     for n in range(2, len(fam) + 1):
         witness = find_n_convex(fam, n)
-        assert witness == oracles.find_n_convex(fam, n)
+        assert (witness is None) == (oracles.find_n_convex(fam, n) is None)
         if witness is not None:
-            sub = LineFamily(tuple(fam[i] for i in witness))
-            cell = oracles.convex_position_cell(sub)
-            assert convex_position_cell(sub) == cell
+            sub, cell = check_convex_witness(fam, witness, n)
+            check_convex_cell(sub, convex_position_cell(sub), cell)
             check_cup_cap_split(sub, cell)
-    largest = oracles.largest_convex_subset(fam)
-    assert largest_convex_subset(fam) == largest
-    assert largest[0] <= longest_cup(fam).size + longest_cap(fam).size
+    size, witness = largest_convex_subset(fam)
+    assert size == oracles.largest_convex_subset(fam)[0]
+    check_convex_witness(fam, witness, size)
+    assert size <= longest_cup(fam).size + longest_cap(fam).size
+
+
+def check_split_against_walk(fam):
+    """The split DP's sizes against the exponential walk over subsets:
+    the same largest size, and an n-subset exactly when the walk finds
+    one."""
+    size, witness = largest_convex_subset(fam)
+    assert size == oracles.walk_largest(fam)
+    check_convex_witness(fam, witness, size)
+    for n in range(2, len(fam) + 1):
+        found = find_n_convex(fam, n)
+        assert (found is None) == (not oracles.convex_walk(fam, n, n)), n
+        if found is not None:
+            check_convex_witness(fam, found, n)
 
 
 @KERNELS
@@ -349,7 +387,6 @@ def test_edge_order_is_sorted_once_per_family():
         longest_cup(fam)
         order = fam.view.edge_order
         longest_cap(fam)
-        convex_bound(fam)
         assert find_n_convex(fam, 8) is None
         assert find_n_convex(fam, 7) is not None
         enumerate_cells(fam)
@@ -472,11 +509,11 @@ def test_convex_search_on_constructed_families(build):
 
 
 def test_find_n_convex_stops_at_the_cup_cap_bound(monkeypatch):
-    def fold(*args):
-        raise AssertionError("searched past the cup+cap bound")
+    def sweep(*args):
+        raise AssertionError("swept an anchor past the cup+cap bound")
 
     fam = construct_F(4, 3, 4)
-    monkeypatch.setattr(arrangement, "extend_on_keys", fold)
+    monkeypatch.setattr(arrangement, "_sweep", sweep)
     assert longest_cup(fam).size + longest_cap(fam).size == 7
     assert find_n_convex(fam, 8) is None
 
@@ -484,10 +521,41 @@ def test_find_n_convex_stops_at_the_cup_cap_bound(monkeypatch):
 def test_largest_convex_subset_of_F544_reaches_the_bound(capsys):
     assert cli_main(["search", str(F544_FILE), "--largest"]) == 0
     out = capsys.readouterr().out
-    assert out == "largest convex position subset: 9 lines [0, 1, 3, 4, 28, 29, 32, 36, 42]\n"
+    head = "largest convex position subset: 9 lines "
+    assert out.startswith(head)
+    witness = ast.literal_eval(out[len(head):])
+    assert out == f"{head}{witness}\n"
     fam = parse_family(F544_FILE.read_text())
-    sub = LineFamily(tuple(fam[i] for i in (0, 1, 3, 4, 28, 29, 32, 36, 42)))
-    assert oracles.convex_position_cell(sub) is not None
+    assert longest_cup(fam).size + longest_cap(fam).size == 9
+    check_convex_witness(fam, witness, 9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_dp_matches_the_walk_on_random_families(seed):
+    rng = random.Random(seed)
+    for trial in range(40):
+        check_split_against_walk(random_family(rng, 2, 9, simple=trial % 2 == 0))
+
+
+@KERNELS
+@given(pencil_families())
+def test_split_dp_matches_the_walk_on_pencil_families(fam):
+    check_split_against_walk(fam)
+
+
+@BENCH_FAMILIES
+def test_split_dp_matches_the_walk_on_bench_families(path):
+    fam = parse_family(path.read_text())
+    size, witness = largest_convex_subset(fam)
+    check_convex_witness(fam, witness, size)
+    # no subset beats the cup+cap bound, so a witness that meets it settles
+    # the size; the walk needs 50 s to confirm that on F(6,5,4)
+    bound = sum(oracles.tuple_sort_chain(fam, kind).size for kind in ("cup", "cap"))
+    assert size == bound or size == oracles.walk_largest(fam)
+    # the search for n lines agrees: it finds the largest size and no more
+    assert find_n_convex(fam, size) is not None
+    if size < len(fam):
+        assert find_n_convex(fam, size + 1) is None
 
 
 @pytest.fixture(scope="module")
