@@ -27,12 +27,11 @@ alone at its key is a two-line vertex, and a run of equal keys splits
 into the vertices on it.
 The concurrency report and profile look only at those runs, and the
 report builds a Point only for the first vertex at the maximum. Cell
-enumeration reads every cell off the sectors around the vertices in
-integers: sign vectors from one integer expression per vertex
-and line, bounding sets and classes from the lines that form each sector
-and which of their pieces are rays, told by each line's first and last
-key on its row of keys. It builds one Fraction witness per cell and calls
-neither the per-line intervals nor a Fraction side test.
+enumeration sweeps the vertices in Point order and reads every cell off
+their sectors: sign vectors as bit masks carried along each line,
+bounding sets and classes from the lines that form each sector and which
+of their pieces are rays (each line's first and last key on its row of
+keys), and one witness per cell, stepped short of two cells' lines.
 
 Lines are in convex position when one cell is bounded by all of them.
 The lines below that cell form a cup and the lines above it a cap, and
@@ -42,7 +41,8 @@ largest subset in convex position, anchored at each possible left vertex
 in turn and pruned by the longest cup and cap the anchor leaves. It answers
 convex_position_cell and the searches in verify, which differ only in
 its stop rules need and goal. The cross-product interval test, the
-Fraction stepper, the per-line grouping of the crossing keys and the
+Fraction stepper, the per-line grouping of the crossing keys, the cell
+enumeration that scans all n lines per vertex and per cell, and the
 exponential walk over subsets that these replaced are the references in
 tests/oracles.py.
 """
@@ -52,7 +52,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, islice
+from itertools import accumulate, compress, count, islice
 from operator import eq
 from typing import Dict, FrozenSet, Iterator, List, Literal, Optional, Sequence, Tuple
 
@@ -219,22 +219,24 @@ def _concurrent(view) -> List[Tuple[int, ...]]:
     ]
 
 
-def _sector_witness(pairs, heights, a, b, top, scale, sx, sy) -> Point:
+def _sector_witness(pairs, lines, a, b, top, scale, sx, sy) -> Point:
     """A point inside one sector at the vertex v = (a/b, top/(b*scale)):
-    v + eps*(sx, sy/scale), with eps small enough that no line off v
-    changes side between v and the result.
+    v + eps*(sx, sy/scale), with eps small enough that none of the given
+    lines changes side between v and the result.
 
-    heights[l] is b*scale times the vertex's height over line l (zero on
-    the incident lines), and line l drifts by (sy - M_l*sx)/scale per unit
-    step, so eps is half of min(1, |heights[l]| / (b*|sy - M_l*sx|)).
+    b*scale times v's height over line l is h = top - M_l*a - C_l*b (zero
+    on the lines through v), and line l drifts by (sy - M_l*sx)/scale per
+    unit step, so eps is half of min(1, |h| / (b*|sy - M_l*sx|)).
     """
     num, den = b, 1
-    for (m, _), h in zip(pairs, heights):
+    for l in lines:
+        m, c = pairs[l]
+        h = top - m * a - c * b
         d = sy - m * sx
         if h and d and abs(h) * den < num * abs(d):
             num, den = abs(h), abs(d)
-    eps = Fraction(num, 2 * den * b)
-    return Point(Fraction(a, b) + eps * sx, Fraction(top, b * scale) + eps * Fraction(sy, scale))
+    x = Fraction(2 * den * a + num * sx, 2 * den * b)
+    return Point(x, Fraction(2 * den * top + num * sy, 2 * den * b * scale))
 
 
 def enumerate_cells(family: LineFamily) -> Tuple[Cell, ...]:
@@ -252,11 +254,16 @@ def enumerate_cells(family: LineFamily) -> Tuple[Cell, ...]:
     is u's last crossing that way, its largest (smallest) crossing key, and
     the cell's right and left rays give its class.
 
-    Everything but one witness per cell is integer work on the family's
-    view: O(n) per vertex for the other lines' sides and O(n) per sector for
-    its sign vector, O(n^3) in all. A cell has one corner sector per
-    vertex on its closure; its witness is stepped into the sector at the
-    first of those vertices in Point order. A single line is handled
+    Sign vectors are n-bit masks, bit n-1-l set above line l, which sort
+    as the vectors do. The sweep takes the vertices in Point order, and
+    along[u] is the mask of line u just left of its next vertex; with the
+    incident bits cleared it gives the vertex's side of every other line,
+    so a vertex costs O(k), not O(n). A cell's witness v + eps*s steps into
+    its corner sector at its first vertex v, eps below the nearest crossing
+    of any line with the line through v along s. Along s that crossing is
+    with a line bounding the sector's cell, and along -s with one bounding
+    the opposite sector's cell, so eps is read off those two bounding sets,
+    complete after the sweep, not off all n lines. A single line is handled
     directly.
     """
     n = len(family)
@@ -275,43 +282,52 @@ def enumerate_cells(family: LineFamily) -> Tuple[Cell, ...]:
         row = keys[u * n : u * n + u] + keys[u * n + u + 1 : u * n + n]
         last.append(max(row))
         first.append(min(row))
-    # sign vector -> (witness, bounding lines, [right rays, left rays])
-    found: Dict[SignVector, tuple] = {}
+    bit = [1 << (n - 1 - u) for u in range(n)]
+    # far left, line u lies above exactly the lines of higher slope
+    along = [t - 1 for t in bit]
+    # mask -> ((i, j, sx, sy, opposite mask), bounding lines, [right rays, left rays])
+    found: Dict[int, tuple] = {}
     for inc in _vertices(view):
-        i, j = inc[0], inc[1]
-        (mi, ci), (mj, cj) = pairs[i], pairs[j]
-        # the vertex is (a/b, top/(b*scale)) with b > 0
-        a, b = ci - cj, mj - mi
-        top = mi * a + ci * b
-        heights = [top - m * a - c * b for m, c in pairs]
-        base = [1 if h > 0 else -1 for h in heights]
-        key = keys[i * n + j]
         k = len(inc)
+        # below[t]: the bits of inc[0..t-1]
+        below = list(accumulate((bit[u] for u in inc), initial=0))
+        both = below[k]
+        base = along[inc[0]] & ~both
+        for u, lower in zip(inc, below):
+            along[u] = base | lower
+        # sector p < k lies above inc[0..p], sector k + p below them
+        masks = [base | lower for lower in below[1:]]
+        masks += [base | (both ^ lower) for lower in below[1:]]
+        key = keys[inc[0] * n + inc[1]]
         # ray positions 0..k-1 go right along inc[0..k-1], k..2k-1 go left,
         # one unit of x per step and dy[r]/scale of y; sector p lies between
-        # rays p and p + 1 (mod 2k)
+        # rays p and p + 1 (mod 2k), and its opposite flips every incident bit
         is_ray = [key == last[u] for u in inc] + [key == first[u] for u in inc]
         dy = [pairs[u][0] for u in inc]
         dy += [-m for m in dy]
-        for p in range(2 * k):
+        for p, mask in enumerate(masks):
             q = (p + 1) % (2 * k)
-            signs = base[:]
-            for t, u in enumerate(inc):
-                signs[u] = 1 if (t <= p if p < k else t > p - k) else -1
-            signs = tuple(signs)
-            cell = found.get(signs)
+            cell = found.get(mask)
             if cell is None:
                 sx = (1 if p < k else -1) + (1 if q < k else -1)
-                w = _sector_witness(pairs, heights, a, b, top, view.scale, sx, dy[p] + dy[q])
-                cell = found[signs] = (w, set(), [0, 0])
+                at = (inc[0], inc[1], sx, dy[p] + dy[q], mask ^ both)
+                cell = found[mask] = (at, set(), [0, 0])
             cell[1].update((inc[p % k], inc[q % k]))
             for r in (p, q):
                 if is_ray[r]:
                     cell[2][r >= k] += 1
-    return tuple(
-        Cell(signs, frozenset(bounding), _bound_class(*rays), w)
-        for signs, (w, bounding, rays) in sorted(found.items())
-    )
+    sign = {"0": -1, "1": 1}.__getitem__
+    cells = []
+    for mask in sorted(found):
+        (i, j, sx, sy, opposite), bounding, rays = found[mask]
+        (mi, ci), (mj, cj) = pairs[i], pairs[j]
+        # the vertex is (a/b, top/(b*scale)) with b > 0
+        a, b = ci - cj, mj - mi
+        lines = bounding | found[opposite][1]
+        w = _sector_witness(pairs, lines, a, b, mi * a + ci * b, view.scale, sx, sy)
+        signs = tuple(map(sign, format(mask, f"0{n}b")))
+        cells.append(Cell(signs, frozenset(bounding), _bound_class(*rays), w))
+    return tuple(cells)
 
 
 def max_concurrency(family: LineFamily) -> ConcurrencyReport:
@@ -577,8 +593,7 @@ def convex_position_cell(family: LineFamily) -> Optional[Cell]:
         [(p, q)] = ends
         a, b = p + q if abs(hi) == far else p - q, q
     top = m0 * a + c0 * b
-    heights = [top - m * a - c * b for m, c in pairs]
-    w = _sector_witness(pairs, heights, a, b, top, view.scale, 0, signs[0] * view.scale)
+    w = _sector_witness(pairs, range(n), a, b, top, view.scale, 0, signs[0] * view.scale)
     return Cell(signs, frozenset(range(n)), bound_class, w)
 
 

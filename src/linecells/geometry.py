@@ -49,8 +49,10 @@ def format_rat(value: Rat) -> str:
 
 
 def _as_rat(value) -> Rat:
-    # Fraction(float) would succeed and quietly encode binary rounding
-    # error as an exact value, so floats are banned outright.
+    # A Fraction is kept as it is. Fraction(float) would succeed and quietly
+    # encode binary rounding error as an exact value, so floats are banned.
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass Fraction, int or str")
     return Fraction(value)

@@ -16,10 +16,13 @@ call, for the DP that walks the view's cached edge order;
 scan_staircases, the prefix/suffix scan of every line's keys, for the
 staircases from two envelope stacks; row_grouped_vertices with the
 crossing_counts behind counted_concurrency and counted_profile, which
-grouped each line's keys, for the vertices read off the edge order; and
-convex_walk, the exponential walk over subsets that folds in one line at
-a time (extend_on_keys), for the cup/cap-split DP of the convex-position
-search.
+grouped each line's keys, for the vertices read off the edge order;
+scan_cells, the cell enumeration that takes each vertex's side of every
+line and scans all n lines for each witness, on row_grouped_vertices,
+for the sweep that carries sign vectors along the lines and steps each
+witness short of two cells' bounding lines; and convex_walk, the
+exponential walk over subsets that folds in one line at a time
+(extend_on_keys), for the cup/cap-split DP of the convex-position search.
 
 intersect, orientation and side_of are the Fraction primitives that the
 tests build families and points with. Their sign conventions:
@@ -158,12 +161,16 @@ def bounding_lines(family, signs):
     return frozenset(i for i, iv in enumerate(_intervals(family, signs)) if iv is not None)
 
 
+# a cell's class by its (right, left) ray counts; any other count is
+# unbounded_other
+RAY_CLASSES = {(0, 0): "bounded", (2, 0): "unbounded_right", (0, 2): "unbounded_left"}
+
+
 def classify_cell(family, signs):
     """The cell's class from its rays: intervals with an infinite end."""
     ends = [iv for iv in _intervals(family, signs) if iv is not None]
     rays = (sum(hi is None for _, hi in ends), sum(lo is None for lo, _ in ends))
-    classes = {(0, 0): "bounded", (2, 0): "unbounded_right", (0, 2): "unbounded_left"}
-    return classes.get(rays, "unbounded_other")
+    return RAY_CLASSES.get(rays, "unbounded_other")
 
 
 def is_cup(family):
@@ -363,6 +370,92 @@ def enumerate_cells(family):
     return tuple(
         Cell(signs, bounding_lines(family, signs), classify_cell(family, signs), witnesses[signs])
         for signs in sorted(witnesses)
+    )
+
+
+def _scan_witness(pairs, heights, a, b, top, scale, sx, sy):
+    """A point inside one sector at the vertex v = (a/b, top/(b*scale)):
+    v + eps*(sx, sy/scale), with eps small enough that no line off v
+    changes side between v and the result.
+
+    heights[l] is b*scale times the vertex's height over line l (zero on
+    the incident lines), and line l drifts by (sy - M_l*sx)/scale per unit
+    step, so eps is half of min(1, |heights[l]| / (b*|sy - M_l*sx|)) over
+    every line.
+    """
+    num, den = b, 1
+    for (m, _), h in zip(pairs, heights):
+        d = sy - m * sx
+        if h and d and abs(h) * den < num * abs(d):
+            num, den = abs(h), abs(d)
+    eps = Fraction(num, 2 * den * b)
+    return Point(Fraction(a, b) + eps * sx, Fraction(top, b * scale) + eps * Fraction(sy, scale))
+
+
+def scan_cells(family):
+    """Every cell, sorted by sign vector, from the sectors around the
+    vertices of row_grouped_vertices, with an O(n) scan per vertex and per
+    cell.
+
+    Each vertex takes its side of every other line from one integer
+    expression in the view's (M, C) pairs, and each of a k-line vertex's
+    2k sectors copies that sign vector and sets its incident lines: right
+    sector r above the first r + 1 incident lines, left sector r below
+    them. The bounding set is the union of the two lines forming each
+    corner sector, a sector side is a ray when the vertex holds its line's
+    largest (right) or smallest (left) crossing key, and the witness is
+    stepped into the cell's corner at its first vertex in Point order, its
+    step kept below the first crossing with any of the n lines
+    (_scan_witness).
+    """
+    n = len(family)
+    if n == 1:
+        c = family[0].c
+        return tuple(
+            Cell((sign,), frozenset({0}), "unbounded_other", Point(0, c + sign))
+            for sign in (-1, 1)
+        )
+    view = family.view
+    pairs = view.pairs
+    rows = crossing_rows(view)
+    last = [max(row[:u] + row[u + 1 :]) for u, row in enumerate(rows)]
+    first = [min(row[:u] + row[u + 1 :]) for u, row in enumerate(rows)]
+    # sign vector -> (witness, bounding lines, [right rays, left rays])
+    found = {}
+    for inc in row_grouped_vertices(view):
+        i, j = inc[0], inc[1]
+        (mi, ci), (mj, cj) = pairs[i], pairs[j]
+        # the vertex is (a/b, top/(b*scale)) with b > 0
+        a, b = ci - cj, mj - mi
+        top = mi * a + ci * b
+        heights = [top - m * a - c * b for m, c in pairs]
+        base = [1 if h > 0 else -1 for h in heights]
+        key = rows[i][j]
+        k = len(inc)
+        # ray positions 0..k-1 go right along inc[0..k-1], k..2k-1 go left,
+        # one unit of x per step and dy[r]/scale of y; sector p lies between
+        # rays p and p + 1 (mod 2k)
+        is_ray = [key == last[u] for u in inc] + [key == first[u] for u in inc]
+        dy = [pairs[u][0] for u in inc]
+        dy += [-m for m in dy]
+        for p in range(2 * k):
+            q = (p + 1) % (2 * k)
+            signs = base[:]
+            for t, u in enumerate(inc):
+                signs[u] = 1 if (t <= p if p < k else t > p - k) else -1
+            signs = tuple(signs)
+            cell = found.get(signs)
+            if cell is None:
+                sx = (1 if p < k else -1) + (1 if q < k else -1)
+                w = _scan_witness(pairs, heights, a, b, top, view.scale, sx, dy[p] + dy[q])
+                cell = found[signs] = (w, set(), [0, 0])
+            cell[1].update((inc[p % k], inc[q % k]))
+            for r in (p, q):
+                if is_ray[r]:
+                    cell[2][r >= k] += 1
+    return tuple(
+        Cell(signs, frozenset(bounding), RAY_CLASSES.get(tuple(rays), "unbounded_other"), w)
+        for signs, (w, bounding, rays) in sorted(found.items())
     )
 
 

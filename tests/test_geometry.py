@@ -10,6 +10,7 @@ from linecells import (
     format_rat,
     parse_rat,
 )
+from linecells.geometry import _as_rat
 
 from oracles import intersect, orientation, side_of
 
@@ -37,6 +38,18 @@ def test_floats_are_banned():
         Line(0.5, 1)
     with pytest.raises(TypeError):
         Point(1, 2.0)
+
+
+def test_as_rat_keeps_a_fraction_and_bans_floats():
+    x = Fraction(-5, 2)
+    assert _as_rat(x) is x
+    assert Point(x, x).x is x
+    assert Line(x, x).c is x
+    assert _as_rat(3) == Fraction(3) and type(_as_rat(3)) is Fraction
+    assert _as_rat("7/3") == Fraction(7, 3)
+    for bad in (0.5, -2.0, float("inf")):
+        with pytest.raises(TypeError):
+            _as_rat(bad)
 
 
 def test_line_accepts_ints_strings_fractions():

@@ -172,6 +172,12 @@ def coordinate_bits(point):
     )
 
 
+def check_vertex_scan(fam):
+    """enumerate_cells, whole Cells with their witnesses, against the
+    enumeration that scans every line per vertex and per cell."""
+    assert enumerate_cells(fam) == oracles.scan_cells(fam)
+
+
 def check_cells(fam):
     want = oracles.enumerate_cells(fam)
     got = enumerate_cells(fam)
@@ -325,8 +331,8 @@ def test_vertex_runs_match_row_grouping(fam):
 def test_vertex_runs_match_row_grouping_on_bench_families(path):
     fam = parse_family(path.read_text())
     check_vertex_runs(fam)
-    # F654's 177 lines take seconds per enumeration; the vertex list that
-    # enumerate_cells consumes is checked above
+    # F654's 177 lines take about a second per enumeration; the vertex list
+    # that enumerate_cells consumes is checked above
     if len(fam) < 100:
         check_cells_on_grouped_vertices(fam)
 
@@ -407,6 +413,22 @@ def test_cell_enumeration_matches_sector_walk(fam):
 
 
 @KERNELS
+@given(pencil_families())
+def test_cell_enumeration_matches_vertex_scan(fam):
+    # pencils put three or more lines through a vertex, where the witness
+    # step is bounded by the bounding lines of the cells in two opposite
+    # sectors
+    check_vertex_scan(fam)
+
+
+@pytest.mark.parametrize(
+    "name", ["fig5", "fig6", "fig8", "F334", "F434", "F444", "F544"]
+)
+def test_cell_enumeration_matches_vertex_scan_on_bench_families(name):
+    check_vertex_scan(parse_family((FAMILIES / f"{name}.txt").read_text()))
+
+
+@KERNELS
 @given(pencil_families(max_lines=8))
 def test_convex_search_matches_exhaustive_scan(fam):
     check_convex_search(fam)
@@ -481,6 +503,7 @@ def test_single_line_kernels():
     check_staircases(fam)
     check_chains(fam)
     check_cells(fam)
+    check_vertex_scan(fam)
     assert max_concurrency(fam).max_count == 1
     assert concurrency_profile(fam) == {}
     assert convex_position_cell(fam) is None
