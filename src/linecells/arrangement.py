@@ -21,10 +21,10 @@ interval's ends are exact crossing keys X_ij, so the test is one integer
 compare. The keys come from the view's one key table, the flat list
 IntegerView.keys, whose row i is keys[i*n : i*n + n]. bounding_lines and
 classify_cell take each line's ends from that row in _key_interval. The
-vertices come off the family's sorted edge order (IntegerView.edge_order,
-the edges e = i*n + j by keys[e], shared with the chain DPs): an edge
-alone at its key is a two-line vertex, and a run of equal keys splits
-into the vertices on it.
+vertices come off the family's frame (IntegerView.frame, the crossings
+sorted by key, shared with the chain DPs): a crossing tied with neither
+neighbour is a two-line vertex, and a run of tied crossings splits into
+the vertices on it.
 The concurrency report and profile look only at those runs, and the
 report builds a Point only for the first vertex at the maximum. Cell
 enumeration sweeps the vertices in Point order and reads every cell off
@@ -36,7 +36,7 @@ keys), and one witness per cell, stepped short of two cells' lines.
 Lines are in convex position when one cell is bounded by all of them.
 The lines below that cell form a cup and the lines above it a cap, and
 the cell's left and right vertices fix how the crossing keys along both
-chains may run. So one DP over the edge order (_convex_split) finds a
+chains may run. So one DP over the frame (_convex_split) finds a
 largest subset in convex position, anchored at each possible left vertex
 in turn and pruned by the longest cup and cap the anchor leaves. It answers
 convex_position_cell and the searches in verify, which differ only in
@@ -52,12 +52,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, count, islice
-from operator import eq
+from itertools import accumulate, chain, compress, count, islice
 from typing import Dict, FrozenSet, Iterator, List, Literal, Optional, Sequence, Tuple
 
 from .errors import InfeasibleSignVectorError
-from .geometry import LineFamily, Point
+from .geometry import Frame, LineFamily, Point
 
 SignVector = Tuple[int, ...]
 
@@ -152,13 +151,12 @@ def classify_cell(family: LineFamily, signs: Sequence[int]) -> BoundClass:
     return _bound_class(sum(hi == far for _, hi in ends), sum(lo == -far for lo, _ in ends))
 
 
-def _tie_runs(keys, order):
-    """(start, stop) slices of order, in order, that hold runs of more
-    than one edge with equal key."""
-    at = keys.__getitem__
-    ties = compress(count(1), map(eq, map(at, order), map(at, islice(order, 1, None))))
+def _tie_runs(tied):
+    """(start, stop) slices of a frame, in order, that hold runs of more
+    than one crossing with equal key."""
     start = stop = None
-    for t in ties:
+    # t is the position of a crossing that ties with the one before it
+    for t in compress(count(1), tied):
         if t != stop:
             if start is not None:
                 yield start, stop
@@ -168,19 +166,18 @@ def _tie_runs(keys, order):
         yield start, stop
 
 
-def _split_run(view, edges, n) -> List[Tuple[int, ...]]:
-    """The vertices on one run of equal-key edges e = i*n + j, in (i, j)
-    order, as incident lines in slope order, sorted as their Points sort.
+def _split_run(view, lows, highs) -> List[Tuple[int, ...]]:
+    """The vertices on one run of tied crossings, in (i, j) order, as
+    incident lines in slope order, sorted as their Points sort.
 
     Two crossings on one line at one abscissa are one point, and every two
     lines through a vertex cross there, so each vertex is the clique of its
-    lowest line: that line's edges in the run, met before any edge of a
-    higher line of the vertex.
+    lowest line: that line's crossings in the run, met before any crossing
+    of a higher line of the vertex.
     """
     groups: Dict[int, List[int]] = {}
     seen = set()
-    for e in edges:
-        i, j = divmod(e, n)
+    for i, j in zip(lows, highs):
         if i not in seen:
             groups.setdefault(i, [i]).append(j)
             seen.add(j)
@@ -191,30 +188,26 @@ def _vertices(view) -> Iterator[Tuple[int, ...]]:
     """Incident lines of every vertex, in slope order, with the vertices
     in Point order (view.vertex_key).
 
-    The edge order sorts crossings by abscissa, so a vertex is a single
-    edge outside the runs of equal keys, and the runs split by _split_run.
+    The frame sorts crossings by abscissa, so a vertex is one crossing
+    outside the runs of tied ones, and the runs split by _split_run.
     """
-    keys, order = view.keys, view.edge_order
-    n = len(view.pairs)
+    lows, highs, tied = view.frame
     done = 0
-    for start, stop in _tie_runs(keys, order):
-        for e in order[done:start]:
-            yield divmod(e, n)
-        yield from _split_run(view, order[start:stop], n)
+    for start, stop in _tie_runs(tied):
+        yield from zip(lows[done:start], highs[done:start])
+        yield from _split_run(view, lows[start:stop], highs[start:stop])
         done = stop
-    for e in order[done:]:
-        yield divmod(e, n)
+    yield from zip(lows[done:], highs[done:])
 
 
 def _concurrent(view) -> List[Tuple[int, ...]]:
     """The vertices on three or more lines, in Point order: only runs of
-    equal keys can hold one."""
-    keys, order = view.keys, view.edge_order
-    n = len(view.pairs)
+    tied crossings can hold one."""
+    lows, highs, tied = view.frame
     return [
         inc
-        for start, stop in _tie_runs(keys, order)
-        for inc in _split_run(view, order[start:stop], n)
+        for start, stop in _tie_runs(tied)
+        for inc in _split_run(view, lows[start:stop], highs[start:stop])
         if len(inc) > 2
     ]
 
@@ -355,37 +348,27 @@ def concurrency_profile(family: LineFamily) -> Dict[int, int]:
     return {k: profile[k] for k in sorted(profile) if profile[k]}
 
 
-# a family's edges i < j in ascending key order, as parallel lists: the
-# keys, the lower lines, the higher lines, and whether the next edge has
-# the same key
-Frame = Tuple[List[int], List[int], List[int], List[bool]]
-
 # a chain of lines as nested (line, rest) pairs, so that longer chains
 # share their tails
 Link = Optional[Tuple[int, "Link"]]
 
 
-def _frames(view) -> Tuple[Frame, Frame]:
-    """The edge order as a Frame, and the same for the mirror image x -> -x.
+def _backwards(frame: Frame):
+    """The frame walked from its last crossing to its first, as iterators
+    over the lines of each crossing and whether the next one walked has
+    the same key, which is whether the one before it in the frame has."""
+    lows, highs, tied = frame
+    return reversed(lows), reversed(highs), chain(islice(reversed(tied), 1, None), tied[-1:])
 
-    The mirror's line i is line n-1-i and its keys are the negated ones,
-    so its edge order is the edge order reversed and relabelled.
-    """
-    keys, order = view.keys, view.edge_order
-    n = len(view.pairs)
-    ks = [keys[e] for e in order]
-    xs = [e // n for e in order]
-    ys = [e % n for e in order]
-    top = n - 1
-    mirror = (
-        [-k for k in reversed(ks)],
-        [top - y for y in reversed(ys)],
-        [top - x for x in reversed(xs)],
-    )
-    return tuple(
-        (ks, xs, ys, [*map(eq, ks, islice(ks, 1, None)), False])
-        for ks, xs, ys in ((ks, xs, ys), mirror)
-    )
+
+def _mirror(frame: Frame, n: int) -> Frame:
+    """The frame of the mirror image x -> -x: its line v is line n-1-v and
+    its keys are the negated ones, so it is the frame walked backwards and
+    relabelled. It shares the frame's bools and makes no object per
+    crossing."""
+    lows, highs, tied = _backwards(frame)
+    flip = list(range(n))[::-1]
+    return [*map(flip.__getitem__, highs)], [*map(flip.__getitem__, lows)], [*tied]
 
 
 def _chain(link: Link) -> Tuple[int, ...]:
@@ -409,14 +392,14 @@ def _bounds(frame: Frame, n: int):
     anchored there can beat. Returns (size, lines) of the longest cup and
     cap and levels, where levels[s] lists the edges whose bound is s.
     """
-    _, xs, ys, tied = frame
+    lows, highs, tied = frame
     cup, cap = [1] * n, [1] * n
     cupl: List[Link] = [(v, None) for v in range(n)]
     capl = cupl[:]
     levels: List[List[int]] = [[] for _ in range(2 * n + 1)]
     grown = []
-    for p in range(len(xs) - 1, -1, -1):
-        x, y = xs[p], ys[p]
+    for p in range(len(lows) - 1, -1, -1):
+        x, y = lows[p], highs[p]
         levels[cup[x] + cap[y]].append(p)
         grown.append((x, y, cup[y], cupl[y], cap[x], capl[x]))
         # edges of one key extend only chains over the keys above it
@@ -434,7 +417,7 @@ def _bounds(frame: Frame, n: int):
 
 def _sweep(frame: Frame, n: int, p: int, stop: int):
     """(size, (cup, cap, class)) of the largest cell anchored at the left
-    vertex of edge p, (a, b) = (xs[p], ys[p]), found before the size
+    vertex of crossing p, (a, b) = (lows[p], highs[p]), found before the size
     reaches stop; the cup and cap are Links, the cup's read backwards.
 
     The cell lies above a cup C from a and below a cap D up to b, with
@@ -446,8 +429,8 @@ def _sweep(frame: Frame, n: int, p: int, stop: int):
     the caps through y down to x. After the walk, the cells unbounded to
     the right pair a cup ending at c with a cap from d, for c < d.
     """
-    _, xs, ys, tied = frame
-    a, b = xs[p], ys[p]
+    lows, highs, tied = frame
+    a, b = lows[p], highs[p]
     cup, cap = [0] * n, [0] * n
     cupl: List[Link] = [None] * n
     capl: List[Link] = [None] * n
@@ -457,8 +440,8 @@ def _sweep(frame: Frame, n: int, p: int, stop: int):
     grown = []
     while tied[p]:
         p += 1
-    for p in range(p + 1, len(xs)):
-        x, y = xs[p], ys[p]
+    for p in range(p + 1, len(lows)):
+        x, y = lows[p], highs[p]
         cy, px = cup[y], cap[x]
         if cy and px and cy + px > best:
             best, found = cy + px, (cupl[y], capl[x], "bounded")
@@ -517,7 +500,15 @@ def _convex_split(view, need: int, goal: int):
     O(n^2), so the search is O(n^4) at worst.
     """
     n = len(view.pairs)
-    frames = _frames(view)
+    keys, (lows, highs, _) = view.keys, view.frame
+    frames = view.frame, _mirror(view.frame, n)
+
+    def key(f, p):
+        # the mirror's crossing p is the family's p-th from the end, negated
+        q = ~p if f else p
+        k = keys[lows[q] * n + highs[q]]
+        return -k if f else k
+
     (cup, cup_lines), (cap, cap_lines), levels = _bounds(frames[0], n)
     mirror_levels = _bounds(frames[1], n)[2]
     best = max(cup, cap)
@@ -529,7 +520,7 @@ def _convex_split(view, need: int, goal: int):
             break
         bounds = range(level, 2 * n + 1) if level == top else (level,)
         anchors = [
-            (frames[f][0][p], f, p)
+            (key(f, p), f, p)
             for f, by_bound in enumerate((levels, mirror_levels))
             for s in bounds
             for p in by_bound[s]

@@ -14,10 +14,10 @@ when its edge slopes strictly decrease, and a strict cap when they
 strictly increase. Taking the n(n-1)/2 dual edges in that slope order,
 equal slopes as one batch, and keeping the best chain ending at each
 point finds the longest one in O(n^2 log n). The edges are sorted once
-per family (IntegerView.edge_order, edge e = i*n + j by its key
-IntegerView.keys[e]) and shared: the cup DP walks that order forwards and
-the cap DP backwards, reading each edge's key from keys, so a repeated
-call costs only its O(n^2) walk.
+per family and shared (IntegerView.frame: the two lines of each crossing
+by ascending key, and whether the next one has the same key). The cup DP
+walks the frame forwards and the cap DP backwards, a run of tied
+crossings as one batch, so a repeated call costs only its O(n^2) walk.
 
 Unbounded cells admit a closed sign-vector form. In slope order, a cell
 unbounded to the right must lie above a prefix of the lines and below the
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Literal, Optional, Tuple
 
-from .arrangement import Cell, _chain, bounding_lines
+from .arrangement import Cell, _backwards, _chain, bounding_lines
 from .errors import ParameterRangeError
 from .geometry import LineFamily, Point
 
@@ -82,43 +82,27 @@ def _longest_chain(family: LineFamily, kind: ChainKind) -> ChainResult:
     n = len(view.pairs)
     if n == 1:
         return ChainResult(1, (0,), kind)
-    keys, order = view.keys, view.edge_order
     # ascending crossing key is descending dual slope: the cup order
-    edges = order if kind == "cup" else reversed(order)
-    # size[i] and chain[i] describe the longest chain ending at point i, the
+    walk = zip(*view.frame) if kind == "cup" else zip(*_backwards(view.frame))
+    # size[i] and links[i] describe the longest chain ending at point i, the
     # chain as nested (index, rest) pairs so that later updates share it
     size = [1] * n
-    chain = [(i, None) for i in range(n)]
-
-    def settle(grown):
-        for j, s, c in grown:
-            if s >= size[j]:
-                size[j] = s + 1
-                chain[j] = (j, c)
-
-    # Edges of equal slope extend only chains from before their batch, so
-    # the batch's first edge waits in (hj, hs, hc) and the rest in tied
-    # until the key changes. Ties are rare; the first edge is settled inline.
-    hj, hs, hc = 0, 0, None
-    tied = []
-    last = None
-    for e in edges:
-        key = keys[e]
-        i, j = divmod(e, n)
-        if key == last:
-            tied.append((j, size[i], chain[i]))
-            continue
-        last = key
-        if hs >= size[hj]:
-            size[hj] = hs + 1
-            chain[hj] = (hj, hc)
-        if tied:
-            settle(tied)
-            tied = []
-        hj, hs, hc = j, size[i], chain[i]
-    settle([(hj, hs, hc)] + tied)
+    links = [(i, None) for i in range(n)]
+    grown = []
+    for i, j, more in walk:
+        if more or grown:
+            # edges of equal slope extend only chains from before their batch
+            grown.append((j, size[i], links[i]))
+            if more:
+                continue
+            for j, s, c in grown:
+                if s >= size[j]:
+                    size[j], links[j] = s + 1, (j, c)
+            grown = []
+        elif size[i] >= size[j]:
+            size[j], links[j] = size[i] + 1, (j, links[i])
     top = max(size)
-    return ChainResult(top, _chain(chain[size.index(top)])[::-1], kind)
+    return ChainResult(top, _chain(links[size.index(top)])[::-1], kind)
 
 
 def longest_cup(family: LineFamily) -> ChainResult:

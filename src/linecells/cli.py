@@ -88,15 +88,18 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    lines = []
     exact = known_exact(args.l, args.n)
     if exact is not None:
-        print(f"exact: {exact}")
+        lines.append(f"exact: {exact}")
     if args.n >= 5:
-        print(f"lower: {lower_bound_value(args.l, args.n)}")
+        lines.append(f"lower: {lower_bound_value(args.l, args.n)}")
     if args.n >= 3:
-        print(f"upper: {upper_bound_value(args.l, args.n, args.c)}")
+        lines.append(f"upper: {upper_bound_value(args.l, args.n, args.c)}")
     if args.p is not None and args.q is not None:
-        print(f"f_L upper: {f_L_bound(args.l, args.p, args.q, args.c)}")
+        lines.append(f"f_L upper: {f_L_bound(args.l, args.p, args.q, args.c)}")
+    # every value is computed before anything prints, so a usage error prints none
+    print("\n".join(lines))
     return 0
 
 
@@ -209,10 +212,7 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (LinecellsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LinecellsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

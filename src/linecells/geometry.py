@@ -7,9 +7,10 @@ silently poisoning an exact result.
 The predicates work on ``LineFamily.view``, an integer form of the family
 cached on it (see IntegerView). This module alone knows the crossing-key
 formula: ``IntegerView.key`` computes one key, and ``IntegerView.keys``
-is the one n^2 table of them, the flat list that the sorted edge order
-reads. The extreme vertices are read off the n crossings of
-``IntegerView.rim``, without the table.
+is the one n^2 table of them. ``IntegerView.frame`` is the crossing order
+that the kernels walk: the crossings sorted once by key, as the lines of
+each and whether the next one ties with it. The extreme vertices are read
+off the n crossings of ``IntegerView.rim``, without the table.
 """
 
 from __future__ import annotations
@@ -18,12 +19,17 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, islice
 from math import lcm
+from operator import eq
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import DuplicateSlopeError
 
 Rat = Fraction
+
+# (lows, highs, tied), as IntegerView.frame
+Frame = Tuple[List[int], List[int], List[bool]]
 
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
 
@@ -153,12 +159,12 @@ class IntegerView:
     first use and live as long as the family does:
     - ``keys``, the one n^2 key table, a flat row-major list: line i's
       keys are keys[i*n : i*n + n]. The cell predicates and cell
-      enumeration index it, and the chain DPs, the convex-position split
-      DP and the vertex runs read the keys of ``edge_order`` from it;
-    - ``edge_order``, the n(n-1)/2 edges i < j as e = i*n + j, sorted once
-      by keys[e] and shared by the cup and the cap DP, the split DP, the
-      concurrency report and cell enumeration, which read the vertices off
-      its runs of equal keys;
+      enumeration index it, and ``frame`` is sorted by it;
+    - ``frame``, the n(n-1)/2 crossings i < j sorted once by key, as
+      parallel lists of their two lines and of whether the next crossing
+      has the same key. The cup and the cap DP, the split DP, the
+      concurrency report and cell enumeration walk it, and read the
+      vertices off its runs of tied crossings without comparing keys;
     - ``rim``, the n pairs whose crossings hold the extreme vertices, and
       ``key_sentinel``, read off them, so that neither needs ``keys``.
     The staircases build no table: they call ``key`` for the O(n) keys
@@ -203,16 +209,29 @@ class IntegerView:
         return keys
 
     @cached_property
-    def edge_order(self) -> List[int]:
-        """The edges i < j as e = i*n + j, by ascending keys[e].
-
-        The sort is stable, so edges of equal key keep their (i, j) order.
-        Both chain DPs walk this one order, the cap DP backwards, and the
-        convex-position split DP walks it and its mirror image.
+    def frame(self) -> Frame:
+        """(lows, highs, tied): the crossings X_ij, i < j, by ascending key,
+        stably, so equal keys keep their (i, j) order. Crossing p is of
+        lines lows[p] < highs[p], and tied[p] says whether crossing p + 1
+        has the same key.
         """
         n = len(self.pairs)
-        edges = (e for i in range(n) for e in range(i * n + i + 1, i * n + n))
-        return sorted(edges, key=self.keys.__getitem__)
+        keys = self.keys
+        lines = list(range(n))
+        # positions of the crossings in (i, j) order, sorted by key: one int
+        # object per crossing, so they are freed before the keys are read
+        # in frame order, and each (i, j)-order table lives only while read
+        order = sorted(
+            range(n * (n - 1) // 2),
+            key=[k for i in lines for k in keys[i * n + i + 1 : i * n + n]].__getitem__,
+        )
+        # each line is one int object, shared by all of its crossings
+        lows = [*map([i for i in lines for _ in range(i + 1, n)].__getitem__, order)]
+        highs = [*map([j for i in lines for j in lines[i + 1 :]].__getitem__, order)]
+        del order
+        ks = [keys[i * n + j] for i, j in zip(lows, highs)]
+        # the last key is compared with None, which no key equals
+        return lows, highs, [*map(eq, ks, chain(islice(ks, 1, None), [None]))]
 
     def vertex(self, i: int, j: int) -> Point:
         """The crossing of lines i and j as a Point."""

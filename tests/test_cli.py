@@ -168,6 +168,20 @@ def test_verify_bad_no_convex_exits_2_before_any_output(tmp_path, capsys):
     assert "need 2 <= n" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--l", "3", "--n", "4", "--p", "3", "--q", "2"], "q must be >= 3"),
+        (["--l", "3", "--n", "5", "--c", "0"], "c must be >= 1"),
+    ],
+    ids=["bad_q", "bad_c"],
+)
+def test_bounds_bad_value_exits_2_before_any_output(capsys, argv, message):
+    code, out, err = run(capsys, "bounds", *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_verify_garbage_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a family\n")

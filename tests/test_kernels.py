@@ -34,6 +34,7 @@ from linecells import (
     longest_cup,
     max_concurrency,
     parse_family,
+    reflect_y,
     render_svg,
     verify_properties,
 )
@@ -289,10 +290,14 @@ def test_keys_are_the_views_only_n_squared_table():
     enumerate_cells(fam)
     assert find_n_convex(fam, 7) is not None
     render_svg(fam)
-    # a row table of n lists counts n^2 entries too
-    sized = [name for name, value in vars(fam.view).items() if _entries(value) >= n * n]
+    # a row table of n lists counts n^2 entries too; the frame's three
+    # parallel lists are three tables of n(n-1)/2 entries each
+    tables = dict(vars(fam.view))
+    tables.update(zip(("lows", "highs", "tied"), tables.pop("frame")))
+    sized = [name for name, value in tables.items() if _entries(value) >= n * n]
     assert sized == ["keys"]
     assert len(fam.view.keys) == n * n
+    assert [len(tables[name]) for name in ("lows", "highs", "tied")] == [n * (n - 1) // 2] * 3
 
 
 @BENCH_FAMILIES
@@ -380,24 +385,65 @@ def test_chain_dp_matches_tuple_sort_on_bench_families(path):
     assert longest_cap(fam) == oracles.tuple_sort_chain(fam, "cap")
 
 
-def test_edge_order_is_sorted_once_per_family():
+def test_frame_is_sorted_once_per_family():
     fam = parse_family(F434_FILE.read_text())
     builds = []
-    build_keys = IntegerView.keys.func
 
-    def counted(view):
-        builds.append(view)
-        return build_keys(view)
+    def counted(table):
+        build = getattr(IntegerView, table).func
 
-    with patch.object(IntegerView.keys, "func", counted):
+        def counted_build(view):
+            builds.append((table, view))
+            return build(view)
+
+        return patch.object(getattr(IntegerView, table), "func", counted_build)
+
+    with counted("keys"), counted("frame"):
         longest_cup(fam)
-        order = fam.view.edge_order
+        frame = fam.view.frame
         longest_cap(fam)
         assert find_n_convex(fam, 8) is None
         assert find_n_convex(fam, 7) is not None
         enumerate_cells(fam)
-    assert fam.view.edge_order is order
-    assert builds == [fam.view]
+    assert fam.view.frame is frame
+    assert builds == [("frame", fam.view), ("keys", fam.view)]
+
+
+def _runs(frame):
+    """A frame's runs of tied crossings, in order, each as a set of pairs."""
+    lows, highs, tied = frame
+    runs = [set()]
+    for low, high, more in zip(lows, highs, tied):
+        runs[-1].add((low, high))
+        if not more:
+            runs.append(set())
+    return runs[:-1]
+
+
+def check_frames(fam):
+    """The view's frame against a sort of (key, i, j) tuples, and the
+    split DP's mirror frame against the frame of the mirror image, run by
+    run: the order inside a run of tied crossings differs."""
+    rows = oracles.crossing_rows(fam.view)
+    n = len(rows)
+    edges = sorted((rows[i][j], i, j) for i in range(n) for j in range(i + 1, n))
+    lows, highs, tied = fam.view.frame
+    assert list(zip(lows, highs)) == [(i, j) for _, i, j in edges]
+    assert tied == [a[0] == b[0] for a, b in zip(edges, edges[1:])] + [False]
+    mirror = arrangement._mirror(fam.view.frame, n)
+    assert list(map(len, mirror)) == [len(edges)] * 3
+    assert _runs(mirror) == _runs(reflect_y(fam).view.frame)
+
+
+@KERNELS
+@given(pencil_families())
+def test_frames_match_tuple_sort_and_mirror_image(fam):
+    check_frames(fam)
+
+
+@BENCH_FAMILIES
+def test_frames_match_tuple_sort_and_mirror_image_on_bench_families(path):
+    check_frames(parse_family(path.read_text()))
 
 
 @KERNELS
@@ -481,10 +527,10 @@ def test_extreme_vertices_leave_the_crossing_table_unbuilt(use):
     [lambda fam: has_k_cell_unbounded(fam, 4, "right"), render_svg],
     ids=["has_k_cell_unbounded", "render_svg"],
 )
-def test_kernels_off_the_chain_dp_leave_the_edge_order_unbuilt(use):
+def test_kernels_off_the_chain_dp_leave_the_frame_unbuilt(use):
     fam = parse_family(F434_FILE.read_text())
     use(fam)
-    assert "edge_order" not in vars(fam.view)
+    assert "frame" not in vars(fam.view)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -495,7 +541,7 @@ def test_staircases_leave_both_key_tables_unbuilt(use, side):
     fam = parse_family(F434_FILE.read_text())
     use(fam, 3, side)
     assert "keys" not in vars(fam.view)
-    assert "edge_order" not in vars(fam.view)
+    assert "frame" not in vars(fam.view)
 
 
 def test_single_line_kernels():
