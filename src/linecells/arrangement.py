@@ -15,23 +15,21 @@ either zero rays (bounded) or exactly two; both right gives unbounded_right,
 both left unbounded_left, one each unbounded_other (wedges, half-planes and
 the top/bottom cells).
 
-Everything here reads the family's cached integer view (LineFamily.view)
-and answers "is line i's interval inside the cell nonempty?" one way: the
-interval's ends are exact crossing keys X_ij, so the test is one integer
-compare. The keys come from the view's one key table, the flat list
-IntegerView.keys, whose row i is keys[i*n : i*n + n]. bounding_lines and
-classify_cell take each line's ends from that row in _key_interval. The
-vertices come off the family's frame (IntegerView.frame, the crossings
-sorted by key, shared with the chain DPs): a crossing tied with neither
-neighbour is a two-line vertex, and a run of tied crossings splits into
-the vertices on it.
-The concurrency report and profile look only at those runs, and the
-report builds a Point only for the first vertex at the maximum. Cell
-enumeration sweeps the vertices in Point order and reads every cell off
-their sectors: sign vectors as bit masks carried along each line,
-bounding sets and classes from the lines that form each sector and which
-of their pieces are rays (each line's first and last key on its row of
-keys), and one witness per cell, stepped short of two cells' lines.
+Everything here reads the order of the crossing abscissae, ties included,
+off the family's frame (IntegerView.frame, the crossings sorted by key,
+shared with the chain DPs). bounding_lines and classify_cell walk it once
+(_pieces), counting the lines each line is on the wrong side of: it
+bounds the cell from a crossing after which that count is 0 to its next
+crossing, or is a ray. The vertices come off the same frame: a crossing
+tied with neither neighbour is a two-line vertex, and a run of tied
+crossings splits into the vertices on it. The concurrency report and
+profile look only at those runs, and the report builds a Point only for
+the first vertex at the maximum. Cell enumeration sweeps the vertices in
+Point order and reads every cell off their sectors: sign vectors as bit
+masks carried along each line, bounding sets and classes from the lines
+that form each sector and which of their pieces are rays (a count of the
+crossings made on each line says which vertex is its first or last), and
+one witness per cell.
 
 Lines are in convex position when one cell is bounded by all of them.
 The lines below that cell form a cup and the lines above it a cap, and
@@ -91,47 +89,55 @@ def _check_signs(family: LineFamily, signs: Sequence[int]) -> SignVector:
     return signs
 
 
-def _key_interval(view, i: int, signs: SignVector) -> Optional[Tuple[int, int]]:
-    """Crossing keys (lo, hi) ending line i's open interval inside the cell
-    named by signs, or None when that interval is empty.
+def _pieces(family: LineFamily, signs: Sequence[int]) -> Dict[int, tuple]:
+    """Line i -> (s, e) for every line i on the boundary of the cell named
+    by signs: its piece runs from its crossing with line s to the one with
+    line e, and s (e) is None for a ray to the left (right).
 
-    Line j confines line i to x > X_ij, giving a lower end, exactly when
-    (j < i) == (signs[j] > 0): above a line of lower slope or below one of
-    higher slope. Otherwise it gives an upper end. The keys order and group
-    the abscissae exactly (IntegerView), so the interval is nonempty iff
-    lo < hi. Infinite ends are -/+ view.key_sentinel.
-    """
-    far = view.key_sentinel
-    lo, hi = -far, far
-    n = len(signs)
-    for j, (key, s) in enumerate(zip(view.keys[i * n : i * n + n], signs)):
-        if j == i:
-            continue
-        if (j < i) == (s > 0):
-            if key > lo:
-                lo = key
-        elif key < hi:
-            hi = key
-    return (lo, hi) if lo < hi else None
-
-
-def _cell_intervals(family: LineFamily, signs: Sequence[int]) -> Dict[int, Tuple[int, int]]:
-    """Line i -> its nonempty _key_interval in the cell named by signs.
+    One walk down the frame. viol[i] counts the lines that line i is on the
+    wrong side of just right of the walk; at a crossing the two lines swap
+    sides. Line i's points in the cell form one open interval, so its piece
+    starts after a batch of tied crossings that leaves viol[i] at 0, and
+    ends at its next crossing.
 
     Raises InfeasibleSignVectorError when no point realizes the signs (the
-    cell is empty exactly when every line's interval is).
+    cell is empty exactly when no line has a piece).
     """
     signs = _check_signs(family, signs)
-    view = family.view
-    out = {i: iv for i in range(len(signs)) if (iv := _key_interval(view, i, signs))}
-    if not out:
+    n = len(signs)
+    up = [s > 0 for s in signs]
+    # far left, line i lies above exactly the lines of higher slope: wrong
+    # for the lines j < i that the cell is above and the j > i it is below
+    ups = list(accumulate(up, initial=0))
+    viol = [ups[i] + (n - 1 - i) - (ups[n] - ups[i + 1]) for i in range(n)]
+    start = {i: None for i, v in enumerate(viol) if not v}
+    pieces = {}
+    batch = []
+    for x, y, more in zip(*family.view.frame):
+        if x in start:
+            pieces[x] = start.pop(x), y
+        if y in start:
+            pieces[y] = start.pop(y), x
+        # x < y: line x passes from above line y to below it
+        viol[x] += 1 if up[y] else -1
+        viol[y] -= 1 if up[x] else -1
+        batch.append((x, y))
+        if not more:
+            for x, y in batch:
+                if not viol[x]:
+                    start.setdefault(x, y)
+                if not viol[y]:
+                    start.setdefault(y, x)
+            batch = []
+    pieces.update((i, (s, None)) for i, s in start.items())
+    if not pieces:
         raise InfeasibleSignVectorError(f"no cell has sign vector {signs}")
-    return out
+    return pieces
 
 
 def bounding_lines(family: LineFamily, signs: Sequence[int]) -> FrozenSet[int]:
     """Indices of lines contributing a positive-length piece of the boundary."""
-    return frozenset(_cell_intervals(family, signs))
+    return frozenset(_pieces(family, signs))
 
 
 def _bound_class(rays_right: int, rays_left: int) -> BoundClass:
@@ -146,9 +152,8 @@ def _bound_class(rays_right: int, rays_left: int) -> BoundClass:
 
 def classify_cell(family: LineFamily, signs: Sequence[int]) -> BoundClass:
     """Boundedness class from the directions of the cell's boundary rays."""
-    ends = _cell_intervals(family, signs).values()
-    far = family.view.key_sentinel
-    return _bound_class(sum(hi == far for _, hi in ends), sum(lo == -far for lo, _ in ends))
+    ends = _pieces(family, signs).values()
+    return _bound_class(sum(e is None for _, e in ends), sum(s is None for s, _ in ends))
 
 
 def _tie_runs(tied):
@@ -244,8 +249,8 @@ def enumerate_cells(family: LineFamily) -> Tuple[Cell, ...]:
     Each sector is formed by two rays, and a cell's bounding set is the
     union of those pairs over its corner sectors. The piece of line u that
     leaves the vertex to the right (left) is a ray exactly when the vertex
-    is u's last crossing that way, its largest (smallest) crossing key, and
-    the cell's right and left rays give its class.
+    is u's last (first) crossing, which a count of the crossings swept on
+    each line tells, and the cell's right and left rays give its class.
 
     Sign vectors are n-bit masks, bit n-1-l set above line l, which sort
     as the vectors do. The sweep takes the vertices in Point order, and
@@ -268,13 +273,8 @@ def enumerate_cells(family: LineFamily) -> Tuple[Cell, ...]:
         )
     view = family.view
     pairs = view.pairs
-    keys = view.keys
-    # line u's largest and smallest crossing keys: its row off the diagonal
-    last, first = [], []
-    for u in range(n):
-        row = keys[u * n : u * n + u] + keys[u * n + u + 1 : u * n + n]
-        last.append(max(row))
-        first.append(min(row))
+    # made[u]: line u's crossings at the vertices swept so far
+    made = [0] * n
     bit = [1 << (n - 1 - u) for u in range(n)]
     # far left, line u lies above exactly the lines of higher slope
     along = [t - 1 for t in bit]
@@ -291,11 +291,13 @@ def enumerate_cells(family: LineFamily) -> Tuple[Cell, ...]:
         # sector p < k lies above inc[0..p], sector k + p below them
         masks = [base | lower for lower in below[1:]]
         masks += [base | (both ^ lower) for lower in below[1:]]
-        key = keys[inc[0] * n + inc[1]]
         # ray positions 0..k-1 go right along inc[0..k-1], k..2k-1 go left,
         # one unit of x per step and dy[r]/scale of y; sector p lies between
-        # rays p and p + 1 (mod 2k), and its opposite flips every incident bit
-        is_ray = [key == last[u] for u in inc] + [key == first[u] for u in inc]
+        # rays p and p + 1 (mod 2k), and its opposite flips every incident bit.
+        # Each incident line makes k - 1 of its n - 1 crossings here
+        is_ray = [made[u] + k == n for u in inc] + [made[u] == 0 for u in inc]
+        for u in inc:
+            made[u] += k - 1
         dy = [pairs[u][0] for u in inc]
         dy += [-m for m in dy]
         for p, mask in enumerate(masks):
@@ -390,17 +392,18 @@ def _bounds(frame: Frame, n: int):
     reads the anchor bound of its left vertex: the longest cup from a plus
     the longest cap down from b over the keys above X_ab, which no cell
     anchored there can beat. Returns (size, lines) of the longest cup and
-    cap and levels, where levels[s] lists the edges whose bound is s.
+    cap and bound, where bound[p] is the bound of crossing p: a small int,
+    so the list shares one object per value, not one per crossing.
     """
     lows, highs, tied = frame
     cup, cap = [1] * n, [1] * n
     cupl: List[Link] = [(v, None) for v in range(n)]
     capl = cupl[:]
-    levels: List[List[int]] = [[] for _ in range(2 * n + 1)]
+    bound = [0] * len(lows)
     grown = []
     for p in range(len(lows) - 1, -1, -1):
         x, y = lows[p], highs[p]
-        levels[cup[x] + cap[y]].append(p)
+        bound[p] = cup[x] + cap[y]
         grown.append((x, y, cup[y], cupl[y], cap[x], capl[x]))
         # edges of one key extend only chains over the keys above it
         if not tied[p - 1]:
@@ -412,7 +415,7 @@ def _bounds(frame: Frame, n: int):
             grown = []
     x = max(range(n), key=cup.__getitem__)
     y = max(range(n), key=cap.__getitem__)
-    return (cup[x], _chain(cupl[x])), (cap[y], _chain(capl[y])[::-1]), levels
+    return (cup[x], _chain(cupl[x])), (cap[y], _chain(capl[y])[::-1]), bound
 
 
 def _sweep(frame: Frame, n: int, p: int, stop: int):
@@ -495,22 +498,23 @@ def _convex_split(view, need: int, goal: int):
     _bounds gives the longest cup and cap and every anchor's bound, so no
     more than cup + cap lines are sought. Anchors are swept by descending
     bound, capped at goal, and at equal bound from the highest X_ab down,
-    since a sweep from there is short and often meets the bound at once.
-    The search stops when no bound left beats the best size. A sweep costs
+    since a sweep from there is short and often meets the bound at once
+    (view.key(a, b) is computed for those anchors only). The search stops
+    when no bound left beats the best size. A sweep costs
     O(n^2), so the search is O(n^4) at worst.
     """
     n = len(view.pairs)
-    keys, (lows, highs, _) = view.keys, view.frame
+    lows, highs, _ = view.frame
     frames = view.frame, _mirror(view.frame, n)
 
     def key(f, p):
         # the mirror's crossing p is the family's p-th from the end, negated
         q = ~p if f else p
-        k = keys[lows[q] * n + highs[q]]
+        k = view.key(lows[q], highs[q])
         return -k if f else k
 
-    (cup, cup_lines), (cap, cap_lines), levels = _bounds(frames[0], n)
-    mirror_levels = _bounds(frames[1], n)[2]
+    (cup, cup_lines), (cap, cap_lines), bound = _bounds(frames[0], n)
+    bounds = bound, _bounds(frames[1], n)[2]
     best = max(cup, cap)
     split = (cup_lines, (), "unbounded_other") if cup >= cap else ((), cap_lines, "unbounded_other")
     top = min(goal, cup + cap)
@@ -518,12 +522,12 @@ def _convex_split(view, need: int, goal: int):
     for level in range(top, max(need, best + 1) - 1, -1):
         if level <= best:
             break
-        bounds = range(level, 2 * n + 1) if level == top else (level,)
+        # the top level takes every bound at or above it
+        at = level.__le__ if level == top else level.__eq__
         anchors = [
             (key(f, p), f, p)
-            for f, by_bound in enumerate((levels, mirror_levels))
-            for s in bounds
-            for p in by_bound[s]
+            for f, by_crossing in enumerate(bounds)
+            for p in compress(count(), map(at, by_crossing))
         ]
         for _, f, p in sorted(anchors, reverse=True):
             size, found = _sweep(frames[f], n, p, level)
@@ -563,26 +567,19 @@ def convex_position_cell(family: LineFamily) -> Optional[Cell]:
     for i in below:
         signs[i] = 1
     signs = tuple(signs)
-    lo, hi = _cell_intervals(family, signs)[0]
-    # step up or down off line 0 at x = a/b, the middle of its interval or
-    # 1 past its one finite end; an end with key k is X_0j = p/q for any
-    # j > 0 with that key (j = 0 is the diagonal, whose key is 0 too), and
-    # keys[j] is X_0j's key, row 0 of the table
-    far = view.key_sentinel
+    start, end = _pieces(family, signs)[0]
+    # step up or down off line 0 at x = a/b, the middle of its piece or 1
+    # past its one finite end; the piece ends where line j > 0 crosses it,
+    # at X_0j = p/q
     pairs = view.pairs
     m0, c0 = pairs[0]
-    keys = view.keys
-    ends = []
-    for key in (lo, hi):
-        if abs(key) != far:
-            mj, cj = pairs[next(j for j in range(1, n) if keys[j] == key)]
-            ends.append((c0 - cj, mj - m0))
+    ends = [(c0 - pairs[j][1], pairs[j][0] - m0) for j in (start, end) if j is not None]
     if len(ends) == 2:
         (p1, q1), (p2, q2) = ends
         a, b = p1 * q2 + p2 * q1, 2 * q1 * q2
     else:
         [(p, q)] = ends
-        a, b = p + q if abs(hi) == far else p - q, q
+        a, b = p + q if end is None else p - q, q
     top = m0 * a + c0 * b
     w = _sector_witness(pairs, range(n), a, b, top, view.scale, 0, signs[0] * view.scale)
     return Cell(signs, frozenset(range(n)), bound_class, w)

@@ -4,9 +4,9 @@ A family S is a cup when the cell above every line of S is bounded by all
 of them (the "top" cell touches each line in a positive-length segment); a
 cap is the mirror notion for the cell below every line. Equivalently, in
 the dual plane (m, c) the points of a cup form a strictly concave chain in
-slope order and those of a cap a strictly convex one. is_cup/is_cap use the
-primal cell test and the longest-chain search the dual characterization,
-both on the same crossing keys. The independent primal test, in cross
+slope order and those of a cap a strictly convex one. is_cup/is_cap read
+the n-1 crossings of slope neighbours and the longest-chain search the dual
+characterization, both on the same crossing keys. The primal test, in cross
 products, lives in tests/oracles.py, and the tests check both against it.
 
 Longest chain: a chain of dual points in x-order is a strict cup exactly
@@ -49,9 +49,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt, lt
 from typing import List, Literal, Optional, Tuple
 
-from .arrangement import Cell, _backwards, _chain, bounding_lines
+from .arrangement import Cell, _backwards, _chain
 from .errors import ParameterRangeError
 from .geometry import LineFamily, Point
 
@@ -65,14 +66,23 @@ class ChainResult:
     kind: ChainKind
 
 
+def _neighbours_run(family: LineFamily, compare) -> bool:
+    """Whether compare holds from each crossing X_i,i+1 of slope neighbours
+    to the next: the upper envelope holds every line exactly when they
+    strictly rise (line i from X_i-1,i to X_i,i+1), the lower one exactly
+    when they strictly fall."""
+    keys = [family.view.key(i, i + 1) for i in range(len(family) - 1)]
+    return all(map(compare, keys, keys[1:]))
+
+
 def is_cup(family: LineFamily) -> bool:
     """True iff the cell above all lines is bounded by every one of them."""
-    return len(bounding_lines(family, (1,) * len(family))) == len(family)
+    return _neighbours_run(family, lt)
 
 
 def is_cap(family: LineFamily) -> bool:
     """True iff the cell below all lines is bounded by every one of them."""
-    return len(bounding_lines(family, (-1,) * len(family))) == len(family)
+    return _neighbours_run(family, gt)
 
 
 def _longest_chain(family: LineFamily, kind: ChainKind) -> ChainResult:

@@ -6,11 +6,12 @@ silently poisoning an exact result.
 
 The predicates work on ``LineFamily.view``, an integer form of the family
 cached on it (see IntegerView). This module alone knows the crossing-key
-formula: ``IntegerView.key`` computes one key, and ``IntegerView.keys``
-is the one n^2 table of them. ``IntegerView.frame`` is the crossing order
-that the kernels walk: the crossings sorted once by key, as the lines of
-each and whether the next one ties with it. The extreme vertices are read
-off the n crossings of ``IntegerView.rim``, without the table.
+formula: ``IntegerView.key`` computes one key. ``IntegerView.frame`` is
+the crossing order that the kernels walk, and the view's one n^2 table:
+the crossings sorted once by key, as the lines of each and whether the
+next one ties with it. The keys themselves are not kept. The extreme
+vertices are read off the n crossings of ``IntegerView.rim``, without
+the frame.
 """
 
 from __future__ import annotations
@@ -157,18 +158,17 @@ class IntegerView:
 
     ``key(i, j)`` computes one key. The derived tables are computed on
     first use and live as long as the family does:
-    - ``keys``, the one n^2 key table, a flat row-major list: line i's
-      keys are keys[i*n : i*n + n]. The cell predicates and cell
-      enumeration index it, and ``frame`` is sorted by it;
-    - ``frame``, the n(n-1)/2 crossings i < j sorted once by key, as
-      parallel lists of their two lines and of whether the next crossing
-      has the same key. The cup and the cap DP, the split DP, the
-      concurrency report and cell enumeration walk it, and read the
-      vertices off its runs of tied crossings without comparing keys;
+    - ``frame``, the one n^2 table: the n(n-1)/2 crossings i < j sorted
+      once by key, as parallel lists of their two lines and of whether
+      the next crossing has the same key. The cup and the cap DP, the
+      split DP, the cell predicates, the concurrency report and cell
+      enumeration walk it, and read the vertices off its runs of tied
+      crossings without comparing keys. The keys it is sorted by are
+      not kept;
     - ``rim``, the n pairs whose crossings hold the extreme vertices, and
-      ``key_sentinel``, read off them, so that neither needs ``keys``.
-    The staircases build no table: they call ``key`` for the O(n) keys
-    they read.
+      ``key_sentinel``, read off them, so that neither needs ``frame``.
+    The staircases and is_cup/is_cap build no table: they call ``key``
+    for the O(n) keys they read.
     """
 
     def __init__(self, lines: Tuple[Line, ...]):
@@ -191,47 +191,36 @@ class IntegerView:
         return ((cj - ci) << self.shift) // (mi - mj)
 
     @cached_property
-    def keys(self) -> List[int]:
-        """keys[i*n + j] is the key of X_ij, row-major; the diagonal holds 0.
-
-        The table is symmetric and both halves share each key object: row
-        i's keys right of the diagonal are also column i's below it.
-        """
-        ms = [m for m, _ in self.pairs]
-        cs = [c << self.shift for _, c in self.pairs]
-        n = len(ms)
-        keys = [0] * (n * n)
-        for i in range(n):
-            mi, ci = ms[i], cs[i]
-            row = [(cj - ci) // (mi - mj) for mj, cj in zip(ms[i + 1 :], cs[i + 1 :])]
-            keys[i * n + i + 1 : i * n + n] = row
-            keys[i * n + n + i :: n] = row
-        return keys
-
-    @cached_property
     def frame(self) -> Frame:
         """(lows, highs, tied): the crossings X_ij, i < j, by ascending key,
         stably, so equal keys keep their (i, j) order. Crossing p is of
         lines lows[p] < highs[p], and tied[p] says whether crossing p + 1
         has the same key.
+
+        The keys are computed here, in (i, j) order, and freed once tied is
+        read off them: the frame keeps only the order.
         """
-        n = len(self.pairs)
-        keys = self.keys
-        lines = list(range(n))
-        # positions of the crossings in (i, j) order, sorted by key: one int
-        # object per crossing, so they are freed before the keys are read
-        # in frame order, and each (i, j)-order table lives only while read
-        order = sorted(
-            range(n * (n - 1) // 2),
-            key=[k for i in lines for k in keys[i * n + i + 1 : i * n + n]].__getitem__,
-        )
+        ms = [m for m, _ in self.pairs]
+        cs = [c << self.shift for _, c in self.pairs]
+        n = len(ms)
+        keys = [
+            (cj - ci) // (mi - mj)
+            for i, (mi, ci) in enumerate(zip(ms, cs))
+            for mj, cj in zip(ms[i + 1 :], cs[i + 1 :])
+        ]
+        # positions of the crossings in (i, j) order, sorted by key
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        # each key against the next; the last with None, which no key equals
+        ks = map(keys.__getitem__, order)
+        after = chain(map(keys.__getitem__, islice(order, 1, None)), [None])
+        tied = [*map(eq, ks, after)]
+        # the keys, held by both iterators too, go before the lines are read
+        del keys, ks, after
         # each line is one int object, shared by all of its crossings
+        lines = list(range(n))
         lows = [*map([i for i in lines for _ in range(i + 1, n)].__getitem__, order)]
         highs = [*map([j for i in lines for j in lines[i + 1 :]].__getitem__, order)]
-        del order
-        ks = [keys[i * n + j] for i, j in zip(lows, highs)]
-        # the last key is compared with None, which no key equals
-        return lows, highs, [*map(eq, ks, chain(islice(ks, 1, None), [None]))]
+        return lows, highs, tied
 
     def vertex(self, i: int, j: int) -> Point:
         """The crossing of lines i and j as a Point."""

@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from linecells import (
     InfeasibleSignVectorError,
@@ -29,6 +29,8 @@ from linecells import (
     find_n_convex,
     find_unbounded_cell,
     has_k_cell_unbounded,
+    is_cap,
+    is_cup,
     largest_convex_subset,
     longest_cap,
     longest_cup,
@@ -78,17 +80,13 @@ def pencil_families(draw, min_lines=2, max_lines=9):
 
 
 def check_keys(fam):
-    """The view's one key table against the oracle's rows, entry for
-    entry: 0 on the diagonal, symmetric, and key(i, j) off it."""
+    """view.key(i, j) against the oracle's rows, entry for entry off the
+    diagonal."""
     view = fam.view
-    n = len(fam)
-    keys = view.keys
-    assert keys == [key for row in oracles.crossing_rows(view) for key in row]
-    for i in range(n):
-        assert keys[i * n + i] == 0
-        for j in range(i + 1, n):
-            assert keys[i * n + j] is keys[j * n + i]
-            assert view.key(i, j) == keys[i * n + j]
+    for i, row in enumerate(oracles.crossing_rows(view)):
+        for j, want in enumerate(row):
+            if j != i:
+                assert view.key(i, j) == want, (i, j)
 
 
 def check_staircases(fam):
@@ -276,6 +274,27 @@ def test_key_table_matches_crossing_rows_on_bench_families(path):
     check_keys(parse_family(path.read_text()))
 
 
+def check_cup_cap(fam):
+    """is_cup and is_cap against the cross-product cell test, on the family
+    and on its longest cup and cap, which are a cup and a cap."""
+    chains = [subfamily(fam, longest(fam).witness) for longest in (longest_cup, longest_cap)]
+    for sub in [fam, *chains]:
+        assert (is_cup(sub), is_cap(sub)) == (oracles.is_cup(sub), oracles.is_cap(sub))
+
+
+@KERNELS
+@given(pencil_families(min_lines=1))
+# three concurrent slope neighbours: line 1 touches neither outer cell
+@example(LineFamily((Line(-1, 0), Line(0, 0), Line(1, 0))))
+def test_cup_and_cap_tests_match_the_cell_test(fam):
+    check_cup_cap(fam)
+
+
+@BENCH_FAMILIES
+def test_cup_and_cap_tests_match_the_cell_test_on_bench_families(path):
+    check_cup_cap(parse_family(path.read_text()))
+
+
 def _entries(value):
     """Leaf entries of a list or tuple, nested ones counted through."""
     if not isinstance(value, (list, tuple)):
@@ -283,21 +302,23 @@ def _entries(value):
     return sum(map(_entries, value))
 
 
-def test_keys_are_the_views_only_n_squared_table():
+def test_frame_is_the_views_only_n_squared_table():
     fam = parse_family(F434_FILE.read_text())
     n = len(fam)
     verify_properties(fam, 4, 4, 3, check_unbounded=("left", "right"))
     enumerate_cells(fam)
     assert find_n_convex(fam, 7) is not None
     render_svg(fam)
-    # a row table of n lists counts n^2 entries too; the frame's three
-    # parallel lists are three tables of n(n-1)/2 entries each
+    bounding_lines(fam, (1,) * n)
+    # an attribute of n(n-1)/2 or more entries, nested ones counted
+    # through, is an n^2 table; the frame's three parallel lists count as
+    # three tables
     tables = dict(vars(fam.view))
     tables.update(zip(("lows", "highs", "tied"), tables.pop("frame")))
-    sized = [name for name, value in tables.items() if _entries(value) >= n * n]
-    assert sized == ["keys"]
-    assert len(fam.view.keys) == n * n
-    assert [len(tables[name]) for name in ("lows", "highs", "tied")] == [n * (n - 1) // 2] * 3
+    edges = n * (n - 1) // 2
+    sized = [name for name, value in tables.items() if _entries(value) >= edges]
+    assert sized == ["lows", "highs", "tied"]
+    assert [len(tables[name]) for name in sized] == [edges] * 3
 
 
 @BENCH_FAMILIES
@@ -398,15 +419,16 @@ def test_frame_is_sorted_once_per_family():
 
         return patch.object(getattr(IntegerView, table), "func", counted_build)
 
-    with counted("keys"), counted("frame"):
+    with counted("frame"):
         longest_cup(fam)
         frame = fam.view.frame
         longest_cap(fam)
         assert find_n_convex(fam, 8) is None
         assert find_n_convex(fam, 7) is not None
         enumerate_cells(fam)
+        bounding_lines(fam, (1,) * len(fam))
     assert fam.view.frame is frame
-    assert builds == [("frame", fam.view), ("keys", fam.view)]
+    assert builds == [("frame", fam.view)]
 
 
 def _runs(frame):
@@ -519,7 +541,7 @@ def test_viewport_reaches_the_wrap_pair_vertex():
 def test_extreme_vertices_leave_the_crossing_table_unbuilt(use):
     fam = parse_family(F434_FILE.read_text())
     use(fam)
-    assert "keys" not in vars(fam.view)
+    assert "frame" not in vars(fam.view)
 
 
 @pytest.mark.parametrize(
@@ -540,7 +562,6 @@ def test_kernels_off_the_chain_dp_leave_the_frame_unbuilt(use):
 def test_staircases_leave_both_key_tables_unbuilt(use, side):
     fam = parse_family(F434_FILE.read_text())
     use(fam, 3, side)
-    assert "keys" not in vars(fam.view)
     assert "frame" not in vars(fam.view)
 
 
@@ -572,8 +593,7 @@ def test_cell_enumeration_on_construct_F(p, q):
 )
 def test_convex_search_on_constructed_families(build):
     # F334 and thm12(3, 6) have 8 lines each, with crossing keys of 30 and
-    # 83 bits; the two lines crossing at x = 0 share their key, 0, with the
-    # crossing table's diagonal
+    # 83 bits; the two lines crossing at x = 0 have the crossing key 0
     check_convex_search(build())
 
 
