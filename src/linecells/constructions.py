@@ -154,19 +154,27 @@ def contract(family: LineFamily, a: Line, eps) -> LineFamily:
         # horizontal carrier above the axis has no on-line anchor below it;
         # fall back to a point under the carrier
         px, py = Fraction(0), Fraction(-1)
-    max_m = max(abs(line.m) for line in family)
-    x_bound = family.view.abscissa_bound()
-    reach = (1 + abs(mu) + max_m) * x_bound + max(abs(line.c) for line in family)
+    view = family.view
+    s = view.scale
+    max_m = Fraction(max(abs(m) for m, _ in view.pairs), s)
+    max_c = Fraction(max(abs(c) for _, c in view.pairs), s)
+    reach = (1 + abs(mu) + max_m) * view.abscissa_bound() + max_c
     bound = min(Fraction(1), eps / (2 * (1 + max_m)), min(-py, eps) / (2 * (1 + reach)))
     # the largest 1/2^k <= bound is 1/2^k or 1/2^(k+1) for this k
     k = max(0, bound.denominator.bit_length() - bound.numerator.bit_length())
-    t = Fraction(1, 1 << k) if Fraction(1, 1 << k) <= bound else Fraction(1, 2 << k)
-    return LineFamily(
-        tuple(
-            Line(mu + t * line.m, t * t * line.c + py - (mu + t * line.m) * px)
-            for line in family
-        )
-    )
+    k += Fraction(1, 1 << k) > bound
+    # with t = 1/2^k, the line y = (M*x + C)/s of view.pairs maps to
+    # m' = mu + M/(s*2^k) and c' = C/(s*4^k) + py - m'*px, one Fraction each
+    (mn, md), (xn, xd), (yn, yd) = (v.as_integer_ratio() for v in (mu, px, py))
+    m_den, m_base = md * s << k, mn * s << k
+    c_den, c_mul = md * xd * yd * s << 2 * k, md * xd * yd
+    c_base, c_step = yn * md * xd * s << 2 * k, xn * yd << k
+    lines = []
+    for big_m, big_c in view.pairs:
+        m_num = m_base + md * big_m
+        c_num = big_c * c_mul + c_base - m_num * c_step
+        lines.append(Line(Fraction(m_num, m_den), Fraction(c_num, c_den)))
+    return LineFamily(tuple(lines))
 
 
 def construct_base(p: int, l: int, epsilon_scale=1) -> LineFamily:

@@ -48,16 +48,18 @@ def parse_family(text: str) -> LineFamily:
             c = parse_rat(tokens[1])
         except ValueError as exc:
             raise FamilyParseError(str(exc), lineno) from None
-        if m in seen:
+        # a reduced fraction's integer pair is its value, and hashes without pow
+        slope = m.as_integer_ratio()
+        if slope in seen:
             raise DuplicateSlopeError(
-                f"line {lineno}: slope {format_rat(m)} already used at line {seen[m]}"
+                f"line {lineno}: slope {format_rat(m)} already used at line {seen[slope]}"
             )
-        seen[m] = lineno
+        seen[slope] = lineno
         records.append(Line(m, c))
     if not records:
         raise FamilyParseError("no line records")
-    return LineFamily(tuple(records)).with_meta(
-        name=name, provenance=tuple(provenance) if provenance else None
+    return LineFamily(
+        tuple(records), name=name, provenance=tuple(provenance) if provenance else None
     )
 
 

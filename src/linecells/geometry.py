@@ -32,7 +32,7 @@ Rat = Fraction
 # (lows, highs, tied), as IntegerView.frame
 Frame = Tuple[List[int], List[int], List[bool]]
 
-_RAT_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
+_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def parse_rat(text: str) -> Rat:
@@ -45,9 +45,11 @@ def parse_rat(text: str) -> Rat:
     m = _RAT_RE.match(text)
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    if m.group(1) is not None and int(m.group(1)) == 0:
+    num, den = m.groups()
+    den = int(den or 1)
+    if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(text)
+    return Fraction(int(num), den)
 
 
 def format_rat(value: Rat) -> str:
@@ -259,7 +261,7 @@ class IntegerView:
     def key_sentinel(self) -> int:
         """max |key| + 1, an integer past every crossing key; the keys
         keep the abscissa order, so the largest |key| is at a rim pair."""
-        return max((abs(self.vertex_key(i, j)[0]) for i, j in self.rim), default=0) + 1
+        return max((abs(self.key(i, j)) for i, j in self.rim), default=0) + 1
 
     def abscissa_bound(self) -> Rat:
         """A bound on |x| over every crossing, read off the crossing keys.

@@ -23,6 +23,10 @@ for the sweep that carries sign vectors along the lines and steps each
 witness short of two cells' bounding lines; and convex_walk, the
 exponential walk over subsets that folds in one line at a time
 (extend_on_keys), for the cup/cap-split DP of the convex-position search.
+contract, which maps each line by Fraction operations, is the reference
+for the contraction that computes each line from the view's integer
+pairs; it reads the view's abscissa_bound as linecells' contract does, so
+both pick the same squeeze factor.
 
 intersect, orientation and side_of are the Fraction primitives that the
 tests build families and points with. Their sign conventions:
@@ -45,7 +49,9 @@ from linecells import (
     Cell,
     ChainResult,
     InfeasibleSignVectorError,
+    Line,
     LineFamily,
+    ParameterRangeError,
     Point,
 )
 
@@ -687,3 +693,31 @@ def clip_cell(family, signs, box):
                 clipped.append(nxt)
         poly = clipped
     return poly
+
+
+def contract(family, a, eps):
+    """The bundle of linecells' contract, line by line in Fractions: the
+    same anchor (px, py) and squeeze factor t, then m' = mu + t*m and
+    c' = t^2*c + py - m'*px for each line."""
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ParameterRangeError(f"eps must be positive: {eps}")
+    mu = a.m
+    if mu != 0:
+        px, py = (-1 - a.c) / mu, Fraction(-1)
+    elif a.c < 0:
+        px, py = Fraction(0), a.c
+    else:
+        px, py = Fraction(0), Fraction(-1)
+    max_m = max(abs(line.m) for line in family)
+    x_bound = family.view.abscissa_bound()
+    reach = (1 + abs(mu) + max_m) * x_bound + max(abs(line.c) for line in family)
+    bound = min(Fraction(1), eps / (2 * (1 + max_m)), min(-py, eps) / (2 * (1 + reach)))
+    k = max(0, bound.denominator.bit_length() - bound.numerator.bit_length())
+    t = Fraction(1, 1 << k) if Fraction(1, 1 << k) <= bound else Fraction(1, 2 << k)
+    return LineFamily(
+        tuple(
+            Line(mu + t * line.m, t * t * line.c + py - (mu + t * line.m) * px)
+            for line in family
+        )
+    )

@@ -1,5 +1,6 @@
 import ast
 import gc
+import hashlib
 import random
 import re
 import weakref
@@ -35,6 +36,7 @@ from linecells import (
     pencil,
     reflect_x,
     reflect_y,
+    serialize_family,
     verify_properties,
 )
 from linecells import constructions
@@ -143,10 +145,50 @@ def test_contract_rejects_bad_eps():
 
 
 def test_contract_reads_no_vertex_table():
+    # the frame is the view's one n^2 table; contract needs only the pairs
+    # and the rim, so it builds the frame on neither view
     fam = construct_F(4, 4, 4)
+    assert "frame" not in fam.view.__dict__
     g = contract(fam, Line(Fraction(3, 2), 4), Fraction(1, 10))
-    assert "vertex_items" not in fam.view.__dict__
-    assert "vertex_items" not in g.view.__dict__
+    assert "frame" not in fam.view.__dict__
+    assert "frame" not in g.view.__dict__
+
+
+# sha256 of serialize_family, recorded while contract still mapped each line
+# in Fraction operations (oracles.contract): the integer contraction must
+# reproduce every generated family byte for byte
+PINNED_DIGESTS = {
+    "F554": (
+        lambda: construct_F(5, 5, 4),
+        "2f31317ac1bc2c1bb1d1f9a01adeb822da0b3315bb0a3176f14ffa7fa8c7873a",
+    ),
+    "F444_scale_1_3": (
+        lambda: construct_F(4, 4, 4, epsilon_scale=Fraction(1, 3)),
+        "258501a205d51df19c57bdbbfaf57f2e3ae6fd131f914911c0050f8a8eee3eb6",
+    ),
+    "prop32_3_3_even": (
+        lambda: construct_prop32(3, 3, "even"),
+        "59bdd21e4324eccf76937a4da2abe9c5969b745cf064aecc6e479498de3ac434",
+    ),
+    "prop32_4_3_odd": (
+        lambda: construct_prop32(4, 3, "odd"),
+        "20add37d230ee1e071c63451901d26a2acc2dc1143b64d2e6724b2edd475b22d",
+    ),
+    "thm12_3_6": (
+        lambda: construct_thm12(3, 6),
+        "f3979070885869cc7a7389050857ea28e547802d56fc1b21f47b3b1bb1ed79b7",
+    ),
+    "thm12_3_5": (
+        lambda: construct_thm12(3, 5),
+        "00c3f76f20380f0b75838e234403b0967db18f469b1bcbbd91209ecbd15a8a10",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DIGESTS)
+def test_generated_family_is_byte_identical(name):
+    build, digest = PINNED_DIGESTS[name]
+    assert hashlib.sha256(serialize_family(build()).encode()).hexdigest() == digest
 
 
 def test_construct_F_coordinate_bits():

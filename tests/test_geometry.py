@@ -28,6 +28,17 @@ def test_parse_rat_rejects(bad):
         parse_rat(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [("1.5", "not a rational literal: '1.5'"), ("1/ 2", "not a rational literal: '1/ 2'"),
+     ("1/+2", "not a rational literal: '1/+2'"), ("-3/0", "zero denominator: '-3/0'")],
+)
+def test_parse_rat_rejection_messages(bad, message):
+    with pytest.raises(ValueError) as info:
+        parse_rat(bad)
+    assert str(info.value) == message
+
+
 def test_format_rat_round_trips():
     for v in (Fraction(3), Fraction(-5, 2), Fraction(0), Fraction(7, 3)):
         assert parse_rat(format_rat(v)) == v

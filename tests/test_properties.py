@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from linecells import (
@@ -29,6 +30,7 @@ from conftest import (
     signs_at,
     subfamily,
 )
+import oracles
 from oracles import orientation, side_of
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
@@ -130,6 +132,46 @@ def test_contract_preserves_chain_structure(fam, eps):
     assert longest_cup(g).size == longest_cup(fam).size
     assert longest_cap(g).size == longest_cap(fam).size
     assert max_concurrency(g).max_count == max_concurrency(fam).max_count
+
+
+@st.composite
+def concurrent_families(draw):
+    """A pencil of at least two lines through a random point, with the
+    remaining slopes given random intercepts."""
+    px, py = draw(rationals), draw(rationals)
+    slopes = draw(st.lists(rationals, min_size=2, max_size=6, unique=True))
+    size = draw(st.integers(2, len(slopes)))
+    lines = [Line(m, py - m * px) for m in slopes[:size]]
+    lines += [Line(m, draw(rationals)) for m in slopes[size:]]
+    return LineFamily(tuple(lines))
+
+
+# one carrier strategy per anchor of contract: sloped, flat below the axis,
+# flat on or above it
+CARRIERS = {
+    "sloped": st.builds(Line, rationals.filter(bool), rationals),
+    "flat_below": st.builds(
+        Line, st.just(0), st.fractions(min_value=-10, max_value=Fraction(-1, 6), max_denominator=6)
+    ),
+    "flat_above": st.builds(
+        Line, st.just(0), st.fractions(min_value=0, max_value=10, max_denominator=6)
+    ),
+}
+
+
+@pytest.mark.parametrize("anchor", CARRIERS)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.data(),
+    fam=st.one_of(families(min_lines=1, max_lines=6), concurrent_families()),
+    eps=st.one_of(
+        st.sampled_from((Fraction(1, 4), Fraction(1, 1000), Fraction(1), Fraction(7))),
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10, max_denominator=10**6),
+    ),
+)
+def test_contract_matches_fraction_oracle(anchor, data, fam, eps):
+    carrier = data.draw(CARRIERS[anchor])
+    assert contract(fam, carrier, eps).lines == oracles.contract(fam, carrier, eps).lines
 
 
 @LOOSE
