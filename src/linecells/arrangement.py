@@ -266,7 +266,7 @@ def enumerate_cells(family: LineFamily) -> Tuple[Cell, ...]:
     """
     n = len(family)
     if n == 1:
-        c = family[0].c
+        c = Fraction(family.pairs[0][1], family.scale)
         return tuple(
             Cell((sign,), frozenset({0}), "unbounded_other", Point(0, c + sign))
             for sign in (-1, 1)

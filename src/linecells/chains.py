@@ -216,15 +216,10 @@ def _far_witness(family: LineFamily, r: int, side: str) -> Point:
     # the two rail lines at a far enough abscissa we are inside the cell.
     view = family.view
     pick = max if side == "right" else min
-    outermost = pick(view.rim, key=lambda pair: view.vertex_key(*pair)[0])
-    x = pick(Fraction(0), view.vertex(*outermost).x)
-    if side == "right":
-        x += 1
-        lower, upper = family[r - 1], family[r]
-    else:
-        x -= 1
-        lower, upper = family[r], family[r - 1]
-    return Point(x, (lower.y_at(x) + upper.y_at(x)) / 2)
+    outermost = pick(view.rim, key=lambda pair: view.key(*pair))
+    x = pick(Fraction(0), view.vertex(*outermost).x) + (1 if side == "right" else -1)
+    (ma, ca), (mb, cb) = view.pairs[r - 1], view.pairs[r]
+    return Point(x, ((ma + mb) * x + ca + cb) / (2 * view.scale))
 
 
 def has_k_cell_unbounded(family: LineFamily, k: int, side: str) -> bool:

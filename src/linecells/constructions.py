@@ -29,6 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Optional, Sequence, Tuple
 
 from .arrangement import max_concurrency
@@ -116,7 +117,7 @@ def reflect_y(family: LineFamily) -> LineFamily:
     Cups stay cups and caps stay caps; cells unbounded to the right map to
     cells unbounded to the left and vice versa.
     """
-    return LineFamily(tuple(Line(-line.m, line.c) for line in family))
+    return LineFamily.from_pairs(family.scale, [(-m, c) for m, c in reversed(family.pairs)])
 
 
 def reflect_x(family: LineFamily) -> LineFamily:
@@ -124,7 +125,7 @@ def reflect_x(family: LineFamily) -> LineFamily:
 
     Cups and caps swap; left/right unboundedness is preserved.
     """
-    return LineFamily(tuple(Line(-line.m, -line.c) for line in family))
+    return LineFamily.from_pairs(family.scale, [(-m, -c) for m, c in reversed(family.pairs)])
 
 
 def contract(family: LineFamily, a: Line, eps) -> LineFamily:
@@ -144,37 +145,35 @@ def contract(family: LineFamily, a: Line, eps) -> LineFamily:
     box is at most 2tX wide and 2t(Y + |mu|X) tall, so its diagonal is
     below 2tR < eps.
     """
+    return _contract(family, a.m, a.c, eps)
+
+
+def _contract(family: LineFamily, mu: Rat, nu: Rat, eps) -> LineFamily:
     eps = _positive_rat(eps, "eps")
-    mu = a.m
     if mu != 0:
-        px, py = (-1 - a.c) / mu, Fraction(-1)
-    elif a.c < 0:
-        px, py = Fraction(0), a.c
+        px, py = (-1 - nu) / mu, Fraction(-1)
+    elif nu < 0:
+        px, py = Fraction(0), nu
     else:
         # horizontal carrier above the axis has no on-line anchor below it;
         # fall back to a point under the carrier
         px, py = Fraction(0), Fraction(-1)
-    view = family.view
-    s = view.scale
-    max_m = Fraction(max(abs(m) for m, _ in view.pairs), s)
-    max_c = Fraction(max(abs(c) for _, c in view.pairs), s)
-    reach = (1 + abs(mu) + max_m) * view.abscissa_bound() + max_c
+    s, pairs = family.scale, family.pairs
+    max_m, max_c = (Fraction(max(map(abs, v)), s) for v in zip(*pairs))
+    reach = (1 + abs(mu) + max_m) * family.view.abscissa_bound() + max_c
     bound = min(Fraction(1), eps / (2 * (1 + max_m)), min(-py, eps) / (2 * (1 + reach)))
     # the largest 1/2^k <= bound is 1/2^k or 1/2^(k+1) for this k
     k = max(0, bound.denominator.bit_length() - bound.numerator.bit_length())
     k += Fraction(1, 1 << k) > bound
-    # with t = 1/2^k, the line y = (M*x + C)/s of view.pairs maps to
-    # m' = mu + M/(s*2^k) and c' = C/(s*4^k) + py - m'*px, one Fraction each
+    # with t = 1/2^k, the line y = (M*x + C)/s maps to m' = mu + M/(s*2^k)
+    # and c' = C/(s*4^k) + py - m'*px, both over md*xd*yd*s*4^k
     (mn, md), (xn, xd), (yn, yd) = (v.as_integer_ratio() for v in (mu, px, py))
-    m_den, m_base = md * s << k, mn * s << k
-    c_den, c_mul = md * xd * yd * s << 2 * k, md * xd * yd
-    c_base, c_step = yn * md * xd * s << 2 * k, xn * yd << k
-    lines = []
-    for big_m, big_c in view.pairs:
-        m_num = m_base + md * big_m
-        c_num = big_c * c_mul + c_base - m_num * c_step
-        lines.append(Line(Fraction(m_num, m_den), Fraction(c_num, c_den)))
-    return LineFamily(tuple(lines))
+    m_base, m_step = mn * s << k, xd * yd << k
+    c_mul, c_step = md * xd * yd, xn * yd << k
+    c_base = yn * md * xd * s << 2 * k
+    nums = [m_base + md * big_m for big_m, _ in pairs]
+    bundle = [(m * m_step, c * c_mul + c_base - m * c_step) for m, (_, c) in zip(nums, pairs)]
+    return LineFamily.from_pairs(c_mul * s << 2 * k, bundle)
 
 
 def construct_base(p: int, l: int, epsilon_scale=1) -> LineFamily:
@@ -217,6 +216,20 @@ def construct_base_caps(q: int, l: int, epsilon_scale=1) -> LineFamily:
 
 Memo = Dict[Tuple[int, int, int], LineFamily]
 
+# the carriers of F(p, q, l)'s two bundles, which meet at (0, 2)
+_F_CARRIERS = (Line(1, 2), Line(2, 2))
+
+
+def _join(*families: LineFamily) -> LineFamily:
+    """The lines of families, whose slopes rise from one to the next, as
+    one family: their pairs rescaled to the lcm of their scales."""
+    scale = lcm(*(fam.scale for fam in families))
+    pairs = []
+    for fam in families:
+        k = scale // fam.scale
+        pairs.extend((m * k, c * k) for m, c in fam.pairs)
+    return LineFamily.from_pairs(scale, pairs)
+
 
 def _construct_F_raw(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
     """The (p, q, l) recursive family, not yet certified. memo holds the
@@ -232,16 +245,16 @@ def _build_F_raw(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
     # p == 1 or q == 1 collapses to a single line: two lines already form
     # both a 2-cup and a 2-cap
     if p == 1 or q == 1:
-        return LineFamily((Line(Fraction(1), Fraction(0)),))
+        return LineFamily.from_pairs(1, ((1, 0),))
     if q == 2:
         return construct_base(p, l, scale)
     if p == 2:
         return construct_base_caps(q, l, scale)
     # slope windows of half-width at most 1/4 around 1 and 2 stay disjoint
     eps = min(scale, Fraction(1)) / 4
-    low = contract(_construct_F_raw(p - 1, q, l, scale, memo), Line(1, 2), eps)
-    high = contract(_construct_F_raw(p, q - 1, l, scale, memo), Line(2, 2), eps)
-    return LineFamily(low.lines + high.lines)
+    low = contract(_construct_F_raw(p - 1, q, l, scale, memo), _F_CARRIERS[0], eps)
+    high = contract(_construct_F_raw(p, q - 1, l, scale, memo), _F_CARRIERS[1], eps)
+    return _join(low, high)
 
 
 def _certified_F(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
@@ -274,8 +287,8 @@ def _lift(family: LineFamily) -> LineFamily:
     height 1 or more, reading the lowest height off the rim's keys."""
     view = family.view
     low = min((view.vertex_key(i, j)[1] for i, j in view.rim), default=0)
-    lift = 1 - low // (view.scale << view.shift)
-    return LineFamily(tuple(Line(line.m, line.c + lift) for line in family))
+    up = (1 - low // (view.scale << view.shift)) * family.scale
+    return LineFamily.from_pairs(family.scale, [(m, c + up) for m, c in family.pairs])
 
 
 def _shear_lift(family: LineFamily) -> LineFamily:
@@ -285,23 +298,21 @@ def _shear_lift(family: LineFamily) -> LineFamily:
     point's side of each line unchanged, so cells, cups, caps, concurrency
     and left/right unboundedness all survive; the lift is a translation.
     """
-    shift = 1 - min(line.m for line in family)
-    return _lift(LineFamily(tuple(Line(line.m + shift, line.c) for line in family)))
+    shear = family.scale - family.pairs[0][0]  # the lowest slope moves to 1
+    return _lift(LineFamily.from_pairs(family.scale, [(m + shear, c) for m, c in family.pairs]))
 
 
 def _assemble(scaffold: LineFamily, pieces, eps0: Rat) -> LineFamily:
     """Replace scaffold line i by a contracted copy of pieces[i], keeping
     slope windows disjoint. The assembly is not yet certified: its
     generator runs its concurrency and no-n-convex checks."""
-    eps = eps0
-    if len(scaffold) > 1:
-        eps = min(eps, min(b.m - a.m for a, b in zip(scaffold, scaffold.lines[1:])) / 4)
-    # keep every slope window on its carrier's side of zero
-    eps = min(eps, min(abs(line.m) for line in scaffold) / 2)
-    lines = []
-    for piece, carrier in zip(pieces, scaffold):
-        lines.extend(contract(piece, carrier, eps).lines)
-    return LineFamily(tuple(lines))
+    s, pairs = scaffold.scale, scaffold.pairs
+    ms = [m for m, _ in pairs]
+    # the windows stay apart, and each on its carrier's side of zero
+    gaps = (Fraction(b - a, 4 * s) for a, b in zip(ms, ms[1:]))
+    eps = min(eps0, Fraction(min(map(abs, ms)), 2 * s), *gaps)
+    parts = (_contract(f, Fraction(m, s), Fraction(c, s), eps) for f, (m, c) in zip(pieces, pairs))
+    return _join(*parts)
 
 
 def _prop32_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
@@ -356,14 +367,14 @@ def _thm12_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
     half = len(falling)
     fam = _certify(
         f"double scaffold for k={k}",
-        LineFamily(falling.lines + rising.lines),
+        _join(falling, rising),
         (
             (
                 "cross vertices below the axis",
                 lambda fam: sum(
                     mi * cj - mj * ci >= 0
-                    for mi, ci in fam.view.pairs[:half]
-                    for mj, cj in fam.view.pairs[half:]
+                    for mi, ci in fam.pairs[:half]
+                    for mj, cj in fam.pairs[half:]
                 ),
                 "==",
                 0,

@@ -4,14 +4,11 @@ Everything downstream works over Q. Floats never enter a computation; they
 are rejected at the constructors so a stray literal fails loudly instead of
 silently poisoning an exact result.
 
-The predicates work on ``LineFamily.view``, an integer form of the family
-cached on it (see IntegerView). This module alone knows the crossing-key
-formula: ``IntegerView.key`` computes one key. ``IntegerView.frame`` is
-the crossing order that the kernels walk, and the view's one n^2 table:
-the crossings sorted once by key, as the lines of each and whether the
-next one ties with it. The keys themselves are not kept. The extreme
-vertices are read off the n crossings of ``IntegerView.rim``, without
-the frame.
+A family is stored once, as integers: a scale S and pairs (M, C), one per
+line y = (M*x + C) / S, with gcd(S, all M and C) = 1 (see LineFamily); its
+Fraction Lines are derived on demand. The predicates work on
+``LineFamily.view``, the crossing keys and tables of that form (see
+IntegerView). This module alone knows the crossing-key formula.
 """
 
 from __future__ import annotations
@@ -21,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
-from math import lcm
-from operator import eq
+from math import gcd, lcm
+from operator import eq, lt
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import DuplicateSlopeError
@@ -32,17 +29,17 @@ Rat = Fraction
 # (lows, highs, tied), as IntegerView.frame
 Frame = Tuple[List[int], List[int], List[bool]]
 
-_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RAT_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rat(text: str) -> Rat:
     """Parse an integer or a/b fraction literal into an exact rational.
 
     Accepts an optional leading sign on the numerator only; the denominator
-    must be a positive decimal integer. Anything else (floats, whitespace
-    inside the token, signs on the denominator) raises ValueError.
+    must be a positive decimal integer, all digits ASCII. Anything else
+    (floats, any whitespace, signs on the denominator) raises ValueError.
     """
-    m = _RAT_RE.match(text)
+    m = _RAT_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num, den = m.groups()
@@ -94,34 +91,64 @@ class Line:
         return self.m * _as_rat(x) + self.c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LineFamily:
-    """An immutable family of lines in nearly general position.
-
-    Lines are stored sorted by slope. Slopes must be pairwise distinct
+    """An immutable family of lines in nearly general position, stored as
+    integers: line i is y = (M_i*x + C_i) / S for S = ``scale`` and
+    (M_i, C_i) = ``pairs[i]``, sorted by slope. ``lines``, the Fraction
+    Lines, are derived on first use. Slopes must be pairwise distinct
     (DuplicateSlopeError otherwise); three or more lines through a common
     point are permitted. ``name`` and ``provenance`` are carried for file
     round-trips; provenance is a tuple of (key, value) string pairs.
+
+    gcd(S, all M_i and C_i) = 1 makes S the lcm L of the reduced
+    denominators: each divides S, and S divides L*M_i, L*C_i and L*S, so L.
+    The constructor computes S as L; from_pairs divides out the gcd.
     """
 
-    lines: Tuple[Line, ...]
+    scale: int
+    pairs: Tuple[Tuple[int, int], ...]
     name: Optional[str] = None
     provenance: Optional[Tuple[Tuple[str, str], ...]] = None
 
-    def __post_init__(self):
-        lines = tuple(sorted(self.lines))
+    def __init__(self, lines, name=None, provenance=None):
+        lines = tuple(lines)
         if not lines:
             raise ValueError("a family needs at least one line")
-        for a, b in zip(lines, lines[1:]):
-            if a.m == b.m:
-                raise DuplicateSlopeError(f"slope {a.m} appears twice")
-        object.__setattr__(self, "lines", lines)
-        if self.provenance is not None:
-            prov = tuple((str(k), str(v)) for k, v in self.provenance)
-            object.__setattr__(self, "provenance", prov)
+        s = lcm(*(v.denominator for line in lines for v in (line.m, line.c)))
+        pairs = sorted(
+            (line.m.numerator * (s // line.m.denominator),
+             line.c.numerator * (s // line.c.denominator))
+            for line in lines
+        )
+        for (m, _), (next_m, _) in zip(pairs, pairs[1:]):
+            if m == next_m:
+                raise DuplicateSlopeError(f"slope {Fraction(m, s)} appears twice")
+        vars(self).update(vars(LineFamily.from_pairs(s, pairs, name, provenance)))
+
+    @classmethod
+    def from_pairs(cls, den: int, pairs, name=None, provenance=None) -> "LineFamily":
+        """The lines y = (M*x + C) / den, den > 0, for the (M, C) of pairs in
+        strictly rising M; den and the pairs are divided by their gcd."""
+        pairs = tuple(pairs)
+        ms = [m for m, _ in pairs]
+        if not ms or not all(map(lt, ms, ms[1:])):
+            raise ValueError("pairs must be non-empty, in strictly rising slope order")
+        g = gcd(den, *chain.from_iterable(pairs))
+        if g > 1:
+            den, pairs = den // g, tuple((m // g, c // g) for m, c in pairs)
+        provenance = None if provenance is None else tuple((str(k), str(v)) for k, v in provenance)
+        family = cls.__new__(cls)
+        vars(family).update(scale=den, pairs=pairs, name=name, provenance=provenance)
+        return family
+
+    @cached_property
+    def lines(self) -> Tuple[Line, ...]:
+        s = self.scale
+        return tuple(Line(Fraction(m, s), Fraction(c, s)) for m, c in self.pairs)
 
     def __len__(self) -> int:
-        return len(self.lines)
+        return len(self.pairs)
 
     def __iter__(self) -> Iterator[Line]:
         return iter(self.lines)
@@ -134,22 +161,20 @@ class LineFamily:
 
     def with_meta(self, name=None, provenance=None) -> "LineFamily":
         """Same lines, new metadata."""
-        return LineFamily(self.lines, name=name, provenance=provenance)
+        return LineFamily.from_pairs(self.scale, self.pairs, name, provenance)
 
     @cached_property
     def view(self) -> "IntegerView":
-        """The family's integer form, built on first use and kept with it."""
-        return IntegerView(self.lines)
+        """The family's crossing keys and tables, built on first use."""
+        return IntegerView(self.scale, self.pairs)
 
 
 class IntegerView:
-    """Common-denominator integer form of a slope-sorted family.
+    """Crossing keys and tables of a family's integer form.
 
-    With S the least common denominator of every slope and intercept, line
-    i becomes y = (M_i*x + C_i) / S for integers M_i = S*m_i and C_i =
-    S*c_i. Crossing abscissae, vertex order and orientation signs are
-    unchanged by the common positive scale, so predicates need only integer
-    arithmetic.
+    It reads the family's ``scale`` S and ``pairs``: crossing abscissae,
+    vertex order and orientation signs are unchanged by the common positive
+    scale, so predicates need only integer arithmetic.
 
     Lines i and j cross at X_ij = (C_j - C_i) / (M_i - M_j), which is also
     minus the slope of the dual edge between them. Its denominator is at
@@ -158,34 +183,19 @@ class IntegerView:
     takes distinct values at distinct abscissae and keeps their order: an
     exact integer key for comparing and grouping crossings.
 
-    ``key(i, j)`` computes one key. The derived tables are computed on
-    first use and live as long as the family does:
-    - ``frame``, the one n^2 table: the n(n-1)/2 crossings i < j sorted
-      once by key, as parallel lists of their two lines and of whether
-      the next crossing has the same key. The cup and the cap DP, the
-      split DP, the cell predicates, the concurrency report and cell
-      enumeration walk it, and read the vertices off its runs of tied
-      crossings without comparing keys. The keys it is sorted by are
-      not kept;
-    - ``rim``, the n pairs whose crossings hold the extreme vertices, and
-      ``key_sentinel``, read off them, so that neither needs ``frame``.
-    The staircases and is_cup/is_cap build no table: they call ``key``
-    for the O(n) keys they read.
+    ``key(i, j)`` computes one key. ``frame``, the one n^2 table, is the
+    crossings sorted once by key, as their lines and whether the next one
+    ties (the keys are not kept): the DPs, the cell predicates, the
+    concurrency report and cell enumeration walk it. ``rim`` holds the n
+    pairs whose crossings hold the extreme vertices, and ``key_sentinel``
+    is read off them, so neither needs ``frame``; the staircases and
+    is_cup/is_cap build no table either. The tables are built on first
+    use and live as long as the family does.
     """
 
-    def __init__(self, lines: Tuple[Line, ...]):
-        scale = 1
-        for line in lines:
-            scale = lcm(scale, line.m.denominator, line.c.denominator)
-        self.scale = scale
-        self.pairs = tuple(
-            (
-                line.m.numerator * (scale // line.m.denominator),
-                line.c.numerator * (scale // line.c.denominator),
-            )
-            for line in lines
-        )
-        self.shift = 2 * (self.pairs[-1][0] - self.pairs[0][0]).bit_length()
+    def __init__(self, scale: int, pairs: Tuple[Tuple[int, int], ...]):
+        self.scale, self.pairs = scale, pairs
+        self.shift = 2 * (pairs[-1][0] - pairs[0][0]).bit_length()
 
     def key(self, i: int, j: int) -> int:
         """The key of X_ij, floor(X_ij * 2^shift), for lines i != j."""

@@ -154,6 +154,43 @@ def test_contract_reads_no_vertex_table():
     assert "frame" not in g.view.__dict__
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: construct_F(6, 5, 4), lambda: construct_prop32(3, 3, "even")],
+    ids=["F654", "prop32_3_3_even"],
+)
+def test_recursive_builders_make_no_lines(monkeypatch, build):
+    # Only the base families take Lines, through the public constructor;
+    # every family made from integer pairs leaves its lines unbuilt, and
+    # the one returned builds them when it is serialized
+    made, given, paired = [0], [], []
+    post_init, init = Line.__post_init__, LineFamily.__init__
+    from_pairs = LineFamily.from_pairs.__func__
+
+    def counted_post_init(line):
+        made[0] += 1
+        post_init(line)
+
+    def counted_init(family, lines, *args, **kwargs):
+        lines = tuple(lines)
+        given.append(len(lines))
+        init(family, lines, *args, **kwargs)
+
+    def kept_from_pairs(cls, *args, **kwargs):
+        paired.append(from_pairs(cls, *args, **kwargs))
+        return paired[-1]
+
+    monkeypatch.setattr(Line, "__post_init__", counted_post_init)
+    monkeypatch.setattr(LineFamily, "__init__", counted_init)
+    monkeypatch.setattr(LineFamily, "from_pairs", classmethod(kept_from_pairs))
+    fam = build()
+    assert made[0] == sum(given) > 0
+    assert [f for f in paired if "lines" in vars(f)] == []
+    assert fam in paired
+    serialize_family(fam)
+    assert made[0] == sum(given) + len(fam)
+
+
 # sha256 of serialize_family, recorded while contract still mapped each line
 # in Fraction operations (oracles.contract): the integer contraction must
 # reproduce every generated family byte for byte

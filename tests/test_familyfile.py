@@ -72,6 +72,10 @@ def test_error_bad_literal():
     with pytest.raises(FamilyParseError) as err:
         parse_family("1 0\n2.5 0\n")
     assert err.value.lineno == 2
+    # 1 2 in Arabic-Indic digits is not the line y = x + 2
+    with pytest.raises(FamilyParseError) as err:
+        parse_family("\u0661 \u0662\n")
+    assert err.value.lineno == 1
 
 
 def test_error_duplicate_slope_mentions_lines():

@@ -22,7 +22,12 @@ def test_parse_rat_literals():
     assert parse_rat("0") == 0
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1/0", "1/00", "1 /2", "", "a", "1/-2", "--3", "1e3"])
+@pytest.mark.parametrize(
+    "bad",
+    ["1.5", "1/0", "1/00", "1 /2", "", "a", "1/-2", "--3", "1e3"]
+    # a trailing newline, and digits outside ASCII: Arabic-Indic 3 and 4
+    + ["3\n", "1/3\n", "\u0663", "1/\u0664"],
+)
 def test_parse_rat_rejects(bad):
     with pytest.raises(ValueError):
         parse_rat(bad)

@@ -1,6 +1,7 @@
 """Property-based checks of the exact-arithmetic invariants."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,57 @@ CARRIERS = {
 def test_contract_matches_fraction_oracle(anchor, data, fam, eps):
     carrier = data.draw(CARRIERS[anchor])
     assert contract(fam, carrier, eps).lines == oracles.contract(fam, carrier, eps).lines
+
+
+@st.composite
+def scaled_pairs(draw, min_lines=1):
+    """(den, pairs) for from_pairs: M strictly rising, and a factor of den
+    shared with every coordinate."""
+    n = draw(st.integers(min_lines, 6))
+    ms = sorted(draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n, unique=True)))
+    cs = draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n))
+    shared = draw(st.integers(1, 12))
+    den = shared * draw(st.integers(1, 30))
+    return den, [(shared * m, shared * c) for m, c in zip(ms, cs)]
+
+
+@st.composite
+def sheared_pairs(draw):
+    """The pairs the shear of constructions._shear_lift makes, M - M_0 + S
+    over S, where M - M_0, every C and S share a factor g that M_0 does
+    not: the pairs have gcd g with S only after the shear."""
+    g = draw(st.integers(2, 6))
+    den = g * draw(st.integers(1, 10))
+    m0 = draw(st.integers(-30, 30).filter(lambda m: m % g))
+    steps = draw(st.lists(st.integers(1, 20), max_size=5, unique=True))
+    ms = [m0] + [m0 + g * k for k in sorted(steps)]
+    cs = draw(st.lists(st.integers(-20, 20), min_size=len(ms), max_size=len(ms)))
+    return den, [(m - m0 + den, g * c) for m, c in zip(ms, cs)]
+
+
+@LOOSE
+@given(st.one_of(scaled_pairs(), sheared_pairs()))
+def test_from_pairs_matches_the_public_constructor(case):
+    den, pairs = case
+    fam = LineFamily.from_pairs(den, pairs)
+    public = LineFamily(tuple(Line(Fraction(m, den), Fraction(c, den)) for m, c in pairs))
+    assert (fam.scale, fam.pairs) == (public.scale, public.pairs)
+    assert fam.lines == public.lines
+    assert serialize_family(fam) == serialize_family(public)
+    assert math.gcd(fam.scale, *itertools.chain.from_iterable(fam.pairs)) == 1
+
+
+@LOOSE
+@given(scaled_pairs(min_lines=2), st.data())
+def test_from_pairs_rejects_slopes_that_do_not_rise(case, data):
+    den, pairs = case
+    i = data.draw(st.integers(0, len(pairs) - 2))
+    if data.draw(st.booleans()):
+        pairs[i + 1] = (pairs[i][0], pairs[i + 1][1])
+    else:
+        pairs[i], pairs[i + 1] = pairs[i + 1], pairs[i]
+    with pytest.raises(ValueError):
+        LineFamily.from_pairs(den, pairs)
 
 
 @LOOSE
