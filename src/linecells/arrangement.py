@@ -15,21 +15,21 @@ either zero rays (bounded) or exactly two; both right gives unbounded_right,
 both left unbounded_left, one each unbounded_other (wedges, half-planes and
 the top/bottom cells).
 
-Everything here reads the order of the crossing abscissae, ties included,
-off the family's frame (IntegerView.frame, the crossings sorted by key,
-shared with the chain DPs). bounding_lines and classify_cell walk it once
+The cells read the order of the crossing abscissae, ties included, off
+the family's frame (IntegerView.frame, the crossings sorted by key,
+shared with the split DP). bounding_lines and classify_cell walk it once
 (_pieces), counting the lines each line is on the wrong side of: it
 bounds the cell from a crossing after which that count is 0 to its next
 crossing, or is a ray. The vertices come off the same frame: a crossing
 tied with neither neighbour is a two-line vertex, and a run of tied
 crossings splits into the vertices on it. The concurrency report and
-profile look only at those runs, and the report builds a Point only for
-the first vertex at the maximum. Cell enumeration sweeps the vertices in
-Point order and reads every cell off their sectors: sign vectors as bit
-masks carried along each line, bounding sets and classes from the lines
-that form each sector and which of their pieces are rays (a count of the
-crossings made on each line says which vertex is its first or last), and
-one witness per cell.
+profile need no frame: they read IntegerView.census, and the report
+builds a Point only for its first vertex. Cell enumeration sweeps the
+vertices in Point order and reads every cell off their sectors: sign
+vectors as bit masks carried along each line, bounding sets and classes
+from the lines that form each sector and which of their pieces are rays
+(a count of the crossings made on each line says which vertex is its
+first or last), and one witness per cell.
 
 Lines are in convex position when one cell is bounded by all of them.
 The lines below that cell form a cup and the lines above it a cap, and
@@ -47,10 +47,9 @@ tests/oracles.py.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, count, islice
+from itertools import accumulate, compress, count, islice
 from typing import Dict, FrozenSet, Iterator, List, Literal, Optional, Sequence, Tuple
 
 from .errors import InfeasibleSignVectorError
@@ -186,7 +185,7 @@ def _split_run(view, lows, highs) -> List[Tuple[int, ...]]:
         if i not in seen:
             groups.setdefault(i, [i]).append(j)
             seen.add(j)
-    return sorted(map(tuple, groups.values()), key=lambda inc: view.vertex_key(*inc[:2])[1])
+    return sorted(map(tuple, groups.values()), key=lambda inc: view.height_key(*inc[:2]))
 
 
 def _vertices(view) -> Iterator[Tuple[int, ...]]:
@@ -203,18 +202,6 @@ def _vertices(view) -> Iterator[Tuple[int, ...]]:
         yield from _split_run(view, lows[start:stop], highs[start:stop])
         done = stop
     yield from zip(lows[done:], highs[done:])
-
-
-def _concurrent(view) -> List[Tuple[int, ...]]:
-    """The vertices on three or more lines, in Point order: only runs of
-    tied crossings can hold one."""
-    lows, highs, tied = view.frame
-    return [
-        inc
-        for start, stop in _tie_runs(tied)
-        for inc in _split_run(view, lows[start:stop], highs[start:stop])
-        if len(inc) > 2
-    ]
 
 
 def _sector_witness(pairs, lines, a, b, top, scale, sx, sy) -> Point:
@@ -330,24 +317,18 @@ def max_concurrency(family: LineFamily) -> ConcurrencyReport:
     n = len(family)
     if n < 2:
         return ConcurrencyReport(n, None)
-    view = family.view
-    multi = _concurrent(view)
-    top = max(map(len, multi), default=2)
-    # with no three lines concurrent, every vertex is at the maximum
-    first = next(_vertices(view) if top == 2 else (inc for inc in multi if len(inc) == top))
-    return ConcurrencyReport(top, view.vertex(*first[:2]))
+    census = family.view.census
+    return ConcurrencyReport(max(census.groups) + 1, family.view.vertex(*census.first))
 
 
 def concurrency_profile(family: LineFamily) -> Dict[int, int]:
     """Map from concurrency count (>= 2) to number of vertices attaining it."""
-    n = len(family)
-    if n < 2:
+    if len(family) < 2:
         return {}
-    multi = _concurrent(family.view)
-    # every edge off a vertex on three or more lines is a two-line vertex
-    profile = Counter(map(len, multi))
-    profile[2] = n * (n - 1) // 2 - sum(k * (k - 1) // 2 for k in map(len, multi))
-    return {k: profile[k] for k in sorted(profile) if profile[k]}
+    # groups[t] counts the vertices on more than t lines
+    groups = family.view.census.groups
+    exact = {t + 1: v - groups.get(t + 1, 0) for t, v in groups.items()}
+    return {k: v for k, v in exact.items() if v}
 
 
 # a chain of lines as nested (line, rest) pairs, so that longer chains
@@ -355,22 +336,16 @@ def concurrency_profile(family: LineFamily) -> Dict[int, int]:
 Link = Optional[Tuple[int, "Link"]]
 
 
-def _backwards(frame: Frame):
-    """The frame walked from its last crossing to its first, as iterators
-    over the lines of each crossing and whether the next one walked has
-    the same key, which is whether the one before it in the frame has."""
-    lows, highs, tied = frame
-    return reversed(lows), reversed(highs), chain(islice(reversed(tied), 1, None), tied[-1:])
-
-
 def _mirror(frame: Frame, n: int) -> Frame:
     """The frame of the mirror image x -> -x: its line v is line n-1-v and
-    its keys are the negated ones, so it is the frame walked backwards and
+    its keys are the negated ones, so it is the frame walked backwards
+    (where a crossing ties with the one before it in the frame) and
     relabelled. It shares the frame's bools and makes no object per
     crossing."""
-    lows, highs, tied = _backwards(frame)
+    lows, highs, tied = frame
     flip = list(range(n))[::-1]
-    return [*map(flip.__getitem__, highs)], [*map(flip.__getitem__, lows)], [*tied]
+    tied = [*islice(reversed(tied), 1, None), *tied[-1:]]
+    return [*map(flip.__getitem__, reversed(highs))], [*map(flip.__getitem__, reversed(lows))], tied
 
 
 def _chain(link: Link) -> Tuple[int, ...]:

@@ -11,13 +11,11 @@ products, lives in tests/oracles.py, and the tests check both against it.
 
 Longest chain: a chain of dual points in x-order is a strict cup exactly
 when its edge slopes strictly decrease, and a strict cap when they
-strictly increase. Taking the n(n-1)/2 dual edges in that slope order,
-equal slopes as one batch, and keeping the best chain ending at each
-point finds the longest one in O(n^2 log n). The edges are sorted once
-per family and shared (IntegerView.frame: the two lines of each crossing
-by ascending key, and whether the next one has the same key). The cup DP
-walks the frame forwards and the cap DP backwards, a run of tied
-crossings as one batch, so a repeated call costs only its O(n^2) walk.
+strictly increase, so when the crossing keys along it strictly rise or
+fall. IntegerView.census finds the longest of each in one pass over the
+rows of keys, per line the tail array of the longest increasing
+subsequence, with the witness of the DP that sorts the crossings by key
+(tests/oracles.py). The pass, cached on the view, builds no n^2 table.
 
 Unbounded cells admit a closed sign-vector form. In slope order, a cell
 unbounded to the right must lie above a prefix of the lines and below the
@@ -37,12 +35,11 @@ IntegerView.key, and no n^2 table. The left side is the right side of the
 mirror image x -> -x: the lines in reverse order, their keys negated.
 
 The searches read the family's cached integer view (LineFamily.view),
-whose exact crossing keys order the crossing abscissae X_ij. X_ij is also
-minus the slope of the dual edge between points i and j, so the chain DP
-and the staircases share one key. The cubic pair DP, the chain DP that
-sorted (key, i, j) tuples on every call, the per-staircase interval loop
-and the prefix/suffix scan of every line's keys that they replaced are
-kept in tests/oracles.py as references.
+whose exact crossing keys order the crossing abscissae X_ij, minus the
+dual edge slopes, so the chain pass and the staircases share one key.
+The cubic pair DP, the chain DP that sorted (key, i, j) tuples, the
+per-staircase interval loop and the prefix/suffix scan of every line's
+keys that they replaced are kept in tests/oracles.py as references.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from fractions import Fraction
 from operator import gt, lt
 from typing import List, Literal, Optional, Tuple
 
-from .arrangement import Cell, _backwards, _chain
+from .arrangement import Cell
 from .errors import ParameterRangeError
 from .geometry import LineFamily, Point
 
@@ -85,42 +82,14 @@ def is_cap(family: LineFamily) -> bool:
     return _neighbours_run(family, gt)
 
 
-def _longest_chain(family: LineFamily, kind: ChainKind) -> ChainResult:
-    """Longest subfamily whose dual points turn strictly one way: right
-    (concave) for cups, left (convex) for caps."""
-    view = family.view
-    n = len(view.pairs)
-    if n == 1:
-        return ChainResult(1, (0,), kind)
-    # ascending crossing key is descending dual slope: the cup order
-    walk = zip(*view.frame) if kind == "cup" else zip(*_backwards(view.frame))
-    # size[i] and links[i] describe the longest chain ending at point i, the
-    # chain as nested (index, rest) pairs so that later updates share it
-    size = [1] * n
-    links = [(i, None) for i in range(n)]
-    grown = []
-    for i, j, more in walk:
-        if more or grown:
-            # edges of equal slope extend only chains from before their batch
-            grown.append((j, size[i], links[i]))
-            if more:
-                continue
-            for j, s, c in grown:
-                if s >= size[j]:
-                    size[j], links[j] = s + 1, (j, c)
-            grown = []
-        elif size[i] >= size[j]:
-            size[j], links[j] = size[i] + 1, (j, links[i])
-    top = max(size)
-    return ChainResult(top, _chain(links[size.index(top)])[::-1], kind)
-
-
 def longest_cup(family: LineFamily) -> ChainResult:
-    return _longest_chain(family, "cup")
+    cup = family.view.census.cup
+    return ChainResult(len(cup), cup, "cup")
 
 
 def longest_cap(family: LineFamily) -> ChainResult:
-    return _longest_chain(family, "cap")
+    cap = family.view.census.cap
+    return ChainResult(len(cap), cap, "cap")
 
 
 def _push(top, t, cross, far):

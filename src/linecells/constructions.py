@@ -286,7 +286,7 @@ def _lift(family: LineFamily) -> LineFamily:
     """Translate family up by a whole number so every vertex sits at
     height 1 or more, reading the lowest height off the rim's keys."""
     view = family.view
-    low = min((view.vertex_key(i, j)[1] for i, j in view.rim), default=0)
+    low = min((view.height_key(i, j) for i, j in view.rim), default=0)
     up = (1 - low // (view.scale << view.shift)) * family.scale
     return LineFamily.from_pairs(family.scale, [(m, c + up) for m, c in family.pairs])
 

@@ -10,6 +10,8 @@ comments do not survive the trip.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import DuplicateSlopeError, FamilyParseError
 from .geometry import Line, LineFamily, format_rat, parse_rat
 
@@ -70,6 +72,13 @@ def serialize_family(family: LineFamily) -> str:
     if family.provenance:
         for key, value in family.provenance:
             rows.append(f"#! {key}={value}")
-    for line in family:
-        rows.append(f"{format_rat(line.m)} {format_rat(line.c)}")
+    s = family.scale
+    for m, c in family.pairs:
+        rows.append(f"{_ratio(m, s)} {_ratio(c, s)}")
     return "\n".join(rows) + "\n"
+
+
+def _ratio(num: int, den: int) -> str:
+    """num/den, den > 0, as format_rat writes it."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"

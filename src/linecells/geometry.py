@@ -14,12 +14,14 @@ IntegerView). This module alone knows the crossing-key formula.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from math import gcd, lcm
-from operator import eq, lt
+from operator import eq, lt, neg
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import DuplicateSlopeError
@@ -169,6 +171,9 @@ class LineFamily:
         return IntegerView(self.scale, self.pairs)
 
 
+Census = namedtuple("Census", "cup cap groups first")
+
+
 class IntegerView:
     """Crossing keys and tables of a family's integer form.
 
@@ -183,14 +188,14 @@ class IntegerView:
     takes distinct values at distinct abscissae and keeps their order: an
     exact integer key for comparing and grouping crossings.
 
-    ``key(i, j)`` computes one key. ``frame``, the one n^2 table, is the
-    crossings sorted once by key, as their lines and whether the next one
-    ties (the keys are not kept): the DPs, the cell predicates, the
-    concurrency report and cell enumeration walk it. ``rim`` holds the n
-    pairs whose crossings hold the extreme vertices, and ``key_sentinel``
-    is read off them, so neither needs ``frame``; the staircases and
-    is_cup/is_cap build no table either. The tables are built on first
-    use and live as long as the family does.
+    ``key(i, j)`` computes one key, ``rows()`` the keys line by line.
+    ``census``, read off the rows in one pass, is all that certification
+    needs: the longest cup and cap and the concurrency. ``frame``, the one
+    n^2 table, is the crossings sorted once by key, as their lines and
+    whether the next one ties: the split DP, the cell predicates and cell
+    enumeration walk it. ``rim`` holds the n pairs whose crossings hold
+    the extreme vertices, and ``key_sentinel`` is read off them. The
+    tables are built on first use and live as long as the family does.
     """
 
     def __init__(self, scale: int, pairs: Tuple[Tuple[int, int], ...]):
@@ -202,6 +207,61 @@ class IntegerView:
         (mi, ci), (mj, cj) = self.pairs[i], self.pairs[j]
         return ((cj - ci) << self.shift) // (mi - mj)
 
+    def rows(self) -> Iterator[List[int]]:
+        """Row i of the crossing keys, [key(i, j) for j > i], for each line
+        i in turn: a pass over the rows holds one row at a time."""
+        ms = [m for m, _ in self.pairs]
+        cs = [c << self.shift for _, c in self.pairs]
+        for i, (mi, ci) in enumerate(zip(ms, cs)):
+            yield [(cj - ci) // (mi - mj) for mj, cj in zip(ms[i + 1 :], cs[i + 1 :])]
+
+    @cached_property
+    def census(self) -> Census:
+        """(cup, cap, groups, first): a longest cup and cap, as lines in
+        slope order; groups[t], the number of vertices on more than t
+        lines; and two lines through the first vertex, in Point order,
+        where the most lines meet. One pass over rows() finds them all.
+
+        Keys strictly rise along a cup and fall along a cap: per line, the
+        pass keeps the tail array of the longest increasing subsequence
+        (Fredman 1975), O(n) keys per chain size (_extend); caps take the
+        negated keys. A vertex on k lines meets its k - 1 lowest lines in a
+        key group each, of sizes k - 1 down to 1, so groups of size t count
+        the vertices on more than t lines.
+        """
+        n = len(self.pairs)
+        # per kind, a padded row of keys per line and one dict of setters:
+        # the cyclic GC tracks no dict of ints, but would n more lists
+        cup = [[self.key_sentinel] for _ in range(n)], {}
+        cap = [[self.key_sentinel] for _ in range(n)], {}
+        groups, top, tops = [0] * (n + 1), 1, []
+        for i, row in enumerate(self.rows()):
+            _extend(*cup, i, row)
+            _extend(*cap, i, [*map(neg, row)])
+            distinct = len(set(row))
+            # most rows repeat no key, and a set is cheaper than counting
+            if distinct == len(row):
+                groups[1] += len(row)
+                continue
+            # the keys met more than once, each equal to the next when sorted
+            ordered = sorted(row)
+            repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
+            counts = {x: row.count(x) for x in repeated}
+            groups[1] += distinct - len(counts)
+            for c in counts.values():
+                groups[c] += 1
+            most = max(counts.values())
+            if most > top:
+                top, tops = most, []
+            if most == top:
+                # line i meets each point once: its least key comes first
+                x = min(k for k, c in counts.items() if c == most)
+                tops.append((i, i + 1 + row.index(x)))
+        # with no three lines concurrent, the first vertex is extreme
+        first = min(tops or self.rim, key=lambda pair: self.vertex_key(*pair), default=None)
+        groups = {t: c for t, c in enumerate(groups) if c}
+        return Census(_walk(*cup), _walk(*cap), groups, first)
+
     @cached_property
     def frame(self) -> Frame:
         """(lows, highs, tied): the crossings X_ij, i < j, by ascending key,
@@ -209,17 +269,11 @@ class IntegerView:
         lines lows[p] < highs[p], and tied[p] says whether crossing p + 1
         has the same key.
 
-        The keys are computed here, in (i, j) order, and freed once tied is
-        read off them: the frame keeps only the order.
+        The keys are read off rows(), in (i, j) order, and freed once tied
+        is read off them: the frame keeps only the order.
         """
-        ms = [m for m, _ in self.pairs]
-        cs = [c << self.shift for _, c in self.pairs]
-        n = len(ms)
-        keys = [
-            (cj - ci) // (mi - mj)
-            for i, (mi, ci) in enumerate(zip(ms, cs))
-            for mj, cj in zip(ms[i + 1 :], cs[i + 1 :])
-        ]
+        n = len(self.pairs)
+        keys = [*chain.from_iterable(self.rows())]
         # positions of the crossings in (i, j) order, sorted by key
         order = sorted(range(len(keys)), key=keys.__getitem__)
         # each key against the next; the last with None, which no key equals
@@ -240,15 +294,15 @@ class IntegerView:
         den = mi - mj
         return Point(Fraction(cj - ci, den), Fraction(mi * cj - mj * ci, den * self.scale))
 
-    def vertex_key(self, i: int, j: int) -> Tuple[int, int]:
-        """Integer key that orders crossings as their Points order: the
-        key of X_ij (key(i, j)) and the key of the crossing's height.
-
-        The crossing's height times scale has the same denominator mi - mj
-        as X_ij, so its floor key is exact in the same way.
-        """
+    def height_key(self, i: int, j: int) -> int:
+        """The key of the crossing's height times scale, which has the same
+        denominator mi - mj as X_ij, so its floor key is exact the same way."""
         (mi, ci), (mj, cj) = self.pairs[i], self.pairs[j]
-        return self.key(i, j), ((mi * cj - mj * ci) << self.shift) // (mi - mj)
+        return ((mi * cj - mj * ci) << self.shift) // (mi - mj)
+
+    def vertex_key(self, i: int, j: int) -> Tuple[int, int]:
+        """Integer key that orders crossings as their Points order."""
+        return self.key(i, j), self.height_key(i, j)
 
     @cached_property
     def rim(self) -> Tuple[Tuple[int, int], ...]:
@@ -280,3 +334,44 @@ class IntegerView:
         is at least every |X_ij|.
         """
         return Fraction(self.key_sentinel, 1 << self.shift)
+
+
+def _extend(keys, setters, i: int, row: List[int]) -> None:
+    """Extend the chains ending at line i by each line j > i, X_ij in row:
+    keys[j][s] is the least last key X_hj of a chain of s + 2 lines, and
+    setters[j * n + s] its h, each row of keys padded with a key above all
+    keys. A chain gives one of every smaller size, so X_ij caps
+    keys[j][:s + 1].
+
+    The setters give the witness of the DP that takes the crossings by
+    key (oracles.tuple_sort_chain), however it orders equal keys: if h < i
+    reach j at one key, the three lines meet at one point, the chain
+    through h reaches i as long, and i leads on past j at a lower key, so
+    no walk uses that entry."""
+    n, tail = len(keys), keys[i]
+    # jn is j * n, the start of line j's setters
+    for jn, t, x in zip(range((i + 1) * n, n * n, n), islice(keys, i + 1, None), row):
+        s = bisect_left(tail, x)
+        y = t[s]
+        if x < y:
+            t[s] = x
+            setters[jn + s] = i
+            if s + 1 == len(t):
+                # y was the padding: widen every row
+                for pad in keys:
+                    pad.append(y)
+            while s and t[s - 1] > x:
+                s -= 1
+                t[s] = x
+                setters[jn + s] = i
+
+
+def _walk(keys, setters) -> Tuple[int, ...]:
+    """The longest chain, in slope order, that _extend left: the first
+    line with a setter at the longest size (line 0 alone if none has),
+    then back along the setters."""
+    n, size = len(keys), len(keys[0])
+    out = [next((j for j in range(n) if j * n + size - 2 in setters), 0)]
+    for s in range(size - 2, -1, -1):
+        out.append(setters[out[-1] * n + s])
+    return tuple(reversed(out))

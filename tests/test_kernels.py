@@ -6,6 +6,7 @@ repeated crossing abscissae are common.
 
 import ast
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
@@ -391,10 +392,11 @@ def test_chain_dp_matches_cubic_dp(fam):
 
 
 @KERNELS
-@given(pencil_families())
+@given(pencil_families(max_lines=40))
 def test_chain_dp_matches_tuple_sort_on_pencils(fam):
     # dual points of lines through one apex are collinear, so their edges
-    # tie on key and the DP meets batches of more than one edge
+    # tie on key and the DP meets batches of more than one edge; up to 40
+    # lines, the chains reach several sizes
     assert longest_cup(fam) == oracles.tuple_sort_chain(fam, "cup")
     assert longest_cap(fam) == oracles.tuple_sort_chain(fam, "cap")
 
@@ -406,20 +408,24 @@ def test_chain_dp_matches_tuple_sort_on_bench_families(path):
     assert longest_cap(fam) == oracles.tuple_sort_chain(fam, "cap")
 
 
-def test_frame_is_sorted_once_per_family():
-    fam = parse_family(F434_FILE.read_text())
+@contextmanager
+def counted(table):
+    """The views that build table, a cached property of IntegerView, while
+    the block runs, in order."""
+    build = getattr(IntegerView, table).func
     builds = []
 
-    def counted(table):
-        build = getattr(IntegerView, table).func
+    def counted_build(view):
+        builds.append(view)
+        return build(view)
 
-        def counted_build(view):
-            builds.append((table, view))
-            return build(view)
+    with patch.object(getattr(IntegerView, table), "func", counted_build):
+        yield builds
 
-        return patch.object(getattr(IntegerView, table), "func", counted_build)
 
-    with counted("frame"):
+def test_frame_is_sorted_once_per_family():
+    fam = parse_family(F434_FILE.read_text())
+    with counted("frame") as builds:
         longest_cup(fam)
         frame = fam.view.frame
         longest_cap(fam)
@@ -428,7 +434,7 @@ def test_frame_is_sorted_once_per_family():
         enumerate_cells(fam)
         bounding_lines(fam, (1,) * len(fam))
     assert fam.view.frame is frame
-    assert builds == [("frame", fam.view)]
+    assert builds == [fam.view]
 
 
 def _runs(frame):
@@ -469,7 +475,7 @@ def test_frames_match_tuple_sort_and_mirror_image_on_bench_families(path):
 
 
 @KERNELS
-@given(pencil_families())
+@given(pencil_families(max_lines=40))
 def test_concurrency_table_matches_point_grouping(fam):
     check_concurrency(fam)
 
@@ -544,15 +550,45 @@ def test_extreme_vertices_leave_the_crossing_table_unbuilt(use):
     assert "frame" not in vars(fam.view)
 
 
+def _assert_frame_unbuilt(use):
+    fam = parse_family(F434_FILE.read_text())
+    with counted("frame") as frames, counted("census") as passes:
+        use(fam)
+    assert frames == []
+    # construct_F runs the pass once on each family object it certifies
+    assert len(passes) == len(set(map(id, passes)))
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        max_concurrency,
+        concurrency_profile,
+        longest_cup,
+        longest_cap,
+        lambda fam: verify_properties(fam, 4, 4, 3, check_unbounded=("left", "right")),
+        lambda fam: construct_F(5, 5, 4),
+    ],
+    ids=[
+        "max_concurrency",
+        "concurrency_profile",
+        "longest_cup",
+        "longest_cap",
+        "verify_properties",
+        "construct_F_5_5_4",
+    ],
+)
+def test_certification_leaves_the_frame_unbuilt(use):
+    _assert_frame_unbuilt(use)
+
+
 @pytest.mark.parametrize(
     "use",
     [lambda fam: has_k_cell_unbounded(fam, 4, "right"), render_svg],
     ids=["has_k_cell_unbounded", "render_svg"],
 )
 def test_kernels_off_the_chain_dp_leave_the_frame_unbuilt(use):
-    fam = parse_family(F434_FILE.read_text())
-    use(fam)
-    assert "frame" not in vars(fam.view)
+    _assert_frame_unbuilt(use)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -560,9 +596,18 @@ def test_kernels_off_the_chain_dp_leave_the_frame_unbuilt(use):
     "use", [find_unbounded_cell, has_k_cell_unbounded], ids=lambda use: use.__name__
 )
 def test_staircases_leave_both_key_tables_unbuilt(use, side):
+    # the view keeps one n^2 table, the frame; the staircases read neither it
+    # nor the crossing order it was once split from
+    _assert_frame_unbuilt(lambda fam: use(fam, 3, side))
+
+
+def test_census_runs_once_per_family():
     fam = parse_family(F434_FILE.read_text())
-    use(fam, 3, side)
-    assert "frame" not in vars(fam.view)
+    with counted("census") as passes:
+        verify_properties(fam, 4, 4, 3, check_unbounded=("left", "right"))
+        for kernel in (max_concurrency, concurrency_profile, longest_cup, longest_cap):
+            kernel(fam)
+    assert passes == [fam.view]
 
 
 def test_single_line_kernels():

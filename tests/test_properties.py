@@ -54,7 +54,10 @@ def families(draw, min_lines=2, max_lines=5):
 @LOOSE
 @given(families())
 def test_serialize_parse_round_trip(fam):
-    assert parse_family(serialize_family(fam)) == fam
+    text = serialize_family(fam)
+    assert parse_family(text) == fam
+    # each coordinate, printed from the integer pairs, reads as str(Fraction)
+    assert text.splitlines() == [f"{line.m} {line.c}" for line in fam]
 
 
 @LOOSE
