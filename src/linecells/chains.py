@@ -14,8 +14,9 @@ when its edge slopes strictly decrease, and a strict cap when they
 strictly increase, so when the crossing keys along it strictly rise or
 fall. IntegerView.census finds the longest of each in one pass over the
 rows of keys, per line the tail array of the longest increasing
-subsequence, with the witness of the DP that sorts the crossings by key
-(tests/oracles.py). The pass, cached on the view, builds no n^2 table.
+subsequence, and walks the tails back to the witness of the DP that
+sorts the crossings by key (tests/oracles.py). The pass, cached on the
+view, builds no n^2 table.
 
 Unbounded cells admit a closed sign-vector form. In slope order, a cell
 unbounded to the right must lie above a prefix of the lines and below the

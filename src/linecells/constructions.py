@@ -249,7 +249,7 @@ def _build_F_raw(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
     if q == 2:
         return construct_base(p, l, scale)
     if p == 2:
-        return construct_base_caps(q, l, scale)
+        return reflect_x(_construct_F_raw(q, 2, l, scale, memo))
     # slope windows of half-width at most 1/4 around 1 and 2 stay disjoint
     eps = min(scale, Fraction(1)) / 4
     low = contract(_construct_F_raw(p - 1, q, l, scale, memo), _F_CARRIERS[0], eps)

@@ -224,20 +224,23 @@ class IntegerView:
 
         Keys strictly rise along a cup and fall along a cap: per line, the
         pass keeps the tail array of the longest increasing subsequence
-        (Fredman 1975), O(n) keys per chain size (_extend); caps take the
-        negated keys. A vertex on k lines meets its k - 1 lowest lines in a
-        key group each, of sizes k - 1 down to 1, so groups of size t count
-        the vertices on more than t lines.
+        (Fredman 1975), O(n) keys per chain size (_extend), and a walk back
+        over the tails gives the witness (_walk); caps take the negated
+        keys. For lines h < i < j in slope order, (M_j - M_h) X_hj =
+        (M_i - M_h) X_hi + (M_j - M_i) X_ij with positive weights, so X_hj
+        lies strictly between X_hi and X_ij when they differ, as its key
+        does between theirs. Dropping i from a chain through h, i, j leaves
+        one at a lower key: each tail strictly rises. A vertex on k lines
+        meets its k - 1 lowest lines in a key group each, of sizes k - 1
+        down to 1, so groups of size t count the vertices on more than t
+        lines.
         """
         n = len(self.pairs)
-        # per kind, a padded row of keys per line and one dict of setters:
-        # the cyclic GC tracks no dict of ints, but would n more lists
-        cup = [[self.key_sentinel] for _ in range(n)], {}
-        cap = [[self.key_sentinel] for _ in range(n)], {}
+        cups, caps = [[] for _ in range(n)], [[] for _ in range(n)]
         groups, top, tops = [0] * (n + 1), 1, []
         for i, row in enumerate(self.rows()):
-            _extend(*cup, i, row)
-            _extend(*cap, i, [*map(neg, row)])
+            _extend(cups, i, row)
+            _extend(caps, i, [*map(neg, row)])
             distinct = len(set(row))
             # most rows repeat no key, and a set is cheaper than counting
             if distinct == len(row):
@@ -260,7 +263,8 @@ class IntegerView:
         # with no three lines concurrent, the first vertex is extreme
         first = min(tops or self.rim, key=lambda pair: self.vertex_key(*pair), default=None)
         groups = {t: c for t, c in enumerate(groups) if c}
-        return Census(_walk(*cup), _walk(*cap), groups, first)
+        cap = _walk(caps, lambda h, j: -self.key(h, j))
+        return Census(_walk(cups, self.key), cap, groups, first)
 
     @cached_property
     def frame(self) -> Frame:
@@ -336,42 +340,33 @@ class IntegerView:
         return Fraction(self.key_sentinel, 1 << self.shift)
 
 
-def _extend(keys, setters, i: int, row: List[int]) -> None:
+def _extend(keys, i: int, row: List[int]) -> None:
     """Extend the chains ending at line i by each line j > i, X_ij in row:
-    keys[j][s] is the least last key X_hj of a chain of s + 2 lines, and
-    setters[j * n + s] its h, each row of keys padded with a key above all
-    keys. A chain gives one of every smaller size, so X_ij caps
-    keys[j][:s + 1].
-
-    The setters give the witness of the DP that takes the crossings by
-    key (oracles.tuple_sort_chain), however it orders equal keys: if h < i
-    reach j at one key, the three lines meet at one point, the chain
-    through h reaches i as long, and i leads on past j at a lower key, so
-    no walk uses that entry."""
-    n, tail = len(keys), keys[i]
-    # jn is j * n, the start of line j's setters
-    for jn, t, x in zip(range((i + 1) * n, n * n, n), islice(keys, i + 1, None), row):
+    keys[j][s] is the least last key X_hj of a chain of s + 2 lines.
+    A chain of s + 1 lines ends at i below X_ij, s = bisect_left(keys[i],
+    X_ij); without i, by census's identity, it ends at j below X_ij, so
+    keys[j] holds s keys below X_ij, and X_ij lengthens it or lowers
+    keys[j][s]."""
+    tail = keys[i]
+    for t, x in zip(islice(keys, i + 1, None), row):
         s = bisect_left(tail, x)
-        y = t[s]
-        if x < y:
+        if s == len(t):
+            t.append(x)
+        elif x < t[s]:
             t[s] = x
-            setters[jn + s] = i
-            if s + 1 == len(t):
-                # y was the padding: widen every row
-                for pad in keys:
-                    pad.append(y)
-            while s and t[s - 1] > x:
-                s -= 1
-                t[s] = x
-                setters[jn + s] = i
 
 
-def _walk(keys, setters) -> Tuple[int, ...]:
-    """The longest chain, in slope order, that _extend left: the first
-    line with a setter at the longest size (line 0 alone if none has),
-    then back along the setters."""
-    n, size = len(keys), len(keys[0])
-    out = [next((j for j in range(n) if j * n + size - 2 in setters), 0)]
-    for s in range(size - 2, -1, -1):
-        out.append(setters[out[-1] * n + s])
+def _walk(keys, key) -> Tuple[int, ...]:
+    """The longest chain, in slope order, that _extend left, key(h, j)
+    the key of X_hj: the first line j with a longest tail, then from
+    keys[j][s] = x to the least h < j with key(h, j) == x that reached j
+    at size s, bisect_left(keys[h], x) == s. Rows run in order and equal
+    keys never replace, so h set keys[j][s]: this is the witness of the
+    DP that takes the crossings by key (oracles.tuple_sort_chain)."""
+    j = max(range(len(keys)), key=lambda j: len(keys[j]))
+    out = [j]
+    for s in reversed(range(len(keys[j]))):
+        x = keys[j][s]
+        j = next(h for h in range(j) if key(h, j) == x and bisect_left(keys[h], x) == s)
+        out.append(j)
     return tuple(reversed(out))

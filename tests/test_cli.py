@@ -300,6 +300,11 @@ def test_bounds_output(capsys):
     assert "f_L upper: 10" in out
 
 
+def test_bounds_for_two_lines_prints_only_the_exact_value(capsys):
+    code, out, _ = run(capsys, "bounds", "--l", "3", "--n", "2")
+    assert (code, out) == (0, "exact: 2\n")
+
+
 def test_render_svg_file(tmp_path, capsys):
     fam_path = tmp_path / "f.txt"
     run(capsys, "generate", "--kind", "pencil", "--n", "3", "-o", str(fam_path))
@@ -312,6 +317,27 @@ def test_render_svg_file(tmp_path, capsys):
     text = out_path.read_text()
     assert text.startswith("<svg ")
     assert text.count('stroke="#dc2626"') == 2
+
+
+def test_render_viewport_and_readme_highlight(tmp_path, capsys):
+    # README's example: a sign string that starts with a minus needs the = form
+    fam_path = tmp_path / "f334.txt"
+    run(capsys, "generate", "--kind", "recursive_pq", "--p", "3", "--q", "3",
+        "--l", "4", "-o", str(fam_path))
+    code, out, _ = run(capsys, "render", str(fam_path), "--highlight-cell=----++++")
+    assert code == 0
+    assert out.count("<polygon ") == 1
+    code, out, _ = run(capsys, "render", str(fam_path), "--viewport=-2,-2,2,3")
+    assert code == 0
+    assert out.startswith("<svg ") and out.count("<line ") > 0
+
+
+def test_render_three_value_viewport_exits_2(tmp_path, capsys):
+    fam_path = tmp_path / "f.txt"
+    run(capsys, "generate", "--kind", "pencil", "--n", "3", "-o", str(fam_path))
+    code, out, err = run(capsys, "render", str(fam_path), "--viewport", "0,0,1")
+    assert (code, out) == (2, "")
+    assert "viewport needs 4" in err
 
 
 def test_render_bad_cell_spec_exits_2(tmp_path, capsys):

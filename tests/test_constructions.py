@@ -229,6 +229,21 @@ def test_generated_family_is_byte_identical(name):
     assert hashlib.sha256(serialize_family(build()).encode()).hexdigest() == digest
 
 
+def test_construct_F_builds_each_base_family_once(monkeypatch):
+    # F(2, q) is F(q, 2) mirrored, so both sides share one base family
+    built = []
+    base = constructions.construct_base
+
+    def counted_base(p, *args):
+        built.append(p)
+        return base(p, *args)
+
+    monkeypatch.setattr(constructions, "construct_base", counted_base)
+    fam = construct_F(5, 5, 4)
+    assert sorted(built) == [3, 4, 5]
+    assert hashlib.sha256(serialize_family(fam).encode()).hexdigest() == PINNED_DIGESTS["F554"][1]
+
+
 def test_construct_F_coordinate_bits():
     # 128 bits is what the retrying contraction reached; the closed form stays within it
     fam = construct_F(6, 5, 4)

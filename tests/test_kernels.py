@@ -408,6 +408,50 @@ def test_chain_dp_matches_tuple_sort_on_bench_families(path):
     assert longest_cap(fam) == oracles.tuple_sort_chain(fam, "cap")
 
 
+def check_key_identity(fam):
+    """For lines h < i < j in slope order, (M_j - M_h) X_hj is
+    (M_i - M_h) X_hi + (M_j - M_i) X_ij, so X_hj lies strictly between X_hi
+    and X_ij when they differ and equals both when they are equal. The
+    census rests on the floor keys keeping that."""
+    key, n = fam.view.key, len(fam)
+    for h in range(n):
+        for i in range(h + 1, n):
+            for j in range(i + 1, n):
+                low, high = sorted((key(h, i), key(i, j)))
+                mid = key(h, j)
+                assert low < mid < high or low == mid == high, (h, i, j)
+
+
+@pytest.mark.parametrize("denom", [1, 5])
+def test_crossing_keys_keep_the_three_line_identity_on_random_families(denom):
+    rng = random.Random(denom)
+    for _ in range(40):
+        check_key_identity(random_family(rng, 3, 12, span=20, denom=denom))
+
+
+@KERNELS
+@given(pencil_families(min_lines=3, max_lines=12))
+def test_crossing_keys_keep_the_three_line_identity_on_pencils(fam):
+    check_key_identity(fam)
+
+
+def test_crossing_keys_keep_the_three_line_identity_on_wide_coordinates():
+    # 100-bit coordinates make every crossing abscissa a wide rational; odd
+    # trials put about half of the lines through one apex
+    rng = random.Random(3)
+
+    def wide():
+        return Fraction(rng.getrandbits(100) - (1 << 99), rng.getrandbits(80) + 1)
+
+    for trial in range(20):
+        apex = (wide(), wide())
+        lines = {}
+        while len(lines) < 10:
+            m = wide()
+            lines[m] = apex[1] - m * apex[0] if trial % 2 and rng.random() < 0.5 else wide()
+        check_key_identity(LineFamily(Line(m, c) for m, c in lines.items()))
+
+
 @contextmanager
 def counted(table):
     """The views that build table, a cached property of IntegerView, while

@@ -41,6 +41,14 @@ def test_render_highlight_cell_polygon():
     assert svg.count("<polygon ") == 1
 
 
+def test_render_highlight_cell_outside_the_viewport():
+    # the cell above y=x, below y=-x and above y=1 lies left of x = -1; all
+    # three lines cross the box, so it renders with no polygon
+    svg = render_svg(TRIANGLE, RenderOptions(viewport=(5, -10, 6, 10), highlight=(1, -1, 1)))
+    assert svg.count("<line ") == 3
+    assert "<polygon " not in svg
+
+
 def test_render_highlight_infeasible_cell():
     with pytest.raises(InfeasibleSignVectorError):
         render_svg(TRIANGLE, RenderOptions(highlight=(-1, 1, -1)))

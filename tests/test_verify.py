@@ -66,6 +66,12 @@ def test_bound_validation():
         upper_bound_value(3, 2)
     with pytest.raises(ParameterRangeError):
         f_L_bound(3, 2, 3)
+    with pytest.raises(ParameterRangeError, match="l must be >= 3"):
+        lower_bound_value(2, 5)
+    with pytest.raises(ParameterRangeError, match="l must be >= 3"):
+        upper_bound_value(2, 5)
+    with pytest.raises(ParameterRangeError, match="c must be >= 1"):
+        f_L_bound(3, 3, 3, c=0)
 
 
 def test_find_n_convex_triangle():
@@ -105,6 +111,23 @@ def test_verify_properties_pass_and_fail():
     assert failed == ["concurrency < 4"]
 
 
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [
+        ({"l": 2}, ParameterRangeError, "l must be >= 3"),
+        ({"p": 1}, ParameterRangeError, "p and q must be >= 2"),
+        ({"q": 1}, ParameterRangeError, "p and q must be >= 2"),
+        ({"k": 1}, ParameterRangeError, "k must be >= 2"),
+        ({"check_unbounded": ("up",)}, ValueError, "'left'/'right'"),
+    ],
+    ids=["l", "p", "q", "k", "side"],
+)
+def test_verify_properties_validation(kwargs, error, message):
+    args = {"l": 3, "p": 2, "q": 2, **kwargs}
+    with pytest.raises(error, match=message):
+        verify_properties(TRIANGLE, **args)
+
+
 def test_verify_properties_unbounded_sides():
     fig2 = LineFamily(
         (Line(0, 0), Line(Fraction(1, 2), -2), Line(2, -10), Line(3, Fraction(-76, 5)))
@@ -124,3 +147,15 @@ def test_format_report_shape():
     assert lines[1].startswith("max concurrency: 3 at ")
     assert lines[-1] == "result: PASS"
     assert any(line == "check concurrency < 4: pass" for line in lines)
+
+
+def test_format_report_of_a_single_line():
+    report = verify_properties(LineFamily((Line(1, 1),)), l=3, p=2, q=2)
+    lines = format_report(report).splitlines()
+    assert lines[:4] == [
+        "family size: 1",
+        "max concurrency: 1",
+        "longest cup: 1 lines [0]",
+        "longest cap: 1 lines [0]",
+    ]
+    assert lines[-1] == "result: PASS"
