@@ -192,7 +192,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ren = sub.add_parser("render", help="draw a family as an SVG")
     ren.add_argument("family", help="family file ('-' for stdin)")
     ren.add_argument("-o", "--output", help="output path (default stdout)")
-    ren.add_argument("--viewport", help="x0,y0,x1,y1 in family coordinates")
+    ren.add_argument(
+        "--viewport",
+        help="x0,y0,x1,y1 in family coordinates; write --viewport=-2,-2,2,3 "
+        "when x0 is negative, since a value after a space that starts with "
+        "'-' reads as an option",
+    )
     ren.add_argument("--highlight-cell", help="sign vector like '++-' to fill")
     ren.add_argument("--highlight-lines", help="comma separated line indices to accent")
     ren.add_argument("--width", type=int, default=640)

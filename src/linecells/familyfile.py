@@ -10,10 +10,10 @@ comments do not survive the trip.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DuplicateSlopeError, FamilyParseError
-from .geometry import Line, LineFamily, format_rat, parse_rat
+from .geometry import LineFamily, parse_ratio
 
 __all__ = ["parse_family", "serialize_family"]
 
@@ -46,23 +46,25 @@ def parse_family(text: str) -> LineFamily:
                 f"expected 'slope intercept', got {len(tokens)} fields", lineno
             )
         try:
-            m = parse_rat(tokens[0])
-            c = parse_rat(tokens[1])
+            slope = parse_ratio(tokens[0])
+            intercept = parse_ratio(tokens[1])
         except ValueError as exc:
             raise FamilyParseError(str(exc), lineno) from None
-        # a reduced fraction's integer pair is its value, and hashes without pow
-        slope = m.as_integer_ratio()
+        # a reduced pair is its value
         if slope in seen:
             raise DuplicateSlopeError(
-                f"line {lineno}: slope {format_rat(m)} already used at line {seen[slope]}"
+                f"line {lineno}: slope {_ratio(*slope)} already used at line {seen[slope]}"
             )
         seen[slope] = lineno
-        records.append(Line(m, c))
+        records.append((slope, intercept))
     if not records:
         raise FamilyParseError("no line records")
-    return LineFamily(
-        tuple(records), name=name, provenance=tuple(provenance) if provenance else None
+    # the lcm of the reduced denominators, so the pairs share no factor with it
+    s = lcm(*(den for pair in records for _, den in pair))
+    pairs = sorted(
+        (m * (s // m_den), c * (s // c_den)) for (m, m_den), (c, c_den) in records
     )
+    return LineFamily.from_pairs(s, pairs, name, provenance or None)
 
 
 def serialize_family(family: LineFamily) -> str:

@@ -34,8 +34,9 @@ Frame = Tuple[List[int], List[int], List[bool]]
 _RAT_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rat(text: str) -> Rat:
-    """Parse an integer or a/b fraction literal into an exact rational.
+def parse_ratio(text: str) -> Tuple[int, int]:
+    """Parse an integer or a/b fraction literal into its reduced integer
+    pair (num, den), den > 0.
 
     Accepts an optional leading sign on the numerator only; the denominator
     must be a positive decimal integer, all digits ASCII. Anything else
@@ -45,10 +46,18 @@ def parse_rat(text: str) -> Rat:
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num, den = m.groups()
-    den = int(den or 1)
+    if den is None:
+        return int(num), 1
+    num, den = int(num), int(den)
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(int(num), den)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def parse_rat(text: str) -> Rat:
+    """Parse a literal as parse_ratio reads it into an exact rational."""
+    return Fraction(*parse_ratio(text))
 
 
 def format_rat(value: Rat) -> str:

@@ -1,24 +1,30 @@
 """Standalone SVG pictures of line families.
 
-All clipping happens in exact rational arithmetic; floats appear only in
-the final coordinate formatting, so the same family and options always
-produce the identical document byte for byte.
+Each line is clipped to the viewport on the family's integer pairs: the
+box is put over one common denominator, the clip is a cross-multiplied
+integer comparison, and each endpoint stays an unreduced ratio of
+integers. A highlighted cell is clipped in exact rationals. Floats appear
+only in the final coordinate formatting, num / den rounded once (int true
+division is correctly rounded, as float(Fraction) is), so the same family
+and options always produce the identical document byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from math import lcm
+from typing import Optional, Tuple
 
 from .arrangement import SignVector, bounding_lines
 from .errors import EmptyViewportError, ParameterRangeError
-from .geometry import Line, LineFamily, Point, Rat, _as_rat
+from .geometry import LineFamily, Point, Rat, _as_rat
 
 __all__ = ["RenderOptions", "render_svg"]
 
 _STROKE = "#1f2937"
-_STROKE_WIDTH = 1.5
+_STROKE_WIDTH = "1.5"
+_ACCENT_WIDTH = "3"
 _HIGHLIGHT_FILL = "#fcd34d"
 _HIGHLIGHT_STROKE = "#dc2626"
 
@@ -52,31 +58,37 @@ def _auto_viewport(family: LineFamily) -> Tuple[Rat, Rat, Rat, Rat]:
         x0, x1 = extreme(min, 0).x, extreme(max, 0).x
         y0, y1 = extreme(min, 1).y, extreme(max, 1).y
     else:
-        line = family[0]
+        ((m, c),), s = family.pairs, family.scale
         x0, x1 = Fraction(-1), Fraction(1)
-        y0 = min(line.y_at(x0), line.y_at(x1))
-        y1 = max(line.y_at(x0), line.y_at(x1))
+        y0, y1 = Fraction(c - abs(m), s), Fraction(c + abs(m), s)
     span = max(x1 - x0, y1 - y0, Fraction(1))
     pad = span / 10
     return (x0 - pad, y0 - pad, x1 + pad, y1 + pad)
 
 
-def _visible_span(line: Line, box) -> Optional[Tuple[Rat, Rat]]:
-    """x-range where the line runs inside the box, or None."""
+def _visible_spans(family: LineFamily, box, d: int):
+    """For each line, the x-range where it runs inside the box, as
+    (lo, hi, a) for lo / (a*d) < x < hi / (a*d), or None.
+
+    box is (x0, y0, x1, y1) times d. Line y = (m*x + c) / s meets the
+    heights y0 / d and y1 / d at (y0*s - c*d) / (m*d) and (y1*s - c*d) /
+    (m*d); a is |m|, or 1 for a horizontal line, which runs inside over
+    the whole width or not at all.
+    """
     x0, y0, x1, y1 = box
-    if line.m == 0:
-        if y0 <= line.c <= y1:
-            return (x0, x1)
-        return None
-    a = (y0 - line.c) / line.m
-    b = (y1 - line.c) / line.m
-    if a > b:
-        a, b = b, a
-    lo = max(a, x0)
-    hi = min(b, x1)
-    if lo >= hi:
-        return None
-    return (lo, hi)
+    s = family.scale
+    spans = []
+    for m, c in family.pairs:
+        if m == 0:
+            spans.append((x0, x1, 1) if y0 * s <= c * d <= y1 * s else None)
+            continue
+        lo, hi = y0 * s - c * d, y1 * s - c * d
+        if m < 0:
+            lo, hi = -hi, -lo
+        a = abs(m)
+        lo, hi = max(lo, x0 * a), min(hi, x1 * a)
+        spans.append((lo, hi, a) if lo < hi else None)
+    return spans
 
 
 def _clip_cell(family: LineFamily, signs: SignVector, box):
@@ -116,8 +128,9 @@ def _area2(poly) -> Rat:
     return total
 
 
-def _fmt(value) -> str:
-    return f"{float(value):.12g}"
+def _fmt(num: int, den: int) -> str:
+    """num / den, den > 0, as float(Fraction(num, den)) prints it."""
+    return f"{num / den:.12g}"
 
 
 def render_svg(family: LineFamily, options: Optional[RenderOptions] = None) -> str:
@@ -133,19 +146,24 @@ def render_svg(family: LineFamily, options: Optional[RenderOptions] = None) -> s
             if not 0 <= idx < len(family):
                 raise ParameterRangeError(f"line index out of range: {idx}")
 
-    x0, y0, x1, y1 = box
-    dx, dy = x1 - x0, y1 - y0
     width = options.width
     if width < 1:
         raise ParameterRangeError(f"width must be positive: {width}")
-    height = width * dy / dx
+    # the box over one denominator d: its corners are (x0, y0) / d and (x1, y1) / d
+    d = lcm(*(v.denominator for v in box))
+    scaled = tuple(v.numerator * (d // v.denominator) for v in box)
+    x0, y0, x1, y1 = scaled
+    dx = x1 - x0
+    height = _fmt(width * (y1 - y0), dx)
 
-    def to_svg(p: Point) -> Tuple[str, str]:
-        sx = (p.x - x0) / dx * width
-        sy = (y1 - p.y) / dy * height
-        return _fmt(sx), _fmt(sy)
+    def to_svg(xn: int, yn: int, ex: int, ey: int) -> Tuple[str, str]:
+        """The point (xn / ex, yn / ey) / d, ex, ey > 0, on the canvas."""
+        return (
+            _fmt((xn - x0 * ex) * width, ex * dx),
+            _fmt((y1 * ey - yn) * width, ey * dx),
+        )
 
-    spans = [_visible_span(line, box) for line in family]
+    spans = _visible_spans(family, scaled, d)
     if options.viewport is not None and not any(spans):
         raise EmptyViewportError(
             f"no line of the family is visible in viewport {options.viewport}"
@@ -154,33 +172,39 @@ def render_svg(family: LineFamily, options: Optional[RenderOptions] = None) -> s
     parts = []
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {width} {_fmt(height)}">'
+        f'height="{height}" viewBox="0 0 {width} {height}">'
     )
-    parts.append(f'<rect width="{width}" height="{_fmt(height)}" fill="#ffffff"/>')
+    parts.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
 
     if options.highlight is not None:
         poly = _clip_cell(family, options.highlight, box)
         if len(poly) >= 3 and _area2(poly) != 0:
-            coords = " ".join(",".join(to_svg(p)) for p in poly)
+            coords = " ".join(
+                ",".join(to_svg(x.numerator * d, y.numerator * d, x.denominator, y.denominator))
+                for x, y in ((p.x, p.y) for p in poly)
+            )
             parts.append(
                 f'<polygon points="{coords}" fill="{_HIGHLIGHT_FILL}" '
                 f'fill-opacity="0.6" stroke="none"/>'
             )
 
     accents = set(options.highlight_lines or ())
-    for idx, (line, span) in enumerate(zip(family, spans)):
+    s = family.scale
+    for idx, ((m, c), span) in enumerate(zip(family.pairs, spans)):
         if span is None:
             continue
-        a = Point(span[0], line.y_at(span[0]))
-        b = Point(span[1], line.y_at(span[1]))
-        (ax, ay), (bx, by) = to_svg(a), to_svg(b)
+        lo, hi, a = span
+        # at x = t / (a*d), y = (m*t + c*a*d) / (a*s*d)
+        cad, ey = c * a * d, a * s
+        ax, ay = to_svg(lo, m * lo + cad, a, ey)
+        bx, by = to_svg(hi, m * hi + cad, a, ey)
         if idx in accents:
-            color, sw = _HIGHLIGHT_STROKE, _STROKE_WIDTH * 2
+            color, sw = _HIGHLIGHT_STROKE, _ACCENT_WIDTH
         else:
             color, sw = _STROKE, _STROKE_WIDTH
         parts.append(
             f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" '
-            f'stroke="{color}" stroke-width="{_fmt(sw)}"/>'
+            f'stroke="{color}" stroke-width="{sw}"/>'
         )
 
     parts.append("</svg>")

@@ -23,6 +23,10 @@ for the sweep that carries sign vectors along the lines and steps each
 witness short of two cells' bounding lines; and convex_walk, the
 exponential walk over subsets that folds in one line at a time
 (extend_on_keys), for the cup/cap-split DP of the convex-position search.
+visible_span, the clip of one line to a box in Fractions, and
+line_elements, which prints its ends as Points mapped to the canvas, are
+the references for the SVG lines clipped and printed on the integer
+pairs; canvas_point prints any Point that way, for the highlighted cell.
 contract, which maps each line by Fraction operations, is the reference
 for the contraction that computes each line from the view's integer
 pairs; it reads the view's abscissa_bound as linecells' contract does, so
@@ -693,6 +697,49 @@ def clip_cell(family, signs, box):
                 clipped.append(nxt)
         poly = clipped
     return poly
+
+
+def visible_span(line, box):
+    """The x-range where the line runs inside the box (x0, y0, x1, y1), or
+    None: where it meets the bottom and the top, cut to the sides; a range
+    of one point is None."""
+    x0, y0, x1, y1 = box
+    if line.m == 0:
+        if y0 <= line.c <= y1:
+            return (x0, x1)
+        return None
+    a = (y0 - line.c) / line.m
+    b = (y1 - line.c) / line.m
+    if a > b:
+        a, b = b, a
+    lo = max(a, x0)
+    hi = min(b, x1)
+    if lo >= hi:
+        return None
+    return (lo, hi)
+
+
+def canvas_point(p, box, width):
+    """The Point p on the SVG canvas of the box at the given width, mapped in
+    Fractions, each coordinate printed as float(Fraction) to 12 digits."""
+    x0, y0, x1, y1 = box
+    dx, dy = x1 - x0, y1 - y0
+    height = width * dy / dx
+    sx = (p.x - x0) / dx * width
+    sy = (y1 - p.y) / dy * height
+    return f"{float(sx):.12g}", f"{float(sy):.12g}"
+
+
+def line_elements(family, box, width):
+    """(x1, y1, x2, y2) of each visible line's SVG <line>, in slope order:
+    the ends of visible_span as Points, through canvas_point."""
+    out = []
+    for line in family:
+        span = visible_span(line, box)
+        if span is not None:
+            a, b = (Point(x, line.y_at(x)) for x in span)
+            out.append(canvas_point(a, box, width) + canvas_point(b, box, width))
+    return out
 
 
 def contract(family, a, eps):

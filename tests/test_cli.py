@@ -332,6 +332,25 @@ def test_render_viewport_and_readme_highlight(tmp_path, capsys):
     assert out.startswith("<svg ") and out.count("<line ") > 0
 
 
+def test_render_negative_viewport_needs_the_equals_form(tmp_path, capsys):
+    fam_path = tmp_path / "f.txt"
+    run(capsys, "generate", "--kind", "pencil", "--n", "3", "-o", str(fam_path))
+    out_path = tmp_path / "f.svg"
+    code, out, _ = run(
+        capsys, "render", str(fam_path), "--viewport=-2,-2,2,3", "-o", str(out_path)
+    )
+    assert (code, out) == (0, "")
+    assert out_path.read_text().count("<line ") == 3
+    out_path.unlink()
+    # after a space, argparse reads -2,-2,2,3 as an option, not as the value
+    code, out, err = run(
+        capsys, "render", str(fam_path), "--viewport", "-2,-2,2,3", "-o", str(out_path)
+    )
+    assert (code, out) == (2, "")
+    assert "--viewport: expected one argument" in err
+    assert not out_path.exists()
+
+
 def test_render_three_value_viewport_exits_2(tmp_path, capsys):
     fam_path = tmp_path / "f.txt"
     run(capsys, "generate", "--kind", "pencil", "--n", "3", "-o", str(fam_path))
