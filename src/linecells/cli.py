@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .constructions import KINDS, ConstructionSpec
@@ -60,17 +61,16 @@ def _cmd_verify(args) -> int:
     report = verify_properties(
         family, l=args.l, p=args.p, q=args.q, check_unbounded=sides, k=args.k
     )
-    passed = report.passed
-    lines = format_report(report).splitlines()
     # every check runs before anything prints, so a usage error prints none
     if args.no_convex is not None:
         ok = not exists_n_convex(family, args.no_convex)
-        verdict = "pass" if ok else "FAIL"
-        lines.insert(-1, f"check no {args.no_convex} in convex position: {verdict}")
-        passed = passed and ok
-        lines[-1] = f"result: {'PASS' if passed else 'FAIL'}"
-    print("\n".join(lines))
-    return 0 if passed else 1
+        report = replace(
+            report,
+            checks=report.checks + ((f"no {args.no_convex} in convex position", ok),),
+            passed=report.passed and ok,
+        )
+    print(format_report(report))
+    return 0 if report.passed else 1
 
 
 def _cmd_search(args) -> int:

@@ -1,24 +1,26 @@
 """Standalone SVG pictures of line families.
 
-Each line is clipped to the viewport on the family's integer pairs: the
-box is put over one common denominator, the clip is a cross-multiplied
-integer comparison, and each endpoint stays an unreduced ratio of
-integers. A highlighted cell is clipped in exact rationals. Floats appear
-only in the final coordinate formatting, num / den rounded once (int true
-division is correctly rounded, as float(Fraction) is), so the same family
-and options always produce the identical document byte for byte.
+Everything is cut on the family's integer pairs, against the viewport
+put over one common denominator: each line by a cross-multiplied integer
+comparison, with each endpoint an unreduced ratio of integers, and a
+highlighted cell by each bounding line in turn, on integer vertices.
+Floats appear only in the final coordinate formatting, num / den rounded
+once (int true division is correctly rounded, as float(Fraction) is), so
+the same family and options always produce the identical document byte
+for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import repeat
+from math import gcd, lcm
 from typing import Optional, Tuple
 
 from .arrangement import SignVector, bounding_lines
 from .errors import EmptyViewportError, ParameterRangeError
-from .geometry import LineFamily, Point, Rat, _as_rat
+from .geometry import LineFamily, Rat, _as_rat
 
 __all__ = ["RenderOptions", "render_svg"]
 
@@ -91,41 +93,42 @@ def _visible_spans(family: LineFamily, box, d: int):
     return spans
 
 
-def _clip_cell(family: LineFamily, signs: SignVector, box):
-    """Viewport rectangle cut down to the cell, as a rational polygon.
+def _clip_cell(family: LineFamily, signs: SignVector, box, d: int):
+    """The box cut down to the cell, as integer vertices (X, Y, W), W > 0,
+    for the points (X / W, Y / W) / d; box is (x0, y0, x1, y1) times d.
 
     Only the cell's bounding lines cut it: the closed side of any other
-    line holds the whole cell. Raises InfeasibleSignVectorError for a sign
-    vector with no cell at all.
+    line holds the whole cell. Line y = (m*x + c) / s takes the value
+    sign * (s*Y - m*X - c*d*W), linear in the vertex, so an edge crosses
+    it at vn*cur - vc*nxt, over its gcd signed as W. Raises
+    InfeasibleSignVectorError for a sign vector with no cell at all.
     """
     x0, y0, x1, y1 = box
-    poly = [Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)]
+    poly = [(x0, y0, 1), (x1, y0, 1), (x1, y1, 1), (x0, y1, 1)]
+    s = family.scale
     for i in sorted(bounding_lines(family, signs)):
-        m, c, sign = family[i].m, family[i].c, signs[i]
+        (m, c), sign = family.pairs[i], signs[i]
+        values = [sign * (s * y - m * x - c * d * w) for x, y, w in poly]
         clipped = []
-        for cur, nxt in zip(poly, poly[1:] + poly[:1]):
-            vc = sign * (cur.y - m * cur.x - c)
-            vn = sign * (nxt.y - m * nxt.x - c)
+        for cur, nxt, vc, vn in zip(poly, poly[1:] + poly[:1], values, values[1:] + values[:1]):
             if (vc < 0) != (vn < 0):
-                clipped.append(_edge_cross(cur, nxt, vc, vn))
+                x, y, w = (vn * a - vc * b for a, b in zip(cur, nxt))
+                g = gcd(x, y, w) if w > 0 else -gcd(x, y, w)
+                clipped.append((x // g, y // g, w // g))
             if vn >= 0:
                 clipped.append(nxt)
         poly = clipped
     return poly
 
 
-def _edge_cross(cur: Point, nxt: Point, vc: Rat, vn: Rat) -> Point:
-    t = vc / (vc - vn)
-    return Point(cur.x + t * (nxt.x - cur.x), cur.y + t * (nxt.y - cur.y))
-
-
-def _area2(poly) -> Rat:
-    total = Fraction(0)
-    for idx in range(len(poly)):
-        a = poly[idx]
-        b = poly[(idx + 1) % len(poly)]
-        total += a.x * b.y - b.x * a.y
-    return total
+def _has_area(poly) -> bool:
+    """Whether the clipped box encloses any area. It is convex and turns
+    counter-clockwise as the box does, so it does exactly when some fan
+    triangle from its first vertex has a determinant other than 0."""
+    return len(poly) >= 3 and any(
+        xa * (yb * wc - wb * yc) - ya * (xb * wc - wb * xc) + wa * (xb * yc - yb * xc)
+        for (xa, ya, wa), (xb, yb, wb), (xc, yc, wc) in zip(repeat(poly[0]), poly[1:], poly[2:])
+    )
 
 
 def _fmt(num: int, den: int) -> str:
@@ -177,12 +180,9 @@ def render_svg(family: LineFamily, options: Optional[RenderOptions] = None) -> s
     parts.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
 
     if options.highlight is not None:
-        poly = _clip_cell(family, options.highlight, box)
-        if len(poly) >= 3 and _area2(poly) != 0:
-            coords = " ".join(
-                ",".join(to_svg(x.numerator * d, y.numerator * d, x.denominator, y.denominator))
-                for x, y in ((p.x, p.y) for p in poly)
-            )
+        poly = _clip_cell(family, options.highlight, scaled, d)
+        if _has_area(poly):
+            coords = " ".join(",".join(to_svg(x, y, w, w)) for x, y, w in poly)
             parts.append(
                 f'<polygon points="{coords}" fill="{_HIGHLIGHT_FILL}" '
                 f'fill-opacity="0.6" stroke="none"/>'

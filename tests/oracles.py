@@ -26,7 +26,10 @@ exponential walk over subsets that folds in one line at a time
 visible_span, the clip of one line to a box in Fractions, and
 line_elements, which prints its ends as Points mapped to the canvas, are
 the references for the SVG lines clipped and printed on the integer
-pairs; canvas_point prints any Point that way, for the highlighted cell.
+pairs; clip_by_bounding_lines, the box cut in Fractions by a cell's
+bounding lines, with area2, its shoelace area, is the reference for the
+highlighted cell cut on the integer pairs, and canvas_point prints its
+Points the same way.
 contract, which maps each line by Fraction operations, is the reference
 for the contraction that computes each line from the view's integer
 pairs; it reads the view's abscissa_bound as linecells' contract does, so
@@ -678,6 +681,21 @@ def walk_largest(family):
     return len(convex_walk(family, 1, goal))
 
 
+def _cut(poly, line, sign):
+    """The polygon clipped in Fractions by the closed side sign of line."""
+    values = [sign * (p.y - line.y_at(p.x)) for p in poly]
+    clipped = []
+    for idx in range(len(poly)):
+        cur, nxt = poly[idx], poly[(idx + 1) % len(poly)]
+        vc, vn = values[idx], values[(idx + 1) % len(poly)]
+        if (vc < 0) != (vn < 0):
+            t = vc / (vc - vn)
+            clipped.append(Point(cur.x + t * (nxt.x - cur.x), cur.y + t * (nxt.y - cur.y)))
+        if vn >= 0:
+            clipped.append(nxt)
+    return clipped
+
+
 def clip_cell(family, signs, box):
     """The box (x0, y0, x1, y1) cut down to the cell named by signs: the
     rectangle clipped in Fractions by the closed side of every line, one
@@ -685,18 +703,26 @@ def clip_cell(family, signs, box):
     x0, y0, x1, y1 = box
     poly = [Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)]
     for line, sign in zip(family, signs):
-        values = [sign * (p.y - line.y_at(p.x)) for p in poly]
-        clipped = []
-        for idx in range(len(poly)):
-            cur, nxt = poly[idx], poly[(idx + 1) % len(poly)]
-            vc, vn = values[idx], values[(idx + 1) % len(poly)]
-            if (vc < 0) != (vn < 0):
-                t = vc / (vc - vn)
-                clipped.append(Point(cur.x + t * (nxt.x - cur.x), cur.y + t * (nxt.y - cur.y)))
-            if vn >= 0:
-                clipped.append(nxt)
-        poly = clipped
+        poly = _cut(poly, line, sign)
     return poly
+
+
+def clip_by_bounding_lines(family, signs, box):
+    """The box cut as clip_cell cuts it, by the cell's bounding lines only,
+    in slope order: the same vertices, repeats included, that svg's
+    _clip_cell finds on the integer pairs."""
+    x0, y0, x1, y1 = box
+    poly = [Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)]
+    for i in sorted(bounding_lines(family, signs)):
+        poly = _cut(poly, family[i], signs[i])
+    return poly
+
+
+def area2(poly):
+    """Twice the signed area of the polygon, by the shoelace formula."""
+    return sum(
+        (a.x * b.y - b.x * a.y for a, b in zip(poly, poly[1:] + poly[:1])), Fraction(0)
+    )
 
 
 def visible_span(line, box):

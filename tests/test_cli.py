@@ -156,6 +156,39 @@ def test_verify_no_convex_option(tmp_path, capsys):
     assert "check no 7 in convex position: pass" in out
 
 
+F334_REPORT = """\
+family size: 8
+max concurrency: 3 at (-3, -1)
+longest cup: 3 lines [0, 1, 4]
+longest cap: 3 lines [0, 1, 2]
+check concurrency < {l}: {conc}
+check longest cup <= 3: pass
+check longest cap <= 3: pass
+check no 4-cell unbounded right: pass
+check no {n} in convex position: {convex}
+result: {result}
+"""
+
+
+@pytest.mark.parametrize(
+    "l, n, conc, convex, code",
+    [
+        (4, 7, "pass", "pass", 0),
+        # four lines of F(3, 3, 4) lie in convex position
+        (4, 4, "pass", "FAIL", 1),
+        # three lines meet at (-3, -1)
+        (3, 7, "FAIL", "pass", 1),
+    ],
+)
+def test_verify_no_convex_verdict(capsys, l, n, conc, convex, code):
+    family = str(Path(__file__).resolve().parents[1] / "bench" / "families" / "F334.txt")
+    got = run(capsys, "verify", family, "--l", str(l), "--p", "3", "--q", "3",
+              "--no-convex", str(n))
+    result = "PASS" if code == 0 else "FAIL"
+    out = F334_REPORT.format(l=l, n=n, conc=conc, convex=convex, result=result)
+    assert got == (code, out, "")
+
+
 def test_verify_bad_no_convex_exits_2_before_any_output(tmp_path, capsys):
     fam_path = tmp_path / "f.txt"
     run(capsys, "generate", "--kind", "recursive_pq", "--p", "3", "--q", "3",

@@ -1,6 +1,8 @@
 import hashlib
 import re
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -12,14 +14,16 @@ from linecells import (
     Line,
     LineFamily,
     ParameterRangeError,
+    Point,
     RenderOptions,
     enumerate_cells,
     parse_family,
     render_svg,
 )
-from linecells.svg import _area2, _auto_viewport, _clip_cell
+from linecells.svg import _auto_viewport, _clip_cell, _has_area
 
 import oracles
+from oracles import area2, clip_by_bounding_lines
 
 FAMILIES = Path(__file__).resolve().parents[1] / "bench" / "families"
 
@@ -109,8 +113,8 @@ def test_clip_cell_matches_clipping_by_every_line(name):
     box = _auto_viewport(fam)
     x0, y0, x1, y1 = box
     for cell in enumerate_cells(fam):
-        poly = _clip_cell(fam, cell.signs, box)
-        assert _area2(poly) != 0, cell.signs
+        poly = clip_by_bounding_lines(fam, cell.signs, box)
+        assert area2(poly) != 0, cell.signs
         for p in poly:
             assert x0 <= p.x <= x1 and y0 <= p.y <= y1
             for line, sign in zip(fam, cell.signs):
@@ -120,8 +124,9 @@ def test_clip_cell_matches_clipping_by_every_line(name):
 
 # sha256 of render_svg, recorded while every line was clipped in Fractions
 # (oracles.visible_span) and printed from Points: the integer clip must
-# reproduce every document byte for byte; the highlighted cell pins the
-# Fraction clip of _clip_cell
+# reproduce every document byte for byte; the highlighted cell, recorded
+# while it was cut in Fractions (oracles.clip_by_bounding_lines), pins the
+# cut on the integer pairs the same way
 RENDER_OPTIONS = {
     "default": RenderOptions(),
     "viewport": RenderOptions(
@@ -171,8 +176,8 @@ def test_render_is_byte_identical_to_the_fraction_clip(name, options):
 
 
 def test_parse_and_render_make_no_lines(monkeypatch):
-    # both read and draw the integer pairs: no Line is built, and the
-    # family's Fraction lines stay unbuilt
+    # both read and draw the integer pairs, the highlighted cell included:
+    # no Line is built, and the family's Fraction lines stay unbuilt
     made = [0]
     post_init = Line.__post_init__
 
@@ -185,6 +190,7 @@ def test_parse_and_render_make_no_lines(monkeypatch):
     render_svg(fam)
     render_svg(fam, RENDER_OPTIONS["viewport"])
     render_svg(fam, RENDER_OPTIONS["accent"])
+    assert render_svg(fam, RenderOptions(highlight=(1,) * len(fam))).count("<polygon ") == 1
     assert made[0] == 0
     assert "lines" not in vars(fam)
 
@@ -285,5 +291,54 @@ def test_highlighted_cell_is_printed_as_its_points(name):
     for cell in enumerate_cells(fam)[::7]:
         svg = render_svg(fam, RenderOptions(highlight=cell.signs))
         points = re.search(r'<polygon points="([^"]*)"', svg).group(1)
-        poly = _clip_cell(fam, cell.signs, box)
+        poly = clip_by_bounding_lines(fam, cell.signs, box)
         assert points == " ".join(",".join(oracles.canvas_point(p, box, 640)) for p in poly)
+
+
+POLYGON_POINTS = re.compile(r'<polygon points="([^"]*)"')
+
+
+def as_points(poly, d):
+    """The integer vertices (X, Y, W) of _clip_cell as the Points
+    (X / W, Y / W) / d."""
+    return [Point(Fraction(x, w * d), Fraction(y, w * d)) for x, y, w in poly]
+
+
+@pytest.mark.parametrize("viewport", ["auto", "rational"])
+@pytest.mark.parametrize("name", ["F334", "F434", "fig5", "fig6", "fig8"])
+def test_integer_clip_matches_the_fraction_clip(name, viewport):
+    # every cell, vertex for vertex, and the document prints the reference's
+    # Points, or no polygon where the reference has no area
+    fam = parse_family((FAMILIES / f"{name}.txt").read_text())
+    if viewport == "auto":
+        box, options = _auto_viewport(fam), RenderOptions()
+    else:
+        options = RENDER_OPTIONS["viewport"]
+        box = options.viewport
+    d = lcm(*(v.denominator for v in box))
+    scaled = tuple(v.numerator * (d // v.denominator) for v in box)
+    for cell in enumerate_cells(fam):
+        poly = _clip_cell(fam, cell.signs, scaled, d)
+        expected = clip_by_bounding_lines(fam, cell.signs, box)
+        assert as_points(poly, d) == expected, cell.signs
+        assert _has_area(poly) == (len(expected) >= 3 and area2(expected) != 0), cell.signs
+        svg = render_svg(fam, replace(options, highlight=cell.signs))
+        drawn = POLYGON_POINTS.findall(svg)
+        if _has_area(poly):
+            assert drawn == [" ".join(",".join(oracles.canvas_point(p, box, 640)) for p in expected)]
+        else:
+            assert drawn == []
+
+
+def test_clip_with_vertices_and_no_area_draws_no_polygon():
+    # the cell below y = 0 meets the box above it only along the bottom
+    # edge: the cut keeps both ends of that edge, each twice, and no area
+    fam = LineFamily((Line(0, 0),))
+    box = (-1, 0, 1, 1)
+    poly = _clip_cell(fam, (-1,), box, 1)
+    assert poly == [(1, 0, 1), (1, 0, 1), (-1, 0, 1), (-1, 0, 1)]
+    assert as_points(poly, 1) == clip_by_bounding_lines(fam, (-1,), box)
+    assert not _has_area(poly)
+    svg = render_svg(fam, RenderOptions(viewport=box, highlight=(-1,)))
+    assert svg.count("<line ") == 1
+    assert "<polygon " not in svg
