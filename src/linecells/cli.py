@@ -88,18 +88,23 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    lines = []
+    values = []
     exact = known_exact(args.l, args.n)
     if exact is not None:
-        lines.append(f"exact: {exact}")
+        values.append(("exact", exact))
     if args.n >= 5:
-        lines.append(f"lower: {lower_bound_value(args.l, args.n)}")
+        values.append(("lower", lower_bound_value(args.l, args.n)))
     if args.n >= 3:
-        lines.append(f"upper: {upper_bound_value(args.l, args.n, args.c)}")
+        values.append(("upper", upper_bound_value(args.l, args.n, args.c)))
     if args.p is not None and args.q is not None:
-        lines.append(f"f_L upper: {f_L_bound(args.l, args.p, args.q, args.c)}")
+        values.append(("f_L upper", f_L_bound(args.l, args.p, args.q, args.c)))
     # every value is computed before anything prints, so a usage error prints none
-    print("\n".join(lines))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # n = 100000 prints 60,000 digits, past the limit
+    try:
+        print("\n".join(f"{name}: {value}" for name, value in values))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -13,14 +13,15 @@ a small arrangement by a contracted copy of a smaller family.
 contract, the reflections and the shear preserve sign vectors exactly, so
 nothing they build is re-checked. Each public generator instead certifies
 its result once, through _certify: concurrency, cup and cap lengths and
-unbounded 4-cells of the base families and of every recursive family it
-returns or assembles from, and the concurrency and the no-n-convex check
+unbounded 4-cells of the base families, an O(n) order test at each join
+of a recursive family, from which its cup, cap and concurrency follow,
+and its unbounded 4-cells, and the concurrency and the no-n-convex check
 of each assembly and of figure10_family. That check is the polynomial
 cup/cap-split search (verify.find_n_convex), which proves that no n lines
 are in convex position or names n that are. No check is ever skipped;
 the first that fails raises ConstructionError naming the generator, the
 check, the measured value and the bound. So construct_thm12(l, n) for
-n >= 7 and construct_prop32(3, 4, "odd"), whose assemblies have n lines
+n >= 7 and construct_prop32(3, 4, parity), whose assemblies have n lines
 in convex position, raise instead of returning.
 """
 
@@ -75,16 +76,9 @@ def _concurrency(relation: str, bound: int):
     return ("concurrency", lambda fam: max_concurrency(fam).max_count, relation, bound)
 
 
-def _chain_checks(l: int, p: int, q: int, exact: bool):
-    """Concurrency l-1 and longest cup p (exactly, or at most), longest cap
-    at most q and no 4-cell unbounded to the right."""
-    relation = "==" if exact else "<="
-    return (
-        _concurrency(relation, l - 1),
-        ("longest cup", lambda fam: longest_cup(fam).size, relation, p),
-        ("longest cap", lambda fam: longest_cap(fam).size, "<=", q),
-        ("right-unbounded 4-cell", lambda fam: has_k_cell_unbounded(fam, 4, "right"), "==", False),
-    )
+_NO_RIGHT_4_CELL = (
+    "right-unbounded 4-cell", lambda fam: has_k_cell_unbounded(fam, 4, "right"), "==", False
+)
 
 
 def _no_convex(n: int):
@@ -200,8 +194,13 @@ def construct_base(p: int, l: int, epsilon_scale=1) -> LineFamily:
             lines.append(Line(s, h * h - s * h))
     if p % 2 == 1:
         lines.append(Line(2 * clusters, -(clusters * clusters)))
-    fam = LineFamily(tuple(lines))
-    fam = _certify(f"construct_base({p}, {l})", fam, _chain_checks(l, p, 2, True))
+    checks = (
+        _concurrency("==", l - 1),
+        ("longest cup", lambda fam: longest_cup(fam).size, "==", p),
+        ("longest cap", lambda fam: longest_cap(fam).size, "<=", 2),
+        _NO_RIGHT_4_CELL,
+    )
+    fam = _certify(f"construct_base({p}, {l})", LineFamily(tuple(lines)), checks)
     return fam.with_meta(provenance=spec.provenance())
 
 
@@ -231,51 +230,65 @@ def _join(*families: LineFamily) -> LineFamily:
     return LineFamily.from_pairs(scale, pairs)
 
 
+def _join_order(a: int):
+    """construct_F's order check on the join of a low lines and the high
+    ones: in slope order, the low lines rise in S*y at x = -2 and the high
+    ones fall; the high ones rise in 4S*y at x = -5/4, below every low one."""
+
+    def holds(fam: LineFamily) -> bool:
+        at_2 = [c - 2 * m for m, c in fam.pairs]
+        at_54 = [4 * c - 5 * m for m, c in fam.pairs]
+        rising = (at_2[:a], at_2[a:][::-1], at_54[a:] + [min(at_54[:a])])
+        return all(all(map(operator.lt, run, run[1:])) for run in rising)
+
+    return ("join order", holds, "is", True)
+
+
 def _construct_F_raw(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
-    """The (p, q, l) recursive family, not yet certified. memo holds the
-    subfamilies already built at this scale; it belongs to one public
-    generator call, so no family outlives that call."""
-    key = (p, q, l)
-    if key not in memo:
-        memo[key] = _build_F_raw(p, q, l, scale, memo)
-    return memo[key]
-
-
-def _build_F_raw(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
+    """The (p, q, l) recursive family, its joins checked but not its right
+    staircases; memo holds what one generator call has built at this scale."""
+    if (p, q, l) in memo:
+        return memo[p, q, l]
     # p == 1 or q == 1 collapses to a single line: two lines already form
     # both a 2-cup and a 2-cap
     if p == 1 or q == 1:
-        return LineFamily.from_pairs(1, ((1, 0),))
-    if q == 2:
-        return construct_base(p, l, scale)
-    if p == 2:
-        return reflect_x(_construct_F_raw(q, 2, l, scale, memo))
-    # slope windows of half-width at most 1/4 around 1 and 2 stay disjoint
-    eps = min(scale, Fraction(1)) / 4
-    low = contract(_construct_F_raw(p - 1, q, l, scale, memo), _F_CARRIERS[0], eps)
-    high = contract(_construct_F_raw(p, q - 1, l, scale, memo), _F_CARRIERS[1], eps)
-    return _join(low, high)
+        fam = LineFamily.from_pairs(1, ((1, 0),))
+    elif q == 2:
+        fam = construct_base(p, l, scale)
+    elif p == 2:
+        fam = reflect_x(_construct_F_raw(q, 2, l, scale, memo))
+    else:
+        # slope windows of half-width at most 1/4 around 1 and 2 stay disjoint
+        eps = min(scale, Fraction(1)) / 4
+        low = contract(_construct_F_raw(p - 1, q, l, scale, memo), _F_CARRIERS[0], eps)
+        high = contract(_construct_F_raw(p, q - 1, l, scale, memo), _F_CARRIERS[1], eps)
+        fam = _certify(f"F({p}, {q}, {l})", _join(low, high), (_join_order(len(low)),))
+    memo[p, q, l] = fam
+    return fam
 
 
 def _certified_F(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
-    """The (p, q, l) recursive family once it is checked to have fewer
-    than l concurrent lines, no (p+1)-cup, no (q+1)-cap and no 4-cell
-    unbounded to the right."""
+    """The (p, q, l) recursive family once it is checked to have no 4-cell
+    unbounded to the right; its joins bound the rest (construct_F)."""
     fam = _construct_F_raw(p, q, l, scale, memo)
-    return _certify(f"F({p}, {q}, {l})", fam, _chain_checks(l, p, q, False))
+    return _certify(f"F({p}, {q}, {l})", fam, (_NO_RIGHT_4_CELL,))
 
 
 def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
     """Family with no l concurrent, no (p+1)-cup, no (q+1)-cap and no
     4-cell unbounded to the right.
 
-    Two carriers of positive slope meet above the x-axis; the lower-slope
-    one is replaced by a contracted copy of the (p-1, q) family and the
-    other by a (p, q-1) copy. A cup through both bundles uses the low
-    bundle as its tail, where at most one more line can extend it, and
-    symmetrically for caps, which gives the additive size recurrence.
-    Contraction preserves every property of each copy, so only the
-    finished family is certified.
+    The carriers y = x + 2 and y = 2x + 2 are replaced by contracted copies
+    of the (p-1, q) and the (p, q-1) family. With eps <= 1/4, contract puts
+    their vertices within 1/8 of (-3, -1) and (-3/2, -1) and their slopes
+    within 1/8 of 1 and 2, so two low lines cross left of x = -2, two high
+    ones in (-2, -5/4) and a low and a high one right of -5/4, as each join
+    checks (_join_order). Crossings rise along a cup, so it takes at most
+    one high line after low ones, and a cap at most one low line before
+    high ones; no three lines meet at a low-high crossing. Hence cup =
+    max(cup_low + 1, cup_high), cap = max(cap_low, cap_high + 1) and
+    concurrency = max(conc_low, conc_high, 2), and by induction from the
+    certified base families only the right staircases are left to check.
     """
     spec = ConstructionSpec("recursive_pq", p=p, q=q, l=l, epsilon_scale=epsilon_scale)
     fam = _certified_F(p, q, l, spec.epsilon_scale, {})
@@ -362,8 +375,8 @@ def _thm12_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
     falling = contract(reflect_y(core), Line(Fraction(-1), Fraction(4)), eps)
     # bundle-internal vertices sit below the axis by construction; the
     # cross intersections must all stay above it near (0, 4). Falling line
-    # i meets rising line j at height (M_i*C_j - M_j*C_i) / ((M_i - M_j)*S)
-    # with M_i < M_j, so at or below the axis iff M_i*C_j >= M_j*C_i.
+    # i and rising line j cross above the axis exactly when j's root
+    # -C_j/M_j lies left of i's root -C_i/M_i.
     half = len(falling)
     fam = _certify(
         f"double scaffold for k={k}",
@@ -371,13 +384,10 @@ def _thm12_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
         (
             (
                 "cross vertices below the axis",
-                lambda fam: sum(
-                    mi * cj - mj * ci >= 0
-                    for mi, ci in fam.pairs[:half]
-                    for mj, cj in fam.pairs[half:]
-                ),
-                "==",
-                0,
+                lambda fam: max(Fraction(-c, m) for m, c in fam.pairs[half:])
+                >= min(Fraction(-c, m) for m, c in fam.pairs[:half]),
+                "is",
+                False,
             ),
             _concurrency("==", 2),
         ),
@@ -390,10 +400,7 @@ def construct_thm12(l: int, n: int, epsilon_scale=1) -> LineFamily:
     concurrent, with no n lines in convex position."""
     spec = ConstructionSpec(_thm12_kind(n), l=l, n=n, epsilon_scale=epsilon_scale)
     scale = spec.epsilon_scale
-    if n % 2 == 0:
-        k = (n - 2) // 2
-    else:
-        k = (n - 1) // 2
+    k = (n - 1) // 2
     memo: Memo = {}
     scaffold = _thm12_scaffold(k, scale, memo)
     half = len(scaffold) // 2

@@ -99,9 +99,9 @@ def _clip_cell(family: LineFamily, signs: SignVector, box, d: int):
 
     Only the cell's bounding lines cut it: the closed side of any other
     line holds the whole cell. Line y = (m*x + c) / s takes the value
-    sign * (s*Y - m*X - c*d*W), linear in the vertex, so an edge crosses
-    it at vn*cur - vc*nxt, over its gcd signed as W. Raises
-    InfeasibleSignVectorError for a sign vector with no cell at all.
+    sign * (s*Y - m*X - c*d*W), linear in the vertex: an edge with ends of
+    opposite signs crosses it at vn*cur - vc*nxt, over its gcd signed as W.
+    Raises InfeasibleSignVectorError for a sign vector with no cell at all.
     """
     x0, y0, x1, y1 = box
     poly = [(x0, y0, 1), (x1, y0, 1), (x1, y1, 1), (x0, y1, 1)]
@@ -111,7 +111,7 @@ def _clip_cell(family: LineFamily, signs: SignVector, box, d: int):
         values = [sign * (s * y - m * x - c * d * w) for x, y, w in poly]
         clipped = []
         for cur, nxt, vc, vn in zip(poly, poly[1:] + poly[:1], values, values[1:] + values[:1]):
-            if (vc < 0) != (vn < 0):
+            if vc * vn < 0:
                 x, y, w = (vn * a - vc * b for a, b in zip(cur, nxt))
                 g = gcd(x, y, w) if w > 0 else -gcd(x, y, w)
                 clipped.append((x // g, y // g, w // g))

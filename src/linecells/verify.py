@@ -33,13 +33,10 @@ def lower_bound_value(l: int, n: int) -> int:
         raise ParameterRangeError(f"l must be >= 3: {l}")
     if n < 5:
         raise ParameterRangeError(f"n must be >= 5: {n}")
-    if n % 2 == 0:
-        k = (n - 2) // 2
-        big = comb(2 * k - 2, k - 1)
-        return (l - 1) * big * big - (l - 3) * comb(2 * k - 4, k - 2) * big
     k = (n - 1) // 2
     big = comb(2 * k - 2, k - 1)
-    return (l - 1) * (big + 1) * comb(2 * k - 3, k - 1) - (l - 3) * comb(2 * k - 4, k - 2) * big
+    lead = big * big if n % 2 == 0 else (big + 1) * comb(2 * k - 3, k - 1)
+    return (l - 1) * lead - (l - 3) * comb(2 * k - 4, k - 2) * big
 
 
 def upper_bound_value(l: int, n: int, c=1) -> Rat:

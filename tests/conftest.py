@@ -10,7 +10,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from linecells import Line, LineFamily, Point, max_concurrency
+from linecells import Line, LineFamily, Point, constructions, max_concurrency
 
 from oracles import is_cap, is_cup, orientation, side_of
 
@@ -96,3 +96,18 @@ def random_point(rng, span=40, denom=7):
         Fraction(rng.randint(-span * denom, span * denom), denom),
         Fraction(rng.randint(-span * denom, span * denom), denom),
     )
+
+
+def shift_high_bundles(monkeypatch, dx):
+    """Patch constructions.contract so that every bundle contracted onto
+    construct_F's high carrier y = 2x + 2 moves left by the integer dx: each
+    of its lines y = m*x + c becomes y = m*(x + dx) + c."""
+    contract = constructions.contract
+
+    def shifted(family, a, eps):
+        bundle = contract(family, a, eps)
+        if a != Line(2, 2):
+            return bundle
+        return LineFamily.from_pairs(bundle.scale, [(m, c + dx * m) for m, c in bundle.pairs])
+
+    monkeypatch.setattr(constructions, "contract", shifted)

@@ -688,7 +688,7 @@ def _cut(poly, line, sign):
     for idx in range(len(poly)):
         cur, nxt = poly[idx], poly[(idx + 1) % len(poly)]
         vc, vn = values[idx], values[(idx + 1) % len(poly)]
-        if (vc < 0) != (vn < 0):
+        if vc * vn < 0:
             t = vc / (vc - vn)
             clipped.append(Point(cur.x + t * (nxt.x - cur.x), cur.y + t * (nxt.y - cur.y)))
         if vn >= 0:
@@ -709,8 +709,8 @@ def clip_cell(family, signs, box):
 
 def clip_by_bounding_lines(family, signs, box):
     """The box cut as clip_cell cuts it, by the cell's bounding lines only,
-    in slope order: the same vertices, repeats included, that svg's
-    _clip_cell finds on the integer pairs."""
+    in slope order: the same vertices that svg's _clip_cell finds on the
+    integer pairs."""
     x0, y0, x1, y1 = box
     poly = [Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)]
     for i in sorted(bounding_lines(family, signs)):

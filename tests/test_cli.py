@@ -1,21 +1,21 @@
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 from linecells import (
     ConstructionSpec,
-    Point,
     cli_main,
     construct_F,
+    lower_bound_value,
     parse_family,
-    pencil,
     serialize_family,
+    upper_bound_value,
 )
-from linecells import constructions
 
 import oracles
-from conftest import subfamily
+from conftest import shift_high_bundles, subfamily
 
 
 def run(capsys, *argv):
@@ -105,16 +105,14 @@ def test_generate_large_epsilon_scale(tmp_path, capsys, gen_argv, verify_argv):
 
 
 def test_generate_exits_1_when_certification_fails(capsys, monkeypatch):
-    # a pencil of l lines breaks the "fewer than l concurrent" contract
-    monkeypatch.setattr(
-        constructions, "_construct_F_raw",
-        lambda p, q, l, scale, memo: pencil(Point(0, -1), l, range(1, l + 1)),
-    )
+    # a high bundle shifted left by 3 overlaps the low one, so the first
+    # join fails its order test
+    shift_high_bundles(monkeypatch, 3)
     code, out, err = run(
         capsys, "generate", "--kind", "recursive_pq", "--p", "3", "--q", "3", "--l", "4",
     )
     assert (code, out) == (1, "")
-    assert "concurrency" in err
+    assert "join order" in err
 
 
 def test_generate_exits_1_on_a_convex_position_witness(tmp_path, capsys):
@@ -331,6 +329,21 @@ def test_bounds_output(capsys):
     assert "exact: 3" in out
     code, out, _ = run(capsys, "bounds", "--l", "3", "--n", "5", "--p", "3", "--q", "3")
     assert "f_L upper: 10" in out
+
+
+@pytest.mark.parametrize("n", [5000, 100000])
+def test_bounds_prints_values_past_the_int_to_str_limit(capsys, n):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "bounds", "--l", "3", "--n", str(n))
+    assert (code, err) == (0, "")
+    # the limit is lifted only while bounds formats its values
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"lower: {lower_bound_value(3, n)}\nupper: {upper_bound_value(3, n)}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == want
 
 
 def test_bounds_for_two_lines_prints_only_the_exact_value(capsys):

@@ -1,6 +1,7 @@
 import ast
 import gc
 import hashlib
+import itertools
 import random
 import re
 import weakref
@@ -8,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linecells import (
     ConstructionError,
@@ -42,7 +44,7 @@ from linecells import (
 from linecells import constructions
 
 import oracles
-from conftest import random_family, subfamily
+from conftest import random_family, shift_high_bundles, subfamily
 
 BENCH_FAMILIES = Path(__file__).resolve().parents[1] / "bench" / "families"
 
@@ -256,7 +258,7 @@ def test_construct_F_coordinate_bits():
 
 
 CERTIFIED_GENERATORS = (
-    lambda: construct_F(3, 3, 4),
+    lambda: construct_F(4, 4, 4),
     lambda: construct_prop32(4, 2, "even"),
     lambda: construct_thm12(4, 6),
 )
@@ -264,13 +266,115 @@ CERTIFIED_GENERATORS = (
 
 @pytest.mark.parametrize("build", CERTIFIED_GENERATORS)
 def test_certification_is_never_silent(monkeypatch, build):
-    # a pencil of l lines breaks the "fewer than l concurrent" contract
-    monkeypatch.setattr(
-        constructions, "_construct_F_raw",
-        lambda p, q, l, scale, memo: pencil(Point(0, -1), l, range(1, l + 1)),
-    )
-    with pytest.raises(ConstructionError, match="concurrency"):
+    if build is CERTIFIED_GENERATORS[0]:
+        # construct_F's joins prove its contract: a join whose bundles
+        # overlap must fail the order test (test_join_order_is_what_bounds_the_chains)
+        shift_high_bundles(monkeypatch, 3)
+        check = "join order"
+    else:
+        # a pencil of l lines breaks the "fewer than l concurrent" contract
+        monkeypatch.setattr(
+            constructions, "_construct_F_raw",
+            lambda p, q, l, scale, memo: pencil(Point(0, -1), l, range(1, l + 1)),
+        )
+        check = "concurrency"
+    with pytest.raises(ConstructionError, match=check):
         build()
+
+
+def test_join_order_is_what_bounds_the_chains(monkeypatch):
+    # with the high bundle shifted left by 3 and the order test switched
+    # off, the joins of F(4, 4, 4) build a 6-cup and a 6-cap
+    shift_high_bundles(monkeypatch, 3)
+    monkeypatch.setattr(
+        constructions, "_join_order", lambda a: ("join order", lambda fam: True, "is", True)
+    )
+    fam = constructions._construct_F_raw(4, 4, 4, Fraction(1), {})
+    assert (longest_cup(fam).size, longest_cap(fam).size) == (6, 6)
+
+
+def shifted(bundle, dx, dy):
+    """The bundle moved left by dx and up by dy: y = m*(x + dx) + c + dy."""
+    d = dx.denominator
+    s = bundle.scale * d
+    return LineFamily.from_pairs(
+        s, [(m * d, c * d + dx.numerator * m + dy * s) for m, c in bundle.pairs]
+    )
+
+
+def crossing_order(fam, a):
+    """Whether, in Fractions, every crossing of two of the first a lines lies
+    left of x = -2, every one of two others in (-2, -5/4), and every one of
+    a first and another line right of -5/4."""
+    lines, n = fam.lines, len(fam)
+
+    def x(i, j):
+        return (lines[i].c - lines[j].c) / (lines[j].m - lines[i].m)
+
+    return (
+        all(x(i, j) < -2 for i, j in itertools.combinations(range(a), 2)),
+        all(-2 < x(i, j) < Fraction(-5, 4) for i, j in itertools.combinations(range(a, n), 2)),
+        all(x(i, j) > Fraction(-5, 4) for i in range(a) for j in range(a, n)),
+    )
+
+
+def test_join_order_reads_every_crossing():
+    memo = {}
+    constructions._construct_F_raw(4, 4, 4, Fraction(1), memo)
+    low = contract(memo[3, 4, 4], Line(1, 2), Fraction(1, 4))
+    high = contract(memo[4, 3, 4], Line(2, 2), Fraction(1, 4))
+    seen = set()
+    for dx in (Fraction(k, 8) for k in range(-16, 25)):
+        for dy in (0, 1):
+            for a, b in ((shifted(low, dx, dy), high), (low, shifted(high, dx, dy))):
+                fam = constructions._join(a, b)
+                order = crossing_order(fam, len(a))
+                assert constructions._join_order(len(a))[1](fam) is all(order), (dx, dy)
+                seen.add(order)
+    # the sweep keeps the order and breaks each of its three conditions alone
+    alone = {(False, True, True), (True, False, True), (True, True, False)}
+    assert {(True, True, True)} | alone <= seen
+
+
+def chain_figures(fam):
+    return longest_cup(fam).size, longest_cap(fam).size, max_concurrency(fam).max_count
+
+
+def check_join_rule(p, q, l, scale):
+    """Each join of F(p, q, l) at this scale has, by the census, the cup
+    max(cup_low + 1, cup_high), the cap max(cap_low, cap_high + 1) and the
+    concurrency max(conc_low, conc_high, 2) of its two bundles, within the
+    contract. Returns the number of joins."""
+    memo = {}
+    constructions._construct_F_raw(p, q, l, Fraction(scale), memo)
+    joins = [(a, b) for a, b, _ in memo if a >= 3 and b >= 3]
+    for a, b in joins:
+        cup_low, cap_low, conc_low = chain_figures(memo[a - 1, b, l])
+        cup_high, cap_high, conc_high = chain_figures(memo[a, b - 1, l])
+        cup, cap, conc = chain_figures(memo[a, b, l])
+        assert (cup, cap, conc) == (
+            max(cup_low + 1, cup_high),
+            max(cap_low, cap_high + 1),
+            max(conc_low, conc_high, 2),
+        ), (a, b)
+        assert cup <= a and cap <= b and conc < l, (a, b)
+    return len(joins)
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 3), 3], ids=str)
+def test_join_rule_matches_the_census(scale):
+    assert check_join_rule(6, 6, 4, scale) == 16
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(3, 5),
+    st.integers(3, 5),
+    st.integers(3, 6),
+    st.fractions(Fraction(1, 100), 100, max_denominator=100),
+)
+def test_join_rule_matches_the_census_at_random(p, q, l, scale):
+    assert check_join_rule(p, q, l, scale) == (p - 2) * (q - 2)
 
 
 def test_prop32_sizes():
@@ -336,6 +440,12 @@ def test_prop32_3_4_odd_fails_its_convex_position_check(monkeypatch):
     check_convex_position_failure(monkeypatch, lambda: construct_prop32(3, 4, "odd"), 9)
 
 
+def test_prop32_3_4_even_fails_its_convex_position_check(monkeypatch):
+    # 400 lines, whose first witness is the 10 lines
+    # (0, 1, 4, 10, 80, 110, 136, 140, 162, 180)
+    check_convex_position_failure(monkeypatch, lambda: construct_prop32(3, 4, "even"), 10)
+
+
 def test_thm12_scaffold_checks_its_cross_vertices(monkeypatch):
     # every bundle 10 lower puts the falling/rising crossings near (0, -6)
     def lowered(family, a, eps):
@@ -344,6 +454,38 @@ def test_thm12_scaffold_checks_its_cross_vertices(monkeypatch):
     monkeypatch.setattr(constructions, "contract", lowered)
     with pytest.raises(ConstructionError, match="cross vertices below the axis"):
         construct_thm12(3, 6)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("drop", [0, 3, 4, 10])
+def test_thm12_scaffold_root_test_matches_its_cross_vertices(monkeypatch, k, drop):
+    # the scaffold compares the lines' roots; it must fail exactly when some
+    # falling line meets some rising line at or below the axis
+    def lowered(family, a, eps):
+        return LineFamily(tuple(Line(line.m, line.c - drop) for line in contract(family, a, eps)))
+
+    join, joined = constructions._join, []
+
+    def kept_join(*families):
+        joined.append(families)
+        return join(*families)
+
+    monkeypatch.setattr(constructions, "contract", lowered)
+    monkeypatch.setattr(constructions, "_join", kept_join)
+    try:
+        constructions._thm12_scaffold(k, Fraction(1), {})
+        failed = False
+    except ConstructionError as exc:
+        assert "cross vertices below the axis" in str(exc)
+        failed = True
+    falling, rising = joined[-1]
+    low = [
+        (f, r)
+        for f in falling
+        for r in rising
+        if f.y_at((r.c - f.c) / (f.m - r.m)) <= 0
+    ]
+    assert failed == bool(low)
 
 
 def test_every_assembly_runs_its_convex_position_check(monkeypatch):

@@ -24,6 +24,7 @@ from linecells import (
     concurrency_profile,
     contract,
     construct_F,
+    construct_base,
     construct_thm12,
     convex_position_cell,
     enumerate_cells,
@@ -599,7 +600,7 @@ def _assert_frame_unbuilt(use):
     with counted("frame") as frames, counted("census") as passes:
         use(fam)
     assert frames == []
-    # construct_F runs the pass once on each family object it certifies
+    # no view runs the pass twice (construct_F runs it on its base families only)
     assert len(passes) == len(set(map(id, passes)))
 
 
@@ -652,6 +653,16 @@ def test_census_runs_once_per_family():
         for kernel in (max_concurrency, concurrency_profile, longest_cup, longest_cap):
             kernel(fam)
     assert passes == [fam.view]
+
+
+def test_construct_F_runs_the_census_on_base_families_only():
+    # its joins carry every other family's cup, cap and concurrency
+    with counted("census") as passes:
+        construct_F(6, 6, 4)
+    bases = [construct_base(p, 4).view for p in range(3, 7)]
+    assert sorted((view.scale, view.pairs) for view in passes) == sorted(
+        (view.scale, view.pairs) for view in bases
+    )
 
 
 def test_single_line_kernels():

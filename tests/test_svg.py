@@ -326,17 +326,28 @@ def test_integer_clip_matches_the_fraction_clip(name, viewport):
         drawn = POLYGON_POINTS.findall(svg)
         if _has_area(poly):
             assert drawn == [" ".join(",".join(oracles.canvas_point(p, box, 640)) for p in expected)]
+            # a vertex on a cutting line is kept once: each (X, Y, W) is in
+            # lowest terms with W > 0, so no point repeats, wrap included
+            assert len(set(poly)) == len(poly), cell.signs
         else:
             assert drawn == []
 
 
+def test_clip_of_a_vertex_on_the_line_keeps_it_once():
+    # y = x runs through two corners of its box, and the cell above it is
+    # the triangle of three corners, each printed once
+    assert POLYGON_POINTS.findall(
+        render_svg(LineFamily((Line(1, 0),)), RenderOptions(highlight=(1,)))
+    ) == ["640,0 0,0 0,640"]
+
+
 def test_clip_with_vertices_and_no_area_draws_no_polygon():
     # the cell below y = 0 meets the box above it only along the bottom
-    # edge: the cut keeps both ends of that edge, each twice, and no area
+    # edge: the cut keeps both ends of that edge, each once, and no area
     fam = LineFamily((Line(0, 0),))
     box = (-1, 0, 1, 1)
     poly = _clip_cell(fam, (-1,), box, 1)
-    assert poly == [(1, 0, 1), (1, 0, 1), (-1, 0, 1), (-1, 0, 1)]
+    assert poly == [(1, 0, 1), (-1, 0, 1)]
     assert as_points(poly, 1) == clip_by_bounding_lines(fam, (-1,), box)
     assert not _has_area(poly)
     svg = render_svg(fam, RenderOptions(viewport=box, highlight=(-1,)))
