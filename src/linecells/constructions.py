@@ -12,17 +12,27 @@ a small arrangement by a contracted copy of a smaller family.
 
 contract, the reflections and the shear preserve sign vectors exactly, so
 nothing they build is re-checked. Each public generator instead certifies
-its result once, through _certify: concurrency, cup and cap lengths and
-unbounded 4-cells of the base families, an O(n) order test at each join
-of a recursive family, from which its cup, cap and concurrency follow,
-and its unbounded 4-cells, and the concurrency and the no-n-convex check
-of each assembly and of figure10_family. That check is the polynomial
-cup/cap-split search (verify.find_n_convex), which proves that no n lines
-are in convex position or names n that are. No check is ever skipped;
-the first that fails raises ConstructionError naming the generator, the
-check, the measured value and the bound. So construct_thm12(l, n) for
-n >= 7 and construct_prop32(3, 4, parity), whose assemblies have n lines
-in convex position, raise instead of returning.
+its result once, through _certify, by measuring what no proof covers and
+proving the rest from tests it runs:
+
+- construct_base measures its concurrency, cup and cap lengths and its
+  right-unbounded 4-cells; construct_base_caps is its mirror.
+- construct_F measures nothing: an O(n) order test at each join proves
+  the joined family's cup, cap and concurrency from its two parts' and
+  bounds each of its right staircases by three lines (construct_F).
+- The thm12 scaffold compares the roots of its two halves' lines, which
+  proves its concurrency 2 (_thm12_scaffold); the prop32 scaffold is a
+  recursive family moved by maps that keep sign vectors.
+- Each assembly and figure10_family measure their concurrency and run
+  the no-n-convex check, the polynomial cup/cap-split search
+  (verify.find_n_convex), which proves that no n lines are in convex
+  position or names n that are.
+
+No check is ever skipped; the first that fails raises ConstructionError
+naming the generator, the check, the measured value and the bound. So
+construct_thm12(l, n) for n >= 7 and construct_prop32(3, 4, parity),
+whose assemblies have n lines in convex position, raise instead of
+returning.
 """
 
 from __future__ import annotations
@@ -74,11 +84,6 @@ def _certify(generator: str, family: LineFamily, checks) -> LineFamily:
 
 def _concurrency(relation: str, bound: int):
     return ("concurrency", lambda fam: max_concurrency(fam).max_count, relation, bound)
-
-
-_NO_RIGHT_4_CELL = (
-    "right-unbounded 4-cell", lambda fam: has_k_cell_unbounded(fam, 4, "right"), "==", False
-)
 
 
 def _no_convex(n: int):
@@ -198,7 +203,7 @@ def construct_base(p: int, l: int, epsilon_scale=1) -> LineFamily:
         _concurrency("==", l - 1),
         ("longest cup", lambda fam: longest_cup(fam).size, "==", p),
         ("longest cap", lambda fam: longest_cap(fam).size, "<=", 2),
-        _NO_RIGHT_4_CELL,
+        ("right-unbounded 4-cell", lambda fam: has_k_cell_unbounded(fam, 4, "right"), "==", False),
     )
     fam = _certify(f"construct_base({p}, {l})", LineFamily(tuple(lines)), checks)
     return fam.with_meta(provenance=spec.provenance())
@@ -244,9 +249,9 @@ def _join_order(a: int):
     return ("join order", holds, "is", True)
 
 
-def _construct_F_raw(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
-    """The (p, q, l) recursive family, its joins checked but not its right
-    staircases; memo holds what one generator call has built at this scale."""
+def _construct_F(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
+    """The (p, q, l) recursive family, certified by its joins (construct_F);
+    memo holds what one generator call has built at this scale."""
     if (p, q, l) in memo:
         return memo[p, q, l]
     # p == 1 or q == 1 collapses to a single line: two lines already form
@@ -256,22 +261,15 @@ def _construct_F_raw(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFami
     elif q == 2:
         fam = construct_base(p, l, scale)
     elif p == 2:
-        fam = reflect_x(_construct_F_raw(q, 2, l, scale, memo))
+        fam = reflect_x(_construct_F(q, 2, l, scale, memo))
     else:
         # slope windows of half-width at most 1/4 around 1 and 2 stay disjoint
         eps = min(scale, Fraction(1)) / 4
-        low = contract(_construct_F_raw(p - 1, q, l, scale, memo), _F_CARRIERS[0], eps)
-        high = contract(_construct_F_raw(p, q - 1, l, scale, memo), _F_CARRIERS[1], eps)
+        low = contract(_construct_F(p - 1, q, l, scale, memo), _F_CARRIERS[0], eps)
+        high = contract(_construct_F(p, q - 1, l, scale, memo), _F_CARRIERS[1], eps)
         fam = _certify(f"F({p}, {q}, {l})", _join(low, high), (_join_order(len(low)),))
     memo[p, q, l] = fam
     return fam
-
-
-def _certified_F(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
-    """The (p, q, l) recursive family once it is checked to have no 4-cell
-    unbounded to the right; its joins bound the rest (construct_F)."""
-    fam = _construct_F_raw(p, q, l, scale, memo)
-    return _certify(f"F({p}, {q}, {l})", fam, (_NO_RIGHT_4_CELL,))
 
 
 def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
@@ -287,11 +285,24 @@ def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
     one high line after low ones, and a cap at most one low line before
     high ones; no three lines meet at a low-high crossing. Hence cup =
     max(cup_low + 1, cup_high), cap = max(cap_low, cap_high + 1) and
-    concurrency = max(conc_low, conc_high, 2), and by induction from the
-    certified base families only the right staircases are left to check.
+    concurrency = max(conc_low, conc_high, 2).
+
+    The same order bounds the right staircases, whatever the two parts.
+    With a low lines first in slope order, the right staircase r lies
+    above lines 0..r-1 and below the rest, so above the low line 0 and
+    below the high line n-1. The order test puts every high line below
+    every low one at x = -5/4, and a low and a high line cross only right
+    of it, so line n-1 lies below line 0 for all x <= -5/4 and every
+    staircase lies in x > -5/4. There two low lines, which cross left of
+    -2, and two high lines, which cross left of -5/4, are in slope order,
+    so the envelope of any run of one bundle is a single line: staircase
+    r is bounded by at most lines r-1 and r and line a-1 (r > a) or line
+    a (r < a). No join has a right-unbounded 4-cell, and by induction
+    from the certified base families (for p = 2 their mirror, which keeps
+    left and right) neither has F(p, q, l), so nothing is left to measure.
     """
     spec = ConstructionSpec("recursive_pq", p=p, q=q, l=l, epsilon_scale=epsilon_scale)
-    fam = _certified_F(p, q, l, spec.epsilon_scale, {})
+    fam = _construct_F(p, q, l, spec.epsilon_scale, {})
     return fam.with_meta(provenance=spec.provenance())
 
 
@@ -332,9 +343,10 @@ def _prop32_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
     """Positive-slope copy of the (k, k) triple-free family with all
     intersections above the axis and no 4-cell unbounded to the left.
 
-    reflect_y turns the certified family's missing right-unbounded 4-cell
-    into a missing left-unbounded one; the shear and the lift keep both."""
-    return _shear_lift(reflect_y(_certified_F(k, k, 3, scale, memo)))
+    The (k, k, 3) family has no right-unbounded 4-cell (construct_F's
+    proof), reflect_y makes that a missing left-unbounded one, and the
+    shear and the lift keep sign vectors, so nothing here is measured."""
+    return _shear_lift(reflect_y(_construct_F(k, k, 3, scale, memo)))
 
 
 def construct_prop32(l: int, k: int, parity: str, epsilon_scale=1) -> LineFamily:
@@ -350,13 +362,13 @@ def construct_prop32(l: int, k: int, parity: str, epsilon_scale=1) -> LineFamily
     scale = spec.epsilon_scale
     memo: Memo = {}
     scaffold = _prop32_scaffold(k, scale, memo)
-    big = _certified_F(k, k, l, scale, memo)
+    big = _construct_F(k, k, l, scale, memo)
     if parity == "even":
         n = 2 * k + 2
         pieces = [big] * len(scaffold)
     else:
         n = 2 * k + 1
-        pieces = [big] + [_certified_F(k - 1, k, l, scale, memo)] * (len(scaffold) - 1)
+        pieces = [big] + [_construct_F(k - 1, k, l, scale, memo)] * (len(scaffold) - 1)
     fam = _certify(
         f"construct_prop32({l}, {k}, {parity!r})",
         _assemble(scaffold, pieces, scale / 4),
@@ -368,15 +380,20 @@ def construct_prop32(l: int, k: int, parity: str, epsilon_scale=1) -> LineFamily
 def _thm12_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
     """Two mirrored copies of the (k, k) triple-free family, one bundled
     around slope -1 and one around +1, every intersection above the axis.
+
+    contract puts each half's internal vertices below the axis, and the
+    root test checks that every cross vertex lies above it: falling line i
+    and rising line j cross above the axis exactly when j's root -C_j/M_j
+    lies left of i's root -C_i/M_i. Two of any three lines through a point
+    share a half, so the point lies below the axis, where no cross vertex
+    lies: all its lines come from one half. The scaffold's concurrency is
+    then its halves', that of the (k, k, 3) family: 2 (construct_F's
+    proof).
     """
-    core = _certified_F(k, k, 3, scale, memo)
+    core = _construct_F(k, k, 3, scale, memo)
     eps = Fraction(1, 8)
     rising = contract(core, Line(Fraction(1), Fraction(4)), eps)
     falling = contract(reflect_y(core), Line(Fraction(-1), Fraction(4)), eps)
-    # bundle-internal vertices sit below the axis by construction; the
-    # cross intersections must all stay above it near (0, 4). Falling line
-    # i and rising line j cross above the axis exactly when j's root
-    # -C_j/M_j lies left of i's root -C_i/M_i.
     half = len(falling)
     fam = _certify(
         f"double scaffold for k={k}",
@@ -389,7 +406,6 @@ def _thm12_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
                 "is",
                 False,
             ),
-            _concurrency("==", 2),
         ),
     )
     return _lift(reflect_x(fam))
@@ -404,12 +420,12 @@ def construct_thm12(l: int, n: int, epsilon_scale=1) -> LineFamily:
     memo: Memo = {}
     scaffold = _thm12_scaffold(k, scale, memo)
     half = len(scaffold) // 2
-    big = _certified_F(k, k, l, scale, memo)
+    big = _construct_F(k, k, l, scale, memo)
     big_mirror = reflect_y(big)
     if n % 2 == 0:
         pieces = [big_mirror] * half + [big] * half
     else:
-        small = _certified_F(k - 1, k, l, scale, memo)
+        small = _construct_F(k - 1, k, l, scale, memo)
         small_mirror = reflect_y(small)
         pieces = [big_mirror] + [small_mirror] * (half - 1)
         pieces += [big] + [small] * (half - 1)

@@ -145,6 +145,8 @@ class LineFamily:
         ms = [m for m, _ in pairs]
         if not ms or not all(map(lt, ms, ms[1:])):
             raise ValueError("pairs must be non-empty, in strictly rising slope order")
+        if den <= 0:
+            raise ValueError(f"den must be positive: {den}")
         g = gcd(den, *chain.from_iterable(pairs))
         if g > 1:
             den, pairs = den // g, tuple((m // g, c // g) for m, c in pairs)

@@ -246,6 +246,21 @@ def test_construct_F_builds_each_base_family_once(monkeypatch):
     assert hashlib.sha256(serialize_family(fam).encode()).hexdigest() == PINNED_DIGESTS["F554"][1]
 
 
+def test_construct_F_measures_right_cells_on_base_families_only(monkeypatch):
+    # the joins bound every other family's right staircases (construct_F)
+    sizes = sorted(len(construct_base(p, 4)) for p in (3, 4, 5))
+    measured = []
+    has_cell = constructions.has_k_cell_unbounded
+
+    def counted(fam, *args):
+        measured.append(len(fam))
+        return has_cell(fam, *args)
+
+    monkeypatch.setattr(constructions, "has_k_cell_unbounded", counted)
+    construct_F(5, 5, 4)
+    assert sorted(measured) == sizes
+
+
 def test_construct_F_coordinate_bits():
     # 128 bits is what the retrying contraction reached; the closed form stays within it
     fam = construct_F(6, 5, 4)
@@ -274,7 +289,7 @@ def test_certification_is_never_silent(monkeypatch, build):
     else:
         # a pencil of l lines breaks the "fewer than l concurrent" contract
         monkeypatch.setattr(
-            constructions, "_construct_F_raw",
+            constructions, "_construct_F",
             lambda p, q, l, scale, memo: pencil(Point(0, -1), l, range(1, l + 1)),
         )
         check = "concurrency"
@@ -289,8 +304,47 @@ def test_join_order_is_what_bounds_the_chains(monkeypatch):
     monkeypatch.setattr(
         constructions, "_join_order", lambda a: ("join order", lambda fam: True, "is", True)
     )
-    fam = constructions._construct_F_raw(4, 4, 4, Fraction(1), {})
+    fam = constructions._construct_F(4, 4, 4, Fraction(1), {})
     assert (longest_cup(fam).size, longest_cap(fam).size) == (6, 6)
+
+
+def right_cell(fam):
+    """The most lines bounding one right-unbounded cell, by the cubic scan."""
+    return max(map(len, oracles.staircase_members(fam, "right").values()))
+
+
+@pytest.mark.parametrize("p, lines", [(3, 4), (4, 10), (5, 14)])
+def test_join_order_is_what_bounds_the_right_staircases(monkeypatch, p, lines):
+    # the overlapping joins of the shifted bundles, unchecked, open right
+    # cells that no join passing the order test can have
+    shift_high_bundles(monkeypatch, 3)
+    monkeypatch.setattr(
+        constructions, "_join_order", lambda a: ("join order", lambda fam: True, "is", True)
+    )
+    assert right_cell(constructions._construct_F(p, p, 4, Fraction(1), {})) == lines
+
+
+def random_part(rng):
+    """A random family of 1 to 8 lines, or a pencil of 1 to 6."""
+    if rng.random() < 0.3:
+        count = rng.randint(1, 6)
+        apex = Point(rng.randint(-5, 5), rng.randint(-5, 5))
+        return pencil(apex, count, rng.sample(range(-9, 10), count))
+    return random_family(rng, min_lines=1)
+
+
+def test_any_join_in_order_has_no_right_4_cell():
+    # construct_F's proof uses only the join order, not what the parts are
+    rng = random.Random(27)
+    largest = 0
+    for _ in range(60):
+        eps = Fraction(1, rng.randint(4, 1000))
+        low = contract(random_part(rng), Line(1, 2), eps)
+        high = contract(random_part(rng), Line(2, 2), eps)
+        fam = constructions._join(low, high)
+        assert constructions._join_order(len(low))[1](fam)
+        largest = max(largest, right_cell(fam))
+    assert largest == 3
 
 
 def shifted(bundle, dx, dy):
@@ -320,7 +374,7 @@ def crossing_order(fam, a):
 
 def test_join_order_reads_every_crossing():
     memo = {}
-    constructions._construct_F_raw(4, 4, 4, Fraction(1), memo)
+    constructions._construct_F(4, 4, 4, Fraction(1), memo)
     low = contract(memo[3, 4, 4], Line(1, 2), Fraction(1, 4))
     high = contract(memo[4, 3, 4], Line(2, 2), Fraction(1, 4))
     seen = set()
@@ -344,9 +398,10 @@ def check_join_rule(p, q, l, scale):
     """Each join of F(p, q, l) at this scale has, by the census, the cup
     max(cup_low + 1, cup_high), the cap max(cap_low, cap_high + 1) and the
     concurrency max(conc_low, conc_high, 2) of its two bundles, within the
-    contract. Returns the number of joins."""
+    contract, and no right-unbounded cell of more than 3 lines. Returns the
+    number of joins."""
     memo = {}
-    constructions._construct_F_raw(p, q, l, Fraction(scale), memo)
+    constructions._construct_F(p, q, l, Fraction(scale), memo)
     joins = [(a, b) for a, b, _ in memo if a >= 3 and b >= 3]
     for a, b in joins:
         cup_low, cap_low, conc_low = chain_figures(memo[a - 1, b, l])
@@ -358,6 +413,8 @@ def check_join_rule(p, q, l, scale):
             max(conc_low, conc_high, 2),
         ), (a, b)
         assert cup <= a and cap <= b and conc < l, (a, b)
+        # construct_F proves no join has a right-unbounded 4-cell
+        assert max(map(len, oracles.scan_staircases(memo[a, b, l], "right"))) <= 3, (a, b)
     return len(joins)
 
 

@@ -665,6 +665,15 @@ def test_construct_F_runs_the_census_on_base_families_only():
     )
 
 
+def test_thm12_runs_the_census_on_its_base_and_assembly_only():
+    # the scaffold's root test and its core's joins prove its concurrency
+    with counted("census") as passes:
+        fam = construct_thm12(3, 6)
+    assert sorted((view.scale, view.pairs) for view in passes) == sorted(
+        (f.scale, f.pairs) for f in (construct_base(2, 3), fam)
+    )
+
+
 def test_single_line_kernels():
     fam = LineFamily((Line(2, 3),))
     check_staircases(fam)

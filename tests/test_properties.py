@@ -229,6 +229,14 @@ def test_from_pairs_rejects_slopes_that_do_not_rise(case, data):
         LineFamily.from_pairs(den, pairs)
 
 
+@pytest.mark.parametrize("den", [-1, 0, -6])
+def test_from_pairs_rejects_a_denominator_that_is_not_positive(den):
+    # a negative den would flip every slope against the rising pairs, and
+    # den = 0 would build lines that divide by zero
+    with pytest.raises(ValueError, match=f"den must be positive: {den}"):
+        LineFamily.from_pairs(den, [(1, 0), (2, 5)])
+
+
 @LOOSE
 @given(st.lists(rationals, min_size=6, max_size=6))
 def test_orientation_antisymmetry(vals):
