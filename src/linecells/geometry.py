@@ -8,7 +8,11 @@ A family is stored once, as integers: a scale S and pairs (M, C), one per
 line y = (M*x + C) / S, with gcd(S, all M and C) = 1 (see LineFamily); its
 Fraction Lines are derived on demand. The predicates work on
 ``LineFamily.view``, the crossing keys and tables of that form (see
-IntegerView). This module alone knows the crossing-key formula.
+IntegerView). This module alone knows the crossing-key formula. The
+census reads coarse keys, floor(X * 2^bits) for bits far below the exact
+key's width, and accepts them only when every key a row repeats is one
+crossing, by the exact keys: an integer filter whose answers are the exact
+ones (IntegerView.census).
 """
 
 from __future__ import annotations
@@ -184,6 +188,13 @@ class LineFamily:
 
 Census = namedtuple("Census", "cup cap groups first")
 
+# The census reads its keys at this precision first (IntegerView.census).
+# Measured: the stored bench families certify from 16 to 40 bits and the
+# generated F(6,6,4) at 64, so one pass settles each of them; F(7,6,4) and
+# F(7,7,4) need 72 and 80 bits, fail at 64 within their first rows, and
+# settle at 128. Coarser starts would fail more families, for no saving.
+_CENSUS_BITS = 64
+
 
 class IntegerView:
     """Crossing keys and tables of a family's integer form.
@@ -199,9 +210,11 @@ class IntegerView:
     takes distinct values at distinct abscissae and keeps their order: an
     exact integer key for comparing and grouping crossings.
 
-    ``key(i, j)`` computes one key, ``rows()`` the keys line by line.
-    ``census``, read off the rows in one pass, is all that certification
-    needs: the longest cup and cap and the concurrency. ``frame``, the one
+    ``key(i, j)`` computes one key, ``rows()`` the keys line by line;
+    given bits, both give the coarse keys floor(X_ij * 2^bits) instead.
+    ``census``, read off the rows in one pass, on coarse keys where a
+    certificate allows, is all that certification needs: the longest cup
+    and cap and the concurrency. ``frame``, the one
     n^2 table, is the crossings sorted once by key, as their lines and
     whether the next one ties: the split DP, the cell predicates and cell
     enumeration walk it. ``rim`` holds the n pairs whose crossings hold
@@ -213,16 +226,18 @@ class IntegerView:
         self.scale, self.pairs = scale, pairs
         self.shift = 2 * (pairs[-1][0] - pairs[0][0]).bit_length()
 
-    def key(self, i: int, j: int) -> int:
-        """The key of X_ij, floor(X_ij * 2^shift), for lines i != j."""
+    def key(self, i: int, j: int, bits: Optional[int] = None) -> int:
+        """The key of X_ij, floor(X_ij * 2^shift), for lines i != j; given
+        bits, the coarse key floor(X_ij * 2^bits)."""
         (mi, ci), (mj, cj) = self.pairs[i], self.pairs[j]
-        return ((cj - ci) << self.shift) // (mi - mj)
+        return ((cj - ci) << (self.shift if bits is None else bits)) // (mi - mj)
 
-    def rows(self) -> Iterator[List[int]]:
-        """Row i of the crossing keys, [key(i, j) for j > i], for each line
-        i in turn: a pass over the rows holds one row at a time."""
+    def rows(self, bits: Optional[int] = None) -> Iterator[List[int]]:
+        """Row i of the crossing keys, [key(i, j, bits) for j > i], for each
+        line i in turn: a pass over the rows holds one row at a time."""
+        bits = self.shift if bits is None else bits
         ms = [m for m, _ in self.pairs]
-        cs = [c << self.shift for _, c in self.pairs]
+        cs = [c << bits for _, c in self.pairs]
         for i, (mi, ci) in enumerate(zip(ms, cs)):
             yield [(cj - ci) // (mi - mj) for mj, cj in zip(ms[i + 1 :], cs[i + 1 :])]
 
@@ -245,11 +260,36 @@ class IntegerView:
         meets its k - 1 lowest lines in a key group each, of sizes k - 1
         down to 1, so groups of size t count the vertices on more than t
         lines.
+
+        The pass reads coarse keys c(X) = floor(X * 2^bits), bits at most
+        shift (_census). A floor keeps order weakly, so c(X_hj) lies
+        between c(X_hi) and c(X_ij), and equals both when they are equal.
+        A pass is accepted under a certificate: each key that a row
+        repeats is one crossing, as the exact keys of its lines show. Then
+        it is the exact pass, step for step. Were a key X_hi in line i's
+        tail and a key X_ij of row i different but coarsely equal, c(X_hj)
+        would equal both while X_hj, strictly between them, differs from
+        X_hi, and row h, read earlier, would have failed. So each bisect
+        finds the exact position, and after each update every tail entry
+        is the coarse key of the exact pass's entry (a coarse tie leaves
+        the same key whether or not the exact pass replaces): chain
+        lengths, groups and first agree. The first pass reads
+        _CENSUS_BITS bits, and each failure doubles them, up to shift,
+        where distinct crossings have distinct keys and the certificate
+        holds by itself.
         """
+        bits = min(_CENSUS_BITS, self.shift)
+        while (census := self._census(bits)) is None:
+            bits = min(2 * bits, self.shift)
+        return census
+
+    def _census(self, bits: int) -> Optional[Census]:
+        """The census read off the keys at 2^bits, or None when a row
+        repeats a key at two different crossings."""
         n = len(self.pairs)
         cups, caps = [[] for _ in range(n)], [[] for _ in range(n)]
         groups, top, tops = [0] * (n + 1), 1, []
-        for i, row in enumerate(self.rows()):
+        for i, row in enumerate(self.rows(bits)):
             _extend(cups, i, row)
             _extend(caps, i, [*map(neg, row)])
             distinct = len(set(row))
@@ -261,6 +301,13 @@ class IntegerView:
             ordered = sorted(row)
             repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
             counts = {x: row.count(x) for x in repeated}
+            if bits < self.shift:
+                # the certificate: the lines of a repeated key meet line i at
+                # one point (list.index finds them, as row.count counts them,
+                # without hashing every key of the row)
+                for x, c in counts.items():
+                    if len({self.key(i, i + 1 + k) for k in _positions(row, x, c)}) > 1:
+                        return None
             groups[1] += distinct - len(counts)
             for c in counts.values():
                 groups[c] += 1
@@ -274,8 +321,9 @@ class IntegerView:
         # with no three lines concurrent, the first vertex is extreme
         first = min(tops or self.rim, key=lambda pair: self.vertex_key(*pair), default=None)
         groups = {t: c for t, c in enumerate(groups) if c}
-        cap = _walk(caps, lambda h, j: -self.key(h, j))
-        return Census(_walk(cups, self.key), cap, groups, first)
+        cup = _walk(cups, lambda h, j: self.key(h, j, bits), self.key)
+        cap = _walk(caps, lambda h, j: -self.key(h, j, bits), lambda h, j: -self.key(h, j))
+        return Census(cup, cap, groups, first)
 
     @cached_property
     def frame(self) -> Frame:
@@ -367,17 +415,31 @@ def _extend(keys, i: int, row: List[int]) -> None:
             t[s] = x
 
 
-def _walk(keys, key) -> Tuple[int, ...]:
+def _walk(keys, key, exact) -> Tuple[int, ...]:
     """The longest chain, in slope order, that _extend left, key(h, j)
-    the key of X_hj: the first line j with a longest tail, then from
-    keys[j][s] = x to the least h < j with key(h, j) == x that reached j
-    at size s, bisect_left(keys[h], x) == s. Rows run in order and equal
-    keys never replace, so h set keys[j][s]: this is the witness of the
-    DP that takes the crossings by key (oracles.tuple_sort_chain)."""
+    the key of X_hj that the tails hold and exact(h, j) its exact key:
+    the first line j with a longest tail, then from keys[j][s] = x to the
+    least h < j with the least exact key among the lines that reached j
+    at size s with key x, key(h, j) == x and bisect_left(keys[h], x) ==
+    s. The exact tail entry is the least exact key of the lines that
+    reach j at size s (census), and rows run in order and equal keys
+    never replace, so h set it: this is the witness of the DP that takes
+    the crossings by key (oracles.tuple_sort_chain). Coarse keys can tie
+    down a column, where the certificate does not look, so the exact keys
+    choose among the candidates."""
     j = max(range(len(keys)), key=lambda j: len(keys[j]))
     out = [j]
     for s in reversed(range(len(keys[j]))):
         x = keys[j][s]
-        j = next(h for h in range(j) if key(h, j) == x and bisect_left(keys[h], x) == s)
+        reached = [h for h in range(j) if key(h, j) == x and bisect_left(keys[h], x) == s]
+        j = min((exact(h, j), h) for h in reached)[1]
         out.append(j)
     return tuple(reversed(out))
+
+
+def _positions(row: List[int], x: int, count: int) -> Iterator[int]:
+    """The first count positions of x in row, in order."""
+    k = -1
+    for _ in range(count):
+        k = row.index(x, k + 1)
+        yield k

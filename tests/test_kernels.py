@@ -409,36 +409,34 @@ def test_chain_dp_matches_tuple_sort_on_bench_families(path):
     assert longest_cap(fam) == oracles.tuple_sort_chain(fam, "cap")
 
 
-def check_key_identity(fam):
+# coarse precisions: up to 8 bits, below most test families' shifts, the
+# census's certificate both passes and fails; 64 is where the census starts
+CENSUS_BITS = (0, 1, 2, 4, 8, 64)
+
+
+def check_key_identity(fam, bits=None):
     """For lines h < i < j in slope order, (M_j - M_h) X_hj is
     (M_i - M_h) X_hi + (M_j - M_i) X_ij, so X_hj lies strictly between X_hi
     and X_ij when they differ and equals both when they are equal. The
-    census rests on the floor keys keeping that."""
+    census rests on the floor keys keeping that: the exact keys strictly,
+    and the coarse keys at 2^bits weakly, so that two equal outer keys
+    force the middle one to equal both."""
     key, n = fam.view.key, len(fam)
     for h in range(n):
         for i in range(h + 1, n):
             for j in range(i + 1, n):
-                low, high = sorted((key(h, i), key(i, j)))
-                mid = key(h, j)
-                assert low < mid < high or low == mid == high, (h, i, j)
+                low, high = sorted((key(h, i, bits), key(i, j, bits)))
+                mid = key(h, j, bits)
+                if bits is None:
+                    assert low < mid < high or low == mid == high, (h, i, j)
+                else:
+                    assert low <= mid <= high, (h, i, j, bits)
 
 
-@pytest.mark.parametrize("denom", [1, 5])
-def test_crossing_keys_keep_the_three_line_identity_on_random_families(denom):
-    rng = random.Random(denom)
-    for _ in range(40):
-        check_key_identity(random_family(rng, 3, 12, span=20, denom=denom))
-
-
-@KERNELS
-@given(pencil_families(min_lines=3, max_lines=12))
-def test_crossing_keys_keep_the_three_line_identity_on_pencils(fam):
-    check_key_identity(fam)
-
-
-def test_crossing_keys_keep_the_three_line_identity_on_wide_coordinates():
-    # 100-bit coordinates make every crossing abscissa a wide rational; odd
-    # trials put about half of the lines through one apex
+def wide_families():
+    """Ten-line families with 100-bit coordinates, so every crossing
+    abscissa is a wide rational; odd ones put about half of the lines
+    through one apex."""
     rng = random.Random(3)
 
     def wide():
@@ -450,7 +448,85 @@ def test_crossing_keys_keep_the_three_line_identity_on_wide_coordinates():
         while len(lines) < 10:
             m = wide()
             lines[m] = apex[1] - m * apex[0] if trial % 2 and rng.random() < 0.5 else wide()
-        check_key_identity(LineFamily(Line(m, c) for m, c in lines.items()))
+        yield LineFamily(Line(m, c) for m, c in lines.items())
+
+
+@pytest.mark.parametrize("denom", [1, 5])
+def test_crossing_keys_keep_the_three_line_identity_on_random_families(denom):
+    rng = random.Random(denom)
+    for _ in range(40):
+        fam = random_family(rng, 3, 12, span=20, denom=denom)
+        for bits in (None, *CENSUS_BITS):
+            check_key_identity(fam, bits)
+
+
+@KERNELS
+@given(pencil_families(min_lines=3, max_lines=12), st.sampled_from((None, *CENSUS_BITS)))
+def test_crossing_keys_keep_the_three_line_identity_on_pencils(fam, bits):
+    check_key_identity(fam, bits)
+
+
+def test_crossing_keys_keep_the_three_line_identity_on_wide_coordinates():
+    for fam in wide_families():
+        for bits in (None, *CENSUS_BITS):
+            check_key_identity(fam, bits)
+
+
+def check_census_at(fam, bits):
+    """The census read at 2^bits (the private pass the census's precision
+    ladder runs), when its certificate accepts it, is the pass at the full
+    shift, field for field, and its cup and cap are the key-sorting DP's.
+    Returns whether it was accepted."""
+    view = fam.view
+    got = view._census(bits)
+    if got is not None:
+        assert got == view._census(view.shift), bits
+        assert got.cup == oracles.tuple_sort_chain(fam, "cup").witness, bits
+        assert got.cap == oracles.tuple_sort_chain(fam, "cap").witness, bits
+    return got is not None
+
+
+@pytest.mark.parametrize("denom", [1, 5])
+def test_census_at_any_precision_is_the_exact_census_on_random_families(denom):
+    rng = random.Random(denom)
+    accepted = {bits: set() for bits in CENSUS_BITS}
+    for _ in range(40):
+        fam = random_family(rng, 3, 12, span=20, denom=denom)
+        for bits in CENSUS_BITS:
+            accepted[bits].add(check_census_at(fam, bits))
+    # the coarsest keys both pass and fail the certificate
+    for bits in (0, 1, 2, 4):
+        assert accepted[bits] == {True, False}, bits
+
+
+def test_census_at_a_coarse_column_tie_walks_on_the_exact_keys():
+    # at 2^1, lines 0 and 1 cross line 3 at one coarse key, -1, but at
+    # x = -7/29 and -13/27: the certificate looks along rows only, so the
+    # walk must tell such a column tie apart by the exact keys
+    fam = LineFamily(
+        (Line(-18, -6), Line(-17, -9), Line(-8, 0), Line(Fraction(-7, 2), Fraction(-5, 2)))
+    )
+    assert fam.view.key(0, 3, 1) == fam.view.key(1, 3, 1) == -1
+    assert check_census_at(fam, 1)
+
+
+@KERNELS
+@given(pencil_families(min_lines=3, max_lines=12), st.sampled_from(CENSUS_BITS))
+def test_census_at_any_precision_is_the_exact_census_on_pencils(fam, bits):
+    check_census_at(fam, bits)
+
+
+def test_census_at_any_precision_is_the_exact_census_on_wide_coordinates():
+    for fam in wide_families():
+        for bits in CENSUS_BITS:
+            check_census_at(fam, bits)
+
+
+@BENCH_FAMILIES
+def test_census_at_any_precision_is_the_exact_census_on_bench_families(path):
+    fam = parse_family(path.read_text())
+    for bits in CENSUS_BITS:
+        check_census_at(fam, bits)
 
 
 @contextmanager
