@@ -188,12 +188,15 @@ class LineFamily:
 
 Census = namedtuple("Census", "cup cap groups first")
 
-# The census reads its keys at this precision first (IntegerView.census).
-# Measured: the stored bench families certify from 16 to 40 bits and the
-# generated F(6,6,4) at 64, so one pass settles each of them; F(7,6,4) and
-# F(7,7,4) need 72 and 80 bits, fail at 64 within their first rows, and
-# settle at 128. Coarser starts would fail more families, for no saving.
-_CENSUS_BITS = 64
+# The precisions the census tries, in turn, below the full shift, before
+# the exact pass (IntegerView.census). Measured: the stored bench families
+# certify from 16 to 40 bits and the generated F(6,6,4) at 64, so one pass
+# settles each of them; F(7,6,4) to F(8,8,4) need 72 to 80 bits, fail at
+# 64 within their first rows, and settle at 128. Coarser starts would fail
+# more families, for no saving. A failed pass is lost, so there are no
+# rungs above those that families were seen to need: a family that fails
+# both late costs two coarse passes on top of the exact one.
+_CENSUS_BITS = (64, 128)
 
 
 class IntegerView:
@@ -210,8 +213,7 @@ class IntegerView:
     takes distinct values at distinct abscissae and keeps their order: an
     exact integer key for comparing and grouping crossings.
 
-    ``key(i, j)`` computes one key, ``rows()`` the keys line by line;
-    given bits, both give the coarse keys floor(X_ij * 2^bits) instead.
+    ``key(i, j)`` computes one key, ``rows()`` the keys line by line.
     ``census``, read off the rows in one pass, on coarse keys where a
     certificate allows, is all that certification needs: the longest cup
     and cap and the concurrency. ``frame``, the one
@@ -226,16 +228,22 @@ class IntegerView:
         self.scale, self.pairs = scale, pairs
         self.shift = 2 * (pairs[-1][0] - pairs[0][0]).bit_length()
 
-    def key(self, i: int, j: int, bits: Optional[int] = None) -> int:
-        """The key of X_ij, floor(X_ij * 2^shift), for lines i != j; given
-        bits, the coarse key floor(X_ij * 2^bits)."""
-        (mi, ci), (mj, cj) = self.pairs[i], self.pairs[j]
-        return ((cj - ci) << (self.shift if bits is None else bits)) // (mi - mj)
+    def key(self, i: int, j: int) -> int:
+        """The key of X_ij, floor(X_ij * 2^shift), for lines i != j."""
+        return self._key(i, j, self.shift)
 
-    def rows(self, bits: Optional[int] = None) -> Iterator[List[int]]:
-        """Row i of the crossing keys, [key(i, j, bits) for j > i], for each
-        line i in turn: a pass over the rows holds one row at a time."""
-        bits = self.shift if bits is None else bits
+    def rows(self) -> Iterator[List[int]]:
+        """Row i of the crossing keys, [key(i, j) for j > i], for each line
+        i in turn: a pass over the rows holds one row at a time."""
+        return self._rows(self.shift)
+
+    def _key(self, i: int, j: int, bits: int) -> int:
+        """floor(X_ij * 2^bits): the key at bits = shift, a coarse key below."""
+        (mi, ci), (mj, cj) = self.pairs[i], self.pairs[j]
+        return ((cj - ci) << bits) // (mi - mj)
+
+    def _rows(self, bits: int) -> Iterator[List[int]]:
+        """rows() at 2^bits."""
         ms = [m for m, _ in self.pairs]
         cs = [c << bits for _, c in self.pairs]
         for i, (mi, ci) in enumerate(zip(ms, cs)):
@@ -273,15 +281,14 @@ class IntegerView:
         finds the exact position, and after each update every tail entry
         is the coarse key of the exact pass's entry (a coarse tie leaves
         the same key whether or not the exact pass replaces): chain
-        lengths, groups and first agree. The first pass reads
-        _CENSUS_BITS bits, and each failure doubles them, up to shift,
-        where distinct crossings have distinct keys and the certificate
-        holds by itself.
+        lengths, groups and first agree. The pass tries the precisions of
+        _CENSUS_BITS below shift in turn, then shift itself, where distinct
+        crossings have distinct keys and the certificate holds by itself.
         """
-        bits = min(_CENSUS_BITS, self.shift)
-        while (census := self._census(bits)) is None:
-            bits = min(2 * bits, self.shift)
-        return census
+        for bits in _CENSUS_BITS:
+            if bits < self.shift and (census := self._census(bits)) is not None:
+                return census
+        return self._census(self.shift)
 
     def _census(self, bits: int) -> Optional[Census]:
         """The census read off the keys at 2^bits, or None when a row
@@ -289,7 +296,7 @@ class IntegerView:
         n = len(self.pairs)
         cups, caps = [[] for _ in range(n)], [[] for _ in range(n)]
         groups, top, tops = [0] * (n + 1), 1, []
-        for i, row in enumerate(self.rows(bits)):
+        for i, row in enumerate(self._rows(bits)):
             _extend(cups, i, row)
             _extend(caps, i, [*map(neg, row)])
             distinct = len(set(row))
@@ -321,8 +328,8 @@ class IntegerView:
         # with no three lines concurrent, the first vertex is extreme
         first = min(tops or self.rim, key=lambda pair: self.vertex_key(*pair), default=None)
         groups = {t: c for t, c in enumerate(groups) if c}
-        cup = _walk(cups, lambda h, j: self.key(h, j, bits), self.key)
-        cap = _walk(caps, lambda h, j: -self.key(h, j, bits), lambda h, j: -self.key(h, j))
+        cup = _walk(cups, lambda h, j: self._key(h, j, bits), self.key)
+        cap = _walk(caps, lambda h, j: -self._key(h, j, bits), lambda h, j: -self.key(h, j))
         return Census(cup, cap, groups, first)
 
     @cached_property

@@ -421,12 +421,13 @@ def check_key_identity(fam, bits=None):
     census rests on the floor keys keeping that: the exact keys strictly,
     and the coarse keys at 2^bits weakly, so that two equal outer keys
     force the middle one to equal both."""
-    key, n = fam.view.key, len(fam)
+    view, n = fam.view, len(fam)
+    at = view.shift if bits is None else bits
     for h in range(n):
         for i in range(h + 1, n):
             for j in range(i + 1, n):
-                low, high = sorted((key(h, i, bits), key(i, j, bits)))
-                mid = key(h, j, bits)
+                low, high = sorted((view._key(h, i, at), view._key(i, j, at)))
+                mid = view._key(h, j, at)
                 if bits is None:
                     assert low < mid < high or low == mid == high, (h, i, j)
                 else:
@@ -461,9 +462,10 @@ def test_crossing_keys_keep_the_three_line_identity_on_random_families(denom):
 
 
 @KERNELS
-@given(pencil_families(min_lines=3, max_lines=12), st.sampled_from((None, *CENSUS_BITS)))
-def test_crossing_keys_keep_the_three_line_identity_on_pencils(fam, bits):
-    check_key_identity(fam, bits)
+@given(pencil_families(min_lines=3, max_lines=12))
+def test_crossing_keys_keep_the_three_line_identity_on_pencils(fam):
+    for bits in (None, *CENSUS_BITS):
+        check_key_identity(fam, bits)
 
 
 def test_crossing_keys_keep_the_three_line_identity_on_wide_coordinates():
@@ -506,14 +508,43 @@ def test_census_at_a_coarse_column_tie_walks_on_the_exact_keys():
     fam = LineFamily(
         (Line(-18, -6), Line(-17, -9), Line(-8, 0), Line(Fraction(-7, 2), Fraction(-5, 2)))
     )
-    assert fam.view.key(0, 3, 1) == fam.view.key(1, 3, 1) == -1
+    assert fam.view._key(0, 3, 1) == fam.view._key(1, 3, 1) == -1
     assert check_census_at(fam, 1)
 
 
+def census_precisions(fam):
+    """The precisions the census of fam reads its keys at, in turn."""
+    tried, census_at = [], IntegerView._census
+
+    def spy(view, bits):
+        tried.append(bits)
+        return census_at(view, bits)
+
+    with patch.object(IntegerView, "_census", spy):
+        census = fam.view.census
+    assert census == census_at(fam.view, fam.view.shift)
+    return tried
+
+
+def test_census_tries_64_and_128_bits_then_the_full_shift():
+    # lines 1 and 2 cross line 0 at x = 1 and 1 + 2^-200, one key at 64 and
+    # at 128 bits: both coarse passes fail, and the next is the exact one
+    k = 1 << 200
+    fam = LineFamily.from_pairs(1, [(0, 0), (1, -1), (k, -(k + 1))])
+    assert census_precisions(fam) == [64, 128, fam.view.shift] == [64, 128, 402]
+    # a shift below 64 bits reads the exact keys at once
+    fam = parse_family((FAMILIES / "F334.txt").read_text())
+    assert census_precisions(fam) == [fam.view.shift] == [22]
+    # F654 (shift 592) settles at the first rung
+    fam = parse_family((FAMILIES / "F654.txt").read_text())
+    assert census_precisions(fam) == [64]
+
+
 @KERNELS
-@given(pencil_families(min_lines=3, max_lines=12), st.sampled_from(CENSUS_BITS))
-def test_census_at_any_precision_is_the_exact_census_on_pencils(fam, bits):
-    check_census_at(fam, bits)
+@given(pencil_families(min_lines=3, max_lines=12))
+def test_census_at_any_precision_is_the_exact_census_on_pencils(fam):
+    for bits in CENSUS_BITS:
+        check_census_at(fam, bits)
 
 
 def test_census_at_any_precision_is_the_exact_census_on_wide_coordinates():
