@@ -53,7 +53,7 @@ from operator import gt, lt
 from typing import List, Literal, Optional, Tuple
 
 from .arrangement import Cell
-from .errors import ParameterRangeError
+from .errors import at_least
 from .geometry import LineFamily, Point
 
 ChainKind = Literal["cup", "cap"]
@@ -163,8 +163,7 @@ def find_unbounded_cell(family: LineFamily, k: int, side: str) -> Optional[Cell]
     lines, or None. side is "right" or "left"."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left': {side!r}")
-    if k < 2:
-        raise ParameterRangeError(f"k must be >= 2: {k}")
+    at_least("k", k, 2)
     n = len(family)
     members = _staircases(family, side)
     for r in range(1, n):

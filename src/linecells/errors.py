@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and at_least, the one range
+check behind every "name must be >= least: value" ParameterRangeError."""
 
 
 class LinecellsError(Exception):
@@ -19,6 +20,12 @@ class InfeasibleSignVectorError(LinecellsError, ValueError):
 
 class ParameterRangeError(LinecellsError, ValueError):
     """A construction or bound was called outside its parameter domain."""
+
+
+def at_least(name: str, value, least) -> None:
+    """Raise ParameterRangeError unless value >= least."""
+    if value < least:
+        raise ParameterRangeError(f"{name} must be >= {least}: {value}")
 
 
 class ConstructionError(LinecellsError, RuntimeError):

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 from .arrangement import SignVector, bounding_lines
 from .errors import EmptyViewportError, ParameterRangeError
-from .geometry import LineFamily, Rat, _as_rat
+from .geometry import LineFamily, Rat, _as_rat, format_rat
 
 __all__ = ["RenderOptions", "render_svg"]
 
@@ -140,8 +140,9 @@ def render_svg(family: LineFamily, options: Optional[RenderOptions] = None) -> s
     options = options or RenderOptions()
     if options.viewport is not None:
         box = tuple(_as_rat(v) for v in options.viewport)
+        shown = f"({', '.join(map(format_rat, box))})"
         if len(box) != 4 or box[0] >= box[2] or box[1] >= box[3]:
-            raise ParameterRangeError(f"degenerate viewport: {options.viewport}")
+            raise ParameterRangeError(f"degenerate viewport: {shown}")
     else:
         box = _auto_viewport(family)
     if options.highlight_lines is not None:
@@ -168,9 +169,7 @@ def render_svg(family: LineFamily, options: Optional[RenderOptions] = None) -> s
 
     spans = _visible_spans(family, scaled, d)
     if options.viewport is not None and not any(spans):
-        raise EmptyViewportError(
-            f"no line of the family is visible in viewport {options.viewport}"
-        )
+        raise EmptyViewportError(f"no line of the family is visible in viewport {shown}")
 
     parts = []
     parts.append(

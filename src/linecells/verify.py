@@ -1,4 +1,9 @@
-"""Property checks, convex-position search and the bound formulas."""
+"""Property checks, convex-position search and the bound formulas.
+
+A VerifyReport holds the census answers `verify` prints and one (name,
+holds) check per property. PASS is read off the checks, so a caller such
+as `verify --no-convex` adds a check and decides nothing else.
+"""
 
 from __future__ import annotations
 
@@ -8,16 +13,14 @@ from typing import Optional, Sequence, Tuple
 
 from .arrangement import ConcurrencyReport, _convex_split, max_concurrency
 from .chains import ChainResult, has_k_cell_unbounded, longest_cap, longest_cup
-from .errors import ParameterRangeError
+from .errors import ParameterRangeError, at_least
 from .geometry import LineFamily, Rat, _as_rat
 
 
 def known_exact(l: int, n: int) -> Optional[int]:
     """Exact threshold for small n, None where only bounds are known."""
-    if l < 3:
-        raise ParameterRangeError(f"l must be >= 3: {l}")
-    if n < 2:
-        raise ParameterRangeError(f"n must be >= 2: {n}")
+    at_least("l", l, 3)
+    at_least("n", n, 2)
     if n == 2:
         return 2
     if n == 3:
@@ -29,10 +32,8 @@ def known_exact(l: int, n: int) -> Optional[int]:
 
 def lower_bound_value(l: int, n: int) -> int:
     """Size of the extremal construction: thresholds exceed this value."""
-    if l < 3:
-        raise ParameterRangeError(f"l must be >= 3: {l}")
-    if n < 5:
-        raise ParameterRangeError(f"n must be >= 5: {n}")
+    at_least("l", l, 3)
+    at_least("n", n, 5)
     k = (n - 1) // 2
     big = comb(2 * k - 2, k - 1)
     lead = big * big if n % 2 == 0 else (big + 1) * comb(2 * k - 3, k - 1)
@@ -41,24 +42,19 @@ def lower_bound_value(l: int, n: int) -> int:
 
 def upper_bound_value(l: int, n: int, c=1) -> Rat:
     """c * (n + l - 1) * C(2n-4, n-2); c >= 1 is the absolute constant knob."""
-    if l < 3:
-        raise ParameterRangeError(f"l must be >= 3: {l}")
-    if n < 3:
-        raise ParameterRangeError(f"n must be >= 3: {n}")
+    at_least("l", l, 3)
+    at_least("n", n, 3)
     c = _as_rat(c)
-    if c < 1:
-        raise ParameterRangeError(f"c must be >= 1: {c}")
+    at_least("c", c, 1)
     return c * (n + l - 1) * comb(2 * n - 4, n - 2)
 
 
 def f_L_bound(l: int, p: int, q: int, c=1) -> Rat:
     """c * (min(p-1, q-1) + l) * C(p+q-4, q-2)."""
     for name, v in (("l", l), ("p", p), ("q", q)):
-        if v < 3:
-            raise ParameterRangeError(f"{name} must be >= 3: {v}")
+        at_least(name, v, 3)
     c = _as_rat(c)
-    if c < 1:
-        raise ParameterRangeError(f"c must be >= 1: {c}")
+    at_least("c", c, 1)
     return c * (min(p - 1, q - 1) + l) * comb(p + q - 4, q - 2)
 
 
@@ -108,17 +104,17 @@ def largest_convex_subset(family: LineFamily):
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """The census answers `verify` prints, and its (name, holds) checks."""
+
     family_size: int
-    l: int
-    p: int
-    q: int
-    k: int
     concurrency: ConcurrencyReport
     cup: ChainResult
     cap: ChainResult
-    unbounded: Tuple[Tuple[str, bool], ...]
     checks: Tuple[Tuple[str, bool], ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok in self.checks)
 
 
 def verify_properties(
@@ -131,12 +127,10 @@ def verify_properties(
 ) -> VerifyReport:
     """Check the defining properties: fewer than l concurrent, no (p+1)-cup,
     no (q+1)-cap, and no k-fold unbounded cell on each requested side."""
-    if l < 3:
-        raise ParameterRangeError(f"l must be >= 3: {l}")
+    at_least("l", l, 3)
     if p < 2 or q < 2:
         raise ParameterRangeError(f"p and q must be >= 2: p={p} q={q}")
-    if k < 2:
-        raise ParameterRangeError(f"k must be >= 2: {k}")
+    at_least("k", k, 2)
     sides = tuple(check_unbounded)
     for side in sides:
         if side not in ("left", "right"):
@@ -144,28 +138,16 @@ def verify_properties(
     conc = max_concurrency(family)
     cup = longest_cup(family)
     cap = longest_cap(family)
-    unbounded = tuple((side, has_k_cell_unbounded(family, k, side)) for side in sides)
-    checks = [
+    checks = (
         (f"concurrency < {l}", conc.max_count < l),
         (f"longest cup <= {p}", cup.size <= p),
         (f"longest cap <= {q}", cap.size <= q),
-    ]
-    for side, has in unbounded:
-        checks.append((f"no {k}-cell unbounded {side}", not has))
-    checks = tuple(checks)
-    return VerifyReport(
-        family_size=len(family),
-        l=l,
-        p=p,
-        q=q,
-        k=k,
-        concurrency=conc,
-        cup=cup,
-        cap=cap,
-        unbounded=unbounded,
-        checks=checks,
-        passed=all(ok for _, ok in checks),
+        *(
+            (f"no {k}-cell unbounded {side}", not has_k_cell_unbounded(family, k, side))
+            for side in sides
+        ),
     )
+    return VerifyReport(len(family), conc, cup, cap, checks)
 
 
 def format_report(report: VerifyReport) -> str:

@@ -405,6 +405,22 @@ def test_render_three_value_viewport_exits_2(tmp_path, capsys):
     assert "viewport needs 4" in err
 
 
+@pytest.mark.parametrize(
+    "viewport, message",
+    [
+        ("1000,-2,1001,-1", "no line of the family is visible in viewport (1000, -2, 1001, -1)"),
+        ("0,0,0,0", "degenerate viewport: (0, 0, 0, 0)"),
+        ("1/2,-3/6,2/4,1", "degenerate viewport: (1/2, -1/2, 1/2, 1)"),
+    ],
+    ids=["empty", "degenerate", "degenerate_rationals"],
+)
+def test_render_viewport_errors_print_the_box(tmp_path, capsys, viewport, message):
+    fam_path = tmp_path / "f.txt"
+    fam_path.write_text("1 0\n2 5\n3 1\n")
+    code, out, err = run(capsys, "render", str(fam_path), f"--viewport={viewport}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_render_bad_cell_spec_exits_2(tmp_path, capsys):
     fam_path = tmp_path / "f.txt"
     run(capsys, "generate", "--kind", "pencil", "--n", "3", "-o", str(fam_path))

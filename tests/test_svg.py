@@ -73,11 +73,18 @@ def test_render_empty_viewport_raises():
     box = (100, 2, 101, 3)
     with pytest.raises(EmptyViewportError):
         render_svg(TRIANGLE, RenderOptions(viewport=box))
+    # strings and ints are read as rationals, and printed as parse_rat reads them
+    with pytest.raises(EmptyViewportError) as info:
+        render_svg(TRIANGLE, RenderOptions(viewport=(100, "2", "303/3", Fraction(3))))
+    assert str(info.value) == "no line of the family is visible in viewport (100, 2, 101, 3)"
 
 
 def test_render_degenerate_viewport_raises():
     with pytest.raises(ParameterRangeError):
         render_svg(TRIANGLE, RenderOptions(viewport=(0, 0, 0, 1)))
+    with pytest.raises(ParameterRangeError) as info:
+        render_svg(TRIANGLE, RenderOptions(viewport=("1/2", 0, "2/4", 1)))
+    assert str(info.value) == "degenerate viewport: (1/2, 0, 1/2, 1)"
 
 
 def test_render_single_line():

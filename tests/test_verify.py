@@ -1,10 +1,12 @@
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from linecells import (
+    ConstructionSpec,
     Line,
     LineFamily,
     ParameterRangeError,
@@ -12,6 +14,7 @@ from linecells import (
     exists_n_convex,
     f_L_bound,
     find_n_convex,
+    find_unbounded_cell,
     format_report,
     known_exact,
     largest_convex_subset,
@@ -131,6 +134,65 @@ def test_verify_properties_validation(kwargs, error, message):
         verify_properties(TRIANGLE, **args)
 
 
+# the exact text of every range message, one case per parameter each site
+# checks; a case's id names the site
+RANGE_MESSAGES = [
+    pytest.param(lambda: known_exact(2, 5), "l must be >= 3: 2", id="known_exact-l"),
+    pytest.param(lambda: known_exact(3, 1), "n must be >= 2: 1", id="known_exact-n"),
+    pytest.param(lambda: lower_bound_value(2, 5), "l must be >= 3: 2", id="lower-l"),
+    pytest.param(lambda: lower_bound_value(3, 4), "n must be >= 5: 4", id="lower-n"),
+    pytest.param(lambda: upper_bound_value(2, 5), "l must be >= 3: 2", id="upper-l"),
+    pytest.param(lambda: upper_bound_value(3, 2), "n must be >= 3: 2", id="upper-n"),
+    pytest.param(lambda: upper_bound_value(3, 5, 0), "c must be >= 1: 0", id="upper-c"),
+    pytest.param(
+        lambda: upper_bound_value(3, 5, Fraction(1, 2)), "c must be >= 1: 1/2", id="upper-c-rat"
+    ),
+    pytest.param(lambda: f_L_bound(2, 2, 2), "l must be >= 3: 2", id="f_L-l"),
+    pytest.param(lambda: f_L_bound(3, 2, 3), "p must be >= 3: 2", id="f_L-p"),
+    pytest.param(lambda: f_L_bound(3, 3, 2), "q must be >= 3: 2", id="f_L-q"),
+    pytest.param(lambda: f_L_bound(3, 3, 3, c="1/3"), "c must be >= 1: 1/3", id="f_L-c"),
+    pytest.param(
+        lambda: verify_properties(TRIANGLE, l=2, p=2, q=2), "l must be >= 3: 2", id="verify-l"
+    ),
+    pytest.param(
+        lambda: verify_properties(TRIANGLE, l=3, p=1, q=2),
+        "p and q must be >= 2: p=1 q=2",
+        id="verify-pq",
+    ),
+    pytest.param(
+        lambda: verify_properties(TRIANGLE, l=3, p=2, q=2, k=1), "k must be >= 2: 1", id="verify-k"
+    ),
+    pytest.param(
+        lambda: find_unbounded_cell(TRIANGLE, 1, "right"), "k must be >= 2: 1", id="staircase-k"
+    ),
+    pytest.param(lambda: pencil(Point(0, 0), 0, ()), "count must be >= 1: 0", id="pencil-count"),
+    pytest.param(
+        lambda: ConstructionSpec("recursive_pq", p=1, q=2, l=3), "p must be >= 2: 1", id="spec-p"
+    ),
+    pytest.param(
+        lambda: ConstructionSpec("recursive_pq", p=2, q=0, l=3), "q must be >= 2: 0", id="spec-q"
+    ),
+    pytest.param(lambda: ConstructionSpec("base_pq2", p=2, l=2), "l must be >= 3: 2", id="spec-l"),
+    pytest.param(lambda: ConstructionSpec("prop32_odd", l=3, k=1), "k must be >= 2: 1", id="spec-k"),
+    pytest.param(lambda: ConstructionSpec("pencil", n=0), "n must be >= 1: 0", id="spec-n"),
+    pytest.param(
+        lambda: ConstructionSpec("thm12_odd", l=3, n=3), "n must be >= 5: 3", id="spec-thm12-n"
+    ),
+    pytest.param(
+        lambda: ConstructionSpec("pencil", n=2, epsilon_scale=0),
+        "epsilon_scale must be positive: 0",
+        id="spec-epsilon_scale",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", RANGE_MESSAGES)
+def test_range_messages_are_pinned(call, message):
+    with pytest.raises(ParameterRangeError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_verify_properties_unbounded_sides():
     fig2 = LineFamily(
         (Line(0, 0), Line(Fraction(1, 2), -2), Line(2, -10), Line(3, Fraction(-76, 5)))
@@ -139,6 +201,13 @@ def test_verify_properties_unbounded_sides():
     by_name = dict(report.checks)
     assert by_name["no 4-cell unbounded right"] is False
     assert by_name["no 4-cell unbounded left"] is True
+
+
+def test_passed_follows_the_checks():
+    report = verify_properties(pencil(Point(0, -1), 3, (1, 2, 3)), l=4, p=2, q=2)
+    assert report.passed
+    assert not replace(report, checks=report.checks + (("x", False),)).passed
+    assert replace(report, checks=report.checks + (("x", True),)).passed
 
 
 def test_format_report_shape():
@@ -190,3 +259,5 @@ def test_verify_report_on_bench_families_is_pinned(name):
     l, p, q = int(meta["l"]), int(meta.get("p", 4)), int(meta.get("q", 4))
     report = verify_properties(fam, l, p, q, check_unbounded=("left", "right"))
     assert hashlib.sha256(format_report(report).encode()).hexdigest() == PINNED_REPORTS[name]
+    assert report.passed == all(ok for _, ok in report.checks)
+
