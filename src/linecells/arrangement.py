@@ -470,29 +470,23 @@ def _convex_split(view, need: int, goal: int):
     to the right, come from a _sweep from their anchor (a, b), and those
     unbounded to the left from the same sweep on the mirror image.
 
-    _bounds gives the longest cup and cap and every anchor's bound, so no
-    more than cup + cap lines are sought. Anchors are swept by descending
-    bound, capped at goal, and at equal bound from the highest X_ab down,
-    since a sweep from there is short and often meets the bound at once
-    (view.key(a, b) is computed for those anchors only). The search stops
-    when no bound left beats the best size. A sweep costs
-    O(n^2), so the search is O(n^4) at worst.
+    _bounds gives the longest cup and cap and every anchor's bound. No
+    more than cup + cap lines are sought, and nothing is swept (nor the
+    mirror built) when a chain reaches goal or need exceeds cup + cap.
+    Anchors go by descending bound, capped at goal, then frame position
+    descending: key order on each side, and the shortest sweeps first,
+    which often meet the bound at once. The search stops when no bound
+    left beats the best size; a sweep is O(n^2), the search O(n^4).
     """
     n = len(view.pairs)
-    lows, highs, _ = view.frame
-    frames = view.frame, _mirror(view.frame, n)
-
-    def key(f, p):
-        # the mirror's crossing p is the family's p-th from the end, negated
-        q = ~p if f else p
-        k = view.key(lows[q], highs[q])
-        return -k if f else k
-
-    (cup, cup_lines), (cap, cap_lines), bound = _bounds(frames[0], n)
-    bounds = bound, _bounds(frames[1], n)[2]
+    (cup, cup_lines), (cap, cap_lines), bound = _bounds(view.frame, n)
     best = max(cup, cap)
     split = (cup_lines, (), "unbounded_other") if cup >= cap else ((), cap_lines, "unbounded_other")
     top = min(goal, cup + cap)
+    if top <= max(best, need - 1):
+        return split if best >= need else None
+    frames = view.frame, _mirror(view.frame, n)
+    bounds = bound, _bounds(frames[1], n)[2]
     anchored = None
     for level in range(top, max(need, best + 1) - 1, -1):
         if level <= best:
@@ -500,11 +494,9 @@ def _convex_split(view, need: int, goal: int):
         # the top level takes every bound at or above it
         at = level.__le__ if level == top else level.__eq__
         anchors = [
-            (key(f, p), f, p)
-            for f, by_crossing in enumerate(bounds)
-            for p in compress(count(), map(at, by_crossing))
+            (p, f) for f, by_crossing in enumerate(bounds) for p in compress(count(), map(at, by_crossing))
         ]
-        for _, f, p in sorted(anchors, reverse=True):
+        for p, f in sorted(anchors, reverse=True):
             size, found = _sweep(frames[f], n, p, level)
             if size > best:
                 best, anchored = size, (f, found)
@@ -517,10 +509,9 @@ def _convex_split(view, need: int, goal: int):
     f, (low, high, bound_class) = anchored
     below, above = _chain(low)[::-1], _chain(high)
     if f:
-        below = tuple(n - 1 - v for v in reversed(below))
-        above = tuple(n - 1 - v for v in reversed(above))
-        if bound_class == "unbounded_right":
-            bound_class = "unbounded_left"
+        # the mirror's line v is line n - 1 - v, and its right the family's left
+        below, above = (tuple(n - 1 - v for v in reversed(c)) for c in (below, above))
+        bound_class = bound_class.replace("right", "left")
     return below, above, bound_class
 
 

@@ -4,8 +4,8 @@ One line record per row, "slope intercept", both exact rational literals.
 Rows starting with "#!" carry metadata as key=value headers (the key
 "name" names the family, anything else lands in provenance, order kept);
 rows starting with a single "#" are comments and are dropped. serialize
-followed by parse reproduces the family and its metadata exactly;
-comments do not survive the trip.
+followed by parse reproduces the family and its metadata exactly, or
+serialize raises ValueError; comments do not survive the trip.
 """
 
 from __future__ import annotations
@@ -70,14 +70,22 @@ def parse_family(text: str) -> LineFamily:
 def serialize_family(family: LineFamily) -> str:
     rows = []
     if family.name is not None:
-        rows.append(f"#! name={family.name}")
-    if family.provenance:
-        for key, value in family.provenance:
-            rows.append(f"#! {key}={value}")
+        rows.append(f"#! name={_header('name', family.name)}")
+    for key, value in family.provenance or ():
+        if not key or "=" in key or key == "name":
+            raise ValueError(f"provenance key {key!r} cannot be read back as one")
+        rows.append(f"#! {_header('provenance key', key)}={_header(f'provenance {key}', value)}")
     s = family.scale
     for m, c in family.pairs:
         rows.append(f"{_ratio(m, s)} {_ratio(c, s)}")
     return "\n".join(rows) + "\n"
+
+
+def _header(field: str, text: str) -> str:
+    """text, if parse_family reads it back from a header unchanged."""
+    if text != text.strip() or len(text.splitlines()) > 1:
+        raise ValueError(f"{field} {text!r} has a line break or outer whitespace")
+    return text
 
 
 def _ratio(num: int, den: int) -> str:

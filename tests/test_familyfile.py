@@ -106,6 +106,29 @@ def test_serialized_shape():
 
 
 @pytest.mark.parametrize(
+    "name,provenance,message",
+    [
+        # a line break ends the header, and parse reads the rest as a line record
+        ("two\nlines", None, "name 'two\\nlines' has a line break"),
+        # parse strips a header's key and value
+        (" padded ", None, "name ' padded ' has a line break or outer whitespace"),
+        (None, (("k", "two\nlines"),), "provenance k 'two\\nlines' has a line break"),
+        (None, (("k", " padded "),), "provenance k ' padded ' has a line break or outer"),
+        # parse splits a header at its first "="
+        (None, (("a=b", "v"),), "provenance key 'a=b' cannot be read back as one"),
+        # parse reads the key "name" as the family's name
+        (None, (("name", "v"),), "provenance key 'name' cannot be read back as one"),
+    ],
+    ids=["name-break", "name-padded", "value-break", "value-padded", "key-equals", "key-name"],
+)
+def test_serialize_refuses_metadata_that_does_not_read_back(name, provenance, message):
+    fam = LineFamily((Line(1, 2),)).with_meta(name=name, provenance=provenance)
+    with pytest.raises(ValueError) as err:
+        serialize_family(fam)
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize(
     "text,message",
     [
         ("1/2 0\n# x\n2/4 9\n", "line 3: slope 1/2 already used at line 1"),

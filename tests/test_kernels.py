@@ -56,6 +56,7 @@ rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 FAMILIES = Path(__file__).resolve().parents[1] / "bench" / "families"
 F434_FILE = FAMILIES / "F434.txt"
 F544_FILE = FAMILIES / "F544.txt"
+F554_FILE = FAMILIES / "F554.txt"
 
 KERNELS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -821,6 +822,43 @@ def test_find_n_convex_stops_at_the_cup_cap_bound(monkeypatch):
     monkeypatch.setattr(arrangement, "_sweep", sweep)
     assert longest_cup(fam).size + longest_cap(fam).size == 7
     assert find_n_convex(fam, 8) is None
+
+
+def test_convex_search_reads_no_crossing_key_once_the_frame_is_built():
+    fam = parse_family(F554_FILE.read_text())
+    fam.view.frame  # built, its keys read, before the spy goes in
+
+    def spy(view, *args):
+        raise AssertionError("computed a crossing key")
+
+    with patch.object(IntegerView, "key", spy), patch.object(IntegerView, "_key", spy):
+        assert largest_convex_subset(fam)[0] == 10
+        assert find_n_convex(fam, 8) is not None
+        assert find_n_convex(fam, 5) is not None
+
+
+@pytest.mark.parametrize(
+    "path, search, mirrored",
+    [
+        # n within the longest cup: that cup is the answer
+        (F554_FILE, lambda fam: find_n_convex(fam, 5), False),
+        # n past the cup+cap bound: no anchor can reach it
+        (F434_FILE, lambda fam: find_n_convex(fam, 8), False),
+        (F554_FILE, largest_convex_subset, True),
+    ],
+    ids=["F554-n5", "F434-n8", "F554-largest"],
+)
+def test_convex_search_builds_the_mirror_only_when_it_sweeps(monkeypatch, path, search, mirrored):
+    mirror, built = arrangement._mirror, []
+
+    def spy(frame, n):
+        built.append(n)
+        return mirror(frame, n)
+
+    fam = parse_family(path.read_text())
+    monkeypatch.setattr(arrangement, "_mirror", spy)
+    search(fam)
+    assert bool(built) == mirrored
 
 
 def test_largest_convex_subset_of_F544_reaches_the_bound(capsys):
