@@ -17,8 +17,9 @@ proving the rest from tests it runs:
 
 - construct_base measures its concurrency, cup and cap lengths and its
   right-unbounded 4-cells; construct_base_caps is its mirror.
-- construct_F measures nothing: an O(n) order test at each join proves
-  the joined family's cup, cap and concurrency from its two parts' and
+- construct_F measures nothing: at each join an O(n) test, that each
+  part is in slope order where the outermost two lines cross, proves the
+  joined family's cup, cap and concurrency from its two parts' and
   bounds each of its right staircases by three lines (construct_F).
 - The thm12 scaffold compares the roots of its two halves' lines, which
   proves its concurrency 2 (_thm12_scaffold); the prop32 scaffold is a
@@ -234,16 +235,15 @@ def _join(*families: LineFamily) -> LineFamily:
     return LineFamily.from_pairs(scale, pairs)
 
 
-def _join_order(a: int):
-    """construct_F's order check on the join of a low lines and the high
-    ones: in slope order, the low lines rise in S*y at x = -2 and the high
-    ones fall; the high ones rise in 4S*y at x = -5/4, below every low one."""
+def _join_test(a: int):
+    """construct_F's check on a low lines joined to the high ones: each part
+    rises in slope order at X0, where lines 0 and n-1 cross. Line (m, c) is
+    there m*(c0 - c_n-1) + c*(m_n-1 - m0) over a positive denominator."""
 
     def holds(fam: LineFamily) -> bool:
-        at_2 = [c - 2 * m for m, c in fam.pairs]
-        at_54 = [4 * c - 5 * m for m, c in fam.pairs]
-        rising = (at_2[:a], at_2[a:][::-1], at_54[a:] + [min(at_54[:a])])
-        return all(all(map(operator.lt, run, run[1:])) for run in rising)
+        (m0, c0), (m1, c1) = fam.pairs[0], fam.pairs[-1]
+        at_x0 = [m * (c0 - c1) + c * (m1 - m0) for m, c in fam.pairs]
+        return all(all(map(operator.lt, run, run[1:])) for run in (at_x0[:a], at_x0[a:]))
 
     return ("join order", holds, "is", True)
 
@@ -266,7 +266,7 @@ def _construct_F(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
         eps = min(scale, Fraction(1)) / 4
         low = contract(_construct_F(p - 1, q, l, scale, memo), _F_CARRIERS[0], eps)
         high = contract(_construct_F(p, q - 1, l, scale, memo), _F_CARRIERS[1], eps)
-        fam = _certify(f"F({p}, {q}, {l})", _join(low, high), (_join_order(len(low)),))
+        fam = _certify(f"F({p}, {q}, {l})", _join(low, high), (_join_test(len(low)),))
     memo[p, q, l] = fam
     return fam
 
@@ -276,29 +276,29 @@ def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
     4-cell unbounded to the right.
 
     The carriers y = x + 2 and y = 2x + 2 are replaced by contracted copies
-    of the (p-1, q) and the (p, q-1) family. With eps <= 1/4, contract puts
-    their vertices within 1/8 of (-3, -1) and (-3/2, -1) and their slopes
-    within 1/8 of 1 and 2, so two low lines cross left of x = -2, two high
-    ones in (-2, -5/4) and a low and a high one right of -5/4, as each join
-    checks (_join_order). Crossings rise along a cup, so it takes at most
-    one high line after low ones, and a cap at most one low line before
-    high ones; no three lines meet at a low-high crossing. Hence cup =
-    max(cup_low + 1, cup_high), cap = max(cap_low, cap_high + 1) and
-    concurrency = max(conc_low, conc_high, 2).
+    of the (p-1, q) and the (p, q-1) family, whose vertices contract puts
+    near (-3, -1) and (-3/2, -1), left of the carriers' crossing (0, 2).
+    Put the a low lines first in slope order and let X0 be where lines 0
+    and n-1 cross. Each join checks that each part is in slope order at X0
+    (_join_test), which holds just when every crossing inside a part lies
+    strictly left of every low-high crossing. X0 is one of the latter; and
+    at the rightmost crossing x* inside a part, line 0 is the lowest low
+    line and line n-1 the highest high one, n-1 below 0 as x* < X0, so no
+    low-high pair crosses before x*. Crossings rise along a cup, so it
+    takes at most one high line after low ones, and a cap at most one low
+    line before high ones; no three lines meet at a low-high crossing.
+    Hence cup = max(cup_low + 1, cup_high), cap = max(cap_low,
+    cap_high + 1) and concurrency = max(conc_low, conc_high, 2).
 
     The same order bounds the right staircases, whatever the two parts.
-    With a low lines first in slope order, the right staircase r lies
-    above lines 0..r-1 and below the rest, so above the low line 0 and
-    below the high line n-1. The order test puts every high line below
-    every low one at x = -5/4, and a low and a high line cross only right
-    of it, so line n-1 lies below line 0 for all x <= -5/4 and every
-    staircase lies in x > -5/4. There two low lines, which cross left of
-    -2, and two high lines, which cross left of -5/4, are in slope order,
-    so the envelope of any run of one bundle is a single line: staircase
-    r is bounded by at most lines r-1 and r and line a-1 (r > a) or line
-    a (r < a). No join has a right-unbounded 4-cell, and by induction
-    from the certified base families (for p = 2 their mirror, which keeps
-    left and right) neither has F(p, q, l), so nothing is left to measure.
+    The right staircase r lies above lines 0..r-1 and below the rest, so
+    above line 0 and below line n-1, that is right of X0. There each part
+    is in slope order, so the envelope of any run of one part is a single
+    line: staircase r is bounded by at most lines r-1 and r and line a-1
+    (r > a) or line a (r < a). No join has a right-unbounded 4-cell, and
+    by induction from the certified base families (for p = 2 their mirror,
+    which keeps left and right) neither has F(p, q, l), so nothing is left
+    to measure.
     """
     spec = ConstructionSpec("recursive_pq", p=p, q=q, l=l, epsilon_scale=epsilon_scale)
     fam = _construct_F(p, q, l, spec.epsilon_scale, {})

@@ -1,4 +1,5 @@
 import ast
+import collections
 import gc
 import hashlib
 import itertools
@@ -302,7 +303,7 @@ def test_join_order_is_what_bounds_the_chains(monkeypatch):
     # off, the joins of F(4, 4, 4) build a 6-cup and a 6-cap
     shift_high_bundles(monkeypatch, 3)
     monkeypatch.setattr(
-        constructions, "_join_order", lambda a: ("join order", lambda fam: True, "is", True)
+        constructions, "_join_test", lambda a: ("join order", lambda fam: True, "is", True)
     )
     fam = constructions._construct_F(4, 4, 4, Fraction(1), {})
     assert (longest_cup(fam).size, longest_cap(fam).size) == (6, 6)
@@ -319,7 +320,7 @@ def test_join_order_is_what_bounds_the_right_staircases(monkeypatch, p, lines):
     # cells that no join passing the order test can have
     shift_high_bundles(monkeypatch, 3)
     monkeypatch.setattr(
-        constructions, "_join_order", lambda a: ("join order", lambda fam: True, "is", True)
+        constructions, "_join_test", lambda a: ("join order", lambda fam: True, "is", True)
     )
     assert right_cell(constructions._construct_F(p, p, 4, Fraction(1), {})) == lines
 
@@ -342,9 +343,24 @@ def test_any_join_in_order_has_no_right_4_cell():
         low = contract(random_part(rng), Line(1, 2), eps)
         high = contract(random_part(rng), Line(2, 2), eps)
         fam = constructions._join(low, high)
-        assert constructions._join_order(len(low))[1](fam)
+        assert constructions._join_test(len(low))[1](fam)
         largest = max(largest, right_cell(fam))
     assert largest == 3
+    # nor where the carriers lie: any two with rising slopes, each bundle
+    # narrower than a quarter of their slope gap
+    outcomes = collections.Counter()
+    for _ in range(80):
+        m_low, m_high = (Fraction(m, 4) for m in sorted(rng.sample(range(-12, 13), 2)))
+        eps = (m_high - m_low) / rng.randint(5, 100)
+        low = contract(random_part(rng), Line(m_low, rng.randint(-9, 9)), eps)
+        high = contract(random_part(rng), Line(m_high, rng.randint(-9, 9)), eps)
+        fam = constructions._join(low, high)
+        holds = constructions._join_test(len(low))[1](fam)
+        assert holds is crossing_order(fam, len(low))
+        if holds:
+            check_join(low, high, fam)
+        outcomes[holds] += 1
+    assert outcomes == {True: 25, False: 55}
 
 
 def shifted(bundle, dx, dy):
@@ -356,20 +372,21 @@ def shifted(bundle, dx, dy):
     )
 
 
+def crossings(fam, pairs):
+    """The abscissae, in Fractions, where the pairs of lines of fam cross."""
+    lines = fam.lines
+    return [(lines[i].c - lines[j].c) / (lines[j].m - lines[i].m) for i, j in pairs]
+
+
 def crossing_order(fam, a):
-    """Whether, in Fractions, every crossing of two of the first a lines lies
-    left of x = -2, every one of two others in (-2, -5/4), and every one of
-    a first and another line right of -5/4."""
-    lines, n = fam.lines, len(fam)
-
-    def x(i, j):
-        return (lines[i].c - lines[j].c) / (lines[j].m - lines[i].m)
-
-    return (
-        all(x(i, j) < -2 for i, j in itertools.combinations(range(a), 2)),
-        all(-2 < x(i, j) < Fraction(-5, 4) for i, j in itertools.combinations(range(a, n), 2)),
-        all(x(i, j) > Fraction(-5, 4) for i in range(a) for j in range(a, n)),
-    )
+    """Whether, in Fractions, every crossing of two of the first a lines or
+    of two others lies strictly left of every crossing of a first and
+    another line."""
+    n = len(fam)
+    inside = crossings(fam, itertools.combinations(range(a), 2))
+    inside += crossings(fam, itertools.combinations(range(a, n), 2))
+    across = min(crossings(fam, itertools.product(range(a), range(a, n))))
+    return all(x < across for x in inside)
 
 
 def test_join_order_reads_every_crossing():
@@ -377,44 +394,59 @@ def test_join_order_reads_every_crossing():
     constructions._construct_F(4, 4, 4, Fraction(1), memo)
     low = contract(memo[3, 4, 4], Line(1, 2), Fraction(1, 4))
     high = contract(memo[4, 3, 4], Line(2, 2), Fraction(1, 4))
-    seen = set()
+    # the low bundle moved right by 2 and up by 2: its crossings pass the
+    # high bundle's, and both stay left of every low-high crossing
+    crossed = shifted(low, Fraction(-2), 2)
+    # a pencil split in two meets at X0, where the test ties and refuses
+    joins = [(crossed, high), (pencil(Point(0, 1), 2, (1, 2)), pencil(Point(0, 1), 2, (3, 4)))]
     for dx in (Fraction(k, 8) for k in range(-16, 25)):
         for dy in (0, 1):
-            for a, b in ((shifted(low, dx, dy), high), (low, shifted(high, dx, dy))):
-                fam = constructions._join(a, b)
-                order = crossing_order(fam, len(a))
-                assert constructions._join_order(len(a))[1](fam) is all(order), (dx, dy)
-                seen.add(order)
-    # the sweep keeps the order and breaks each of its three conditions alone
-    alone = {(False, True, True), (True, False, True), (True, True, False)}
-    assert {(True, True, True)} | alone <= seen
+            joins += [(shifted(low, dx, dy), high), (low, shifted(high, dx, dy))]
+    seen = set()
+    for a, b in joins:
+        fam = constructions._join(a, b)
+        order = crossing_order(fam, len(a))
+        assert constructions._join_test(len(a))[1](fam) is order
+        seen.add(order)
+    assert seen == {True, False}
+    fam, a = constructions._join(crossed, high), len(crossed)
+    low_low = crossings(fam, itertools.combinations(range(a), 2))
+    high_high = crossings(fam, itertools.combinations(range(a, len(fam)), 2))
+    assert min(low_low) > max(high_high) and crossing_order(fam, a)
+    check_join(crossed, high, fam)
 
 
 def chain_figures(fam):
     return longest_cup(fam).size, longest_cap(fam).size, max_concurrency(fam).max_count
 
 
-def check_join_rule(p, q, l, scale):
-    """Each join of F(p, q, l) at this scale has, by the census, the cup
+def check_join(low, high, fam):
+    """fam, the join of low and high, has by the census the cup
     max(cup_low + 1, cup_high), the cap max(cap_low, cap_high + 1) and the
-    concurrency max(conc_low, conc_high, 2) of its two bundles, within the
-    contract, and no right-unbounded cell of more than 3 lines. Returns the
-    number of joins."""
+    concurrency max(conc_low, conc_high, 2) of its two bundles, and no
+    right-unbounded cell of more than 3 lines. Returns its figures."""
+    cup_low, cap_low, conc_low = chain_figures(low)
+    cup_high, cap_high, conc_high = chain_figures(high)
+    figures = chain_figures(fam)
+    assert figures == (
+        max(cup_low + 1, cup_high),
+        max(cap_low, cap_high + 1),
+        max(conc_low, conc_high, 2),
+    )
+    # construct_F proves no join has a right-unbounded 4-cell
+    assert max(map(len, oracles.scan_staircases(fam, "right"))) <= 3
+    return figures
+
+
+def check_join_rule(p, q, l, scale):
+    """Each join of F(p, q, l) at this scale keeps the join rule of its two
+    bundles (check_join) within the contract. Returns the number of joins."""
     memo = {}
     constructions._construct_F(p, q, l, Fraction(scale), memo)
     joins = [(a, b) for a, b, _ in memo if a >= 3 and b >= 3]
     for a, b in joins:
-        cup_low, cap_low, conc_low = chain_figures(memo[a - 1, b, l])
-        cup_high, cap_high, conc_high = chain_figures(memo[a, b - 1, l])
-        cup, cap, conc = chain_figures(memo[a, b, l])
-        assert (cup, cap, conc) == (
-            max(cup_low + 1, cup_high),
-            max(cap_low, cap_high + 1),
-            max(conc_low, conc_high, 2),
-        ), (a, b)
+        cup, cap, conc = check_join(memo[a - 1, b, l], memo[a, b - 1, l], memo[a, b, l])
         assert cup <= a and cap <= b and conc < l, (a, b)
-        # construct_F proves no join has a right-unbounded 4-cell
-        assert max(map(len, oracles.scan_staircases(memo[a, b, l], "right"))) <= 3, (a, b)
     return len(joins)
 
 

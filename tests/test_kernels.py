@@ -748,9 +748,8 @@ def test_kernels_off_the_chain_dp_leave_the_frame_unbuilt(use):
 @pytest.mark.parametrize(
     "use", [find_unbounded_cell, has_k_cell_unbounded], ids=lambda use: use.__name__
 )
-def test_staircases_leave_both_key_tables_unbuilt(use, side):
-    # the view keeps one n^2 table, the frame; the staircases read neither it
-    # nor the crossing order it was once split from
+def test_staircases_leave_the_frame_unbuilt(use, side):
+    # the view keeps one n^2 table, the frame, and the staircases do not read it
     _assert_frame_unbuilt(lambda fam: use(fam, 3, side))
 
 
