@@ -15,21 +15,20 @@ either zero rays (bounded) or exactly two; both right gives unbounded_right,
 both left unbounded_left, one each unbounded_other (wedges, half-planes and
 the top/bottom cells).
 
-The cells read the order of the crossing abscissae, ties included, off
-the family's frame (IntegerView.frame, the crossings sorted by key,
-shared with the split DP). bounding_lines and classify_cell walk it once
-(_pieces), counting the lines each line is on the wrong side of: it
-bounds the cell from a crossing after which that count is 0 to its next
-crossing, or is a ray. The vertices come off the same frame: a crossing
-tied with neither neighbour is a two-line vertex, and a run of tied
-crossings splits into the vertices on it. The concurrency report and
-profile need no frame: they read IntegerView.census, and the report
-builds a Point only for its first vertex. Cell enumeration sweeps the
-vertices in Point order and reads every cell off their sectors: sign
-vectors as bit masks carried along each line, bounding sets and classes
-from the lines that form each sector and which of their pieces are rays
-(a count of the crossings made on each line says which vertex is its
-first or last), and one witness per cell.
+bounding_lines and classify_cell read those intervals off the exact
+crossing keys in one pass over IntegerView.rows(), which keeps each
+line's greatest left end and least right end (_pieces) and holds one row
+at a time. The vertices come off the family's frame (IntegerView.frame,
+the crossings sorted by key, shared with the split DP): a crossing tied
+with neither neighbour is a two-line vertex, and a run of tied crossings
+splits into the vertices on it. The concurrency report and profile need
+no frame: they read IntegerView.census, and the report builds a Point
+only for its first vertex. Cell enumeration sweeps the vertices in Point
+order and reads every cell off their sectors: sign vectors as bit masks
+carried along each line, bounding sets and classes from the lines that
+form each sector and which of their pieces are rays (a count of the
+crossings made on each line says which vertex is its first or last), and
+one witness per cell.
 
 Lines are in convex position when one cell is bounded by all of them.
 The lines below that cell form a cup and the lines above it a cap, and
@@ -88,47 +87,36 @@ def _check_signs(family: LineFamily, signs: Sequence[int]) -> SignVector:
     return signs
 
 
-def _pieces(family: LineFamily, signs: Sequence[int]) -> Dict[int, tuple]:
-    """Line i -> (s, e) for every line i on the boundary of the cell named
-    by signs: its piece runs from its crossing with line s to the one with
-    line e, and s (e) is None for a ray to the left (right).
+def _pieces(family: LineFamily, signs: Sequence[int]) -> Dict[int, Tuple[int, int]]:
+    """Line i -> (lo, hi) for every line i on the boundary of the cell
+    named by signs: the keys of the crossings where its piece starts and
+    ends, -key_sentinel (key_sentinel) for a ray to the left (right).
 
-    One walk down the frame. viol[i] counts the lines that line i is on the
-    wrong side of just right of the walk; at a crossing the two lines swap
-    sides. Line i's points in the cell form one open interval, so its piece
-    starts after a batch of tied crossings that leaves viol[i] at 0, and
-    ends at its next crossing.
+    One pass over the crossing rows keeps each line's greatest left end
+    and least right end. For i < j, line i lies above line j left of
+    X_ij, so line j gives line i a left end (x > X_ij) when the cell is
+    below j and a right end otherwise, and line i gives line j a left end
+    when the cell is above i. Line i bounds the cell exactly when lo < hi:
+    exact keys are equal only at one abscissa, so ties need no care.
 
     Raises InfeasibleSignVectorError when no point realizes the signs (the
     cell is empty exactly when no line has a piece).
     """
     signs = _check_signs(family, signs)
-    n = len(signs)
-    up = [s > 0 for s in signs]
-    # far left, line i lies above exactly the lines of higher slope: wrong
-    # for the lines j < i that the cell is above and the j > i it is below
-    ups = list(accumulate(up, initial=0))
-    viol = [ups[i] + (n - 1 - i) - (ups[n] - ups[i + 1]) for i in range(n)]
-    start = {i: None for i, v in enumerate(viol) if not v}
-    pieces = {}
-    batch = []
-    for x, y, more in zip(*family.view.frame):
-        if x in start:
-            pieces[x] = start.pop(x), y
-        if y in start:
-            pieces[y] = start.pop(y), x
-        # x < y: line x passes from above line y to below it
-        viol[x] += 1 if up[y] else -1
-        viol[y] -= 1 if up[x] else -1
-        batch.append((x, y))
-        if not more:
-            for x, y in batch:
-                if not viol[x]:
-                    start.setdefault(x, y)
-                if not viol[y]:
-                    start.setdefault(y, x)
-            batch = []
-    pieces.update((i, (s, None)) for i, s in start.items())
+    view = family.view
+    n, far = len(signs), view.key_sentinel
+    above = [s > 0 for s in signs]
+    below = [s < 0 for s in signs]
+    lo, hi = [-far] * n, [far] * n
+    for i, row in enumerate(view.rows()):
+        rest = slice(i + 1, n)
+        lo[i] = max(lo[i], max(compress(row, below[rest]), default=-far))
+        hi[i] = min(hi[i], min(compress(row, above[rest]), default=far))
+        if above[i]:
+            lo[rest] = map(max, lo[rest], row)
+        else:
+            hi[rest] = map(min, hi[rest], row)
+    pieces = {i: ends for i, ends in enumerate(zip(lo, hi)) if ends[0] < ends[1]}
     if not pieces:
         raise InfeasibleSignVectorError(f"no cell has sign vector {signs}")
     return pieces
@@ -151,8 +139,9 @@ def _bound_class(rays_right: int, rays_left: int) -> BoundClass:
 
 def classify_cell(family: LineFamily, signs: Sequence[int]) -> BoundClass:
     """Boundedness class from the directions of the cell's boundary rays."""
+    far = family.view.key_sentinel
     ends = _pieces(family, signs).values()
-    return _bound_class(sum(e is None for _, e in ends), sum(s is None for s, _ in ends))
+    return _bound_class(sum(hi == far for _, hi in ends), sum(lo == -far for lo, _ in ends))
 
 
 def _tie_runs(tied):
@@ -314,17 +303,14 @@ def enumerate_cells(family: LineFamily) -> Tuple[Cell, ...]:
 
 def max_concurrency(family: LineFamily) -> ConcurrencyReport:
     """Largest number of family lines through a common point."""
-    n = len(family)
-    if n < 2:
-        return ConcurrencyReport(n, None)
-    census = family.view.census
-    return ConcurrencyReport(max(census.groups) + 1, family.view.vertex(*census.first))
+    view = family.view
+    census = view.census
+    # one line has no vertex: no groups and no first
+    return ConcurrencyReport(max(census.groups, default=0) + 1, census.first and view.vertex(*census.first))
 
 
 def concurrency_profile(family: LineFamily) -> Dict[int, int]:
     """Map from concurrency count (>= 2) to number of vertices attaining it."""
-    if len(family) < 2:
-        return {}
     # groups[t] counts the vertices on more than t lines
     groups = family.view.census.groups
     exact = {t + 1: v - groups.get(t + 1, 0) for t, v in groups.items()}
@@ -533,7 +519,12 @@ def convex_position_cell(family: LineFamily) -> Optional[Cell]:
     for i in below:
         signs[i] = 1
     signs = tuple(signs)
-    start, end = _pieces(family, signs)[0]
+    # row 0 holds every crossing of line 0, keys(j) = key(0, j): its piece
+    # starts at the last line, in key order, that the cell is below and ends
+    # at the first one that it is above
+    keys = [0, *next(view.rows())].__getitem__
+    start = max((j for j in range(1, n) if signs[j] < 0), key=keys, default=None)
+    end = min((j for j in range(1, n) if signs[j] > 0), key=keys, default=None)
     # step up or down off line 0 at x = a/b, the middle of its piece or 1
     # past its one finite end; the piece ends where line j > 0 crosses it,
     # at X_0j = p/q

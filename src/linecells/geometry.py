@@ -216,12 +216,13 @@ class IntegerView:
     ``key(i, j)`` computes one key, ``rows()`` the keys line by line.
     ``census``, read off the rows in one pass, on coarse keys where a
     certificate allows, is all that certification needs: the longest cup
-    and cap and the concurrency. ``frame``, the one
-    n^2 table, is the crossings sorted once by key, as their lines and
-    whether the next one ties: the split DP, the cell predicates and cell
-    enumeration walk it. ``rim`` holds the n pairs whose crossings hold
-    the extreme vertices, and ``key_sentinel`` is read off them. The
-    tables are built on first use and live as long as the family does.
+    and cap and the concurrency; the staircases and the cell predicates
+    read keys too. ``frame``, the one n^2 table, is the crossings sorted
+    once by key, as their lines and whether the next one ties: the split
+    DP and cell enumeration walk it. ``rim`` holds the n pairs whose
+    crossings hold the extreme vertices, and ``key_sentinel`` is read off
+    them. The tables are built on first use and live as long as the
+    family does.
     """
 
     def __init__(self, scale: int, pairs: Tuple[Tuple[int, int], ...]):

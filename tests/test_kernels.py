@@ -18,6 +18,7 @@ from linecells import (
     InfeasibleSignVectorError,
     Line,
     LineFamily,
+    RenderOptions,
     bounding_lines,
     classify_cell,
     cli_main,
@@ -387,6 +388,12 @@ def test_cell_predicates_match_interval_scan(fam):
     check_cell_predicates(fam)
 
 
+@pytest.mark.parametrize("name", ["F334", "fig5", "fig6"])
+def test_cell_predicates_match_interval_scan_on_bench_families(name):
+    # vertices of 3, 4 and 5 lines, where pieces end at tied crossings
+    check_cell_predicates(parse_family((FAMILIES / f"{name}.txt").read_text()))
+
+
 @KERNELS
 @given(pencil_families())
 def test_chain_dp_matches_cubic_dp(fam):
@@ -737,8 +744,14 @@ def test_certification_leaves_the_frame_unbuilt(use):
 
 @pytest.mark.parametrize(
     "use",
-    [lambda fam: has_k_cell_unbounded(fam, 4, "right"), render_svg],
-    ids=["has_k_cell_unbounded", "render_svg"],
+    [
+        lambda fam: has_k_cell_unbounded(fam, 4, "right"),
+        render_svg,
+        lambda fam: bounding_lines(fam, (1,) * len(fam)),
+        lambda fam: classify_cell(fam, (1,) * len(fam)),
+        lambda fam: render_svg(fam, RenderOptions(highlight=(1,) * len(fam))),
+    ],
+    ids=["has_k_cell_unbounded", "render_svg", "bounding_lines", "classify_cell", "render_svg_highlight"],
 )
 def test_kernels_off_the_chain_dp_leave_the_frame_unbuilt(use):
     _assert_frame_unbuilt(use)
