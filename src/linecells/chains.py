@@ -12,13 +12,14 @@ products, lives in tests/oracles.py, and the tests check both against it.
 Longest chain: a chain of dual points in x-order is a strict cup exactly
 when its edge slopes strictly decrease, and a strict cap when they
 strictly increase, so when the crossing keys along it strictly rise or
-fall. IntegerView.census finds the longest of each in one pass over the
-rows of keys, per line the tail array of the longest increasing
-subsequence, and walks the tails back to the witness of the DP that
-sorts the crossings by key (tests/oracles.py). The pass, cached on the
-view, builds no n^2 table, and reads coarse keys, 64 bits wide at first,
-which it accepts only when every key a row repeats is one crossing: then
-every step is the exact pass's (IntegerView.census).
+fall. IntegerView.census finds the longest of each at the leaves of the
+family's joins, in one pass over each leaf's rows of keys, per line the
+tail array of the longest increasing subsequence, and walks the tails
+back to the witness of the DP that sorts the crossings by key
+(tests/oracles.py); a join's chains follow from its parts'. The census,
+cached on the view, builds no n^2 table, and reads coarse keys, 64 bits
+wide at first, which it accepts only when every key a row repeats is one
+crossing: then every step is the exact pass's (IntegerView.census).
 
 Unbounded cells admit a closed sign-vector form. In slope order, a cell
 unbounded to the right must lie above a prefix of the lines and below the

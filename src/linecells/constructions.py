@@ -20,7 +20,9 @@ proving the rest from tests it runs:
 - construct_F measures nothing: at each join an O(n) test, that each
   part is in slope order where the outermost two lines cross, proves the
   joined family's cup, cap and concurrency from its two parts' and
-  bounds each of its right staircases by three lines (construct_F).
+  bounds each of its right staircases by three lines (construct_F). The
+  test is geometry.in_join_order, by which the census finds the joins of
+  any family it measures, so verify reads rows only at their leaves.
 - The thm12 scaffold compares the roots of its two halves' lines, which
   proves its concurrency 2 (_thm12_scaffold); the prop32 scaffold is a
   recursive family moved by maps that keep sign vectors.
@@ -47,7 +49,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from .arrangement import max_concurrency
 from .chains import has_k_cell_unbounded, longest_cap, longest_cup
 from .errors import ConstructionError, ParameterRangeError, at_least
-from .geometry import Line, LineFamily, Point, Rat, _as_rat, format_rat, parse_rat
+from .geometry import Line, LineFamily, Point, Rat, _as_rat, format_rat, in_join_order, parse_rat
 from .verify import find_n_convex, lower_bound_value
 
 
@@ -237,15 +239,9 @@ def _join(*families: LineFamily) -> LineFamily:
 
 def _join_test(a: int):
     """construct_F's check on a low lines joined to the high ones: each part
-    rises in slope order at X0, where lines 0 and n-1 cross. Line (m, c) is
-    there m*(c0 - c_n-1) + c*(m_n-1 - m0) over a positive denominator."""
-
-    def holds(fam: LineFamily) -> bool:
-        (m0, c0), (m1, c1) = fam.pairs[0], fam.pairs[-1]
-        at_x0 = [m * (c0 - c1) + c * (m1 - m0) for m, c in fam.pairs]
-        return all(all(map(operator.lt, run, run[1:])) for run in (at_x0[:a], at_x0[a:]))
-
-    return ("join order", holds, "is", True)
+    rises in slope order at X0, where lines 0 and n-1 cross (in_join_order,
+    the test by which the census finds joins)."""
+    return ("join order", lambda fam: in_join_order(fam.pairs, 0, a, len(fam)), "is", True)
 
 
 def _construct_F(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
@@ -281,10 +277,8 @@ def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
     Put the a low lines first in slope order and let X0 be where lines 0
     and n-1 cross. Each join checks that each part is in slope order at X0
     (_join_test), which holds just when every crossing inside a part lies
-    strictly left of every low-high crossing. X0 is one of the latter; and
-    at the rightmost crossing x* inside a part, line 0 is the lowest low
-    line and line n-1 the highest high one, n-1 below 0 as x* < X0, so no
-    low-high pair crosses before x*. Crossings rise along a cup, so it
+    strictly left of every low-high crossing (geometry.in_join_order, the
+    test by which the census finds joins). Crossings rise along a cup, so it
     takes at most one high line after low ones, and a cap at most one low
     line before high ones; no three lines meet at a low-high crossing.
     Hence cup = max(cup_low + 1, cup_high), cap = max(cap_low,

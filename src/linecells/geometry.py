@@ -9,10 +9,12 @@ line y = (M*x + C) / S, with gcd(S, all M and C) = 1 (see LineFamily); its
 Fraction Lines are derived on demand. The predicates work on
 ``LineFamily.view``, the crossing keys and tables of that form (see
 IntegerView). This module alone knows the crossing-key formula. The
-census reads coarse keys, floor(X * 2^bits) for bits far below the exact
-key's width, and accepts them only when every key a row repeats is one
-crossing, by the exact keys: an integer filter whose answers are the exact
-ones (IntegerView.census).
+census splits a family into joins by an O(n) order test (in_join_order),
+derives a join's answers from its parts', and reads crossing rows only at
+the leaves. There it reads coarse keys, floor(X * 2^bits) for bits far
+below the exact key's width, and accepts them only when every key a row
+repeats is one crossing, by the exact keys: an integer filter whose
+answers are the exact ones (IntegerView.census).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, islice
 from math import gcd, lcm
-from operator import eq, lt, neg
+from operator import eq, lt, neg, sub
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import DuplicateSlopeError
@@ -214,12 +216,12 @@ class IntegerView:
     exact integer key for comparing and grouping crossings.
 
     ``key(i, j)`` computes one key, ``rows()`` the keys line by line.
-    ``census``, read off the rows in one pass, on coarse keys where a
-    certificate allows, is all that certification needs: the longest cup
-    and cap and the concurrency; the staircases and the cell predicates
-    read keys too. ``frame``, the one n^2 table, is the crossings sorted
-    once by key, as their lines and whether the next one ties: the split
-    DP and cell enumeration walk it. ``rim`` holds the n pairs whose
+    ``census``, derived over the family's joins and read off the rows at
+    their leaves, on coarse keys where a certificate allows, is all that
+    certification needs: the longest cup and cap and the concurrency; the
+    staircases and the cell predicates read keys too. ``frame``, the one
+    n^2 table, is the crossings sorted once by key, as their lines and
+    whether the next one ties: the split DP and cell enumeration walk it. ``rim`` holds the n pairs whose
     crossings hold the extreme vertices, and ``key_sentinel`` is read off
     them. The tables are built on first use and live as long as the
     family does.
@@ -227,7 +229,7 @@ class IntegerView:
 
     def __init__(self, scale: int, pairs: Tuple[Tuple[int, int], ...]):
         self.scale, self.pairs = scale, pairs
-        self.shift = 2 * (pairs[-1][0] - pairs[0][0]).bit_length()
+        self.shift = _shift(pairs[0][0], pairs[-1][0])
 
     def key(self, i: int, j: int) -> int:
         """The key of X_ij, floor(X_ij * 2^shift), for lines i != j."""
@@ -236,68 +238,157 @@ class IntegerView:
     def rows(self) -> Iterator[List[int]]:
         """Row i of the crossing keys, [key(i, j) for j > i], for each line
         i in turn: a pass over the rows holds one row at a time."""
-        return self._rows(self.shift)
+        return _rows(self.pairs, self.shift)
 
     def _key(self, i: int, j: int, bits: int) -> int:
         """floor(X_ij * 2^bits): the key at bits = shift, a coarse key below."""
         (mi, ci), (mj, cj) = self.pairs[i], self.pairs[j]
         return ((cj - ci) << bits) // (mi - mj)
 
-    def _rows(self, bits: int) -> Iterator[List[int]]:
-        """rows() at 2^bits."""
-        ms = [m for m, _ in self.pairs]
-        cs = [c << bits for _, c in self.pairs]
-        for i, (mi, ci) in enumerate(zip(ms, cs)):
-            yield [(cj - ci) // (mi - mj) for mj, cj in zip(ms[i + 1 :], cs[i + 1 :])]
-
     @cached_property
     def census(self) -> Census:
         """(cup, cap, groups, first): a longest cup and cap, as lines in
         slope order; groups[t], the number of vertices on more than t
         lines; and two lines through the first vertex, in Point order,
-        where the most lines meet. One pass over rows() finds them all.
+        where the most lines meet.
 
-        Keys strictly rise along a cup and fall along a cap: per line, the
-        pass keeps the tail array of the longest increasing subsequence
-        (Fredman 1975), O(n) keys per chain size (_extend), and a walk back
-        over the tails gives the witness (_walk); caps take the negated
-        keys. For lines h < i < j in slope order, (M_j - M_h) X_hj =
-        (M_i - M_h) X_hi + (M_j - M_i) X_ij with positive weights, so X_hj
-        lies strictly between X_hi and X_ij when they differ, as its key
-        does between theirs. Dropping i from a chain through h, i, j leaves
-        one at a lower key: each tail strictly rises. A vertex on k lines
-        meets its k - 1 lowest lines in a key group each, of sizes k - 1
-        down to 1, so groups of size t count the vertices on more than t
-        lines.
+        The census divides the lines, in slope order, into joins. A range
+        lo..hi-1 of two or more lines is split before line a, at its
+        largest slope gap M_a - M_(a-1), the first one if several tie. When
+        the join test holds on the split (in_join_order), the range's
+        census is combined from its two parts'; otherwise the range is a
+        leaf, measured by one pass over its rows (_measure). A single line
+        is the census ((lo,), (lo,), {}, None). So a family whose first
+        split fails is measured as a whole, and only the leaves of a
+        family of joins read crossing keys.
 
-        The pass reads coarse keys c(X) = floor(X * 2^bits), bits at most
-        shift (_census). A floor keeps order weakly, so c(X_hj) lies
-        between c(X_hi) and c(X_ij), and equals both when they are equal.
-        A pass is accepted under a certificate: each key that a row
-        repeats is one crossing, as the exact keys of its lines show. Then
-        it is the exact pass, step for step. Were a key X_hi in line i's
-        tail and a key X_ij of row i different but coarsely equal, c(X_hj)
-        would equal both while X_hj, strictly between them, differs from
-        X_hi, and row h, read earlier, would have failed. So each bisect
-        finds the exact position, and after each update every tail entry
-        is the coarse key of the exact pass's entry (a coarse tie leaves
-        the same key whether or not the exact pass replaces): chain
-        lengths, groups and first agree. The pass tries the precisions of
-        _CENSUS_BITS below shift in turn, then shift itself, where distinct
-        crossings have distinct keys and the certificate holds by itself.
+        The combine rules. The join test puts every crossing inside a part
+        strictly left of every crossing of a low line i < a with a high
+        line j >= a (in_join_order). Right of the former, each part's lines
+        run in slope order and cross no more, so a high line j, steeper
+        than every low line, meets them from the lowest up: X_ij rises
+        with i, and for the same reason falls with j. No three lines meet
+        at a low-high crossing, since two of them would be of one part.
+        The census's witness is the DP that takes the crossings by key and
+        lets a line adopt a predecessor only on a strict gain, the first
+        line with a longest chain ending the witness
+        (oracles.tuple_sort_chain). A cup takes the keys ascending: first
+        every crossing inside a part, which is each part's own DP (a tie
+        batch never mixes the parts, whose lines are disjoint), then the
+        low-high ones, which update high lines only, from low lines whose
+        chains are final. High line j, taking i ascending, adopts the
+        first low line with a longest low cup, where the low witness ends,
+        when that cup and j outnumber j's own chain. So every high line
+        ends a chain of the larger of its own and len(low.cup) + 1 lines,
+        and the witness ends at the first with the most. With low and high
+        the parts' censuses, that is line a, with low.cup + (a,), when
+        len(low.cup) + 1 > len(high.cup), or when the two are equal and
+        line a's own chain is shorter, that is high.cup[-1] != a; otherwise
+        it is high.cup. A cap takes the keys descending: the low-high crossings come first,
+        when every chain has one line, and each high line takes line a - 1,
+        the first it meets. That adds one to every high chain, which
+        changes no choice of the high part's own DP. So the cap is low.cap
+        when len(low.cap) >= len(high.cap) + 1 and (a - 1,) + high.cap
+        otherwise. Each low row gains hi - a crossings met by no other
+        line of the row, so groups is the sum of the parts' groups plus
+        (a - lo) * (hi - a) at groups[1]. first is kept only where a vertex
+        has three or more lines, which low-high crossings never have: it
+        is the least, by vertex_key, of the parts' firsts among the parts
+        with the largest group, so that of the leaves' firsts among the
+        leaves with the largest group. When no vertex has three lines, the
+        first vertex is extreme, and the census reads it off the rim.
+
+        The leaf pass. Keys strictly rise along a cup and fall along a cap:
+        per line, the pass keeps the tail array of the longest increasing
+        subsequence (Fredman 1975), O(n) keys per chain size (_extend),
+        and a walk back over the tails gives the witness (_walk); caps
+        take the negated keys. For lines h < i < j in slope order, (M_j -
+        M_h) X_hj = (M_i - M_h) X_hi + (M_j - M_i) X_ij with positive
+        weights, so X_hj lies strictly between X_hi and X_ij when they
+        differ, as its key does between theirs. Dropping i from a chain
+        through h, i, j leaves one at a lower key: each tail strictly
+        rises. A vertex on k lines meets its k - 1 lowest lines in a key
+        group each, of sizes k - 1 down to 1, so groups of size t count the
+        vertices on more than t lines.
+
+        The leaf pass reads coarse keys c(X) = floor(X * 2^bits), bits at
+        most the leaf's shift, 2^shift at least the square of its slope
+        span, so that its keys are exact (_census). A floor keeps order
+        weakly, so c(X_hj) lies between c(X_hi) and c(X_ij), and equals
+        both when they are equal. A pass is accepted under a certificate:
+        each key that a row repeats is one crossing, as the exact keys of
+        its lines show. Then it is the exact pass, step for step. Were a
+        key X_hi in line i's tail and a key X_ij of row i different but
+        coarsely equal, c(X_hj) would equal both while X_hj, strictly
+        between them, differs from X_hi, and row h, read earlier, would
+        have failed. So each bisect finds the exact position, and after
+        each update every tail entry is the coarse key of the exact pass's
+        entry (a coarse tie leaves the same key whether or not the exact
+        pass replaces): chain lengths, groups and first agree. Each leaf
+        tries the precisions of _CENSUS_BITS below its shift in turn, then
+        the shift itself, where distinct crossings have distinct keys and
+        the certificate holds by itself.
         """
-        for bits in _CENSUS_BITS:
-            if bits < self.shift and (census := self._census(bits)) is not None:
-                return census
-        return self._census(self.shift)
+        pairs, n = self.pairs, len(self.pairs)
+        ms = [m for m, _ in pairs]
+        gaps = [*map(sub, ms[1:], ms)]
+        # groups and the leaves' firsts, as (largest group, first), are
+        # gathered over the whole tree; chains holds the (cup, cap) of the
+        # ranges done, low under high, and todo the ranges to do, each with
+        # the line it was split before once its parts are done
+        groups, firsts, chains, todo = [0] * (n + 1), [], [], [(0, n, None)]
+        while todo:
+            lo, hi, a = todo.pop()
+            if a is not None:
+                high_cup, high_cap = chains.pop()
+                low_cup, low_cap = chains.pop()
+                chains.append(_joined(low_cup, low_cap, high_cup, high_cap, a))
+                groups[1] += (a - lo) * (hi - a)
+            elif hi - lo == 1:
+                chains.append(((lo,), (lo,)))
+            else:
+                run = gaps[lo : hi - 1]
+                a = lo + 1 + run.index(max(run))
+                if in_join_order(pairs, lo, a, hi):
+                    todo += (lo, hi, a), (a, hi, None), (lo, a, None)
+                    continue
+                leaf = self._measure(lo, hi)
+                chains.append((leaf.cup, leaf.cap))
+                for t, c in leaf.groups.items():
+                    groups[t] += c
+                if leaf.first:
+                    firsts.append((max(leaf.groups), leaf.first))
+        top = max(firsts, default=(0,))[0]
+        # with no three lines concurrent, the first vertex is extreme
+        first = self._first([pair for t, pair in firsts if t == top] or self.rim)
+        cup, cap = chains[0]
+        return Census(cup, cap, {t: c for t, c in enumerate(groups) if c}, first)
 
-    def _census(self, bits: int) -> Optional[Census]:
-        """The census read off the keys at 2^bits, or None when a row
-        repeats a key at two different crossings."""
-        n = len(self.pairs)
+    def _measure(self, lo: int, hi: int) -> Census:
+        """The census of lines lo..hi-1, read off their rows: at the
+        precisions of _CENSUS_BITS below the range's shift, in turn, until
+        the certificate accepts one, else at that shift (census)."""
+        shift = _shift(self.pairs[lo][0], self.pairs[hi - 1][0])
+        for bits in _CENSUS_BITS:
+            if bits < shift and (census := self._census(bits, lo, hi)) is not None:
+                return census
+        return self._census(shift, lo, hi)
+
+    def _census(self, bits: int, lo: int = 0, hi: Optional[int] = None) -> Optional[Census]:
+        """The census of lines lo..hi-1 read off their keys at 2^bits, or
+        None when a row repeats a key at two different crossings; first
+        is None unless some vertex has three or more lines."""
+        pairs = self.pairs[lo:hi]
+        n = len(pairs)
+        exact = _shift(pairs[0][0], pairs[-1][0])
+
+        def key(h: int, j: int, bits: int = bits) -> int:
+            (mh, ch), (mj, cj) = pairs[h], pairs[j]
+            return ((cj - ch) << bits) // (mh - mj)
+
         cups, caps = [[] for _ in range(n)], [[] for _ in range(n)]
         groups, top, tops = [0] * (n + 1), 1, []
-        for i, row in enumerate(self._rows(bits)):
+        for i, row in enumerate(_rows(pairs, bits)):
             _extend(cups, i, row)
             _extend(caps, i, [*map(neg, row)])
             distinct = len(set(row))
@@ -309,12 +400,12 @@ class IntegerView:
             ordered = sorted(row)
             repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
             counts = {x: row.count(x) for x in repeated}
-            if bits < self.shift:
+            if bits < exact:
                 # the certificate: the lines of a repeated key meet line i at
                 # one point (list.index finds them, as row.count counts them,
                 # without hashing every key of the row)
                 for x, c in counts.items():
-                    if len({self.key(i, i + 1 + k) for k in _positions(row, x, c)}) > 1:
+                    if len({key(i, i + 1 + k, exact) for k in _positions(row, x, c)}) > 1:
                         return None
             groups[1] += distinct - len(counts)
             for c in counts.values():
@@ -325,13 +416,21 @@ class IntegerView:
             if most == top:
                 # line i meets each point once: its least key comes first
                 x = min(k for k, c in counts.items() if c == most)
-                tops.append((i, i + 1 + row.index(x)))
-        # with no three lines concurrent, the first vertex is extreme
-        first = min(tops or self.rim, key=lambda pair: self.vertex_key(*pair), default=None)
+                tops.append((lo + i, lo + i + 1 + row.index(x)))
+        first = self._first(tops)
         groups = {t: c for t, c in enumerate(groups) if c}
-        cup = _walk(cups, lambda h, j: self._key(h, j, bits), self.key)
-        cap = _walk(caps, lambda h, j: -self._key(h, j, bits), lambda h, j: -self.key(h, j))
+        cup = _walk(cups, key, lambda h, j: key(h, j, exact))
+        cap = _walk(caps, lambda h, j: -key(h, j), lambda h, j: -key(h, j, exact))
+        if lo:
+            cup, cap = tuple(lo + k for k in cup), tuple(lo + k for k in cap)
         return Census(cup, cap, groups, first)
+
+    def _first(self, pairs) -> Optional[Tuple[int, int]]:
+        """The pair of pairs whose crossing comes first in Point order, or
+        None if there is none."""
+        if len(pairs) == 1:
+            return pairs[0]
+        return min(pairs, key=lambda pair: self.vertex_key(*pair), default=None)
 
     @cached_property
     def frame(self) -> Frame:
@@ -407,6 +506,56 @@ class IntegerView:
         return Fraction(self.key_sentinel, 1 << self.shift)
 
 
+def _joined(low_cup, low_cap, high_cup, high_cap, a: int):
+    """The (cup, cap) of a join, from its low part's, of the lines before
+    line a, and its high part's (IntegerView.census)."""
+    gain = len(low_cup) + 1 - len(high_cup)
+    if gain > 0 or (gain == 0 and high_cup[-1] != a):
+        cup = low_cup + (a,)
+    else:
+        cup = high_cup
+    cap = low_cap if len(low_cap) >= len(high_cap) + 1 else (a - 1,) + high_cap
+    return cup, cap
+
+
+def in_join_order(pairs, lo: int, a: int, hi: int) -> bool:
+    """The join test on lines lo..hi-1 of pairs, in slope order, split
+    before line a: each part rises in slope order at X0, where lines lo and
+    hi-1 cross. Line (m, c) is there m*(c_lo - c_hi-1) + c*(m_hi-1 - m_lo)
+    over a positive denominator.
+
+    It holds just when every crossing inside a part lies strictly left of
+    every crossing of a low and a high line. Two lines of a part stand in
+    slope order at X0 just when they cross left of it, and X0 is a
+    low-high crossing. Conversely, if each part rises at X0, then at the
+    rightmost crossing x* inside a part, x* < X0, line lo is the lowest
+    low line and line hi-1 the highest high one, and hi-1 is below lo:
+    every high line is below every low line, so no low-high pair has
+    crossed before X0. construct_F certifies each of its joins by this
+    test, and the census finds the joins of any family by it
+    (IntegerView.census).
+    """
+    (m0, c0), (m1, c1) = pairs[lo], pairs[hi - 1]
+    dc, dm = c0 - c1, m1 - m0
+    at = [m * dc + c * dm for m, c in pairs[lo:hi]]
+    k = a - lo
+    return all(map(lt, at[:k], at[1:k])) and all(map(lt, at[k:], at[k + 1 :]))
+
+
+def _shift(m_lo: int, m_hi: int) -> int:
+    """A shift with 2^shift >= D^2 for the slope span D = m_hi - m_lo:
+    crossing keys at it are exact on lines whose slopes lie in the span."""
+    return 2 * (m_hi - m_lo).bit_length()
+
+
+def _rows(pairs, bits: int) -> Iterator[List[int]]:
+    """Row i of the keys at 2^bits of the crossings of pairs, for each i."""
+    ms = [m for m, _ in pairs]
+    cs = [c << bits for _, c in pairs]
+    for i, (mi, ci) in enumerate(zip(ms, cs)):
+        yield [(cj - ci) // (mi - mj) for mj, cj in zip(ms[i + 1 :], cs[i + 1 :])]
+
+
 def _extend(keys, i: int, row: List[int]) -> None:
     """Extend the chains ending at line i by each line j > i, X_ij in row:
     keys[j][s] is the least last key X_hj of a chain of s + 2 lines.
@@ -440,7 +589,7 @@ def _walk(keys, key, exact) -> Tuple[int, ...]:
     for s in reversed(range(len(keys[j]))):
         x = keys[j][s]
         reached = [h for h in range(j) if key(h, j) == x and bisect_left(keys[h], x) == s]
-        j = min((exact(h, j), h) for h in reached)[1]
+        j = reached[0] if len(reached) == 1 else min((exact(h, j), h) for h in reached)[1]
         out.append(j)
     return tuple(reversed(out))
 

@@ -5,6 +5,7 @@ repeated crossing abscissae are common.
 """
 
 import ast
+import collections
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -18,6 +19,7 @@ from linecells import (
     InfeasibleSignVectorError,
     Line,
     LineFamily,
+    Point,
     RenderOptions,
     bounding_lines,
     classify_cell,
@@ -39,11 +41,12 @@ from linecells import (
     longest_cup,
     max_concurrency,
     parse_family,
+    pencil,
     reflect_y,
     render_svg,
     verify_properties,
 )
-from linecells import arrangement
+from linecells import arrangement, constructions, geometry
 from linecells.chains import _staircases
 from linecells.constructions import _lift
 from linecells.geometry import IntegerView
@@ -520,18 +523,26 @@ def test_census_at_a_coarse_column_tie_walks_on_the_exact_keys():
     assert check_census_at(fam, 1)
 
 
-def census_precisions(fam):
-    """The precisions the census of fam reads its keys at, in turn."""
-    tried, census_at = [], IntegerView._census
+def leaf_passes(fam, run):
+    """(bits, lo, hi) of each pass over the rows of lines lo..hi-1 that
+    run(view) makes on a fresh view of fam, in turn."""
+    passes, census_at = [], IntegerView._census
 
-    def spy(view, bits):
-        tried.append(bits)
-        return census_at(view, bits)
+    def spy(view, bits, lo=0, hi=None):
+        passes.append((bits, lo, len(view.pairs) if hi is None else hi))
+        return census_at(view, bits, lo, hi)
 
     with patch.object(IntegerView, "_census", spy):
-        census = fam.view.census
-    assert census == census_at(fam.view, fam.view.shift)
-    return tried
+        run(IntegerView(fam.scale, fam.pairs))
+    return passes
+
+
+def leaf_precisions(fam):
+    """The precisions the leaf pass over all of fam's lines reads its keys
+    at, in turn."""
+    leaf = fam.view._measure(0, len(fam))
+    assert leaf == fam.view._census(fam.view.shift)
+    return [bits for bits, _, _ in leaf_passes(fam, lambda view: view._measure(0, len(fam)))]
 
 
 def test_census_tries_64_and_128_bits_then_the_full_shift():
@@ -539,13 +550,115 @@ def test_census_tries_64_and_128_bits_then_the_full_shift():
     # at 128 bits: both coarse passes fail, and the next is the exact one
     k = 1 << 200
     fam = LineFamily.from_pairs(1, [(0, 0), (1, -1), (k, -(k + 1))])
-    assert census_precisions(fam) == [64, 128, fam.view.shift] == [64, 128, 402]
+    assert leaf_precisions(fam) == [64, 128, fam.view.shift] == [64, 128, 402]
     # a shift below 64 bits reads the exact keys at once
     fam = parse_family((FAMILIES / "F334.txt").read_text())
-    assert census_precisions(fam) == [fam.view.shift] == [22]
+    assert leaf_precisions(fam) == [fam.view.shift] == [22]
     # F654 (shift 592) settles at the first rung
     fam = parse_family((FAMILIES / "F654.txt").read_text())
-    assert census_precisions(fam) == [64]
+    assert leaf_precisions(fam) == [64]
+
+
+def measured_census(fam):
+    """The census of fam with every split refused: one leaf pass over all
+    of its rows, as the census was read before it found joins."""
+    with patch.object(geometry, "in_join_order", lambda *args: False):
+        return IntegerView(fam.scale, fam.pairs).census
+
+
+def check_census_by_joins(fam):
+    """The census, derived over the joins it finds, is the one pass over
+    the rows field for field, with its groups in rising size; its chains
+    are the key-sorting DP's and its concurrency the counting oracle's."""
+    census = fam.view.census
+    assert census == measured_census(fam)
+    assert list(census.groups) == sorted(census.groups)
+    assert census.cup == oracles.tuple_sort_chain(fam, "cup").witness
+    assert census.cap == oracles.tuple_sort_chain(fam, "cap").witness
+    assert concurrency_profile(fam) == oracles.counted_profile(fam)
+    report = max_concurrency(fam)
+    assert (report.max_count, report.point) == oracles.counted_concurrency(fam)[:2]
+
+
+@BENCH_FAMILIES
+def test_census_by_joins_is_the_row_pass_on_bench_families(path):
+    check_census_by_joins(parse_family(path.read_text()))
+
+
+@pytest.mark.parametrize(
+    "p, q, l",
+    [(p, q, l) for l in (3, 4, 5) for p in range(2, 6) for q in range(2, 6) if p + q <= 9],
+    ids=str,
+)
+def test_census_by_joins_is_the_row_pass_on_recursive_families(p, q, l):
+    check_census_by_joins(construct_F(p, q, l))
+
+
+def random_part(rng):
+    """A random family of 1 to 8 lines, or a pencil of 1 to 6."""
+    if rng.random() < 0.3:
+        count = rng.randint(1, 6)
+        apex = Point(rng.randint(-5, 5), rng.randint(-5, 5))
+        return pencil(apex, count, rng.sample(range(-9, 10), count))
+    return random_family(rng, min_lines=1)
+
+
+def random_join(rng, low, high):
+    """low and high contracted onto random carriers with rising slopes and
+    joined, and whether the join test holds on the carriers' split. Each
+    bundle's slopes lie within a fifth of the carriers' slope gap of its
+    carrier's, so the gap between the bundles is the join's largest."""
+    m_low, m_high = (Fraction(m, 4) for m in sorted(rng.sample(range(-12, 13), 2)))
+    eps = (m_high - m_low) / rng.randint(5, 100)
+    low = contract(low, Line(m_low, rng.randint(-9, 9)), eps)
+    high = contract(high, Line(m_high, rng.randint(-9, 9)), eps)
+    fam = constructions._join(low, high)
+    return fam, geometry.in_join_order(fam.pairs, 0, len(low), len(fam))
+
+
+def test_census_by_joins_is_the_row_pass_on_random_joins():
+    # the census splits each join between its bundles first, and carriers
+    # that fail the test there make the whole join a leaf
+    rng = random.Random(33)
+    joins, outcomes = [], collections.Counter()
+    for _ in range(60):
+        fam, holds = random_join(rng, random_part(rng), random_part(rng))
+        check_census_by_joins(fam)
+        if holds:
+            joins.append(fam)
+        outcomes[holds] += 1
+    assert outcomes[True] >= 10 and outcomes[False] >= 10, outcomes
+    # joins of the joins that split, so that the census derives both parts
+    outcomes.clear()
+    for _ in range(40):
+        fam, holds = random_join(rng, *rng.sample(joins, 2))
+        check_census_by_joins(fam)
+        outcomes[holds] += 1
+    assert outcomes[True] >= 5 and outcomes[False] >= 5, outcomes
+
+
+def leaves(fam):
+    """The ranges of lines the census of fam reads rows of, as (lo, hi)."""
+    return [(lo, hi) for _, lo, hi in leaf_passes(fam, lambda view: view.census)]
+
+
+@pytest.mark.parametrize("name", ["fig8", "failed join"])
+def test_census_reads_every_row_when_the_first_split_fails(name):
+    if name == "fig8":
+        fam = parse_family((FAMILIES / "fig8.txt").read_text())
+    else:
+        rng = random.Random(5)
+        while True:
+            fam, holds = random_join(rng, random_part(rng), random_part(rng))
+            if not holds and len(fam) >= 4:
+                break
+    assert set(leaves(fam)) == {(0, len(fam))}
+
+
+def test_census_of_F_6_6_4_reads_rows_of_base_families_at_most():
+    fam = construct_F(6, 6, 4)
+    widest = max(hi - lo for lo, hi in leaves(fam))
+    assert widest <= max(len(construct_base(p, 4)) for p in range(2, 7)) == 9
 
 
 @KERNELS
