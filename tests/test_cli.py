@@ -1,3 +1,4 @@
+import argparse
 import ast
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from linecells import (
     serialize_family,
     upper_bound_value,
 )
+from linecells import cli
 
 import oracles
 from conftest import shift_high_bundles, subfamily
@@ -449,3 +451,71 @@ def test_help_exits_zero(capsys):
 def test_no_command_exits_2(capsys):
     assert cli_main([]) == 2
     capsys.readouterr()
+
+
+COMMANDS = ("generate", "verify", "search", "bounds", "render")
+
+
+def full_parser_output(capsys, argv):
+    """What the parser with all five commands' arguments prints for argv
+    that it refuses or answers with help."""
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["-h"],
+        [],
+        ["frobnicate"],
+        ["--bogus", "bounds", "--l", "3", "--n", "5"],
+        ["search", "x", "--n", "3", "--bogus"],
+        *([command, "--help"] for command in COMMANDS),
+        ["generate", "--kind", "nope"],
+        ["verify", "x", "--check-unbounded", "up"],
+        ["search", "x"],
+        ["bounds", "--l", "x", "--n", "5"],
+        ["render", "x", "--width"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no arguments",
+)
+def test_cli_text_matches_the_full_parser(capsys, argv):
+    expected = full_parser_output(capsys, argv)
+    assert expected[0] == (0 if "-h" in argv or "--help" in argv else 2)
+    assert run(capsys, *argv) == expected
+
+
+def test_cli_reads_argv_from_sys_argv(capsys, monkeypatch):
+    expected = full_parser_output(capsys, ["search", "x", "--n", "3", "--bogus"])
+    monkeypatch.setattr("sys.argv", ["linecells", "search", "x", "--n", "3", "--bogus"])
+    assert cli_main() == expected[0]
+    assert capsys.readouterr() == expected[1:]
+    monkeypatch.setattr("sys.argv", ["linecells", "bounds", "--l", "3", "--n", "2"])
+    assert cli_main() == 0
+    assert capsys.readouterr().out == "exact: 2\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_builds_no_other_commands_arguments(capsys, monkeypatch, command):
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def spy(container, *args, **kwargs):
+        calls.append(args)
+        return add_argument(container, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
+    cli._build_parser()
+    # each parser's -h comes first: the top level's, then each command's
+    starts = [i for i, args in enumerate(calls) if args == ("-h", "--help")]
+    assert len(starts) == 1 + len(COMMANDS)
+    segments = [calls[a:b] for a, b in zip(starts, starts[1:] + [len(calls)])]
+    expected = segments[0] + segments[1 + COMMANDS.index(command)]
+    calls.clear()
+    assert cli_main([command, "--help"]) == 0
+    capsys.readouterr()
+    assert calls == expected
