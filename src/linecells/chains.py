@@ -38,6 +38,14 @@ O(n + total bounding lines) crossing keys, each computed on demand by
 IntegerView.key, and no n^2 table. The left side is the right side of the
 mirror image x -> -x: the lines in reverse order, their keys negated.
 
+A family whose root split, the census's first, passes the join test
+(geometry.in_join_order) has no right staircase of more than three lines,
+whatever its two parts are (find_unbounded_cell), so the right-side check
+for k >= 4 is derived there from one test on the slope neighbours' keys.
+The left side, k <= 3 and families whose root is no join, such as the
+figures and the base families of two or more pencils, are measured by
+the staircase walk.
+
 The searches read the family's cached integer view (LineFamily.view),
 whose exact crossing keys order the crossing abscissae X_ij, minus the
 dual edge slopes, so the chain pass and the staircases share one key.
@@ -55,7 +63,7 @@ from typing import List, Literal, Optional, Tuple
 
 from .arrangement import Cell
 from .errors import at_least
-from .geometry import LineFamily, Point
+from .geometry import LineFamily, Point, in_join_order
 
 ChainKind = Literal["cup", "cap"]
 
@@ -72,7 +80,7 @@ def _neighbours_run(family: LineFamily, compare) -> bool:
     to the next: the upper envelope holds every line exactly when they
     strictly rise (line i from X_i-1,i to X_i,i+1), the lower one exactly
     when they strictly fall."""
-    keys = [family.view.key(i, i + 1) for i in range(len(family) - 1)]
+    keys = family.view.steps
     return all(map(compare, keys, keys[1:]))
 
 
@@ -161,11 +169,25 @@ def _staircases(family: LineFamily, side: str) -> List[List[int]]:
 
 def find_unbounded_cell(family: LineFamily, k: int, side: str) -> Optional[Cell]:
     """First staircase cell unbounded on the given side with >= k bounding
-    lines, or None. side is "right" or "left"."""
+    lines, or None. side is "right" or "left".
+
+    On the right, for k >= 4, a family whose root split passes the join
+    test has none, and the staircases are not walked; everywhere else they
+    are."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left': {side!r}")
     at_least("k", k, 2)
     n = len(family)
+    view = family.view
+    # A root that passes the join test bounds every right staircase by
+    # three lines. Staircase r lies above line 0 and below line n-1, so
+    # right of X0, where they cross. There each part, lines 0..a-1 and
+    # a..n-1 for a the root split, runs in slope order, so the envelope of
+    # a run of one part is its last line (upper) or first (lower): the
+    # upper envelope of lines 0..r-1 is line r-1, with line a-1 when r > a,
+    # and the lower one of lines r..n-1 is line r, with line a when r < a.
+    if side == "right" and k >= 4 and n > 1 and in_join_order(view, 0, view._split(0, n), n):
+        return None
     members = _staircases(family, side)
     for r in range(1, n):
         if len(members[r]) < k:
@@ -197,6 +219,8 @@ def _far_witness(family: LineFamily, r: int, side: str) -> Point:
 def has_k_cell_unbounded(family: LineFamily, k: int, side: str) -> bool:
     """True iff some cell unbounded on the given side has >= k bounding lines.
 
-    The answer is the staircase counts; a hit adds O(n) to build its Cell.
+    The answer is the staircase counts, or on the right for k >= 4 the
+    root's join test (find_unbounded_cell); a hit adds O(n) to build its
+    Cell.
     """
     return find_unbounded_cell(family, k, side) is not None

@@ -16,11 +16,14 @@ its result once, through _certify, by measuring what no proof covers and
 proving the rest from tests it runs:
 
 - construct_base measures its concurrency, cup and cap lengths and its
-  right-unbounded 4-cells; construct_base_caps is its mirror.
-- construct_F measures nothing: at each join an O(n) test, that each
-  part is in slope order where the outermost two lines cross, proves the
-  joined family's cup, cap and concurrency from its two parts' and
-  bounds each of its right staircases by three lines (construct_F). The
+  right-unbounded 4-cells, which find_unbounded_cell derives instead
+  where the family's root is a join (such as one pencil and the tangent
+  line); construct_base_caps is its mirror.
+- construct_F measures nothing: at each join a test on the keys of slope
+  neighbours' crossings, that each part is in slope order where the
+  outermost two lines cross, proves the joined family's cup, cap and
+  concurrency from its two parts' and bounds each of its right
+  staircases by three lines (construct_F). The
   test is geometry.in_join_order, by which the census finds the joins of
   any family it measures, so verify reads rows only at their leaves.
 - The thm12 scaffold compares the roots of its two halves' lines, which
@@ -241,7 +244,7 @@ def _join_test(a: int):
     """construct_F's check on a low lines joined to the high ones: each part
     rises in slope order at X0, where lines 0 and n-1 cross (in_join_order,
     the test by which the census finds joins)."""
-    return ("join order", lambda fam: in_join_order(fam.pairs, 0, a, len(fam)), "is", True)
+    return ("join order", lambda fam: in_join_order(fam.view, 0, a, len(fam)), "is", True)
 
 
 def _construct_F(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
@@ -292,7 +295,10 @@ def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
     (r > a) or line a (r < a). No join has a right-unbounded 4-cell, and
     by induction from the certified base families (for p = 2 their mirror,
     which keeps left and right) neither has F(p, q, l), so nothing is left
-    to measure.
+    to measure. verify derives its right-side check for k >= 4 the same
+    way, from the root's join test alone (chains.find_unbounded_cell), and
+    walks the staircases of the left side, of k <= 3 and of a family
+    whose root is no join.
     """
     spec = ConstructionSpec("recursive_pq", p=p, q=q, l=l, epsilon_scale=epsilon_scale)
     fam = _construct_F(p, q, l, spec.epsilon_scale, {})

@@ -9,12 +9,13 @@ line y = (M*x + C) / S, with gcd(S, all M and C) = 1 (see LineFamily); its
 Fraction Lines are derived on demand. The predicates work on
 ``LineFamily.view``, the crossing keys and tables of that form (see
 IntegerView). This module alone knows the crossing-key formula. The
-census splits a family into joins by an O(n) order test (in_join_order),
-derives a join's answers from its parts', and reads crossing rows only at
-the leaves. There it reads coarse keys, floor(X * 2^bits) for bits far
-below the exact key's width, and accepts them only when every key a row
-repeats is one crossing, by the exact keys: an integer filter whose
-answers are the exact ones (IntegerView.census).
+census splits a family into joins by an order test on the cached keys of
+slope neighbours' crossings (in_join_order), derives a join's answers
+from its parts', and reads crossing rows only at the leaves. There it
+reads coarse keys, floor(X * 2^bits) for bits far below the exact key's
+width, and accepts them only when every key a row repeats is one
+crossing, by the exact keys: an integer filter whose answers are the
+exact ones (IntegerView.census).
 """
 
 from __future__ import annotations
@@ -227,10 +228,11 @@ class IntegerView:
     certification needs: the longest cup and cap and the concurrency; the
     staircases and the cell predicates read keys too. ``frame``, the one
     n^2 table, is the crossings sorted once by key, as their lines and
-    whether the next one ties: the split DP and cell enumeration walk it. ``rim`` holds the n pairs whose
-    crossings hold the extreme vertices, and ``key_sentinel`` is read off
-    them. The tables are built on first use and live as long as the
-    family does.
+    whether the next one ties: the split DP and cell enumeration walk it.
+    ``rim`` holds the n pairs whose crossings hold the extreme vertices:
+    the slope neighbours, whose keys are ``steps``, and the wrap pair.
+    ``key_sentinel`` is read off them. The tables are built on first use
+    and live as long as the family does.
     """
 
     def __init__(self, scale: int, pairs: Tuple[Tuple[int, int], ...]):
@@ -335,9 +337,7 @@ class IntegerView:
         the shift itself, where distinct crossings have distinct keys and
         the certificate holds by itself.
         """
-        pairs, n = self.pairs, len(self.pairs)
-        ms = [m for m, _ in pairs]
-        gaps = [*map(sub, ms[1:], ms)]
+        n = len(self.pairs)
         # groups and the leaves' firsts, as (largest group, first), are
         # gathered over the whole tree; chains holds the (cup, cap) of the
         # ranges done, low under high, and todo the ranges to do, each with
@@ -353,9 +353,8 @@ class IntegerView:
             elif hi - lo == 1:
                 chains.append(((lo,), (lo,)))
             else:
-                run = gaps[lo : hi - 1]
-                a = lo + 1 + run.index(max(run))
-                if in_join_order(pairs, lo, a, hi):
+                a = self._split(lo, hi)
+                if in_join_order(self, lo, a, hi):
                     todo += (lo, hi, a), (a, hi, None), (lo, a, None)
                     continue
                 leaf = self._measure(lo, hi)
@@ -369,6 +368,27 @@ class IntegerView:
         first = self._first([pair for t, pair in firsts if t == top] or self.rim)
         cup, cap = chains[0]
         return Census(cup, cap, {t: c for t, c in enumerate(groups) if c}, first)
+
+    def _split(self, lo: int, hi: int) -> int:
+        """The line a that the census splits lines lo..hi-1 before, hi - lo
+        >= 2: the one after their largest slope gap, the first if several
+        tie. find_unbounded_cell reads the root split, of all lines, here
+        too, so the two cannot disagree on where a family's join is."""
+        run = self._gaps[lo : hi - 1]
+        return lo + 1 + run.index(max(run))
+
+    @cached_property
+    def _gaps(self) -> List[int]:
+        """The slope gaps M_(i+1) - M_i of neighbours, for each i < n - 1."""
+        ms = [m for m, _ in self.pairs]
+        return [*map(sub, ms[1:], ms)]
+
+    @cached_property
+    def steps(self) -> List[int]:
+        """The keys of the slope neighbours' crossings, key(i, i + 1) for
+        each i < n - 1: the join test, the rim's keys and the cup and cap
+        tests read them."""
+        return [self.key(i, i + 1) for i in range(len(self.pairs) - 1)]
 
     def _measure(self, lo: int, hi: int) -> Census:
         """The census of lines lo..hi-1, read off their rows: at the
@@ -500,8 +520,11 @@ class IntegerView:
     @cached_property
     def key_sentinel(self) -> int:
         """max |key| + 1, an integer past every crossing key; the keys
-        keep the abscissa order, so the largest |key| is at a rim pair."""
-        return max((abs(self.key(i, j)) for i, j in self.rim), default=0) + 1
+        keep the abscissa order, so the largest |key| is at a rim pair:
+        a slope neighbours' (steps) or the wrap pair's."""
+        n = len(self.pairs)
+        wrap = [self.key(0, n - 1)] if n > 2 else []
+        return max(map(abs, self.steps + wrap), default=0) + 1
 
     def abscissa_bound(self) -> Rat:
         """A bound on |x| over every crossing, read off the crossing keys.
@@ -524,28 +547,27 @@ def _joined(low_cup, low_cap, high_cup, high_cap, a: int):
     return cup, cap
 
 
-def in_join_order(pairs, lo: int, a: int, hi: int) -> bool:
-    """The join test on lines lo..hi-1 of pairs, in slope order, split
+def in_join_order(view: IntegerView, lo: int, a: int, hi: int) -> bool:
+    """The join test on lines lo..hi-1 of view, in slope order, split
     before line a: each part rises in slope order at X0, where lines lo and
-    hi-1 cross. Line (m, c) is there m*(c_lo - c_hi-1) + c*(m_hi-1 - m_lo)
-    over a positive denominator.
+    hi-1 cross. Two lines stand in slope order at X0 just when they cross
+    strictly left of it, so a part rises there just when each crossing of
+    slope neighbours inside it does: the test is one key, X0's, against
+    the largest of the parts' keys in view.steps.
 
     It holds just when every crossing inside a part lies strictly left of
-    every crossing of a low and a high line. Two lines of a part stand in
-    slope order at X0 just when they cross left of it, and X0 is a
-    low-high crossing. Conversely, if each part rises at X0, then at the
+    every crossing of a low and a high line, since X0 is a low-high
+    crossing. Conversely, if each part rises at X0, then at the
     rightmost crossing x* inside a part, x* < X0, line lo is the lowest
     low line and line hi-1 the highest high one, and hi-1 is below lo:
     every high line is below every low line, so no low-high pair has
     crossed before X0. construct_F certifies each of its joins by this
-    test, and the census finds the joins of any family by it
-    (IntegerView.census).
+    test, the census finds the joins of any family by it
+    (IntegerView.census), and find_unbounded_cell reads the right
+    staircases of a family that passes it at its root split off it.
     """
-    (m0, c0), (m1, c1) = pairs[lo], pairs[hi - 1]
-    dc, dm = c0 - c1, m1 - m0
-    at = [m * dc + c * dm for m, c in pairs[lo:hi]]
-    k = a - lo
-    return all(map(lt, at[:k], at[1:k])) and all(map(lt, at[k:], at[k + 1 :]))
+    inside = view.steps[lo : a - 1] + view.steps[a : hi - 1]
+    return not inside or max(inside) < view.key(lo, hi - 1)
 
 
 def _shift(m_lo: int, m_hi: int) -> int:

@@ -126,12 +126,13 @@ def verify_properties(
     k: int = 4,
 ) -> VerifyReport:
     """Check the defining properties: fewer than l concurrent, no (p+1)-cup,
-    no (q+1)-cap, and no k-fold unbounded cell on each requested side."""
+    no (q+1)-cap, and no k-fold unbounded cell on each requested side, once
+    per side, in the order the sides are first named."""
     at_least("l", l, 3)
     if p < 2 or q < 2:
         raise ParameterRangeError(f"p and q must be >= 2: p={p} q={q}")
     at_least("k", k, 2)
-    sides = tuple(check_unbounded)
+    sides = tuple(dict.fromkeys(check_unbounded))
     for side in sides:
         if side not in ("left", "right"):
             raise ValueError(f"check_unbounded entries must be 'left'/'right': {side!r}")

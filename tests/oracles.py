@@ -30,6 +30,9 @@ pairs; clip_by_bounding_lines, the box cut in Fractions by a cell's
 bounding lines, with area2, its shoelace area, is the reference for the
 highlighted cell cut on the integer pairs, and canvas_point prints its
 Points the same way.
+join_order_by_heights, which compared every line's height at X0, read
+off the family's integer pairs, is the reference for the join test on
+the cached keys of slope neighbours' crossings (geometry.in_join_order).
 contract, which maps each line by Fraction operations, is the reference
 for the contraction that computes each line from the view's integer
 pairs; it reads the view's abscissa_bound as linecells' contract does, so
@@ -251,6 +254,18 @@ def scan_staircases(family, side):
             if after < high and low < high:
                 members[r].append(i)
     return members
+
+
+def join_order_by_heights(pairs, lo, a, hi):
+    """The join test on lines lo..hi-1 of pairs, in slope order, split
+    before line a: each part rises in slope order at X0, where lines lo and
+    hi-1 cross. Line (m, c) is there m*(c_lo - c_hi-1) + c*(m_hi-1 - m_lo)
+    over a positive denominator."""
+    (m0, c0), (m1, c1) = pairs[lo], pairs[hi - 1]
+    dc, dm = c0 - c1, m1 - m0
+    at = [m * dc + c * dm for m, c in pairs[lo:hi]]
+    k = a - lo
+    return all(map(lt, at[:k], at[1:k])) and all(map(lt, at[k:], at[k + 1 :]))
 
 
 def _orient(a, b, c):

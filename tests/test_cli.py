@@ -144,6 +144,21 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert "check concurrency < 4: FAIL" in out
 
 
+def test_verify_checks_a_repeated_side_once(capsys):
+    fam = str(Path(__file__).resolve().parents[1] / "bench" / "families" / "fig8.txt")
+    code, out, _ = run(
+        capsys, "verify", fam, "--l", "3", "--p", "4", "--q", "4",
+        "--check-unbounded", "right", "--check-unbounded", "left",
+        "--check-unbounded", "right",
+    )
+    checks = [line for line in out.splitlines() if "unbounded" in line]
+    assert checks == [
+        "check no 4-cell unbounded right: FAIL",
+        "check no 4-cell unbounded left: FAIL",
+    ]
+    assert code == 1
+
+
 def test_verify_no_convex_option(tmp_path, capsys):
     fam_path = tmp_path / "f.txt"
     run(capsys, "generate", "--kind", "recursive_pq", "--p", "3", "--q", "3",

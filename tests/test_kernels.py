@@ -333,6 +333,8 @@ def test_staircases_match_key_scan_on_bench_families(path):
     fam = parse_family(path.read_text())
     for side in ("right", "left"):
         assert _staircases(fam, side) == oracles.scan_staircases(fam, side)
+    # the right check of the F families is derived, the figures' walked
+    assert check_unbounded_cells(fam) == path.stem.startswith("F")
 
 
 @pytest.mark.parametrize(
@@ -613,7 +615,7 @@ def random_join(rng, low, high):
     low = contract(low, Line(m_low, rng.randint(-9, 9)), eps)
     high = contract(high, Line(m_high, rng.randint(-9, 9)), eps)
     fam = constructions._join(low, high)
-    return fam, geometry.in_join_order(fam.pairs, 0, len(low), len(fam))
+    return fam, geometry.in_join_order(fam.view, 0, len(low), len(fam))
 
 
 def test_census_by_joins_is_the_row_pass_on_random_joins():
@@ -635,6 +637,166 @@ def test_census_by_joins_is_the_row_pass_on_random_joins():
         check_census_by_joins(fam)
         outcomes[holds] += 1
     assert outcomes[True] >= 5 and outcomes[False] >= 5, outcomes
+
+
+def check_census_join_tests(fam):
+    """Every join test that the census of fam runs, on a fresh view,
+    against the heights at X0. Returns their outcomes, in turn."""
+    outcomes = []
+    test = geometry.in_join_order
+
+    def checked(view, lo, a, hi):
+        holds = test(view, lo, a, hi)
+        assert holds == oracles.join_order_by_heights(fam.pairs, lo, a, hi), (lo, a, hi)
+        outcomes.append(holds)
+        return holds
+
+    with patch.object(geometry, "in_join_order", checked):
+        IntegerView(fam.scale, fam.pairs).census
+    return outcomes
+
+
+def check_every_join_test(fam):
+    """The join test on every range and split of fam against the heights
+    at X0; a range of two lines always passes."""
+    n = len(fam)
+    for lo in range(n):
+        for hi in range(lo + 2, n + 1):
+            for a in range(lo + 1, hi):
+                want = oracles.join_order_by_heights(fam.pairs, lo, a, hi)
+                assert geometry.in_join_order(fam.view, lo, a, hi) == want, (lo, a, hi)
+        if lo + 2 <= n:
+            assert geometry.in_join_order(fam.view, lo, lo + 1, lo + 2)
+
+
+@BENCH_FAMILIES
+def test_join_test_matches_the_heights_on_bench_families(path):
+    fam = parse_family(path.read_text())
+    outcomes = check_census_join_tests(fam)
+    # the F families split down to leaves, the figures not at all
+    if path.stem.startswith("F"):
+        assert outcomes[0] and not all(outcomes)
+    else:
+        assert outcomes == [False]
+
+
+def test_join_test_matches_the_heights_on_random_joins():
+    rng = random.Random(35)
+    joins, outcomes = [], collections.Counter()
+    for _ in range(60):
+        fam, holds = random_join(rng, random_part(rng), random_part(rng))
+        n = len(fam)
+        assert holds == oracles.join_order_by_heights(fam.pairs, 0, fam.view._split(0, n), n)
+        outcomes.update(check_census_join_tests(fam))
+        if holds:
+            joins.append(fam)
+    for _ in range(40):
+        fam, _ = random_join(rng, *rng.sample(joins, 2))
+        outcomes.update(check_census_join_tests(fam))
+    assert outcomes[True] >= 50 and outcomes[False] >= 20, outcomes
+
+
+@KERNELS
+@given(pencil_families())
+def test_join_test_matches_the_heights_on_every_split(fam):
+    check_every_join_test(fam)
+
+
+def test_join_test_refuses_a_pencil_whose_neighbours_meet_at_X0():
+    # every crossing of a pencil is its apex, X0 itself: a split with a
+    # part of two or more lines fails, and a range of two lines passes
+    fam = pencil(Point(1, -2), 5, (-3, -1, 0, 2, 7))
+    check_every_join_test(fam)
+    n = len(fam)
+    for lo in range(n):
+        for hi in range(lo + 3, n + 1):
+            assert not any(geometry.in_join_order(fam.view, lo, a, hi) for a in range(lo + 1, hi))
+
+
+def check_unbounded_cells(fam):
+    """find_unbounded_cell and has_k_cell_unbounded, for k = 2..6 on both
+    sides, whether derived from the root's join test or walked, against
+    the key scan of every staircase. Returns whether the root is a join."""
+    n = len(fam)
+    for side in ("right", "left"):
+        members = oracles.scan_staircases(fam, side)
+        for k in range(2, 7):
+            first = next((r for r in range(1, n) if len(members[r]) >= k), None)
+            cell = find_unbounded_cell(fam, k, side)
+            assert has_k_cell_unbounded(fam, k, side) == (first is not None), (side, k)
+            if first is None:
+                assert cell is None
+            else:
+                assert cell.signs == oracles.staircase_signs(n, first, side)
+                assert cell.bounding == frozenset(members[first])
+    return n > 1 and geometry.in_join_order(fam.view, 0, fam.view._split(0, n), n)
+
+
+@pytest.mark.parametrize(
+    "p, q, l",
+    [(p, q, l) for l in (3, 4, 5) for p in range(2, 6) for q in range(2, 6) if p + q <= 9],
+    ids=str,
+)
+def test_unbounded_cells_match_the_key_scan_on_recursive_families(p, q, l):
+    # joins above the base families (p or q of 2), some of which are joins
+    # too, such as a pencil and one steep line
+    joined = check_unbounded_cells(construct_F(p, q, l))
+    assert joined or min(p, q) == 2
+
+
+def test_unbounded_cells_match_the_key_scan_on_random_joins():
+    rng = random.Random(36)
+    joins, outcomes = [], collections.Counter()
+    for _ in range(60):
+        fam, holds = random_join(rng, random_part(rng), random_part(rng))
+        outcomes[check_unbounded_cells(fam)] += 1
+        if holds:
+            joins.append(fam)
+    for _ in range(40):
+        fam, _ = random_join(rng, *rng.sample(joins, 2))
+        outcomes[check_unbounded_cells(fam)] += 1
+    assert outcomes[True] >= 30 and outcomes[False] >= 10, outcomes
+
+
+@contextmanager
+def staircase_walks():
+    """The sides the staircases are walked on while the block runs."""
+    walks = []
+    walk = _staircases
+
+    def recorded(fam, side):
+        walks.append(side)
+        return walk(fam, side)
+
+    with patch("linecells.chains._staircases", recorded):
+        yield walks
+
+
+@pytest.mark.parametrize("name", ["F654", "F774"])
+def test_verify_derives_the_right_check_of_a_join_at_k_4(name):
+    if name == "F654":
+        fam, p, q = parse_family((FAMILIES / "F654.txt").read_text()), 6, 5
+    else:
+        fam, p, q = construct_F(7, 7, 4), 7, 7
+    with staircase_walks() as walks:
+        report = verify_properties(fam, 4, p, q, check_unbounded=("left", "right"))
+    assert walks == ["left"]
+    assert dict(report.checks)["no 4-cell unbounded right"]
+    # a 3-cell is not excluded by the join: the right staircases are walked
+    with staircase_walks() as walks:
+        report = verify_properties(fam, 4, p, q, k=3)
+    assert walks == ["right"]
+    assert not dict(report.checks)["no 3-cell unbounded right"]
+
+
+def test_verify_walks_the_right_staircases_of_a_root_that_is_no_join():
+    fam = parse_family((FAMILIES / "fig8.txt").read_text())
+    n = len(fam)
+    assert not geometry.in_join_order(fam.view, 0, fam.view._split(0, n), n)
+    with staircase_walks() as walks:
+        report = verify_properties(fam, 3, 4, 4)
+    assert walks == ["right"]
+    assert not dict(report.checks)["no 4-cell unbounded right"]
 
 
 def leaves(fam):

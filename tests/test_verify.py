@@ -24,6 +24,7 @@ from linecells import (
     upper_bound_value,
     verify_properties,
 )
+from linecells import chains
 
 
 TRIANGLE = LineFamily((Line(1, 0), Line(-1, 0), Line(0, 1)))
@@ -201,6 +202,22 @@ def test_verify_properties_unbounded_sides():
     by_name = dict(report.checks)
     assert by_name["no 4-cell unbounded right"] is False
     assert by_name["no 4-cell unbounded left"] is True
+
+
+def test_verify_properties_checks_each_side_once_in_first_seen_order(monkeypatch):
+    walks = []
+    staircases = chains._staircases
+    monkeypatch.setattr(
+        chains, "_staircases", lambda fam, side: walks.append(side) or staircases(fam, side)
+    )
+    fam = pencil(Point(0, -1), 3, (1, 2, 3))
+    sides = ("left", "right", "left", "right")
+    report = verify_properties(fam, 4, 2, 2, check_unbounded=sides, k=2)
+    assert [name for name, _ in report.checks][3:] == [
+        "no 2-cell unbounded left",
+        "no 2-cell unbounded right",
+    ]
+    assert walks == ["left", "right"]
 
 
 def test_passed_follows_the_checks():
