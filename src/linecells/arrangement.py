@@ -37,7 +37,8 @@ chains may run. So one DP over the frame (_convex_split) finds a
 largest subset in convex position, anchored at each possible left vertex
 in turn and pruned by the longest cup and cap the anchor leaves. It answers
 convex_position_cell and the searches in verify, which differ only in
-its stop rules need and goal. The cross-product interval test, the
+its stop rules need and goal, wherever the join rule on a family's root
+join, read off the census, leaves the answer open (verify.largest_convex_subset). The cross-product interval test, the
 Fraction stepper, the per-line grouping of the crossing keys, the cell
 enumeration that scans all n lines per vertex and per cell, and the
 exponential walk over subsets that these replaced are the references in

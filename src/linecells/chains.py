@@ -13,10 +13,11 @@ Longest chain: a chain of dual points in x-order is a strict cup exactly
 when its edge slopes strictly decrease, and a strict cap when they
 strictly increase, so when the crossing keys along it strictly rise or
 fall. IntegerView.census finds the longest of each at the leaves of the
-family's joins, in one pass over each leaf's rows of keys, per line the
-tail array of the longest increasing subsequence, and walks the tails
+family's join tree, in one pass over each leaf's rows of keys, per line
+the tail array of the longest increasing subsequence, and walks the tails
 back to the witness of the DP that sorts the crossings by key
-(tests/oracles.py); a join's chains follow from its parts'. The census,
+(tests/oracles.py); a pencil's chains are its first two lines, and a
+join's chains follow from its parts'. The census,
 cached on the view, builds no n^2 table, and reads coarse keys, 64 bits
 wide at first, which it accepts only when every key a row repeats is one
 crossing: then every step is the exact pass's (IntegerView.census).
@@ -38,10 +39,11 @@ O(n + total bounding lines) crossing keys, each computed on demand by
 IntegerView.key, and no n^2 table. The left side is the right side of the
 mirror image x -> -x: the lines in reverse order, their keys negated.
 
-A family whose root split, the census's first, passes the join test
-(geometry.in_join_order) has no right staircase of more than three lines,
-whatever its two parts are (find_unbounded_cell), so the right-side check
-for k >= 4 is derived there from one test on the slope neighbours' keys.
+A family whose join tree's root (IntegerView.joins, the census's first
+node) passes the join test (geometry.in_join_order) has no right
+staircase of more than three lines, whatever its two parts are
+(find_unbounded_cell), so the right-side check for k >= 4 is derived
+there from the test the tree already holds.
 The left side, k <= 3 and families whose root is no join, such as the
 figures and the base families of two or more pencils, are measured by
 the staircase walk.
@@ -63,7 +65,7 @@ from typing import List, Literal, Optional, Tuple
 
 from .arrangement import Cell
 from .errors import at_least
-from .geometry import LineFamily, Point, in_join_order
+from .geometry import LineFamily, Point
 
 ChainKind = Literal["cup", "cap"]
 
@@ -171,9 +173,9 @@ def find_unbounded_cell(family: LineFamily, k: int, side: str) -> Optional[Cell]
     """First staircase cell unbounded on the given side with >= k bounding
     lines, or None. side is "right" or "left".
 
-    On the right, for k >= 4, a family whose root split passes the join
-    test has none, and the staircases are not walked; everywhere else they
-    are."""
+    On the right, for k >= 4, a family whose join tree's root passes the
+    join test (IntegerView.root_join) has none, and the staircases are not
+    walked; everywhere else they are."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left': {side!r}")
     at_least("k", k, 2)
@@ -182,11 +184,11 @@ def find_unbounded_cell(family: LineFamily, k: int, side: str) -> Optional[Cell]
     # A root that passes the join test bounds every right staircase by
     # three lines. Staircase r lies above line 0 and below line n-1, so
     # right of X0, where they cross. There each part, lines 0..a-1 and
-    # a..n-1 for a the root split, runs in slope order, so the envelope of
+    # a..n-1 for a = root_join, runs in slope order, so the envelope of
     # a run of one part is its last line (upper) or first (lower): the
     # upper envelope of lines 0..r-1 is line r-1, with line a-1 when r > a,
     # and the lower one of lines r..n-1 is line r, with line a when r < a.
-    if side == "right" and k >= 4 and n > 1 and in_join_order(view, 0, view._split(0, n), n):
+    if side == "right" and k >= 4 and view.root_join is not None:
         return None
     members = _staircases(family, side)
     for r in range(1, n):

@@ -16,13 +16,14 @@ bound answers (Python 3.11, shared 2-core host).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from .constructions import KINDS, ConstructionSpec
-from .errors import ConstructionError, LinecellsError
+from .errors import ConstructionError, LinecellsError, ParameterRangeError, at_least
 from .familyfile import parse_family, serialize_family
 from .geometry import parse_rat
 from .svg import RenderOptions, render_svg
@@ -92,6 +93,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    # every option is checked whether or not a value reads it
+    at_least("c", args.c, 1)
+    if (args.p is None) != (args.q is None):
+        missing = "q" if args.q is None else "p"
+        raise ParameterRangeError(f"--{missing} is missing: --p and --q are read together")
     values = []
     exact = known_exact(args.l, args.n)
     if exact is not None:
@@ -100,7 +106,7 @@ def _cmd_bounds(args) -> int:
         values.append(("lower", lower_bound_value(args.l, args.n)))
     if args.n >= 3:
         values.append(("upper", upper_bound_value(args.l, args.n, args.c)))
-    if args.p is not None and args.q is not None:
+    if args.p is not None:
         values.append(("f_L upper", f_L_bound(args.l, args.p, args.q, args.c)))
     # every value is computed before anything prints, so a usage error prints none
     limit = sys.get_int_max_str_digits()
@@ -233,6 +239,14 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if not gc.get_freeze_count():
+        # The interpreter's and the imported modules' objects live as long
+        # as the process. Frozen (gc.freeze), they leave the collector's
+        # generations, so a collection that a command sets off does not
+        # traverse those thousands of objects again. Once per process: a
+        # caller that runs main many times, such as the test suite, finds
+        # its heap frozen after the first call.
+        gc.freeze()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:

@@ -24,8 +24,9 @@ proving the rest from tests it runs:
   outermost two lines cross, proves the joined family's cup, cap and
   concurrency from its two parts' and bounds each of its right
   staircases by three lines (construct_F). The
-  test is geometry.in_join_order, by which the census finds the joins of
-  any family it measures, so verify reads rows only at their leaves.
+  test is geometry.in_join_order, which each node of a family's join tree
+  holds (IntegerView.joins): the census derives the joins of any family
+  it measures by it, so verify reads rows only at their leaves.
 - The thm12 scaffold compares the roots of its two halves' lines, which
   proves its concurrency 2 (_thm12_scaffold); the prop32 scaffold is a
   recursive family moved by maps that keep sign vectors.
@@ -243,8 +244,15 @@ def _join(*families: LineFamily) -> LineFamily:
 def _join_test(a: int):
     """construct_F's check on a low lines joined to the high ones: each part
     rises in slope order at X0, where lines 0 and n-1 cross (in_join_order,
-    the test by which the census finds joins)."""
-    return ("join order", lambda fam: in_join_order(fam.view, 0, a, len(fam)), "is", True)
+    the test that each node of the join tree holds, fed here the largest
+    key of steps inside the two parts the construction joined)."""
+
+    def holds(fam: LineFamily) -> bool:
+        inside = fam.view.steps[: a - 1] + fam.view.steps[a:]
+        # two single lines always pass
+        return not inside or in_join_order(fam.view, 0, len(fam), max(inside))
+
+    return ("join order", holds, "is", True)
 
 
 def _construct_F(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
@@ -281,7 +289,7 @@ def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
     and n-1 cross. Each join checks that each part is in slope order at X0
     (_join_test), which holds just when every crossing inside a part lies
     strictly left of every low-high crossing (geometry.in_join_order, the
-    test by which the census finds joins). Crossings rise along a cup, so it
+    test that each node of the join tree holds). Crossings rise along a cup, so it
     takes at most one high line after low ones, and a cap at most one low
     line before high ones; no three lines meet at a low-high crossing.
     Hence cup = max(cup_low + 1, cup_high), cap = max(cap_low,

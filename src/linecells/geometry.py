@@ -8,10 +8,12 @@ A family is stored once, as integers: a scale S and pairs (M, C), one per
 line y = (M*x + C) / S, with gcd(S, all M and C) = 1 (see LineFamily); its
 Fraction Lines are derived on demand. The predicates work on
 ``LineFamily.view``, the crossing keys and tables of that form (see
-IntegerView). This module alone knows the crossing-key formula. The
-census splits a family into joins by an order test on the cached keys of
-slope neighbours' crossings (in_join_order), derives a join's answers
-from its parts', and reads crossing rows only at the leaves. There it
+IntegerView). This module alone knows the crossing-key formula. Each
+family has one join tree, the Cartesian tree of its slope gaps, whose
+nodes hold an order test on the cached keys of slope neighbours'
+crossings (in_join_order, IntegerView.joins). The census walks it,
+derives a join's answers from its parts', writes down the leaves that
+are pencils and reads crossing rows only at the other leaves. There it
 reads coarse keys, floor(X * 2^bits) for bits far below the exact key's
 width, and accepts them only when every key a row repeats is one
 crossing, by the exact keys: an integer filter whose answers are the
@@ -191,6 +193,14 @@ class LineFamily:
 
 Census = namedtuple("Census", "cup cap groups first")
 
+# The join tree of a family of n lines (IntegerView.joins): root is the
+# node of all lines, None when n == 1, and the lists are indexed by node.
+# Node g splits lines lo[g]..hi[g]-1 before line g + 1, at the slope gap
+# between lines g and g + 1; low[g] and high[g] are the nodes of its two
+# parts, None for a part of one line, and joined[g] its join test
+# (in_join_order).
+Joins = namedtuple("Joins", "root lo hi low high joined")
+
 # The precisions the census tries, in turn, below the full shift, before
 # the exact pass (IntegerView.census). Measured: the stored bench families
 # certify from 16 to 40 bits and the generated F(6,6,4) at 64, so one pass
@@ -223,10 +233,13 @@ class IntegerView:
     exact integer key for comparing and grouping crossings.
 
     ``key(i, j)`` computes one key, ``rows()`` the keys line by line.
-    ``census``, derived over the family's joins and read off the rows at
-    their leaves, on coarse keys where a certificate allows, is all that
-    certification needs: the longest cup and cap and the concurrency; the
-    staircases and the cell predicates read keys too. ``frame``, the one
+    ``joins``, the join tree, splits the lines at their slope gaps and
+    tests each split on ``steps``, once per family. ``census``, derived
+    over the tree's joins, written down at its pencil leaves and read off
+    the rows at the others, on coarse keys where a certificate allows, is
+    all that certification needs: the longest cup and cap and the
+    concurrency; with ``join_parts`` it answers the convex search on a
+    joined root. The staircases and the cell predicates read keys too. ``frame``, the one
     n^2 table, is the crossings sorted once by key, as their lines and
     whether the next one ties: the split DP and cell enumeration walk it.
     ``rim`` holds the n pairs whose crossings hold the extreme vertices:
@@ -260,15 +273,25 @@ class IntegerView:
         lines; and two lines through the first vertex, in Point order,
         where the most lines meet.
 
-        The census divides the lines, in slope order, into joins. A range
-        lo..hi-1 of two or more lines is split before line a, at its
-        largest slope gap M_a - M_(a-1), the first one if several tie. When
-        the join test holds on the split (in_join_order), the range's
-        census is combined from its two parts'; otherwise the range is a
-        leaf, measured by one pass over its rows (_measure). A single line
-        is the census ((lo,), (lo,), {}, None). So a family whose first
-        split fails is measured as a whole, and only the leaves of a
-        family of joins read crossing keys.
+        The census walks the family's join tree (joins) from the root. A
+        node splits a range lo..hi-1 of two or more lines, in slope order,
+        before line a, at its largest slope gap M_a - M_(a-1), the first
+        one if several tie. When its join test holds (in_join_order), the
+        range's census is combined from its two parts'; otherwise the range
+        is a leaf, and nothing below it is read. A single line is the
+        census ((lo,), (lo,), {}, None). So a family whose root fails is
+        one leaf, and only the leaves of a family of joins read crossing
+        keys.
+
+        The pencil rule. A leaf whose slope neighbours' keys steps[lo:hi-1]
+        are all equal is a pencil: the crossings of line i with lines i - 1
+        and i + 1 are at one abscissa on line i, so they are one point,
+        and every line of the leaf passes through it. Its census is written
+        down, not read off a row: one vertex on k = hi - lo lines gives
+        groups {1: 1, ..., k - 1: 1}; all crossings share a key, so no
+        chain has three lines, and the DP's first longest chain, like its
+        first vertex, is (lo, lo + 1). Any other leaf is measured by one
+        pass over its rows (_measure).
 
         The combine rules. The join test puts every crossing inside a part
         strictly left of every crossing of a low line i < a with a high
@@ -337,27 +360,44 @@ class IntegerView:
         the shift itself, where distinct crossings have distinct keys and
         the certificate holds by itself.
         """
+        return self._derived[0]
+
+    @cached_property
+    def join_parts(self) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """(cap, cup): the longest cap of the root join's low part and the
+        longest cup of its high part, as the census derived them, or None
+        when the root is no join (joins)."""
+        return self._derived[1]
+
+    @cached_property
+    def _derived(self):
+        """(census, join_parts), from one walk down the join tree."""
         n = len(self.pairs)
+        joins = self.joins
+        lo, hi, low, high, joined = joins.lo, joins.hi, joins.low, joins.high, joins.joined
         # groups and the leaves' firsts, as (largest group, first), are
         # gathered over the whole tree; chains holds the (cup, cap) of the
-        # ranges done, low under high, and todo the ranges to do, each with
-        # the line it was split before once its parts are done
-        groups, firsts, chains, todo = [0] * (n + 1), [], [], [(0, n, None)]
+        # subtrees done, low under high; todo holds the nodes to do, and
+        # ~g for node g once its parts are done
+        groups, firsts, parts = [0] * (n + 1), [], None
+        # a family of one line has no node
+        todo, chains = ([], [((0,), (0,))]) if joins.root is None else ([joins.root], [])
         while todo:
-            lo, hi, a = todo.pop()
-            if a is not None:
-                high_cup, high_cap = chains.pop()
-                low_cup, low_cap = chains.pop()
+            g = todo.pop()
+            if g < 0:
+                g = ~g
+                a = g + 1
+                # a part of one line is a subtree of none
+                high_cup, high_cap = ((a,), (a,)) if high[g] is None else chains.pop()
+                low_cup, low_cap = ((g,), (g,)) if low[g] is None else chains.pop()
                 chains.append(_joined(low_cup, low_cap, high_cup, high_cap, a))
-                groups[1] += (a - lo) * (hi - a)
-            elif hi - lo == 1:
-                chains.append(((lo,), (lo,)))
+                groups[1] += (a - lo[g]) * (hi[g] - a)
+                if g == joins.root:
+                    parts = low_cap, high_cup
+            elif joined[g]:
+                todo += ~g, *(part for part in (high[g], low[g]) if part is not None)
             else:
-                a = self._split(lo, hi)
-                if in_join_order(self, lo, a, hi):
-                    todo += (lo, hi, a), (a, hi, None), (lo, a, None)
-                    continue
-                leaf = self._measure(lo, hi)
+                leaf = self._leaf(lo[g], hi[g])
                 chains.append((leaf.cup, leaf.cap))
                 for t, c in leaf.groups.items():
                     groups[t] += c
@@ -366,22 +406,64 @@ class IntegerView:
         top = max(firsts, default=(0,))[0]
         # with no three lines concurrent, the first vertex is extreme
         first = self._first([pair for t, pair in firsts if t == top] or self.rim)
-        cup, cap = chains[0]
-        return Census(cup, cap, {t: c for t, c in enumerate(groups) if c}, first)
-
-    def _split(self, lo: int, hi: int) -> int:
-        """The line a that the census splits lines lo..hi-1 before, hi - lo
-        >= 2: the one after their largest slope gap, the first if several
-        tie. find_unbounded_cell reads the root split, of all lines, here
-        too, so the two cannot disagree on where a family's join is."""
-        run = self._gaps[lo : hi - 1]
-        return lo + 1 + run.index(max(run))
+        [(cup, cap)] = chains
+        return Census(cup, cap, {t: c for t, c in enumerate(groups) if c}, first), parts
 
     @cached_property
-    def _gaps(self) -> List[int]:
-        """The slope gaps M_(i+1) - M_i of neighbours, for each i < n - 1."""
+    def joins(self) -> "Joins":
+        """The join tree (Joins): the Cartesian tree of the slope gaps,
+        largest at the root and the first of ties above the rest, built by
+        one pass with a stack of the nodes whose range is still open. Node
+        g is closed by the first gap past it that is larger, which ends its
+        range, and the nodes it closes in turn are each the next one's high
+        part, the last its low part. The largest key of steps under each
+        node comes up with it, so each join test reads one key more."""
+        n = len(self.pairs)
+        steps = self.steps
+        # gap g, the slope gap M_(g+1) - M_g of neighbours, is node g's
         ms = [m for m, _ in self.pairs]
-        return [*map(sub, ms[1:], ms)]
+        gaps = [*map(sub, ms[1:], ms)]
+        lo, hi, low, high = [0] * (n - 1), [n] * (n - 1), [None] * (n - 1), [None] * (n - 1)
+        joined = [True] * (n - 1)
+        # below every key: the largest step under a single line
+        floor = min(steps, default=0) - 1
+        # (gap, node, its lo, the largest step under its low part)
+        stack = []
+        # a last gap past every other closes every node left open
+        past = ms[-1] - ms[0] + 1
+        for g, gap in enumerate(chain(gaps, (past,))):
+            # the node closed last and the largest step under it
+            part, part_top = None, floor
+            while stack and stack[-1][0] < gap:
+                _, x, first, low_top = stack.pop()
+                high[x], hi[x] = part, g + 1
+                inside = low_top if low_top > part_top else part_top
+                # two single lines always pass
+                if inside > floor:
+                    joined[x] = in_join_order(self, first, g + 1, inside)
+                part = x
+                part_top = inside if inside > steps[x] else steps[x]
+            if g < n - 1:
+                low[g] = part
+                lo[g] = first = stack[-1][1] + 1 if stack else 0
+                stack.append((gap, g, first, part_top))
+        return Joins(part, lo, hi, low, high, joined)
+
+    @property
+    def root_join(self) -> Optional[int]:
+        """The line a that the root of the join tree splits the family
+        before, when its join test holds, else None."""
+        root = self.joins.root
+        return None if root is None or not self.joins.joined[root] else root + 1
+
+    def _leaf(self, lo: int, hi: int) -> Census:
+        """The census of lines lo..hi-1, a leaf of the join tree: written
+        down when they are a pencil, else measured (census)."""
+        run = self.steps[lo : hi - 1]
+        if run.count(run[0]) == len(run):
+            # equal abscissae on shared lines are one point
+            return Census((lo, lo + 1), (lo, lo + 1), dict.fromkeys(range(1, hi - lo), 1), (lo, lo + 1))
+        return self._measure(lo, hi)
 
     @cached_property
     def steps(self) -> List[int]:
@@ -547,13 +629,14 @@ def _joined(low_cup, low_cap, high_cup, high_cap, a: int):
     return cup, cap
 
 
-def in_join_order(view: IntegerView, lo: int, a: int, hi: int) -> bool:
-    """The join test on lines lo..hi-1 of view, in slope order, split
-    before line a: each part rises in slope order at X0, where lines lo and
-    hi-1 cross. Two lines stand in slope order at X0 just when they cross
-    strictly left of it, so a part rises there just when each crossing of
-    slope neighbours inside it does: the test is one key, X0's, against
-    the largest of the parts' keys in view.steps.
+def in_join_order(view: IntegerView, lo: int, hi: int, inside: int) -> bool:
+    """The join test on lines lo..hi-1 of view, in slope order, split in
+    two parts that are not both single lines, given inside, the largest
+    key of view.steps inside the parts: each part rises in slope order at
+    X0, where lines lo and hi-1 cross. Two lines stand in slope order at
+    X0 just when they cross strictly left of it, so a part rises there
+    just when each crossing of slope neighbours inside it does: the test
+    is one key, X0's, against inside.
 
     It holds just when every crossing inside a part lies strictly left of
     every crossing of a low and a high line, since X0 is a low-high
@@ -561,13 +644,13 @@ def in_join_order(view: IntegerView, lo: int, a: int, hi: int) -> bool:
     rightmost crossing x* inside a part, x* < X0, line lo is the lowest
     low line and line hi-1 the highest high one, and hi-1 is below lo:
     every high line is below every low line, so no low-high pair has
-    crossed before X0. construct_F certifies each of its joins by this
-    test, the census finds the joins of any family by it
-    (IntegerView.census), and find_unbounded_cell reads the right
-    staircases of a family that passes it at its root split off it.
+    crossed before X0. Each node of the join tree holds this test
+    (IntegerView.joins), which the census derives a family's joins by,
+    and find_unbounded_cell and the convex search read the root's;
+    construct_F certifies each of its joins by it, at the split between
+    its two bundles.
     """
-    inside = view.steps[lo : a - 1] + view.steps[a : hi - 1]
-    return not inside or max(inside) < view.key(lo, hi - 1)
+    return inside < view.key(lo, hi - 1)
 
 
 def _shift(m_lo: int, m_hi: int) -> int:

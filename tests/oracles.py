@@ -32,7 +32,9 @@ highlighted cell cut on the integer pairs, and canvas_point prints its
 Points the same way.
 join_order_by_heights, which compared every line's height at X0, read
 off the family's integer pairs, is the reference for the join test on
-the cached keys of slope neighbours' crossings (geometry.in_join_order).
+the cached keys of slope neighbours' crossings (geometry.in_join_order),
+and split, which sliced the slope gaps of each range, for the splits of
+the join tree that one stack pass builds (IntegerView.joins).
 contract, which maps each line by Fraction operations, is the reference
 for the contraction that computes each line from the view's integer
 pairs; it reads the view's abscissa_bound as linecells' contract does, so
@@ -254,6 +256,36 @@ def scan_staircases(family, side):
             if after < high and low < high:
                 members[r].append(i)
     return members
+
+
+def split(pairs, lo, hi):
+    """The line a that lines lo..hi-1 of pairs, in slope order, hi - lo >=
+    2, split before: the one after their largest slope gap, the first if
+    several tie."""
+    run = [pairs[i + 1][0] - pairs[i][0] for i in range(lo, hi - 1)]
+    return lo + 1 + run.index(max(run))
+
+
+def join_tree(pairs):
+    """Every node of the join tree of pairs, as (lo, a, hi, holds) in
+    rising a: lines lo..hi-1, split before line a (split), and whether the
+    heights at X0 pass the join test there (join_order_by_heights)."""
+    nodes, todo = [], [(0, len(pairs))]
+    while todo:
+        lo, hi = todo.pop()
+        if hi - lo >= 2:
+            a = split(pairs, lo, hi)
+            nodes.append((lo, a, hi, join_order_by_heights(pairs, lo, a, hi)))
+            todo += (lo, a), (a, hi)
+    return sorted(nodes, key=itemgetter(1))
+
+
+def root_join(pairs):
+    """The line a that the root of pairs' join tree splits them before,
+    when the join test holds there, else None."""
+    n = len(pairs)
+    a = n > 1 and split(pairs, 0, n)
+    return a if a and join_order_by_heights(pairs, 0, a, n) else None
 
 
 def join_order_by_heights(pairs, lo, a, hi):

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import gc
 import sys
 from pathlib import Path
 
@@ -221,8 +222,13 @@ def test_verify_bad_no_convex_exits_2_before_any_output(tmp_path, capsys):
     [
         (["--l", "3", "--n", "4", "--p", "3", "--q", "2"], "q must be >= 3"),
         (["--l", "3", "--n", "5", "--c", "0"], "c must be >= 1"),
+        # --c is checked for every n, though n = 2 prints no value it scales
+        (["--l", "3", "--n", "2", "--c", "0"], "c must be >= 1"),
+        # --p and --q are read together, so one alone names the other
+        (["--l", "3", "--n", "5", "--p", "2"], "--q is missing"),
+        (["--l", "3", "--n", "5", "--q", "3"], "--p is missing"),
     ],
-    ids=["bad_q", "bad_c"],
+    ids=["bad_q", "bad_c", "bad_c_for_two_lines", "p_without_q", "q_without_p"],
 )
 def test_bounds_bad_value_exits_2_before_any_output(capsys, argv, message):
     code, out, err = run(capsys, "bounds", *argv)
@@ -366,6 +372,18 @@ def test_bounds_prints_values_past_the_int_to_str_limit(capsys, n):
 def test_bounds_for_two_lines_prints_only_the_exact_value(capsys):
     code, out, _ = run(capsys, "bounds", "--l", "3", "--n", "2")
     assert (code, out) == (0, "exact: 2\n")
+
+
+def test_main_freezes_the_heap_once_per_process(capsys):
+    # the first call in this process froze it; a later call freezes nothing
+    # more, so the objects made since stay in the collector's generations
+    run(capsys, "bounds", "--l", "3", "--n", "5")
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    garbage = [[] for _ in range(1000)]
+    run(capsys, "bounds", "--l", "3", "--n", "5")
+    assert gc.get_freeze_count() == frozen
+    del garbage
 
 
 def test_render_svg_file(tmp_path, capsys):

@@ -1,0 +1,266 @@
+"""The join tree and the rules that read it: the census's pencil leaves
+and the convex search on a joined root, against the slicing split, the
+heights at X0, the leaf row pass and the split DP."""
+
+import collections
+import random
+from fractions import Fraction
+from pathlib import Path
+from unittest.mock import patch
+
+import pytest
+from hypothesis import given
+
+from linecells import (
+    Line,
+    LineFamily,
+    Point,
+    arrangement,
+    construct_F,
+    contract,
+    find_n_convex,
+    largest_convex_subset,
+    parse_family,
+    pencil,
+)
+from linecells.geometry import IntegerView
+
+import oracles
+from test_kernels import (
+    BENCH_FAMILIES,
+    KERNELS,
+    check_convex_witness,
+    check_join_tree,
+    leaf_passes,
+    pencil_families,
+    random_join,
+    random_part,
+)
+
+FAMILIES = Path(__file__).resolve().parents[1] / "bench" / "families"
+
+
+def split_root_is_a_join(fam):
+    """Whether the root split of fam, by the slicing oracle, passes the
+    join test by the heights at X0."""
+    n = len(fam)
+    return n > 1 and oracles.join_order_by_heights(fam.pairs, 0, oracles.split(fam.pairs, 0, n), n)
+
+
+# families whose root is no join, with the largest convex subset and the
+# find_n_convex answer for n = 2, 3, ... that the split DP gave them
+# before the join rule: the figures, and random families of 8 to 12 lines
+# (conftest.random_family(random.Random(36), 8, 12), roots that are joins
+# skipped)
+NO_JOIN_SEARCHES = {
+    "fig5": (None, (4, (0, 4, 5, 9)), [(0, 4), (0, 4, 5), (0, 4, 5, 9)]),
+    "fig6": (None, (4, (0, 5, 6, 11)), [(0, 5), (0, 5, 6), (0, 5, 6, 11)]),
+    "fig8": (None, (4, (0, 7, 8, 15)), [(0, 7), (0, 7, 8), (0, 7, 8, 15)]),
+    "random-1": (
+        (60, ((-480, 0), (-108, -120), (-72, 180), (-15, 24), (-12, -84), (45, -150),
+              (60, 60), (90, 90), (140, -60), (180, 240))),
+        (7, (0, 1, 3, 4, 6, 7, 8)),
+        [(2, 3), (2, 3, 6), (2, 3, 6, 7), (2, 3, 6, 7, 9), (0, 2, 3, 4, 5, 8), (0, 1, 3, 4, 6, 7, 8)],
+    ),
+    "random-2": (
+        (60, ((-240, 105), (-150, 480), (-120, -210), (-90, 60), (-60, -90), (-40, -36),
+              (30, 480), (60, 120), (120, -20), (140, 300), (180, 96))),
+        (6, (0, 2, 3, 4, 6, 8)),
+        [(0, 1), (0, 1, 6), (0, 1, 6, 9), (0, 1, 6, 9, 10), (2, 4, 5, 6, 8, 9)],
+    ),
+    "random-3": (
+        (60, ((-90, 0), (-75, 0), (0, 360), (90, -20), (120, -96), (160, 480), (180, 0),
+              (240, -240))),
+        (6, (0, 1, 2, 4, 5, 7)),
+        [(0, 1), (0, 1, 4), (0, 1, 4, 7), (2, 3, 5, 6, 7), (0, 1, 2, 4, 5, 7)],
+    ),
+    "random-4": (
+        (30, ((-120, -42), (-105, 42), (-45, 30), (-15, -20), (20, 0), (30, 30), (48, 270),
+              (70, -105), (90, -80))),
+        (7, (0, 3, 4, 5, 6, 7, 8)),
+        [(0, 1), (0, 1, 2), (0, 1, 2, 4), (0, 1, 2, 4, 7), (0, 3, 4, 5, 6, 7), (0, 3, 4, 5, 6, 7, 8)],
+    ),
+    "random-5": (
+        (60, ((-135, 108), (-120, 45), (-84, 80), (-72, 180), (36, -60), (60, 210), (105, -105),
+              (240, -120))),
+        (5, (0, 1, 4, 6, 7)),
+        [(0, 1), (0, 1, 4), (0, 1, 4, 6), (0, 1, 4, 6, 7)],
+    ),
+    "random-6": (
+        (60, ((-140, -300), (-60, -180), (-12, -180), (20, 15), (45, 120), (180, 60), (360, 90),
+              (420, 20), (480, 60))),
+        (6, (0, 1, 2, 3, 4, 5)),
+        [(0, 1), (0, 1, 5), (0, 1, 5, 6), (0, 1, 5, 6, 7), (0, 1, 2, 3, 4, 5)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NO_JOIN_SEARCHES)
+def test_search_on_a_root_that_is_no_join_is_pinned(name):
+    stored, largest, found = NO_JOIN_SEARCHES[name]
+    if stored is None:
+        fam = parse_family((FAMILIES / f"{name}.txt").read_text())
+    else:
+        fam = LineFamily.from_pairs(*stored)
+    assert not split_root_is_a_join(fam)
+    assert largest_convex_subset(fam) == largest
+    answers = [find_n_convex(fam, n) for n in range(2, len(fam) + 1)]
+    assert answers == found + [None] * (len(fam) - 1 - len(found))
+
+
+# ------------------------------------------------------------------ tree
+
+
+@KERNELS
+@given(pencil_families())
+def test_join_tree_matches_the_slicing_split_on_pencil_families(fam):
+    check_join_tree(fam)
+
+
+def test_join_tree_of_rising_gaps_is_a_path_built_without_recursion():
+    # every gap larger than the last: each node's low part is the one
+    # before it, a tree of depth n - 1, far past the recursion limit
+    n = 5000
+    fam = LineFamily.from_pairs(1, [(i * (i + 1) // 2, i % 7) for i in range(n)])
+    joins = fam.view.joins
+    assert joins.root == n - 2
+    assert joins.low == [None, *range(n - 2)] and joins.high == [None] * (n - 1)
+    assert joins.lo == [0] * (n - 1) and joins.hi == list(range(2, n + 1))
+
+
+# ---------------------------------------------------------------- pencils
+
+
+def check_pencil_leaf(fam):
+    """The census of fam's lines, a pencil, written down without reading a
+    row, is the row pass's."""
+    n = len(fam)
+    view = IntegerView(fam.scale, fam.pairs)
+    assert leaf_passes(fam, lambda view: view._leaf(0, n)) == []
+    assert view._leaf(0, n) == view._measure(0, n)
+    assert view.census == view._measure(0, n)
+
+
+@pytest.mark.parametrize("count", range(3, 9))
+def test_pencil_leaf_is_the_row_pass(count):
+    rng = random.Random(count)
+    for _ in range(5):
+        apex = Point(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-9, 9))
+        slopes = sorted(rng.sample(range(-20, 21), count))
+        fam = pencil(apex, count, slopes)
+        check_pencil_leaf(fam)
+        # a contracted copy, as the leaves of F(p, q, l) are
+        carrier = Line(Fraction(rng.randint(-8, 8), 3), rng.randint(-5, 5))
+        check_pencil_leaf(contract(fam, carrier, Fraction(1, rng.randint(2, 50))))
+
+
+@BENCH_FAMILIES
+def test_every_leaf_of_a_bench_family_is_its_row_pass(path):
+    # every node that fails its join test, leaf of the census or not
+    fam = parse_family(path.read_text())
+    view, joins = fam.view, fam.view.joins
+    pencils = 0
+    for g in range(len(fam) - 1):
+        if not joins.joined[g]:
+            lo, hi = joins.lo[g], joins.hi[g]
+            assert view._leaf(lo, hi) == view._measure(lo, hi), (lo, hi)
+            pencils += len(set(view.steps[lo : hi - 1])) == 1
+    assert pencils > 0
+
+
+def test_census_of_F_6_5_4_writes_its_pencil_leaves_down():
+    fam = parse_family((FAMILIES / "F654.txt").read_text())
+    leaf, measure, leaves, measured = IntegerView._leaf, IntegerView._measure, [], []
+
+    def leaf_spy(view, lo, hi):
+        leaves.append(hi - lo)
+        return leaf(view, lo, hi)
+
+    def measure_spy(view, lo, hi):
+        measured.append(hi - lo)
+        return measure(view, lo, hi)
+
+    with patch.object(IntegerView, "_leaf", leaf_spy), patch.object(IntegerView, "_measure", measure_spy):
+        IntegerView(fam.scale, fam.pairs).census
+    # 35 leaves, 20 of them three-line pencils, which read no row
+    assert len(leaves) == 35 and len(measured) == 15
+    assert sorted(leaves) == sorted(measured + [3] * 20)
+
+
+# ----------------------------------------------------------- convex rule
+
+
+def check_convex_rule(fam):
+    """The convex search on fam against the split DP (_convex_split): the
+    same largest size and an n-subset exactly when n is at most that size,
+    the witnesses of the largest subset, of 2 lines and of its size in
+    convex position by the 2^n scan. Returns whether the join rule settled
+    the largest subset without a frame."""
+    n = len(fam)
+    size, witness = largest_convex_subset(fam)
+    settled = "frame" not in vars(fam.view)
+    below, above, _ = arrangement._convex_split(IntegerView(fam.scale, fam.pairs), 1, n)
+    assert size == len(below) + len(above)
+    check_convex_witness(fam, witness, size)
+    for k in range(2, min(n, size + 2) + 1):
+        found = find_n_convex(fam, k)
+        assert (found is None) == (k > size), k
+        if found is not None and k in (2, size):
+            check_convex_witness(fam, found, k)
+    return settled
+
+
+@pytest.mark.parametrize(
+    "p, q, l",
+    [
+        (p, q, l)
+        for l in (3, 4, 5)
+        for p in range(3, 9)
+        for q in range(3, 9)
+        if p + q <= 12 and len(construct_F(p, q, l)) <= 360
+    ],
+    ids=str,
+)
+def test_join_rule_is_the_split_dp_on_recursive_families(p, q, l):
+    fam = construct_F(p, q, l)
+    assert check_convex_rule(fam)
+    assert largest_convex_subset(fam)[0] == p + q
+
+
+def random_joins(seed, count=60, nested=40):
+    """count random joins of two random parts, then nested joins of two
+    of those whose test holds, drawn from seed (random_join)."""
+    rng = random.Random(seed)
+    joins = []
+    for _ in range(count):
+        fam, holds = random_join(rng, random_part(rng), random_part(rng))
+        if holds:
+            joins.append(fam)
+        yield fam
+    for _ in range(nested):
+        yield random_join(rng, *rng.sample(joins, 2))[0]
+
+
+def test_join_rule_is_the_split_dp_on_random_joins():
+    outcomes = collections.Counter()
+    for fam in random_joins(236):
+        outcomes[fam.view.root_join is not None, check_convex_rule(fam)] += 1
+    # random parts seldom meet the rule: a root that is a join and still
+    # takes the split DP, and one that is no join
+    assert outcomes[True, False] >= 10 and outcomes[False, False] >= 10, outcomes
+
+
+def test_join_rule_is_the_split_dp_on_random_joins_of_recursive_families():
+    # F(a, b, l) joined below F(c, d, l) with a < c and b > d: the low cap
+    # and the high cup, b + c lines, meet the cup+cap bound wherever the
+    # join test holds
+    rng = random.Random(237)
+    outcomes = collections.Counter()
+    for _ in range(60):
+        a, b = rng.randint(2, 3), rng.randint(3, 4)
+        c, d = rng.randint(a + 1, 4), rng.randint(2, b - 1)
+        l = rng.randint(3, 4)
+        fam, holds = random_join(rng, construct_F(a, b, l), construct_F(c, d, l))
+        outcomes[holds] += 1
+        assert check_convex_rule(fam) == holds
+    assert outcomes[True] >= 5 and outcomes[False] >= 5, outcomes

@@ -562,10 +562,12 @@ def test_census_tries_64_and_128_bits_then_the_full_shift():
 
 
 def measured_census(fam):
-    """The census of fam with every split refused: one leaf pass over all
-    of its rows, as the census was read before it found joins."""
+    """The census of fam with every join test of more than two lines
+    refused and its leaf measured: one pass over all of its rows, as the
+    census was read before it found joins and pencils."""
     with patch.object(geometry, "in_join_order", lambda *args: False):
-        return IntegerView(fam.scale, fam.pairs).census
+        with patch.object(IntegerView, "_leaf", IntegerView._measure):
+            return IntegerView(fam.scale, fam.pairs).census
 
 
 def check_census_by_joins(fam):
@@ -615,7 +617,7 @@ def random_join(rng, low, high):
     low = contract(low, Line(m_low, rng.randint(-9, 9)), eps)
     high = contract(high, Line(m_high, rng.randint(-9, 9)), eps)
     fam = constructions._join(low, high)
-    return fam, geometry.in_join_order(fam.view, 0, len(low), len(fam))
+    return fam, oracles.join_order_by_heights(fam.pairs, 0, len(low), len(fam))
 
 
 def test_census_by_joins_is_the_row_pass_on_random_joins():
@@ -639,21 +641,42 @@ def test_census_by_joins_is_the_row_pass_on_random_joins():
     assert outcomes[True] >= 5 and outcomes[False] >= 5, outcomes
 
 
+def check_join_tree(fam):
+    """Every node of fam's join tree, its range, split and join test,
+    against the slicing split and the heights at X0 (oracles.join_tree),
+    and its parts against their own nodes. Returns the tree."""
+    joins = fam.view.joins
+    n = len(fam)
+    nodes = [(joins.lo[g], g + 1, joins.hi[g], joins.joined[g]) for g in range(n - 1)]
+    assert nodes == oracles.join_tree(fam.pairs)
+    if n == 1:
+        assert joins.root is None
+        return joins
+    assert (joins.lo[joins.root], joins.hi[joins.root]) == (0, n)
+    for g in range(n - 1):
+        for part, (lo, hi) in ((joins.low[g], (joins.lo[g], g + 1)), (joins.high[g], (g + 1, joins.hi[g]))):
+            if part is None:
+                assert hi - lo == 1, g
+            else:
+                assert (joins.lo[part], joins.hi[part]) == (lo, hi), g
+    return joins
+
+
 def check_census_join_tests(fam):
-    """Every join test that the census of fam runs, on a fresh view,
-    against the heights at X0. Returns their outcomes, in turn."""
-    outcomes = []
-    test = geometry.in_join_order
+    """Every node of fam's join tree, split and join test, against the
+    slicing split and the heights at X0 (check_join_tree).
+    Returns the join tests, root first, then in rising split."""
+    joins = check_join_tree(fam)
+    nodes = range(len(fam) - 1)
+    return [joins.joined[g] for g in sorted(nodes, key=lambda g: g != joins.root)]
 
-    def checked(view, lo, a, hi):
-        holds = test(view, lo, a, hi)
-        assert holds == oracles.join_order_by_heights(fam.pairs, lo, a, hi), (lo, a, hi)
-        outcomes.append(holds)
-        return holds
 
-    with patch.object(geometry, "in_join_order", checked):
-        IntegerView(fam.scale, fam.pairs).census
-    return outcomes
+def join_test(view, lo, a, hi):
+    """The join test on lines lo..hi-1 of view split before line a, fed
+    the largest key of view.steps inside the parts, or True when both
+    parts are single lines."""
+    inside = view.steps[lo : a - 1] + view.steps[a : hi - 1]
+    return not inside or geometry.in_join_order(view, lo, hi, max(inside))
 
 
 def check_every_join_test(fam):
@@ -664,20 +687,20 @@ def check_every_join_test(fam):
         for hi in range(lo + 2, n + 1):
             for a in range(lo + 1, hi):
                 want = oracles.join_order_by_heights(fam.pairs, lo, a, hi)
-                assert geometry.in_join_order(fam.view, lo, a, hi) == want, (lo, a, hi)
+                assert join_test(fam.view, lo, a, hi) == want, (lo, a, hi)
         if lo + 2 <= n:
-            assert geometry.in_join_order(fam.view, lo, lo + 1, lo + 2)
+            assert join_test(fam.view, lo, lo + 1, lo + 2)
 
 
 @BENCH_FAMILIES
 def test_join_test_matches_the_heights_on_bench_families(path):
     fam = parse_family(path.read_text())
     outcomes = check_census_join_tests(fam)
-    # the F families split down to leaves, the figures not at all
+    # the F families are joins down to leaves, the figures not at the root
     if path.stem.startswith("F"):
         assert outcomes[0] and not all(outcomes)
     else:
-        assert outcomes == [False]
+        assert not outcomes[0]
 
 
 def test_join_test_matches_the_heights_on_random_joins():
@@ -685,8 +708,8 @@ def test_join_test_matches_the_heights_on_random_joins():
     joins, outcomes = [], collections.Counter()
     for _ in range(60):
         fam, holds = random_join(rng, random_part(rng), random_part(rng))
-        n = len(fam)
-        assert holds == oracles.join_order_by_heights(fam.pairs, 0, fam.view._split(0, n), n)
+        # the carriers' gap is the root split
+        assert (fam.view.root_join is not None) == holds
         outcomes.update(check_census_join_tests(fam))
         if holds:
             joins.append(fam)
@@ -710,7 +733,7 @@ def test_join_test_refuses_a_pencil_whose_neighbours_meet_at_X0():
     n = len(fam)
     for lo in range(n):
         for hi in range(lo + 3, n + 1):
-            assert not any(geometry.in_join_order(fam.view, lo, a, hi) for a in range(lo + 1, hi))
+            assert not any(join_test(fam.view, lo, a, hi) for a in range(lo + 1, hi))
 
 
 def check_unbounded_cells(fam):
@@ -729,7 +752,8 @@ def check_unbounded_cells(fam):
             else:
                 assert cell.signs == oracles.staircase_signs(n, first, side)
                 assert cell.bounding == frozenset(members[first])
-    return n > 1 and geometry.in_join_order(fam.view, 0, fam.view._split(0, n), n)
+    assert fam.view.root_join == oracles.root_join(fam.pairs)
+    return fam.view.root_join is not None
 
 
 @pytest.mark.parametrize(
@@ -792,7 +816,7 @@ def test_verify_derives_the_right_check_of_a_join_at_k_4(name):
 def test_verify_walks_the_right_staircases_of_a_root_that_is_no_join():
     fam = parse_family((FAMILIES / "fig8.txt").read_text())
     n = len(fam)
-    assert not geometry.in_join_order(fam.view, 0, fam.view._split(0, n), n)
+    assert fam.view.root_join is None
     with staircase_walks() as walks:
         report = verify_properties(fam, 3, 4, 4)
     assert walks == ["right"]
@@ -1113,7 +1137,9 @@ def test_find_n_convex_stops_at_the_cup_cap_bound(monkeypatch):
 
 def test_convex_search_reads_no_crossing_key_once_the_frame_is_built():
     fam = parse_family(F554_FILE.read_text())
-    fam.view.frame  # built, its keys read, before the spy goes in
+    # built, their keys read, before the spy goes in: the census, which
+    # the join rule reads, and the frame, which the split DP walks
+    fam.view.census, fam.view.frame
 
     def spy(view, *args):
         raise AssertionError("computed a crossing key")
@@ -1122,20 +1148,26 @@ def test_convex_search_reads_no_crossing_key_once_the_frame_is_built():
         assert largest_convex_subset(fam)[0] == 10
         assert find_n_convex(fam, 8) is not None
         assert find_n_convex(fam, 5) is not None
+        assert len(sum(arrangement._convex_split(fam.view, 1, len(fam))[:2], ())) == 10
 
 
 @pytest.mark.parametrize(
-    "path, search, mirrored",
+    "path, search, framed, mirrored",
     [
-        # n within the longest cup: that cup is the answer
-        (F554_FILE, lambda fam: find_n_convex(fam, 5), False),
-        # n past the cup+cap bound: no anchor can reach it
-        (F434_FILE, lambda fam: find_n_convex(fam, 8), False),
-        (F554_FILE, largest_convex_subset, True),
+        # the root of F(p, q, l) is a join, and the join rule answers from
+        # the census: n within the low cap and the high cup, n past the
+        # cup+cap bound, and the largest subset, which meets the bound
+        (F554_FILE, lambda fam: find_n_convex(fam, 5), False, False),
+        (F434_FILE, lambda fam: find_n_convex(fam, 8), False, False),
+        (F554_FILE, largest_convex_subset, False, False),
+        # the root of fig8 is no join: n within the longest cup is that
+        # cup, and the largest subset is swept on both sides
+        (FAMILIES / "fig8.txt", lambda fam: find_n_convex(fam, 3), True, False),
+        (FAMILIES / "fig8.txt", largest_convex_subset, True, True),
     ],
-    ids=["F554-n5", "F434-n8", "F554-largest"],
+    ids=["F554-n5", "F434-n8", "F554-largest", "fig8-n3", "fig8-largest"],
 )
-def test_convex_search_builds_the_mirror_only_when_it_sweeps(monkeypatch, path, search, mirrored):
+def test_convex_search_builds_the_mirror_only_when_it_sweeps(monkeypatch, path, search, framed, mirrored):
     mirror, built = arrangement._mirror, []
 
     def spy(frame, n):
@@ -1145,6 +1177,7 @@ def test_convex_search_builds_the_mirror_only_when_it_sweeps(monkeypatch, path, 
     fam = parse_family(path.read_text())
     monkeypatch.setattr(arrangement, "_mirror", spy)
     search(fam)
+    assert ("frame" in vars(fam.view)) == framed
     assert bool(built) == mirrored
 
 
