@@ -18,9 +18,8 @@ the tail array of the longest increasing subsequence, and walks the tails
 back to the witness of the DP that sorts the crossings by key
 (tests/oracles.py); a pencil's chains are its first two lines, and a
 join's chains follow from its parts'. The census,
-cached on the view, builds no n^2 table, and reads coarse keys, 64 bits
-wide at first, which it accepts only when every key a row repeats is one
-crossing: then every step is the exact pass's (IntegerView.census).
+cached on the view, builds no n^2 table, and reads each leaf's keys at
+the leaf's own shift, where they are exact (IntegerView.census).
 
 Unbounded cells admit a closed sign-vector form. In slope order, a cell
 unbounded to the right must lie above a prefix of the lines and below the

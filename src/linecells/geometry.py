@@ -13,11 +13,9 @@ family has one join tree, the Cartesian tree of its slope gaps, whose
 nodes hold an order test on the cached keys of slope neighbours'
 crossings (in_join_order, IntegerView.joins). The census walks it,
 derives a join's answers from its parts', writes down the leaves that
-are pencils and reads crossing rows only at the other leaves. There it
-reads coarse keys, floor(X * 2^bits) for bits far below the exact key's
-width, and accepts them only when every key a row repeats is one
-crossing, by the exact keys: an integer filter whose answers are the
-exact ones (IntegerView.census).
+are pencils and reads crossing rows only at the other leaves, each at the
+leaf's own shift, where distinct crossings have distinct keys
+(IntegerView.census).
 """
 
 from __future__ import annotations
@@ -201,22 +199,6 @@ Census = namedtuple("Census", "cup cap groups first")
 # (in_join_order).
 Joins = namedtuple("Joins", "root lo hi low high joined")
 
-# The precisions the census tries, in turn, below the full shift, before
-# the exact pass (IntegerView.census). Measured: the stored bench families
-# certify from 16 to 40 bits and the generated F(6,6,4) at 64, so one pass
-# settles each of them; F(7,6,4) to F(8,8,4) need 72 to 80 bits, fail at
-# 64 within their first rows, and settle at 128. Coarser starts would fail
-# more families, for no saving. A failed pass is lost, so there are no
-# rungs above those that families were seen to need: a family that fails
-# both late costs two coarse passes on top of the exact one. Since the
-# census reads only the leaves of a family's joins, a pass covers one
-# leaf: on the generated F(9,9,4), 1,583 of its 5,015 leaf passes (leaves
-# of 6 to 13 lines) fail at 64 bits and settle at 128, and they take about
-# 10% of the census (0.033-0.049 of 0.34-0.50 s over ten runs). A census
-# that starts at 128 bits took as long there (six interleaved runs each)
-# and on the stored bench families, so the 64-bit rung stays.
-_CENSUS_BITS = (64, 128)
-
 
 class IntegerView:
     """Crossing keys and tables of a family's integer form.
@@ -236,10 +218,10 @@ class IntegerView:
     ``joins``, the join tree, splits the lines at their slope gaps and
     tests each split on ``steps``, once per family. ``census``, derived
     over the tree's joins, written down at its pencil leaves and read off
-    the rows at the others, on coarse keys where a certificate allows, is
-    all that certification needs: the longest cup and cap and the
-    concurrency; with ``join_parts`` it answers the convex search on a
-    joined root. The staircases and the cell predicates read keys too. ``frame``, the one
+    the rows at the others, is all that certification needs: the longest
+    cup and cap and the concurrency; with ``join_parts`` it answers the
+    convex search on a joined root. The staircases and the cell
+    predicates read keys too. ``frame``, the one
     n^2 table, is the crossings sorted once by key, as their lines and
     whether the next one ties: the split DP and cell enumeration walk it.
     ``rim`` holds the n pairs whose crossings hold the extreme vertices:
@@ -254,17 +236,13 @@ class IntegerView:
 
     def key(self, i: int, j: int) -> int:
         """The key of X_ij, floor(X_ij * 2^shift), for lines i != j."""
-        return self._key(i, j, self.shift)
+        (mi, ci), (mj, cj) = self.pairs[i], self.pairs[j]
+        return ((cj - ci) << self.shift) // (mi - mj)
 
     def rows(self) -> Iterator[List[int]]:
         """Row i of the crossing keys, [key(i, j) for j > i], for each line
         i in turn: a pass over the rows holds one row at a time."""
         return _rows(self.pairs, self.shift)
-
-    def _key(self, i: int, j: int, bits: int) -> int:
-        """floor(X_ij * 2^bits): the key at bits = shift, a coarse key below."""
-        (mi, ci), (mj, cj) = self.pairs[i], self.pairs[j]
-        return ((cj - ci) << bits) // (mi - mj)
 
     @cached_property
     def census(self) -> Census:
@@ -291,7 +269,7 @@ class IntegerView:
         groups {1: 1, ..., k - 1: 1}; all crossings share a key, so no
         chain has three lines, and the DP's first longest chain, like its
         first vertex, is (lo, lo + 1). Any other leaf is measured by one
-        pass over its rows (_measure).
+        pass over its rows (_census).
 
         The combine rules. The join test puts every crossing inside a part
         strictly left of every crossing of a low line i < a with a high
@@ -342,23 +320,11 @@ class IntegerView:
         group each, of sizes k - 1 down to 1, so groups of size t count the
         vertices on more than t lines.
 
-        The leaf pass reads coarse keys c(X) = floor(X * 2^bits), bits at
-        most the leaf's shift, 2^shift at least the square of its slope
-        span, so that its keys are exact (_census). A floor keeps order
-        weakly, so c(X_hj) lies between c(X_hi) and c(X_ij), and equals
-        both when they are equal. A pass is accepted under a certificate:
-        each key that a row repeats is one crossing, as the exact keys of
-        its lines show. Then it is the exact pass, step for step. Were a
-        key X_hi in line i's tail and a key X_ij of row i different but
-        coarsely equal, c(X_hj) would equal both while X_hj, strictly
-        between them, differs from X_hi, and row h, read earlier, would
-        have failed. So each bisect finds the exact position, and after
-        each update every tail entry is the coarse key of the exact pass's
-        entry (a coarse tie leaves the same key whether or not the exact
-        pass replaces): chain lengths, groups and first agree. Each leaf
-        tries the precisions of _CENSUS_BITS below its shift in turn, then
-        the shift itself, where distinct crossings have distinct keys and
-        the certificate holds by itself.
+        The leaf pass reads the leaf's keys at its own shift, 2^shift at
+        least the square of the leaf's slope span M_(hi-1) - M_lo, so that
+        distinct crossings of the leaf have distinct keys, as the family's
+        do at its shift: a key that a row repeats is one vertex, and lines
+        that reach line j at one key meet it at one point.
         """
         return self._derived[0]
 
@@ -463,7 +429,7 @@ class IntegerView:
         if run.count(run[0]) == len(run):
             # equal abscissae on shared lines are one point
             return Census((lo, lo + 1), (lo, lo + 1), dict.fromkeys(range(1, hi - lo), 1), (lo, lo + 1))
-        return self._measure(lo, hi)
+        return self._census(lo, hi)
 
     @cached_property
     def steps(self) -> List[int]:
@@ -472,31 +438,20 @@ class IntegerView:
         tests read them."""
         return [self.key(i, i + 1) for i in range(len(self.pairs) - 1)]
 
-    def _measure(self, lo: int, hi: int) -> Census:
-        """The census of lines lo..hi-1, read off their rows: at the
-        precisions of _CENSUS_BITS below the range's shift, in turn, until
-        the certificate accepts one, else at that shift (census)."""
-        shift = _shift(self.pairs[lo][0], self.pairs[hi - 1][0])
-        for bits in _CENSUS_BITS:
-            if bits < shift and (census := self._census(bits, lo, hi)) is not None:
-                return census
-        return self._census(shift, lo, hi)
-
-    def _census(self, bits: int, lo: int = 0, hi: Optional[int] = None) -> Optional[Census]:
-        """The census of lines lo..hi-1 read off their keys at 2^bits, or
-        None when a row repeats a key at two different crossings; first
-        is None unless some vertex has three or more lines."""
+    def _census(self, lo: int, hi: int) -> Census:
+        """The census of lines lo..hi-1 read off their keys at the range's
+        shift; first is None unless some vertex has three or more lines."""
         pairs = self.pairs[lo:hi]
         n = len(pairs)
-        exact = _shift(pairs[0][0], pairs[-1][0])
+        shift = _shift(pairs[0][0], pairs[-1][0])
 
-        def key(h: int, j: int, bits: int = bits) -> int:
+        def key(h: int, j: int) -> int:
             (mh, ch), (mj, cj) = pairs[h], pairs[j]
-            return ((cj - ch) << bits) // (mh - mj)
+            return ((cj - ch) << shift) // (mh - mj)
 
         cups, caps = [[] for _ in range(n)], [[] for _ in range(n)]
         groups, top, tops = [0] * (n + 1), 1, []
-        for i, row in enumerate(_rows(pairs, bits)):
+        for i, row in enumerate(_rows(pairs, shift)):
             _extend(cups, i, row)
             _extend(caps, i, [*map(neg, row)])
             distinct = len(set(row))
@@ -508,13 +463,6 @@ class IntegerView:
             ordered = sorted(row)
             repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
             counts = {x: row.count(x) for x in repeated}
-            if bits < exact:
-                # the certificate: the lines of a repeated key meet line i at
-                # one point (list.index finds them, as row.count counts them,
-                # without hashing every key of the row)
-                for x, c in counts.items():
-                    if len({key(i, i + 1 + k, exact) for k in _positions(row, x, c)}) > 1:
-                        return None
             groups[1] += distinct - len(counts)
             for c in counts.values():
                 groups[c] += 1
@@ -527,8 +475,8 @@ class IntegerView:
                 tops.append((lo + i, lo + i + 1 + row.index(x)))
         first = self._first(tops)
         groups = {t: c for t, c in enumerate(groups) if c}
-        cup = _walk(cups, key, lambda h, j: key(h, j, exact))
-        cap = _walk(caps, lambda h, j: -key(h, j), lambda h, j: -key(h, j, exact))
+        cup = _walk(cups, key)
+        cap = _walk(caps, lambda h, j: -key(h, j))
         if lo:
             cup, cap = tuple(lo + k for k in cup), tuple(lo + k for k in cap)
         return Census(cup, cap, groups, first)
@@ -659,10 +607,10 @@ def _shift(m_lo: int, m_hi: int) -> int:
     return 2 * (m_hi - m_lo).bit_length()
 
 
-def _rows(pairs, bits: int) -> Iterator[List[int]]:
-    """Row i of the keys at 2^bits of the crossings of pairs, for each i."""
+def _rows(pairs, shift: int) -> Iterator[List[int]]:
+    """Row i of the keys at 2^shift of the crossings of pairs, for each i."""
     ms = [m for m, _ in pairs]
-    cs = [c << bits for _, c in pairs]
+    cs = [c << shift for _, c in pairs]
     for i, (mi, ci) in enumerate(zip(ms, cs)):
         yield [(cj - ci) // (mi - mj) for mj, cj in zip(ms[i + 1 :], cs[i + 1 :])]
 
@@ -683,31 +631,19 @@ def _extend(keys, i: int, row: List[int]) -> None:
             t[s] = x
 
 
-def _walk(keys, key, exact) -> Tuple[int, ...]:
+def _walk(keys, key) -> Tuple[int, ...]:
     """The longest chain, in slope order, that _extend left, key(h, j)
-    the key of X_hj that the tails hold and exact(h, j) its exact key:
-    the first line j with a longest tail, then from keys[j][s] = x to the
-    least h < j with the least exact key among the lines that reached j
-    at size s with key x, key(h, j) == x and bisect_left(keys[h], x) ==
-    s. The exact tail entry is the least exact key of the lines that
-    reach j at size s (census), and rows run in order and equal keys
-    never replace, so h set it: this is the witness of the DP that takes
-    the crossings by key (oracles.tuple_sort_chain). Coarse keys can tie
-    down a column, where the certificate does not look, so the exact keys
-    choose among the candidates."""
+    the key of X_hj that the tails hold: the first line j with a longest
+    tail, then from keys[j][s] = x to the least h < j that reached j at
+    size s with key x, key(h, j) == x and bisect_left(keys[h], x) == s.
+    The tail entry is the least key of the lines that reach j at size s
+    (census), and rows run in order and equal keys never replace, so the
+    first of them set it: this is the witness of the DP that takes the
+    crossings by key (oracles.tuple_sort_chain)."""
     j = max(range(len(keys)), key=lambda j: len(keys[j]))
     out = [j]
     for s in reversed(range(len(keys[j]))):
         x = keys[j][s]
-        reached = [h for h in range(j) if key(h, j) == x and bisect_left(keys[h], x) == s]
-        j = reached[0] if len(reached) == 1 else min((exact(h, j), h) for h in reached)[1]
+        j = next(h for h in range(j) if key(h, j) == x and bisect_left(keys[h], x) == s)
         out.append(j)
     return tuple(reversed(out))
-
-
-def _positions(row: List[int], x: int, count: int) -> Iterator[int]:
-    """The first count positions of x in row, in order."""
-    k = -1
-    for _ in range(count):
-        k = row.index(x, k + 1)
-        yield k

@@ -23,7 +23,7 @@ from linecells import (
     parse_family,
     pencil,
 )
-from linecells.geometry import IntegerView
+from linecells.geometry import IntegerView, _shift
 
 import oracles
 from test_kernels import (
@@ -137,8 +137,8 @@ def check_pencil_leaf(fam):
     n = len(fam)
     view = IntegerView(fam.scale, fam.pairs)
     assert leaf_passes(fam, lambda view: view._leaf(0, n)) == []
-    assert view._leaf(0, n) == view._measure(0, n)
-    assert view.census == view._measure(0, n)
+    assert view._leaf(0, n) == view._census(0, n)
+    assert view.census == view._census(0, n)
 
 
 @pytest.mark.parametrize("count", range(3, 9))
@@ -163,14 +163,14 @@ def test_every_leaf_of_a_bench_family_is_its_row_pass(path):
     for g in range(len(fam) - 1):
         if not joins.joined[g]:
             lo, hi = joins.lo[g], joins.hi[g]
-            assert view._leaf(lo, hi) == view._measure(lo, hi), (lo, hi)
+            assert view._leaf(lo, hi) == view._census(lo, hi), (lo, hi)
             pencils += len(set(view.steps[lo : hi - 1])) == 1
     assert pencils > 0
 
 
 def test_census_of_F_6_5_4_writes_its_pencil_leaves_down():
     fam = parse_family((FAMILIES / "F654.txt").read_text())
-    leaf, measure, leaves, measured = IntegerView._leaf, IntegerView._measure, [], []
+    leaf, measure, leaves, measured = IntegerView._leaf, IntegerView._census, [], []
 
     def leaf_spy(view, lo, hi):
         leaves.append(hi - lo)
@@ -180,11 +180,46 @@ def test_census_of_F_6_5_4_writes_its_pencil_leaves_down():
         measured.append(hi - lo)
         return measure(view, lo, hi)
 
-    with patch.object(IntegerView, "_leaf", leaf_spy), patch.object(IntegerView, "_measure", measure_spy):
+    with patch.object(IntegerView, "_leaf", leaf_spy), patch.object(IntegerView, "_census", measure_spy):
         IntegerView(fam.scale, fam.pairs).census
     # 35 leaves, 20 of them three-line pencils, which read no row
     assert len(leaves) == 35 and len(measured) == 15
     assert sorted(leaves) == sorted(measured + [3] * 20)
+
+
+def census_leaves(joins):
+    """The ranges (lo, hi) of the leaves of a join tree that the census
+    reaches from the root through nodes whose join test holds."""
+    todo, out = [joins.root], []
+    while todo:
+        g = todo.pop()
+        if g is None:
+            continue
+        if joins.joined[g]:
+            todo += joins.low[g], joins.high[g]
+        else:
+            out.append((joins.lo[g], joins.hi[g]))
+    return out
+
+
+def test_census_reads_each_measured_leaf_once_at_its_own_shift():
+    # lines 1 and 2 cross line 0 at x = 1 and 1 + 2^-200: their keys at 64
+    # and at 128 bits are equal, and the row pass reads them once, exact
+    k = 1 << 200
+    fam = LineFamily.from_pairs(1, [(0, 0), (1, -1), (k, -(k + 1))])
+    assert fam.view.shift == 402
+    assert leaf_passes(fam, lambda view: view._leaf(0, len(fam))) == [(0, 3, [402])]
+    # F654's 15 measured leaves, each read once at its own shift, below
+    # the family's, and none of its 20 pencil leaves
+    fam = parse_family((FAMILIES / "F654.txt").read_text())
+    passes = leaf_passes(fam, lambda view: view.census)
+    leaves = census_leaves(fam.view.joins)
+    pencils = [(lo, hi) for lo, hi in leaves if len(set(fam.view.steps[lo : hi - 1])) == 1]
+    assert len(leaves) == 35 and len(pencils) == 20 and len(passes) == 15
+    assert sorted((lo, hi) for lo, hi, _ in passes) == sorted(set(leaves) - set(pencils))
+    for lo, hi, shifts in passes:
+        assert shifts == [_shift(fam.pairs[lo][0], fam.pairs[hi - 1][0])], (lo, hi)
+        assert shifts[0] < fam.view.shift, (lo, hi)
 
 
 # ----------------------------------------------------------- convex rule

@@ -6,6 +6,7 @@ repeated crossing abscissae are common.
 
 import ast
 import collections
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -422,29 +423,18 @@ def test_chain_dp_matches_tuple_sort_on_bench_families(path):
     assert longest_cap(fam) == oracles.tuple_sort_chain(fam, "cap")
 
 
-# coarse precisions: up to 8 bits, below most test families' shifts, the
-# census's certificate both passes and fails; 64 is where the census starts
-CENSUS_BITS = (0, 1, 2, 4, 8, 64)
-
-
-def check_key_identity(fam, bits=None):
+def check_key_identity(fam):
     """For lines h < i < j in slope order, (M_j - M_h) X_hj is
     (M_i - M_h) X_hi + (M_j - M_i) X_ij, so X_hj lies strictly between X_hi
     and X_ij when they differ and equals both when they are equal. The
-    census rests on the floor keys keeping that: the exact keys strictly,
-    and the coarse keys at 2^bits weakly, so that two equal outer keys
-    force the middle one to equal both."""
+    census rests on the crossing keys keeping that."""
     view, n = fam.view, len(fam)
-    at = view.shift if bits is None else bits
     for h in range(n):
         for i in range(h + 1, n):
             for j in range(i + 1, n):
-                low, high = sorted((view._key(h, i, at), view._key(i, j, at)))
-                mid = view._key(h, j, at)
-                if bits is None:
-                    assert low < mid < high or low == mid == high, (h, i, j)
-                else:
-                    assert low <= mid <= high, (h, i, j, bits)
+                low, high = sorted((view.key(h, i), view.key(i, j)))
+                mid = view.key(h, j)
+                assert low < mid < high or low == mid == high, (h, i, j)
 
 
 def wide_families():
@@ -469,96 +459,54 @@ def wide_families():
 def test_crossing_keys_keep_the_three_line_identity_on_random_families(denom):
     rng = random.Random(denom)
     for _ in range(40):
-        fam = random_family(rng, 3, 12, span=20, denom=denom)
-        for bits in (None, *CENSUS_BITS):
-            check_key_identity(fam, bits)
+        check_key_identity(random_family(rng, 3, 12, span=20, denom=denom))
 
 
 @KERNELS
 @given(pencil_families(min_lines=3, max_lines=12))
 def test_crossing_keys_keep_the_three_line_identity_on_pencils(fam):
-    for bits in (None, *CENSUS_BITS):
-        check_key_identity(fam, bits)
+    check_key_identity(fam)
 
 
 def test_crossing_keys_keep_the_three_line_identity_on_wide_coordinates():
     for fam in wide_families():
-        for bits in (None, *CENSUS_BITS):
-            check_key_identity(fam, bits)
-
-
-def check_census_at(fam, bits):
-    """The census read at 2^bits (the private pass the census's precision
-    ladder runs), when its certificate accepts it, is the pass at the full
-    shift, field for field, and its cup and cap are the key-sorting DP's.
-    Returns whether it was accepted."""
-    view = fam.view
-    got = view._census(bits)
-    if got is not None:
-        assert got == view._census(view.shift), bits
-        assert got.cup == oracles.tuple_sort_chain(fam, "cup").witness, bits
-        assert got.cap == oracles.tuple_sort_chain(fam, "cap").witness, bits
-    return got is not None
-
-
-@pytest.mark.parametrize("denom", [1, 5])
-def test_census_at_any_precision_is_the_exact_census_on_random_families(denom):
-    rng = random.Random(denom)
-    accepted = {bits: set() for bits in CENSUS_BITS}
-    for _ in range(40):
-        fam = random_family(rng, 3, 12, span=20, denom=denom)
-        for bits in CENSUS_BITS:
-            accepted[bits].add(check_census_at(fam, bits))
-    # the coarsest keys both pass and fail the certificate
-    for bits in (0, 1, 2, 4):
-        assert accepted[bits] == {True, False}, bits
+        check_key_identity(fam)
 
 
 def test_census_at_a_coarse_column_tie_walks_on_the_exact_keys():
-    # at 2^1, lines 0 and 1 cross line 3 at one coarse key, -1, but at
-    # x = -7/29 and -13/27: the certificate looks along rows only, so the
-    # walk must tell such a column tie apart by the exact keys
+    # at 2^1, lines 0 and 1 cross line 3 at one floor key, -1, but at
+    # x = -7/29 and -13/27: the census reads the exact keys, where the two
+    # differ, and its walk back gives the key-sorting DP's witnesses
     fam = LineFamily(
         (Line(-18, -6), Line(-17, -9), Line(-8, 0), Line(Fraction(-7, 2), Fraction(-5, 2)))
     )
-    assert fam.view._key(0, 3, 1) == fam.view._key(1, 3, 1) == -1
-    assert check_census_at(fam, 1)
+    x03, x13 = ((fam[3].c - fam[i].c) / (fam[i].m - fam[3].m) for i in (0, 1))
+    assert (x03, x13) == (Fraction(-7, 29), Fraction(-13, 27))
+    assert math.floor(x03 * 2) == math.floor(x13 * 2) == -1
+    assert fam.view.key(0, 3) != fam.view.key(1, 3)
+    # the census, and the row pass over all four lines
+    for census in (fam.view.census, fam.view._census(0, len(fam))):
+        assert census.cup == oracles.tuple_sort_chain(fam, "cup").witness
+        assert census.cap == oracles.tuple_sort_chain(fam, "cap").witness
 
 
 def leaf_passes(fam, run):
-    """(bits, lo, hi) of each pass over the rows of lines lo..hi-1 that
-    run(view) makes on a fresh view of fam, in turn."""
-    passes, census_at = [], IntegerView._census
+    """(lo, hi, shifts) of each leaf row pass, over lines lo..hi-1, that
+    run(view) makes on a fresh view of fam, in turn; the pass reads its
+    rows at 2^shift for each of shifts."""
+    passes, census, rows = [], IntegerView._census, geometry._rows
 
-    def spy(view, bits, lo=0, hi=None):
-        passes.append((bits, lo, len(view.pairs) if hi is None else hi))
-        return census_at(view, bits, lo, hi)
+    def census_spy(view, lo, hi):
+        passes.append((lo, hi, []))
+        return census(view, lo, hi)
 
-    with patch.object(IntegerView, "_census", spy):
+    def rows_spy(pairs, shift):
+        passes[-1][2].append(shift)
+        return rows(pairs, shift)
+
+    with patch.object(IntegerView, "_census", census_spy), patch.object(geometry, "_rows", rows_spy):
         run(IntegerView(fam.scale, fam.pairs))
     return passes
-
-
-def leaf_precisions(fam):
-    """The precisions the leaf pass over all of fam's lines reads its keys
-    at, in turn."""
-    leaf = fam.view._measure(0, len(fam))
-    assert leaf == fam.view._census(fam.view.shift)
-    return [bits for bits, _, _ in leaf_passes(fam, lambda view: view._measure(0, len(fam)))]
-
-
-def test_census_tries_64_and_128_bits_then_the_full_shift():
-    # lines 1 and 2 cross line 0 at x = 1 and 1 + 2^-200, one key at 64 and
-    # at 128 bits: both coarse passes fail, and the next is the exact one
-    k = 1 << 200
-    fam = LineFamily.from_pairs(1, [(0, 0), (1, -1), (k, -(k + 1))])
-    assert leaf_precisions(fam) == [64, 128, fam.view.shift] == [64, 128, 402]
-    # a shift below 64 bits reads the exact keys at once
-    fam = parse_family((FAMILIES / "F334.txt").read_text())
-    assert leaf_precisions(fam) == [fam.view.shift] == [22]
-    # F654 (shift 592) settles at the first rung
-    fam = parse_family((FAMILIES / "F654.txt").read_text())
-    assert leaf_precisions(fam) == [64]
 
 
 def measured_census(fam):
@@ -566,7 +514,7 @@ def measured_census(fam):
     refused and its leaf measured: one pass over all of its rows, as the
     census was read before it found joins and pencils."""
     with patch.object(geometry, "in_join_order", lambda *args: False):
-        with patch.object(IntegerView, "_leaf", IntegerView._measure):
+        with patch.object(IntegerView, "_leaf", IntegerView._census):
             return IntegerView(fam.scale, fam.pairs).census
 
 
@@ -587,6 +535,15 @@ def check_census_by_joins(fam):
 @BENCH_FAMILIES
 def test_census_by_joins_is_the_row_pass_on_bench_families(path):
     check_census_by_joins(parse_family(path.read_text()))
+
+
+def test_census_by_joins_is_the_row_pass_on_random_and_wide_families():
+    rng = random.Random(37)
+    for denom in (1, 5):
+        for _ in range(40):
+            check_census_by_joins(random_family(rng, 3, 12, span=20, denom=denom))
+    for fam in wide_families():
+        check_census_by_joins(fam)
 
 
 @pytest.mark.parametrize(
@@ -825,7 +782,7 @@ def test_verify_walks_the_right_staircases_of_a_root_that_is_no_join():
 
 def leaves(fam):
     """The ranges of lines the census of fam reads rows of, as (lo, hi)."""
-    return [(lo, hi) for _, lo, hi in leaf_passes(fam, lambda view: view.census)]
+    return [(lo, hi) for lo, hi, _ in leaf_passes(fam, lambda view: view.census)]
 
 
 @pytest.mark.parametrize("name", ["fig8", "failed join"])
@@ -845,26 +802,6 @@ def test_census_of_F_6_6_4_reads_rows_of_base_families_at_most():
     fam = construct_F(6, 6, 4)
     widest = max(hi - lo for lo, hi in leaves(fam))
     assert widest <= max(len(construct_base(p, 4)) for p in range(2, 7)) == 9
-
-
-@KERNELS
-@given(pencil_families(min_lines=3, max_lines=12))
-def test_census_at_any_precision_is_the_exact_census_on_pencils(fam):
-    for bits in CENSUS_BITS:
-        check_census_at(fam, bits)
-
-
-def test_census_at_any_precision_is_the_exact_census_on_wide_coordinates():
-    for fam in wide_families():
-        for bits in CENSUS_BITS:
-            check_census_at(fam, bits)
-
-
-@BENCH_FAMILIES
-def test_census_at_any_precision_is_the_exact_census_on_bench_families(path):
-    fam = parse_family(path.read_text())
-    for bits in CENSUS_BITS:
-        check_census_at(fam, bits)
 
 
 @contextmanager
@@ -1144,7 +1081,7 @@ def test_convex_search_reads_no_crossing_key_once_the_frame_is_built():
     def spy(view, *args):
         raise AssertionError("computed a crossing key")
 
-    with patch.object(IntegerView, "key", spy), patch.object(IntegerView, "_key", spy):
+    with patch.object(IntegerView, "key", spy):
         assert largest_convex_subset(fam)[0] == 10
         assert find_n_convex(fam, 8) is not None
         assert find_n_convex(fam, 5) is not None

@@ -254,8 +254,9 @@ FAMILIES = Path(__file__).resolve().parents[1] / "bench" / "families"
 
 # sha256 of format_report on each bench family, both sides checked, with l,
 # p and q from its header; a figure10 family has no 5 lines in convex
-# position, so p = q = 4. Pinned before the census read coarse keys, so
-# witnesses, concurrency point and verdicts stay byte for byte.
+# position, so p = q = 4. Pinned while the census read every crossing key
+# at the family's full width, so witnesses, concurrency point and verdicts
+# stay byte for byte.
 PINNED_REPORTS = {
     "F334": "9c1360f1ecc64a58e0bc947ffb9c48eb4f0ad700f9a1f598b6e6f9cd18c37fd1",
     "F434": "d318b469567d664fa750d5984efe7a22af01832f75728016a72f09f149cd6615",
