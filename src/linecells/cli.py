@@ -3,23 +3,26 @@
 Exit codes: 0 success, 1 a requested property failed to hold (or a
 generator failed its certification), 2 bad usage or unreadable input.
 
-A call adds only its own command's arguments, or every command's when the
-first token names none (no arguments, `-h`, an unknown name). argparse
-hands every token after the command name to that command's parser, so the
-others' arguments cannot change what a call prints; all five subcommands
-are still registered with their help, so usage, help and errors read as
-before. Each process parses once, and the other commands' arguments took
-about 0.5 of the 2.9 ms of `search --n 8` on F(4,3,4), which the cup+cap
-bound answers (Python 3.11, shared 2-core host).
+One table, `_COMMANDS`, holds every command's arguments as data. A
+well-formed call is read from it directly (`_parse`) into the namespace
+argparse would make; argparse is imported only for what that reader
+hands on: help, usage errors, and the forms it does not take, such as
+abbreviations or '--'. `_build_parser` feeds the same table to argparse,
+adding the arguments of the named command only, so usage, help and
+errors read as before. argparse's constructors and its first message
+lookup, which imports `locale`, cost about 2 ms a call: reading the
+table, `search --n 8` on F(4,3,4), which the cup+cap bound answers, takes
+0.5 ms in place of 2.7, and `bounds` 0.1 in place of 2.2 (medians of
+fresh processes, Python 3.11, shared 2-core host).
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 from .constructions import KINDS, ConstructionSpec
@@ -155,74 +158,135 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _generate_arguments(gen: argparse.ArgumentParser) -> None:
-    gen.add_argument("--kind", required=True, choices=KINDS)
-    gen.add_argument("--p", type=int)
-    gen.add_argument("--q", type=int)
-    gen.add_argument("--l", type=int)
-    gen.add_argument("--k", type=int)
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--epsilon-scale", default="1", help="rational slope spread knob")
-    gen.add_argument("-o", "--output", help="output path (default stdout)")
+_FAMILY = (("family",), dict(help="family file ('-' for stdin)"))
+_OUTPUT = (("-o", "--output"), dict(help="output path (default stdout)"))
+_INT = dict(type=int)
 
-
-def _verify_arguments(ver: argparse.ArgumentParser) -> None:
-    ver.add_argument("family", help="family file ('-' for stdin)")
-    ver.add_argument("--l", "--max-concurrency", dest="l", type=int, required=True)
-    ver.add_argument("--p", type=int, required=True, help="longest allowed cup")
-    ver.add_argument("--q", type=int, required=True, help="longest allowed cap")
-    ver.add_argument(
-        "--check-unbounded",
-        action="append",
-        choices=("left", "right"),
-        help="also require no k-fold unbounded cell on this side (repeatable)",
-    )
-    ver.add_argument("--k", type=int, default=4, help="unbounded cell size to exclude")
-    ver.add_argument("--no-convex", type=int, help="also require no N in convex position")
-
-
-def _search_arguments(sea: argparse.ArgumentParser) -> None:
-    sea.add_argument("family", help="family file ('-' for stdin)")
-    group = sea.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int, help="subset size to search for")
-    group.add_argument("--largest", action="store_true", help="report the maximum size")
-
-
-def _bounds_arguments(bnd: argparse.ArgumentParser) -> None:
-    bnd.add_argument("--l", type=int, required=True)
-    bnd.add_argument("--n", type=int, required=True)
-    bnd.add_argument("--c", type=int, default=1, help="constant in the upper bounds")
-    bnd.add_argument("--p", type=int)
-    bnd.add_argument("--q", type=int)
-
-
-def _render_arguments(ren: argparse.ArgumentParser) -> None:
-    ren.add_argument("family", help="family file ('-' for stdin)")
-    ren.add_argument("-o", "--output", help="output path (default stdout)")
-    ren.add_argument(
-        "--viewport",
-        help="x0,y0,x1,y1 in family coordinates; write --viewport=-2,-2,2,3 "
-        "when x0 is negative, since a value after a space that starts with "
-        "'-' reads as an option",
-    )
-    ren.add_argument("--highlight-cell", help="sign vector like '++-' to fill")
-    ren.add_argument("--highlight-lines", help="comma separated line indices to accent")
-    ren.add_argument("--width", type=int, default=640)
-
-
-# name: (help, arguments, run), in the order the usage lists them
+# name: (help, arguments, run), in the order the usage lists them. Each
+# argument is (flags, add_argument keywords), its long flag last; an entry
+# (None, arguments) is a group of which exactly one must be given.
 _COMMANDS = {
-    "generate": ("build a family and write it out", _generate_arguments, _cmd_generate),
-    "verify": ("check the defining properties of a family", _verify_arguments, _cmd_verify),
-    "search": ("look for subsets in convex position", _search_arguments, _cmd_search),
-    "bounds": ("print threshold bounds", _bounds_arguments, _cmd_bounds),
-    "render": ("draw a family as an SVG", _render_arguments, _cmd_render),
+    "generate": ("build a family and write it out", (
+        (("--kind",), dict(required=True, choices=KINDS)),
+        (("--p",), _INT),
+        (("--q",), _INT),
+        (("--l",), _INT),
+        (("--k",), _INT),
+        (("--n",), _INT),
+        (("--epsilon-scale",), dict(default="1", help="rational slope spread knob")),
+        _OUTPUT,
+    ), _cmd_generate),
+    "verify": ("check the defining properties of a family", (
+        _FAMILY,
+        (("--l", "--max-concurrency"), dict(dest="l", type=int, required=True)),
+        (("--p",), dict(type=int, required=True, help="longest allowed cup")),
+        (("--q",), dict(type=int, required=True, help="longest allowed cap")),
+        (("--check-unbounded",), dict(
+            action="append",
+            choices=("left", "right"),
+            help="also require no k-fold unbounded cell on this side (repeatable)",
+        )),
+        (("--k",), dict(type=int, default=4, help="unbounded cell size to exclude")),
+        (("--no-convex",), dict(type=int, help="also require no N in convex position")),
+    ), _cmd_verify),
+    "search": ("look for subsets in convex position", (
+        _FAMILY,
+        (None, (
+            (("--n",), dict(type=int, help="subset size to search for")),
+            (("--largest",), dict(action="store_true", help="report the maximum size")),
+        )),
+    ), _cmd_search),
+    "bounds": ("print threshold bounds", (
+        (("--l",), dict(type=int, required=True)),
+        (("--n",), dict(type=int, required=True)),
+        (("--c",), dict(type=int, default=1, help="constant in the upper bounds")),
+        (("--p",), _INT),
+        (("--q",), _INT),
+    ), _cmd_bounds),
+    "render": ("draw a family as an SVG", (
+        _FAMILY,
+        _OUTPUT,
+        (("--viewport",), dict(
+            help="x0,y0,x1,y1 in family coordinates; write --viewport=-2,-2,2,3 "
+            "when x0 is negative, since a value after a space that starts with "
+            "'-' reads as an option",
+        )),
+        (("--highlight-cell",), dict(help="sign vector like '++-' to fill")),
+        (("--highlight-lines",), dict(help="comma separated line indices to accent")),
+        (("--width",), dict(type=int, default=640)),
+    ), _cmd_render),
 }
 
 
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, and the arguments of `command`
-    only, its -h included, or of all five when `command` is None."""
+def _parse(argv):
+    """The namespace argparse makes of a well-formed call, read from the
+    same table, or None for argparse to read argv: help, a usage error, or
+    a form this reader does not take (an abbreviation, '--', '-o=x', a
+    repeated option, a value that is empty or '--' or, after a space,
+    starts with '-'), which argparse reads as it always has."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, arguments, run = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": run}
+    options, positionals, required, one_of, seen = {}, [], set(), set(), set()
+    for flags, keywords in arguments:
+        group = not flags
+        for flags, keywords in [(flags, keywords)] if flags else keywords:
+            dest = keywords.get("dest") or flags[-1].lstrip("-").replace("-", "_")
+            switch = keywords.get("action") == "store_true"
+            values[dest] = keywords.get("default", False if switch else None)
+            if flags[0][0] == "-":
+                options.update(dict.fromkeys(flags, (dest, keywords)))
+            else:
+                positionals.append((dest, keywords))
+            if keywords.get("required"):
+                required.add(dest)
+            if group:
+                one_of.add(dest)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            if not positionals:
+                return None
+            dest, keywords = positionals.pop(0)
+            value = token
+        else:
+            flag, equals, value = token.partition("=") if token[:2] == "--" else (token, "", "")
+            if flag not in options:
+                return None
+            dest, keywords = options[flag]
+            if keywords.get("action") == "store_true":
+                if equals:
+                    return None
+                value = True
+            elif not equals:
+                value = next(tokens, "")
+                if value.startswith("-") and value != "-":
+                    return None
+        # Python 3.11's argparse reads a value '--' as [], so leave it to argparse
+        if value in ("", "--") or dest in seen and keywords.get("action") != "append":
+            return None
+        seen.add(dest)
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        if keywords.get("action") == "append":
+            value = (values[dest] or []) + [value]
+        values[dest] = value
+    if positionals or not required <= seen or one_of and len(one_of & seen) != 1:
+        return None
+    return SimpleNamespace(**values)
+
+
+def _build_parser(command: Optional[str] = None):
+    """The argparse parser with every subcommand, and the arguments of
+    `command` only, its -h included, or of all five when `command` is None."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="linecells",
         description="Build and check line families with bounded concurrency "
@@ -233,7 +297,10 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         wanted = command in (None, name)
         cmd = sub.add_parser(name, help=help_text, add_help=wanted)
         if wanted:
-            arguments(cmd)
+            for flags, keywords in arguments:
+                container = cmd if flags else cmd.add_mutually_exclusive_group(required=True)
+                for flags, keywords in [(flags, keywords)] if flags else keywords:
+                    container.add_argument(*flags, **keywords)
             cmd.set_defaults(func=run)
     return parser
 
@@ -248,11 +315,13 @@ def main(argv=None) -> int:
         # its heap frozen after the first call.
         gc.freeze()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    try:
-        args = _build_parser(command).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _parse(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        try:
+            args = _build_parser(command).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
     except ConstructionError as exc:

@@ -1,10 +1,15 @@
 import argparse
 import ast
+import contextlib
 import gc
+import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from linecells import (
     ConstructionSpec,
@@ -552,3 +557,173 @@ def test_a_command_builds_no_other_commands_arguments(capsys, monkeypatch, comma
     assert cli_main([command, "--help"]) == 0
     capsys.readouterr()
     assert calls == expected
+
+
+def argparse_reading(argv):
+    """vars() of what the command's argparse parser makes of argv, or None
+    where it exits for help or a usage error; what it prints is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser(argv[0]).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# each command's option strings, then forms that only argparse reads:
+# abbreviations, help, '--', a short option's '=' and attached values
+FLAGS = {
+    "generate": ("--kind", "--p", "--q", "--l", "--k", "--n", "--epsilon-scale", "-o", "--output"),
+    "verify": ("--l", "--max-concurrency", "--p", "--q", "--check-unbounded", "--k", "--no-convex"),
+    "search": ("--n", "--largest"),
+    "bounds": ("--l", "--n", "--c", "--p", "--q"),
+    "render": ("-o", "--output", "--viewport", "--highlight-cell", "--highlight-lines", "--width"),
+}
+ODD_FLAGS = (
+    "--ki", "--eps", "--out", "--max", "--check", "--no", "--lar", "--view", "--high",
+    "-h", "--help", "--", "-o=x", "-ox", "--bogus",
+)
+WORDS = (
+    "3", "4", "-3", "", "--", " 4", "4_0", "x", "f.txt", "-", "pencil", "nope",
+    "left", "right", "up", "1/3", "-2,-2,2,3", "++-", "0,1",
+)
+# the words of each argument of a well-formed call of each command
+WELL_FORMED = {
+    "generate": [("--kind", "pencil"), ("--n", "4"), ("--epsilon-scale=1/3",), ("--output", "-")],
+    "verify": [
+        ("f.txt",), ("--l", "3"), ("--p", "3"), ("--q", "3"),
+        ("--check-unbounded", "left"), ("--check-unbounded=right",), ("--k", "4_0"),
+    ],
+    "search": [("-",), ("--n", "8")],
+    "bounds": [("--l", "3"), ("--n", "6"), ("--c", " 4"), ("--p=3",)],
+    "render": [
+        ("f.txt",), ("--highlight-cell=-+",), ("--viewport=-2,-2,2,3",), ("-o", "x.svg"),
+        ("--width", "800"),
+    ],
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed call with each argument kept, dropped, given another
+    word, respelled or repeated, and a few stray arguments among them."""
+    command = draw(st.sampled_from(COMMANDS))
+    word = st.sampled_from(WORDS)
+    items = []
+    for words in WELL_FORMED[command]:
+        how = draw(st.sampled_from(("keep",) * 3 + ("drop", "reword", "respell", "repeat")))
+        if how == "reword":
+            head, equals, _ = words[-1].rpartition("=")
+            words = (*words[:-1], f"{head}={draw(word)}" if equals else draw(word))
+        elif how == "respell" and len(words) == 2:
+            words = (f"{words[0]}={words[1]}",)
+        elif how == "respell":
+            # '--flag=value' as two words; a lone word is given a value
+            flag, equals, value = words[0].partition("=")
+            words = (flag, value) if equals else (f"{flag}={draw(word)}",)
+        items += [words] * {"drop": 0, "repeat": 2}.get(how, 1)
+    flag = st.sampled_from(FLAGS[command] + ODD_FLAGS)
+    stray = st.one_of(
+        st.tuples(flag, word),
+        st.builds("{}={}".format, flag, word).map(lambda token: (token,)),
+        st.tuples(flag),
+        st.tuples(word),
+    )
+    items = draw(st.permutations(items + draw(st.lists(stray, max_size=2))))
+    return [command, *(token for words in items for token in words)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+def test_the_table_reader_agrees_with_argparse(argv):
+    # where argparse exits, the reader hands argv to it
+    fast = cli._parse(argv)
+    event("handed to argparse" if fast is None else "read from the table")
+    assert fast is None or vars(fast) == argparse_reading(argv)
+
+
+FAST_CALLS = [
+    ["generate", "--kind", "recursive_pq", "--p", "3", "--q", "3", "--l", "4", "-o", "f334.txt"],
+    ["generate", "--kind=pencil", "--n", "3", "--epsilon-scale", "1/3", "--output", "-"],
+    ["verify", "f334.txt", "--l", "4", "--p", "3", "--q", "3", "--no-convex", "7"],
+    ["verify", "-", "--max-concurrency", "4", "--p", "3", "--q", "3", "--check-unbounded",
+     "left", "--check-unbounded=right", "--k", "3"],
+    ["search", "bench/families/F434.txt", "--n", "8"],
+    ["search", "--largest", "f334.txt"],
+    ["bounds", "--l", "3", "--n", "6", "--c", "2", "--p", "3", "--q", "3"],
+    ["render", "f334.txt", "-o", "f334.svg", "--highlight-cell=----++++",
+     "--highlight-lines", "0,1", "--width", "800"],
+    ["render", "f334.txt", "--viewport=-2,-2,2,3"],
+]
+
+
+@pytest.mark.parametrize("argv", FAST_CALLS, ids=" ".join)
+def test_well_formed_calls_are_read_from_the_table(argv):
+    assert vars(cli._parse(argv)) == argparse_reading(argv)
+
+
+# calls that the table reader hands to argparse, which reads them as it
+# always has: help, usage errors, and forms the reader does not take
+ARGPARSE_CALLS = [
+    [],
+    ["--help"],
+    ["frobnicate"],
+    ["search", "f", "--n", "8", "-h"],
+    ["generate", "--ki", "pencil"],
+    ["verify", "f", "--l", "3", "--p", "3", "--q", "3", "--"],
+    ["render", "f", "-o=x"],
+    ["render", "f", "-ox"],
+    ["bounds", "--l", "3", "--n", "-3"],
+    ["render", "f", "--viewport", "-2,-2,2,3"],
+    ["generate", "--kind", "pencil", "--n", ""],
+    ["render", "f", "--output="],
+    ["render", "f", "--output=--"],
+    ["render", "f", "--output"],
+    ["search", "f", "--n", "3", "--n", "4"],
+    ["verify", "f", "--l", "3", "--max-concurrency", "3", "--p", "3", "--q", "3"],
+    ["search", "f", "--largest", "--largest"],
+    ["search", "f", "--largest=x"],
+    ["search", "f", "--n", "3", "--largest"],
+    ["search", "f"],
+    ["generate", "--kind", "nope"],
+    ["verify", "f", "--l", "3", "--p", "3", "--q", "3", "--check-unbounded", "up"],
+    ["verify", "f", "--l", "x", "--p", "3", "--q", "3"],
+    ["verify", "f", "--l", "3", "--p", "3"],
+    ["verify", "--l", "3", "--p", "3", "--q", "3"],
+    ["verify", "f", "g", "--l", "3", "--p", "3", "--q", "3"],
+    ["bounds", "--l", "3", "--n", "5", "--width", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_CALLS, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_other_calls_are_handed_to_argparse(argv):
+    assert cli._parse(argv) is None
+
+
+def test_well_formed_calls_import_neither_argparse_nor_locale(tmp_path):
+    # a fresh interpreter, since this one has imported both
+    root = Path(__file__).resolve().parents[1]
+    f334, svg = str(tmp_path / "f334.txt"), str(tmp_path / "f334.svg")
+    calls = [
+        ["generate", "--kind", "recursive_pq", "--p", "3", "--q", "3", "--l", "4", "-o", f334],
+        ["verify", f334, "--l", "4", "--p", "3", "--q", "3"],
+        ["search", "bench/families/F434.txt", "--n", "8"],
+        ["search", f334, "--largest"],
+        ["bounds", "--l", "3", "--n", "6"],
+        ["render", f334, "-o", svg, "--highlight-cell=----++++"],
+        ["render", f334, "-o", svg, "--viewport=-2,-2,2,3"],
+    ]
+    script = f"""
+import sys
+import linecells
+assert "argparse" not in sys.modules, "import linecells imported argparse"
+for argv in {calls!r}:
+    assert linecells.cli_main(argv) in (0, 1), argv
+    imported = {{"argparse", "locale"}} & set(sys.modules)
+    assert not imported, (argv, imported)
+"""
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
