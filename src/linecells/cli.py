@@ -263,7 +263,7 @@ def _parse(argv):
                 value = next(tokens, "")
                 if value.startswith("-") and value != "-":
                     return None
-        # Python 3.11's argparse reads a value '--' as [], so leave it to argparse
+        # argparse refuses a value '--' with its usage error (_build_parser)
         if value in ("", "--") or dest in seen and keywords.get("action") != "append":
             return None
         seen.add(dest)
@@ -287,7 +287,15 @@ def _build_parser(command: Optional[str] = None):
     `command` only, its -h included, or of all five when `command` is None."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class ArgumentParser(argparse.ArgumentParser):
+        def _get_values(self, action, arg_strings):
+            # argparse drops a '--' from an option's values, so that
+            # --output=-- or -o-- would read as [] and reach the command
+            if action.option_strings and arg_strings == ["--"]:
+                raise argparse.ArgumentError(action, "expected one argument")
+            return super()._get_values(action, arg_strings)
+
+    parser = ArgumentParser(
         prog="linecells",
         description="Build and check line families with bounded concurrency "
         "and no large subfamily in convex position.",

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -435,6 +436,35 @@ def test_render_negative_viewport_needs_the_equals_form(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert "--viewport: expected one argument" in err
     assert not out_path.exists()
+
+
+# calls that give an option the value '--', and the option named in the error
+DASHDASH_CALLS = [
+    (["render", "F444.txt", "--output=--"], "-o/--output"),
+    (["generate", "--kind=--"], "--kind"),
+    (["search", "F444.txt", "--n=--"], "--n"),
+    (["render", "F444.txt", "-o--"], "-o/--output"),
+    (["render", "F444.txt", "--out=--"], "-o/--output"),
+    (["verify", "F444.txt", "--l", "4", "--p", "4", "--q", "4", "--check-unbounded=--"],
+     "--check-unbounded"),
+    (["render", "F444.txt", "--output=--", "--output=f.svg"], "-o/--output"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", DASHDASH_CALLS, ids=[" ".join(argv) for argv, _ in DASHDASH_CALLS]
+)
+def test_an_option_given_the_value_dashdash_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, argv, flag
+):
+    # argparse drops a '--' from an option's values, which then reached the
+    # command as [] and failed there with a TypeError and exit 1
+    shutil.copy(Path(__file__).resolve().parents[1] / "bench" / "families" / "F444.txt", tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: argument {flag}: expected one argument\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["F444.txt"]
 
 
 def test_render_three_value_viewport_exits_2(tmp_path, capsys):

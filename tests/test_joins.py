@@ -3,6 +3,7 @@ and the convex search on a joined root, against the slicing split, the
 heights at X0, the leaf row pass and the split DP."""
 
 import collections
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from linecells import (
     parse_family,
     pencil,
 )
+from linecells import geometry
 from linecells.geometry import IntegerView, _shift
 
 import oracles
@@ -32,6 +34,7 @@ from test_kernels import (
     check_convex_witness,
     check_join_tree,
     leaf_passes,
+    offset,
     pencil_families,
     random_join,
     random_part,
@@ -136,9 +139,9 @@ def check_pencil_leaf(fam):
     row, is the row pass's."""
     n = len(fam)
     view = IntegerView(fam.scale, fam.pairs)
-    assert leaf_passes(fam, lambda view: view._leaf(0, n)) == []
-    assert view._leaf(0, n) == view._census(0, n)
-    assert view.census == view._census(0, n)
+    assert leaf_passes(fam, lambda view: view._leaf(0, n, {})) == []
+    assert view._leaf(0, n, {}) == view._census()
+    assert view.census == view._census()
 
 
 @pytest.mark.parametrize("count", range(3, 9))
@@ -156,35 +159,19 @@ def test_pencil_leaf_is_the_row_pass(count):
 
 @BENCH_FAMILIES
 def test_every_leaf_of_a_bench_family_is_its_row_pass(path):
-    # every node that fails its join test, leaf of the census or not
+    # every node that fails its join test, leaf of the census or not, with
+    # one memo for all of them, as the census keeps it
     fam = parse_family(path.read_text())
-    view, joins = fam.view, fam.view.joins
+    view, joins, memo = fam.view, fam.view.joins, {}
     pencils = 0
     for g in range(len(fam) - 1):
         if not joins.joined[g]:
             lo, hi = joins.lo[g], joins.hi[g]
-            assert view._leaf(lo, hi) == view._census(lo, hi), (lo, hi)
+            # one pass over the leaf's own rows, at its own shift
+            measured = IntegerView(fam.scale, fam.pairs[lo:hi])._census()
+            assert view._leaf(lo, hi, memo) == offset(measured, lo), (lo, hi)
             pencils += len(set(view.steps[lo : hi - 1])) == 1
     assert pencils > 0
-
-
-def test_census_of_F_6_5_4_writes_its_pencil_leaves_down():
-    fam = parse_family((FAMILIES / "F654.txt").read_text())
-    leaf, measure, leaves, measured = IntegerView._leaf, IntegerView._census, [], []
-
-    def leaf_spy(view, lo, hi):
-        leaves.append(hi - lo)
-        return leaf(view, lo, hi)
-
-    def measure_spy(view, lo, hi):
-        measured.append(hi - lo)
-        return measure(view, lo, hi)
-
-    with patch.object(IntegerView, "_leaf", leaf_spy), patch.object(IntegerView, "_census", measure_spy):
-        IntegerView(fam.scale, fam.pairs).census
-    # 35 leaves, 20 of them three-line pencils, which read no row
-    assert len(leaves) == 35 and len(measured) == 15
-    assert sorted(leaves) == sorted(measured + [3] * 20)
 
 
 def census_leaves(joins):
@@ -202,24 +189,59 @@ def census_leaves(joins):
     return out
 
 
-def test_census_reads_each_measured_leaf_once_at_its_own_shift():
+def form_span(pairs):
+    """The largest slope of the normal form of pairs, in slope order: their
+    slope span over the gcd of their slopes' differences."""
+    ms = [m - pairs[0][0] for m, _ in pairs]
+    return ms[-1] // math.gcd(*ms)
+
+
+def test_census_of_F_6_5_4_writes_its_pencil_leaves_down():
+    fam = parse_family((FAMILIES / "F654.txt").read_text())
+    leaf, form, leaves, measured = IntegerView._leaf, geometry._normal_form, [], []
+
+    def leaf_spy(view, lo, hi, memo):
+        leaves.append(hi - lo)
+        return leaf(view, lo, hi, memo)
+
+    def form_spy(pairs):
+        measured.append(len(pairs))
+        return form(pairs)
+
+    with patch.object(IntegerView, "_leaf", leaf_spy), patch.object(geometry, "_normal_form", form_spy):
+        passes = leaf_passes(fam, lambda view: view.census)
+    # 35 leaves, 20 of them three-line pencils, which need no normal form;
+    # the other 15 are copies of 5 forms, each read once
+    assert len(leaves) == 35 and len(measured) == 15 and len(passes) == 5
+    assert sorted(leaves) == sorted(measured + [3] * 20)
+
+
+def test_census_reads_each_leaf_form_once_at_its_own_shift():
     # lines 1 and 2 cross line 0 at x = 1 and 1 + 2^-200: their keys at 64
     # and at 128 bits are equal, and the row pass reads them once, exact
     k = 1 << 200
     fam = LineFamily.from_pairs(1, [(0, 0), (1, -1), (k, -(k + 1))])
     assert fam.view.shift == 402
-    assert leaf_passes(fam, lambda view: view._leaf(0, len(fam))) == [(0, 3, [402])]
-    # F654's 15 measured leaves, each read once at its own shift, below
-    # the family's, and none of its 20 pencil leaves
-    fam = parse_family((FAMILIES / "F654.txt").read_text())
-    passes = leaf_passes(fam, lambda view: view.census)
-    leaves = census_leaves(fam.view.joins)
-    pencils = [(lo, hi) for lo, hi in leaves if len(set(fam.view.steps[lo : hi - 1])) == 1]
-    assert len(leaves) == 35 and len(pencils) == 20 and len(passes) == 15
-    assert sorted((lo, hi) for lo, hi, _ in passes) == sorted(set(leaves) - set(pencils))
-    for lo, hi, shifts in passes:
-        assert shifts == [_shift(fam.pairs[lo][0], fam.pairs[hi - 1][0])], (lo, hi)
-        assert shifts[0] < fam.view.shift, (lo, hi)
+    assert leaf_passes(fam, lambda view: view._leaf(0, len(fam), {})) == [(0, 3, [402])]
+    # F654's 15 measured leaves and F(8,8,4)'s 420, copies of 5 and 10
+    # normal forms: one pass per form, at the form's shift, far below the
+    # family's, and none at a pencil leaf
+    for fam, counts in (
+        (parse_family((FAMILIES / "F654.txt").read_text()), (35, 20, 5)),
+        (construct_F(8, 8, 4), (924, 504, 10)),
+    ):
+        passes = leaf_passes(fam, lambda view: view.census)
+        leaves = census_leaves(fam.view.joins)
+        pencils = [(lo, hi) for lo, hi in leaves if len(set(fam.view.steps[lo : hi - 1])) == 1]
+        measured = set(leaves) - set(pencils)
+        forms = {}
+        for lo, hi in sorted(measured):
+            forms.setdefault(geometry._normal_form(fam.pairs[lo:hi]), (lo, hi))
+        assert (len(leaves), len(pencils), len(passes)) == counts
+        assert sorted((lo, hi) for lo, hi, _ in passes) == sorted(forms.values())
+        for lo, hi, shifts in passes:
+            assert shifts == [_shift(0, form_span(fam.pairs[lo:hi]))], (lo, hi)
+            assert shifts[0] <= 18 < fam.view.shift, (lo, hi)
 
 
 # ----------------------------------------------------------- convex rule

@@ -50,7 +50,7 @@ from linecells import (
 from linecells import arrangement, constructions, geometry
 from linecells.chains import _staircases
 from linecells.constructions import _lift
-from linecells.geometry import IntegerView
+from linecells.geometry import Census, IntegerView
 from linecells.svg import _auto_viewport
 
 import oracles
@@ -485,36 +485,49 @@ def test_census_at_a_coarse_column_tie_walks_on_the_exact_keys():
     assert math.floor(x03 * 2) == math.floor(x13 * 2) == -1
     assert fam.view.key(0, 3) != fam.view.key(1, 3)
     # the census, and the row pass over all four lines
-    for census in (fam.view.census, fam.view._census(0, len(fam))):
+    for census in (fam.view.census, fam.view._census()):
         assert census.cup == oracles.tuple_sort_chain(fam, "cup").witness
         assert census.cap == oracles.tuple_sort_chain(fam, "cap").witness
 
 
 def leaf_passes(fam, run):
-    """(lo, hi, shifts) of each leaf row pass, over lines lo..hi-1, that
-    run(view) makes on a fresh view of fam, in turn; the pass reads its
-    rows at 2^shift for each of shifts."""
-    passes, census, rows = [], IntegerView._census, geometry._rows
+    """(lo, hi, shifts) of each row pass that run(view) makes on a fresh
+    view of fam, in turn: the pass measures the normal form of lines
+    lo..hi-1, a leaf, and reads its rows at 2^shift for each of shifts."""
+    passes, ranges = [], []
+    leaf, census, rows = IntegerView._leaf, IntegerView._census, geometry._rows
 
-    def census_spy(view, lo, hi):
-        passes.append((lo, hi, []))
-        return census(view, lo, hi)
+    def leaf_spy(view, lo, hi, memo):
+        ranges.append((lo, hi))
+        return leaf(view, lo, hi, memo)
+
+    def census_spy(view):
+        passes.append((*ranges[-1], []))
+        return census(view)
 
     def rows_spy(pairs, shift):
         passes[-1][2].append(shift)
         return rows(pairs, shift)
 
-    with patch.object(IntegerView, "_census", census_spy), patch.object(geometry, "_rows", rows_spy):
-        run(IntegerView(fam.scale, fam.pairs))
+    with patch.object(IntegerView, "_leaf", leaf_spy), patch.object(IntegerView, "_census", census_spy):
+        with patch.object(geometry, "_rows", rows_spy):
+            run(IntegerView(fam.scale, fam.pairs))
     return passes
+
+
+def offset(census, lo):
+    """census with lo added to each of its lines."""
+    shifted = lambda lines: None if lines is None else tuple(lo + i for i in lines)
+    return Census(shifted(census.cup), shifted(census.cap), census.groups, shifted(census.first))
 
 
 def measured_census(fam):
     """The census of fam with every join test of more than two lines
-    refused and its leaf measured: one pass over all of its rows, as the
-    census was read before it found joins and pencils."""
+    refused and its leaf, all of fam's lines, measured on fam's own pairs:
+    one pass over all of its rows, as the census was read before it found
+    joins, pencils and normal forms."""
     with patch.object(geometry, "in_join_order", lambda *args: False):
-        with patch.object(IntegerView, "_leaf", IntegerView._census):
+        with patch.object(IntegerView, "_leaf", lambda view, lo, hi, memo: view._census()):
             return IntegerView(fam.scale, fam.pairs).census
 
 
@@ -596,6 +609,40 @@ def test_census_by_joins_is_the_row_pass_on_random_joins():
         check_census_by_joins(fam)
         outcomes[holds] += 1
     assert outcomes[True] >= 5 and outcomes[False] >= 5, outcomes
+
+
+positive = st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=64)
+
+
+@KERNELS
+@given(
+    pencil_families(min_lines=3),
+    st.tuples(positive, rationals, positive, rationals, rationals),
+    st.tuples(rationals, rationals, st.fractions(Fraction(1, 1000), 1)),
+    st.integers(0, 3),
+)
+def test_affine_images_of_a_leaf_share_its_normal_form_and_census(fam, affine, carrier, lo):
+    # contract, and any map (M, C) -> (aM + b, cC + dM + e) with a, c > 0
+    # on the integer pairs, keep slope, key and Point order: each image has
+    # the leaf's normal form and its census, which _leaf gives at any lo
+    a, b, c, d, e = affine
+    mapped = [(a * m + b, c * k + d * m + e) for m, k in fam.pairs]
+    den = math.lcm(*(v.denominator for pair in mapped for v in pair))
+    m, k, eps = carrier
+    images = [
+        LineFamily.from_pairs(fam.scale, [(int(x * den), int(y * den)) for x, y in mapped]),
+        contract(fam, Line(m, k), eps),
+    ]
+    form = geometry._normal_form(fam.pairs)
+    census = IntegerView(fam.scale, fam.pairs)._census()
+    assert IntegerView(1, form)._census() == census
+    for image in images:
+        assert geometry._normal_form(image.pairs) == form
+        assert IntegerView(image.scale, image.pairs)._census() == census
+        # lo lines of lesser slopes before the image
+        start = image.pairs[0][0]
+        pairs = [(start - lo + i, i) for i in range(lo)] + list(image.pairs)
+        assert IntegerView(image.scale, pairs)._leaf(lo, lo + len(fam), {}) == offset(census, lo)
 
 
 def check_join_tree(fam):
