@@ -33,16 +33,18 @@ one witness per cell.
 Lines are in convex position when one cell is bounded by all of them.
 The lines below that cell form a cup and the lines above it a cap, and
 the cell's left and right vertices fix how the crossing keys along both
-chains may run. So one DP over the frame (_convex_split) finds a
-largest subset in convex position, anchored at each possible left vertex
-in turn and pruned by the longest cup and cap the anchor leaves. It answers
-convex_position_cell and the searches in verify, which differ only in
-its stop rules need and goal, wherever the join rule on a family's root
-join, read off the census, leaves the answer open (verify.largest_convex_subset). The cross-product interval test, the
-Fraction stepper, the per-line grouping of the crossing keys, the cell
-enumeration that scans all n lines per vertex and per cell, and the
-exponential walk over subsets that these replaced are the references in
-tests/oracles.py.
+chains may run. One search (_convex_split) finds a largest subset in
+convex position for convex_position_cell and for the searches in verify,
+which pass it only the sizes need and goal. Where the family's root is a
+join (IntegerView.root_join), the join rule answers from the census, and
+builds no frame, whenever it settles the search. Elsewhere one DP over
+the frame answers, anchored at each possible left vertex in turn and
+pruned by the longest cup and cap the anchor leaves; when a longest
+chain is the answer, its lines are the census's. The cross-product
+interval test, the Fraction stepper, the per-line grouping of the
+crossing keys, the cell enumeration that scans all n lines per vertex
+and per cell, and the exponential walk over subsets that these replaced
+are the references in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -353,31 +355,27 @@ def _bounds(frame: Frame, n: int):
     over the keys above the current one. Before its batch, edge (a, b)
     reads the anchor bound of its left vertex: the longest cup from a plus
     the longest cap down from b over the keys above X_ab, which no cell
-    anchored there can beat. Returns (size, lines) of the longest cup and
-    cap and bound, where bound[p] is the bound of crossing p: a small int,
-    so the list shares one object per value, not one per crossing.
+    anchored there can beat. Returns the sizes of the longest cup and cap
+    and bound, where bound[p] is the bound of crossing p: a small int, so
+    the list shares one object per value, not one per crossing.
     """
     lows, highs, tied = frame
     cup, cap = [1] * n, [1] * n
-    cupl: List[Link] = [(v, None) for v in range(n)]
-    capl = cupl[:]
     bound = [0] * len(lows)
     grown = []
     for p in range(len(lows) - 1, -1, -1):
         x, y = lows[p], highs[p]
         bound[p] = cup[x] + cap[y]
-        grown.append((x, y, cup[y], cupl[y], cap[x], capl[x]))
+        grown.append((x, y, cup[y], cap[x]))
         # edges of one key extend only chains over the keys above it
         if not tied[p - 1]:
-            for x, y, u, ul, v, vl in grown:
+            for x, y, u, v in grown:
                 if u >= cup[x]:
-                    cup[x], cupl[x] = u + 1, (x, ul)
+                    cup[x] = u + 1
                 if v >= cap[y]:
-                    cap[y], capl[y] = v + 1, (y, vl)
+                    cap[y] = v + 1
             grown = []
-    x = max(range(n), key=cup.__getitem__)
-    y = max(range(n), key=cap.__getitem__)
-    return (cup[x], _chain(cupl[x])), (cap[y], _chain(capl[y])[::-1]), bound
+    return max(cup), max(cap), bound
 
 
 def _sweep(frame: Frame, n: int, p: int, stop: int):
@@ -447,35 +445,71 @@ def _convex_split(view, need: int, goal: int):
     cap), and the cell's class. The search stops once a subset has goal
     lines, and gives None when none has need lines.
 
-    S is in convex position exactly when it splits into a cup C and a cap
-    D, either possibly empty, such that, with a = min C, b = max D, c =
-    max C and d = min D: if a < b, every chain key lies above X_ab (the
-    cell's left vertex); if c > d, every chain key lies below X_cd (its
-    right vertex); and not both a > b and c < d. With D empty the cell is
-    the top cell and with C empty the bottom one, so the longest cup and
-    cap are candidates. The cells with a left vertex, bounded or unbounded
-    to the right, come from a _sweep from their anchor (a, b), and those
+    The lines below a cell bounded by all of them are a cup (the cell lies
+    in their top cell and meets each of them along a segment) and the
+    lines above it a cap, so no subset has more than the longest cup plus
+    the longest cap, and nothing is sought past that bound.
+
+    The join rule. Let the root of the family's join tree be a join
+    (IntegerView.root_join), of the low lines before line a and the high
+    ones from a on, and let D be the low part's longest cap and C the high
+    part's longest cup, which the census derives on its way
+    (IntegerView.join_parts). Then C and D are in convex position: the
+    region Z above every line of C and below every line of D, open and
+    convex, is a cell of their arrangement bounded by all of them. The
+    join test puts every crossing inside a part strictly left of every
+    low-high crossing, and left of where they cross, a low line lies
+    above a high one, as its slope is lower. So left of the leftmost
+    crossing x* of a line of D with a line of C, the lower envelope of D
+    lies above the upper envelope of C, and Z holds the strip between
+    them there. Each breakpoint of either envelope is a crossing inside a
+    part, left of x*. C is a cup, so each of its lines is a piece of
+    positive length of the upper envelope, between two breakpoints or
+    from one to infinity, and meets the strip along a piece of positive
+    length; so is each line of D on the lower envelope, D being a cap. So
+    every line of C and D bounds Z. Far right every high line lies above
+    every low one, so Z's two rays, along the envelopes, point left: Z is
+    unbounded to the left. On a joined root the census gives the bound
+    and C and D, and no frame is built when C and D have at least goal
+    lines or meet the bound: on F(p, q, l), C has p lines and D q.
+
+    The split DP, for every other family and search. S is in convex
+    position exactly when it splits into a cup C and a cap D, either
+    possibly empty, such that, with a = min C, b = max D, c = max C and
+    d = min D: if a < b, every chain key lies above X_ab (the cell's left
+    vertex); if c > d, every chain key lies below X_cd (its right vertex);
+    and not both a > b and c < d. With D empty the cell is the top cell
+    and with C empty the bottom one, so the census's longest cup and cap
+    are candidates. The cells with a left vertex, bounded or unbounded to
+    the right, come from a _sweep from their anchor (a, b), and those
     unbounded to the left from the same sweep on the mirror image.
 
-    _bounds gives the longest cup and cap and every anchor's bound. No
-    more than cup + cap lines are sought, and nothing is swept (nor the
-    mirror built) when a chain reaches goal or need exceeds cup + cap.
-    Anchors go by descending bound, capped at goal, then frame position
-    descending: key order on each side, and the shortest sweeps first,
-    which often meet the bound at once. The search stops when no bound
-    left beats the best size; a sweep is O(n^2), the search O(n^4).
+    _bounds gives the sizes of the longest cup and cap and every anchor's
+    bound. Nothing is swept (nor the mirror built) when a chain reaches
+    goal or need exceeds cup + cap. Anchors go by descending bound, capped
+    at goal, then frame position descending: key order on each side, and
+    the shortest sweeps first, which often meet the bound at once. The
+    search stops when no bound left beats the best size; a sweep is
+    O(n^2), the search O(n^4).
     """
+    if view.root_join is not None:
+        census = view.census
+        most = len(census.cup) + len(census.cap)
+        if need > most:
+            return None
+        low_cap, high_cup = view.join_parts
+        if len(low_cap) + len(high_cup) >= min(goal, most):
+            return high_cup, low_cap, "unbounded_left"
     n = len(view.pairs)
-    (cup, cup_lines), (cap, cap_lines), bound = _bounds(view.frame, n)
+    cup, cap, bound = _bounds(view.frame, n)
     best = max(cup, cap)
-    split = (cup_lines, (), "unbounded_other") if cup >= cap else ((), cap_lines, "unbounded_other")
     top = min(goal, cup + cap)
-    if top <= max(best, need - 1):
-        return split if best >= need else None
-    frames = view.frame, _mirror(view.frame, n)
-    bounds = bound, _bounds(frames[1], n)[2]
+    levels = range(top, max(need, best + 1) - 1, -1)
+    if levels:
+        frames = view.frame, _mirror(view.frame, n)
+        bounds = bound, _bounds(frames[1], n)[2]
     anchored = None
-    for level in range(top, max(need, best + 1) - 1, -1):
+    for level in levels:
         if level <= best:
             break
         # the top level takes every bound at or above it
@@ -492,7 +526,9 @@ def _convex_split(view, need: int, goal: int):
     if best < need:
         return None
     if anchored is None:
-        return split
+        # the top cell of the longest cup, or the bottom cell of the longest cap
+        census = view.census
+        return (census.cup, (), "unbounded_other") if cup >= cap else ((), census.cap, "unbounded_other")
     f, (low, high, bound_class) = anchored
     below, above = _chain(low)[::-1], _chain(high)
     if f:

@@ -58,41 +58,20 @@ def f_L_bound(l: int, p: int, q: int, c=1) -> Rat:
     return c * (min(p - 1, q - 1) + l) * comb(p + q - 4, q - 2)
 
 
-def _join_witness(family: LineFamily) -> Optional[Tuple[Tuple[int, ...], int]]:
-    """(witness, bound) when the root of the family's join tree is a join:
-    the low part's longest cap with the high part's longest cup, in slope
-    order, which are in convex position (largest_convex_subset), and the
-    family's longest cup plus longest cap. None when the root is no join."""
-    view = family.view
-    if view.root_join is None:
-        return None
-    cap, cup = view.join_parts
-    census = view.census
-    return cap + cup, len(census.cup) + len(census.cap)
-
-
 def find_n_convex(family: LineFamily, n: int) -> Optional[Tuple[int, ...]]:
     """n lines in convex position, or None.
 
-    On a family whose root is a join, the join rule (largest_convex_subset)
-    answers from the census: None when n exceeds the longest cup plus the
-    longest cap, and the first n lines of the low cap and the high cup
-    when they have n or more. Otherwise the cup/cap-split DP
-    (arrangement._convex_split) with need and goal both n: it returns None
-    at once when n exceeds the longest cup plus the longest cap, and
-    otherwise stops at the first split of n or more lines. Convex position
-    passes to subsets, so the first n of its lines are the witness.
+    The convex-position search (arrangement._convex_split) with need and
+    goal both n: None at once when n exceeds the longest cup plus the
+    longest cap, and otherwise the first subset of n or more lines it
+    finds, which on a joined root is the low cap and the high cup when
+    they have n or more lines. Convex position passes to subsets, so the first n
+    of its lines are the witness: the longest cup's or cap's first n when
+    one has n lines.
     """
     size = len(family)
     if not 2 <= n <= size:
         raise ParameterRangeError(f"need 2 <= n <= {size}: {n}")
-    joined = _join_witness(family)
-    if joined is not None:
-        witness, bound = joined
-        if n > bound:
-            return None
-        if n <= len(witness):
-            return witness[:n]
     split = _convex_split(family.view, n, n)
     if split is None:
         return None
@@ -114,39 +93,11 @@ def exists_n_convex(family: LineFamily, n: int) -> bool:
 def largest_convex_subset(family: LineFamily):
     """(size, witness indices) of a largest subset in convex position.
 
-    The lines below a cell bounded by all of them are a cup (the cell lies
-    in their top cell and meets each of them along a segment) and the
-    lines above it a cap, so no subset has more than the longest cup plus
-    the longest cap.
-
-    The join rule. Let the root of the family's join tree be a join
-    (IntegerView.root_join), of the low lines before line a and the high
-    ones from a on, and let D be the low part's longest cap and C the high
-    part's longest cup, which the census derives on its way
-    (IntegerView.join_parts). Then C and D are in convex position: the
-    region Z above every line of C and below every line of D, open and
-    convex, is a cell of their arrangement bounded by all of them. The
-    join test puts every crossing inside a part strictly left of every
-    low-high crossing, and left of where they cross, a low line lies
-    above a high one, as its slope is lower. So left of the leftmost
-    crossing x* of a line of D with a line of C, the lower envelope of D
-    lies above the upper envelope of C, and Z holds the strip between
-    them there. Each breakpoint of either envelope is a crossing inside a
-    part, left of x*. C is a cup, so each of its lines is a piece of
-    positive length of the upper envelope, between two breakpoints or
-    from one to infinity, and meets the strip along a piece of positive
-    length; so is each line of D on the lower envelope, D being a cap. So
-    every line of C and D bounds Z. When len(C) + len(D) is the longest
-    cup plus the longest cap, which the census gives, C and D are a
-    largest subset, and no frame is built: on F(p, q, l), C has p lines
-    and D q. Any other family takes the cup/cap-split DP
-    (arrangement._convex_split) with need 1 and goal the family size,
-    which stops at the same bound.
+    The convex-position search (arrangement._convex_split) with need 1 and
+    goal the family size, which stops at the longest cup plus the longest
+    cap: on a joined root whose low cap and high cup meet that bound, they
+    are the witness, read off the census with no frame built.
     """
-    joined = _join_witness(family)
-    if joined is not None and len(joined[0]) == joined[1]:
-        witness = joined[0]
-        return (len(witness), witness)
     below, above, _ = _convex_split(family.view, 1, len(family))
     witness = tuple(sorted(below + above))
     return (len(witness), witness)

@@ -17,8 +17,11 @@ from linecells import (
     LineFamily,
     Point,
     arrangement,
+    bounding_lines,
+    classify_cell,
     construct_F,
     contract,
+    convex_position_cell,
     find_n_convex,
     largest_convex_subset,
     parse_family,
@@ -51,8 +54,9 @@ def split_root_is_a_join(fam):
 
 
 # families whose root is no join, with the largest convex subset and the
-# find_n_convex answer for n = 2, 3, ... that the split DP gave them
-# before the join rule: the figures, and random families of 8 to 12 lines
+# find_n_convex answer for n = 2, 3, ... that the split DP gives them, a
+# chain's answer being the census's longest cup or cap: the figures, and
+# random families of 8 to 12 lines
 # (conftest.random_family(random.Random(36), 8, 12), roots that are joins
 # skipped)
 NO_JOIN_SEARCHES = {
@@ -69,13 +73,13 @@ NO_JOIN_SEARCHES = {
         (60, ((-240, 105), (-150, 480), (-120, -210), (-90, 60), (-60, -90), (-40, -36),
               (30, 480), (60, 120), (120, -20), (140, 300), (180, 96))),
         (6, (0, 2, 3, 4, 6, 8)),
-        [(0, 1), (0, 1, 6), (0, 1, 6, 9), (0, 1, 6, 9, 10), (2, 4, 5, 6, 8, 9)],
+        [(2, 3), (2, 3, 6), (2, 3, 6, 9), (2, 3, 6, 9, 10), (2, 4, 5, 6, 8, 9)],
     ),
     "random-3": (
         (60, ((-90, 0), (-75, 0), (0, 360), (90, -20), (120, -96), (160, 480), (180, 0),
               (240, -240))),
         (6, (0, 1, 2, 4, 5, 7)),
-        [(0, 1), (0, 1, 4), (0, 1, 4, 7), (2, 3, 5, 6, 7), (0, 1, 2, 4, 5, 7)],
+        [(0, 1), (0, 1, 3), (0, 1, 3, 4), (2, 3, 5, 6, 7), (0, 1, 2, 4, 5, 7)],
     ),
     "random-4": (
         (30, ((-120, -42), (-105, 42), (-45, 30), (-15, -20), (20, 0), (30, 30), (48, 270),
@@ -251,12 +255,20 @@ def check_convex_rule(fam):
     """The convex search on fam against the split DP (_convex_split): the
     same largest size and an n-subset exactly when n is at most that size,
     the witnesses of the largest subset, of 2 lines and of its size in
-    convex position by the 2^n scan. Returns whether the join rule settled
-    the largest subset without a frame."""
+    convex position by the 2^n scan, and a cell bounded by every line, of
+    the class that it reads, exactly when that size is n. Returns whether
+    the join rule settled the largest subset without a frame."""
     n = len(fam)
     size, witness = largest_convex_subset(fam)
     settled = "frame" not in vars(fam.view)
-    below, above, _ = arrangement._convex_split(IntegerView(fam.scale, fam.pairs), 1, n)
+    cell = convex_position_cell(fam)
+    assert (cell is None) == (size < n or n < 2)
+    if cell is not None:
+        assert bounding_lines(fam, cell.signs) == frozenset(range(n))
+        assert classify_cell(fam, cell.signs) == cell.bound_class
+    # the split DP alone, on a view whose root is taken for no join
+    with patch.object(IntegerView, "root_join", None):
+        below, above, _ = arrangement._convex_split(IntegerView(fam.scale, fam.pairs), 1, n)
     assert size == len(below) + len(above)
     check_convex_witness(fam, witness, size)
     for k in range(2, min(n, size + 2) + 1):

@@ -36,6 +36,7 @@ from linecells import (
     find_unbounded_cell,
     has_k_cell_unbounded,
     is_cap,
+    is_convex_position,
     is_cup,
     largest_convex_subset,
     longest_cap,
@@ -1144,12 +1145,15 @@ def test_convex_search_reads_no_crossing_key_once_the_frame_is_built():
         (F554_FILE, lambda fam: find_n_convex(fam, 5), False, False),
         (F434_FILE, lambda fam: find_n_convex(fam, 8), False, False),
         (F554_FILE, largest_convex_subset, False, False),
+        # and the cell bounded by every line, past that bound
+        (F554_FILE, convex_position_cell, False, False),
+        (F554_FILE, is_convex_position, False, False),
         # the root of fig8 is no join: n within the longest cup is that
         # cup, and the largest subset is swept on both sides
         (FAMILIES / "fig8.txt", lambda fam: find_n_convex(fam, 3), True, False),
         (FAMILIES / "fig8.txt", largest_convex_subset, True, True),
     ],
-    ids=["F554-n5", "F434-n8", "F554-largest", "fig8-n3", "fig8-largest"],
+    ids=["F554-n5", "F434-n8", "F554-largest", "F554-cell", "F554-is-convex", "fig8-n3", "fig8-largest"],
 )
 def test_convex_search_builds_the_mirror_only_when_it_sweeps(monkeypatch, path, search, framed, mirrored):
     mirror, built = arrangement._mirror, []
@@ -1181,7 +1185,15 @@ def test_largest_convex_subset_of_F544_reaches_the_bound(capsys):
 def test_split_dp_matches_the_walk_on_random_families(seed):
     rng = random.Random(seed)
     for trial in range(40):
-        check_split_against_walk(random_family(rng, 2, 9, simple=trial % 2 == 0))
+        fam = random_family(rng, 2, 9, simple=trial % 2 == 0)
+        check_split_against_walk(fam)
+        if fam.view.root_join is None:
+            # n lines within the longest chain are its first n, the cup's
+            # when it is as long as the cap
+            cup, cap = longest_cup(fam).witness, longest_cap(fam).witness
+            chain = cup if len(cup) >= len(cap) else cap
+            for n in range(2, len(chain) + 1):
+                assert find_n_convex(fam, n) == chain[:n], n
 
 
 @KERNELS
