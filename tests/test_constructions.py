@@ -223,6 +223,33 @@ PINNED_DIGESTS = {
         lambda: construct_thm12(3, 5),
         "00c3f76f20380f0b75838e234403b0967db18f469b1bcbbd91209ecbd15a8a10",
     ),
+    # recorded while the base families and figure10 were still built from
+    # Fraction Lines (oracles.construct_base), and construct_F's squeeze
+    # bound was taken in Fractions
+    "base_5_4": (
+        lambda: construct_base(5, 4),
+        "6e6e1b074741d58979a2b55cfac4d736e35f70b41133c45f2a7b2546ccec0a5c",
+    ),
+    "base_4_4_scale_1_3": (
+        lambda: construct_base(4, 4, epsilon_scale=Fraction(1, 3)),
+        "dbfa3b72e858b92cca0c8075d076ddf81a969be259b3e754934a588d1deab239",
+    ),
+    "base_caps_4_3_scale_7_2": (
+        lambda: construct_base_caps(4, 3, epsilon_scale=Fraction(7, 2)),
+        "439a83c2b4a2aa3af4fea03f3d52fa74db5cecb2355ec2be9abe214ea1709fee",
+    ),
+    "F334_scale_3": (
+        lambda: construct_F(3, 3, 4, epsilon_scale=3),
+        "2969d3f4dab130e3180f380ec84ab06cb3462453dba3bafed85bda7dda36149a",
+    ),
+    "figure10_6": (
+        lambda: figure10_family(6),
+        "692b3eb62bbc0b27f983e519bcf0e94a31d82f216c3d90d72b8e1b1890744436",
+    ),
+    "figure10_3_scale_100": (
+        lambda: figure10_family(3, epsilon_scale=100),
+        "f6074c236d427c4bd3747813dba202a2d745d3457f3279869657608aa026725c",
+    ),
 }
 
 
