@@ -1,4 +1,4 @@
-"""Generators for the extremal families.
+"""Generators for the extremal families, built in integers.
 
 The pieces fit together in three layers. construct_base places pencils of
 l-1 nearly parallel lines at points (h, h^2) along the standard parabola,
@@ -8,7 +8,11 @@ size. contract squeezes a whole family into a thin bundle that stands in
 for a single line a: an affine map sends every slope into (a.m - eps,
 a.m + eps) and gathers all internal intersections into a tiny disk below
 the x-axis. The recursive and scaffold builders then replace each line of
-a small arrangement by a contracted copy of a smaller family.
+a small arrangement by a contracted copy of a smaller family. Every layer
+works on integer pairs (LineFamily.from_pairs): the base families and
+figure10_family write theirs over one denominator, and contract takes its
+squeeze exponent from integer comparisons, so no Line is built and no
+Fraction is made per line or per level.
 
 contract, the reflections and the shear preserve sign vectors exactly, so
 nothing they build is re-checked. Each public generator instead certifies
@@ -16,30 +20,23 @@ its result once, through _certify, by measuring what no proof covers and
 proving the rest from tests it runs:
 
 - construct_base measures its concurrency, cup and cap lengths and its
-  right-unbounded 4-cells, which find_unbounded_cell derives instead
-  where the family's root is a join (such as one pencil and the tangent
-  line); construct_base_caps is its mirror.
-- construct_F measures nothing: at each join a test on the keys of slope
-  neighbours' crossings, that each part is in slope order where the
-  outermost two lines cross, proves the joined family's cup, cap and
-  concurrency from its two parts' and bounds each of its right
-  staircases by three lines (construct_F). The
-  test is geometry.in_join_order, which each node of a family's join tree
-  holds (IntegerView.joins): the census derives the joins of any family
-  it measures by it, so verify reads rows only at their leaves.
-- The thm12 scaffold compares the roots of its two halves' lines, which
-  proves its concurrency 2 (_thm12_scaffold); the prop32 scaffold is a
-  recursive family moved by maps that keep sign vectors.
+  right-unbounded 4-cells (find_unbounded_cell derives these where the
+  root is a join); construct_base_caps is its mirror.
+- construct_F measures nothing: a test at each join, that each part is in
+  slope order where the outermost two lines cross (in_join_order, which
+  each node of a join tree holds), proves the join's cup, cap and
+  concurrency from its parts' and bounds its right staircases by three
+  lines (construct_F).
+- The thm12 scaffold compares its two halves' roots, which proves its
+  concurrency 2 (_thm12_scaffold); the prop32 scaffold is a recursive
+  family moved by maps that keep sign vectors.
 - Each assembly and figure10_family measure their concurrency and run
-  the no-n-convex check, the polynomial cup/cap-split search
-  (verify.find_n_convex), which proves that no n lines are in convex
-  position or names n that are.
+  the no-n-convex check (verify.find_n_convex).
 
 No check is ever skipped; the first that fails raises ConstructionError
 naming the generator, the check, the measured value and the bound. So
 construct_thm12(l, n) for n >= 7 and construct_prop32(3, 4, parity),
-whose assemblies have n lines in convex position, raise instead of
-returning.
+whose assemblies have n lines in convex position, raise.
 """
 
 from __future__ import annotations
@@ -47,10 +44,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from typing import Dict, Optional, Sequence, Tuple
 
-from .arrangement import max_concurrency
+from .arrangement import max_concurrency  # noqa: F401, bench/tracing.py wraps this name
 from .chains import has_k_cell_unbounded, longest_cap, longest_cup
 from .errors import ConstructionError, ParameterRangeError, at_least
 from .geometry import Line, LineFamily, Point, Rat, _as_rat, format_rat, in_join_order, parse_rat
@@ -90,7 +88,7 @@ def _certify(generator: str, family: LineFamily, checks) -> LineFamily:
 
 
 def _concurrency(relation: str, bound: int):
-    return ("concurrency", lambda fam: max_concurrency(fam).max_count, relation, bound)
+    return ("concurrency", lambda fam: max(fam.view.census.groups, default=0) + 1, relation, bound)
 
 
 def _no_convex(n: int):
@@ -149,34 +147,47 @@ def contract(family: LineFamily, a: Line, eps) -> LineFamily:
     image vertices lie at heights at most tR + py < 0, and their bounding
     box is at most 2tX wide and 2t(Y + |mu|X) tall, so its diagonal is
     below 2tR < eps.
+
+    All of it is integer. With the pairs (M_i, C_i) over s, M* and C* the
+    largest |M_i| and |C_i|, X = K/2^h (the view's key_sentinel and shift),
+    Y <= (M*X + C*)/s and mu = mn/md, 1 + R <= Q/(md*s*2^h) for Q =
+    md*s*2^h + (md*s + |mn|*s + M*md)K + C*md*2^h. So t = 2^-k for the
+    least k >= 0 with s*eps*2^k >= 2(s + M*) and md*s*2^h*e*2^k >= 2Q,
+    e = min(-py, eps), each read off bit lengths (_clog).
     """
-    return _contract(family, a.m, a.c, eps)
-
-
-def _contract(family: LineFamily, mu: Rat, nu: Rat, eps) -> LineFamily:
     eps = _positive_rat(eps, "eps")
-    if mu != 0:
-        px, py = (-1 - nu) / mu, Fraction(-1)
-    elif nu < 0:
-        px, py = Fraction(0), nu
-    else:
-        # horizontal carrier above the axis has no on-line anchor below it;
-        # fall back to a point under the carrier
-        px, py = Fraction(0), Fraction(-1)
-    s, pairs = family.scale, family.pairs
-    max_m, max_c = (Fraction(max(map(abs, v)), s) for v in zip(*pairs))
-    reach = (1 + abs(mu) + max_m) * family.view.abscissa_bound() + max_c
-    bound = min(Fraction(1), eps / (2 * (1 + max_m)), min(-py, eps) / (2 * (1 + reach)))
-    # the largest 1/2^k <= bound is 1/2^k or 1/2^(k+1) for this k
-    k = max(0, bound.denominator.bit_length() - bound.numerator.bit_length())
-    k += Fraction(1, 1 << k) > bound
+    return _contract(family, a.m.as_integer_ratio(), a.c.as_integer_ratio(), eps.as_integer_ratio())
+
+
+def _clog(a: int, b: int) -> int:
+    """The least k >= 0 with b * 2^k >= a, for b > 0, read off bit lengths."""
+    k = max(0, a.bit_length() - b.bit_length())
+    return k + ((b << k) < a)
+
+
+def _contract(family: LineFamily, mu, nu, eps) -> LineFamily:
+    """contract onto y = mu*x + nu for mu, nu and eps as integer ratios
+    (numerator, positive denominator)."""
+    (mn, md), (nn, nd), (en, ed) = mu, nu, eps
+    # the anchor (px, py) = (xn/xd, yn/yd), xd, yd > 0: where the carrier
+    # meets y = -1, or a flat one below the axis x = 0, else (0, -1)
+    xn, xd, yn, yd = 0, 1, -1, 1
+    if mn:
+        xn, xd = (nd + nn) * md * (-1 if mn > 0 else 1), nd * abs(mn)
+    elif nn < 0:
+        yn, yd = nn, nd
+    s, pairs, h = family.scale, family.pairs, family.view.shift
+    big_m = max(abs(pairs[0][0]), abs(pairs[-1][0]))
+    big_c = max([abs(c) for _, c in pairs])
+    e_n, e_d = (-yn, yd) if -yn * ed < en * yd else (en, ed)
+    reach = (md * (s + big_c) << h) + (md * (s + big_m) + abs(mn) * s) * family.view.key_sentinel
+    k = max(_clog(2 * (s + big_m) * ed, s * en), _clog(2 * reach * e_d, (md * s << h) * e_n))
     # with t = 1/2^k, the line y = (M*x + C)/s maps to m' = mu + M/(s*2^k)
     # and c' = C/(s*4^k) + py - m'*px, both over md*xd*yd*s*4^k
-    (mn, md), (xn, xd), (yn, yd) = (v.as_integer_ratio() for v in (mu, px, py))
     m_base, m_step = mn * s << k, xd * yd << k
     c_mul, c_step = md * xd * yd, xn * yd << k
     c_base = yn * md * xd * s << 2 * k
-    nums = [m_base + md * big_m for big_m, _ in pairs]
+    nums = [m_base + md * m for m, _ in pairs]
     bundle = [(m * m_step, c * c_mul + c_base - m * c_step) for m, (_, c) in zip(nums, pairs)]
     return LineFamily.from_pairs(c_mul * s << 2 * k, bundle)
 
@@ -198,20 +209,20 @@ def construct_base(p: int, l: int, epsilon_scale=1) -> LineFamily:
     spec = ConstructionSpec("base_pq2", p=p, l=l, epsilon_scale=epsilon_scale)
     clusters = p // 2
     delta = min(spec.epsilon_scale / (4 * (l - 1) * (clusters + 1)), Fraction(1, l - 1))
-    lines = []
-    for h in range(clusters):
-        for j in range(l - 1):
-            s = 2 * h + delta * Fraction(2 * j - (l - 2), 2)
-            lines.append(Line(s, h * h - s * h))
+    dn, dd = delta.as_integer_ratio()
+    # over 2dd, pencil line j at h has slope M = 4h*dd + dn(2j - l + 2)
+    # and passes through (h, h^2)
+    slopes = [(h, 4 * h * dd + dn * (2 * j - l + 2)) for h in range(clusters) for j in range(l - 1)]
+    pairs = [(m, 2 * dd * h * h - h * m) for h, m in slopes]
     if p % 2 == 1:
-        lines.append(Line(2 * clusters, -(clusters * clusters)))
+        pairs.append((4 * clusters * dd, -2 * dd * clusters * clusters))
     checks = (
         _concurrency("==", l - 1),
         ("longest cup", lambda fam: longest_cup(fam).size, "==", p),
         ("longest cap", lambda fam: longest_cap(fam).size, "<=", 2),
         ("right-unbounded 4-cell", lambda fam: has_k_cell_unbounded(fam, 4, "right"), "==", False),
     )
-    fam = _certify(f"construct_base({p}, {l})", LineFamily(tuple(lines)), checks)
+    fam = _certify(f"construct_base({p}, {l})", LineFamily.from_pairs(2 * dd, pairs), checks)
     return fam.with_meta(provenance=spec.provenance())
 
 
@@ -258,24 +269,28 @@ def _join_test(a: int):
 def _construct_F(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
     """The (p, q, l) recursive family, certified by its joins (construct_F);
     memo holds what one generator call has built at this scale."""
-    if (p, q, l) in memo:
-        return memo[p, q, l]
-    # p == 1 or q == 1 collapses to a single line: two lines already form
-    # both a 2-cup and a 2-cap
-    if p == 1 or q == 1:
-        fam = LineFamily.from_pairs(1, ((1, 0),))
-    elif q == 2:
-        fam = construct_base(p, l, scale)
-    elif p == 2:
-        fam = reflect_x(_construct_F(q, 2, l, scale, memo))
-    else:
-        # slope windows of half-width at most 1/4 around 1 and 2 stay disjoint
-        eps = min(scale, Fraction(1)) / 4
-        low = contract(_construct_F(p - 1, q, l, scale, memo), _F_CARRIERS[0], eps)
-        high = contract(_construct_F(p, q - 1, l, scale, memo), _F_CARRIERS[1], eps)
-        fam = _certify(f"F({p}, {q}, {l})", _join(low, high), (_join_test(len(low)),))
-    memo[p, q, l] = fam
-    return fam
+    # slope windows of half-width at most 1/4 around 1 and 2 stay disjoint
+    eps = min(scale, Fraction(1)) / 4
+
+    def build(p: int, q: int) -> LineFamily:
+        if (p, q, l) in memo:
+            return memo[p, q, l]
+        # p == 1 or q == 1 collapses to a single line: two lines already
+        # form both a 2-cup and a 2-cap
+        if p == 1 or q == 1:
+            fam = LineFamily.from_pairs(1, ((1, 0),))
+        elif q == 2:
+            fam = construct_base(p, l, scale)
+        elif p == 2:
+            fam = reflect_x(build(q, 2))
+        else:
+            low = contract(build(p - 1, q), _F_CARRIERS[0], eps)
+            high = contract(build(p, q - 1), _F_CARRIERS[1], eps)
+            fam = _certify(f"F({p}, {q}, {l})", _join(low, high), (_join_test(len(low)),))
+        memo[p, q, l] = fam
+        return fam
+
+    return build(p, q)
 
 
 def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
@@ -287,11 +302,11 @@ def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
     near (-3, -1) and (-3/2, -1), left of the carriers' crossing (0, 2).
     Put the a low lines first in slope order and let X0 be where lines 0
     and n-1 cross. Each join checks that each part is in slope order at X0
-    (_join_test), which holds just when every crossing inside a part lies
-    strictly left of every low-high crossing (geometry.in_join_order, the
-    test that each node of the join tree holds). Crossings rise along a cup, so it
-    takes at most one high line after low ones, and a cap at most one low
-    line before high ones; no three lines meet at a low-high crossing.
+    (_join_test), just when every crossing inside a part lies strictly left
+    of every low-high crossing (geometry.in_join_order). Crossings rise
+    along a cup, so it takes at most one high line after low ones, and a
+    cap at most one low line before high ones; no three lines meet at a
+    low-high crossing.
     Hence cup = max(cup_low + 1, cup_high), cap = max(cap_low,
     cap_high + 1) and concurrency = max(conc_low, conc_high, 2).
 
@@ -304,9 +319,7 @@ def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
     by induction from the certified base families (for p = 2 their mirror,
     which keeps left and right) neither has F(p, q, l), so nothing is left
     to measure. verify derives its right-side check for k >= 4 the same
-    way, from the root's join test alone (chains.find_unbounded_cell), and
-    walks the staircases of the left side, of k <= 3 and of a family
-    whose root is no join.
+    way, from the root's join test (chains.find_unbounded_cell).
     """
     spec = ConstructionSpec("recursive_pq", p=p, q=q, l=l, epsilon_scale=epsilon_scale)
     fam = _construct_F(p, q, l, spec.epsilon_scale, {})
@@ -341,8 +354,8 @@ def _assemble(scaffold: LineFamily, pieces, eps0: Rat) -> LineFamily:
     ms = [m for m, _ in pairs]
     # the windows stay apart, and each on its carrier's side of zero
     gaps = (Fraction(b - a, 4 * s) for a, b in zip(ms, ms[1:]))
-    eps = min(eps0, Fraction(min(map(abs, ms)), 2 * s), *gaps)
-    parts = (_contract(f, Fraction(m, s), Fraction(c, s), eps) for f, (m, c) in zip(pieces, pairs))
+    eps = min(eps0, Fraction(min(map(abs, ms)), 2 * s), *gaps).as_integer_ratio()
+    parts = (_contract(f, (m, s), (c, s), eps) for f, (m, c) in zip(pieces, pairs))
     return _join(*parts)
 
 
@@ -391,29 +404,31 @@ def _thm12_scaffold(k: int, scale: Rat, memo: Memo) -> LineFamily:
     contract puts each half's internal vertices below the axis, and the
     root test checks that every cross vertex lies above it: falling line i
     and rising line j cross above the axis exactly when j's root -C_j/M_j
-    lies left of i's root -C_i/M_i. Two of any three lines through a point
-    share a half, so the point lies below the axis, where no cross vertex
-    lies: all its lines come from one half. The scaffold's concurrency is
-    then its halves', that of the (k, k, 3) family: 2 (construct_F's
-    proof).
+    lies left of i's root -C_i/M_i, compared by cross-multiplying. Two of
+    any three lines through a point share a half, so the point lies below
+    the axis, where no cross vertex lies: all its lines come from one
+    half. The scaffold's concurrency is then its halves', that of the
+    (k, k, 3) family: 2 (construct_F's proof).
     """
     core = _construct_F(k, k, 3, scale, memo)
     eps = Fraction(1, 8)
     rising = contract(core, Line(Fraction(1), Fraction(4)), eps)
     falling = contract(reflect_y(core), Line(Fraction(-1), Fraction(4)), eps)
     half = len(falling)
+
+    def crossed(fam: LineFamily) -> bool:
+        # the largest -C/|M| of each half, by cross-multiplying: the
+        # rightmost rising root and minus the leftmost falling root
+        (an, ad), (bn, bd) = (
+            reduce(lambda a, b: b if b[0] * a[1] > a[0] * b[1] else a, [(-c, abs(m)) for m, c in part])
+            for part in (fam.pairs[half:], fam.pairs[:half])
+        )
+        return an * bd + bn * ad >= 0
+
     fam = _certify(
         f"double scaffold for k={k}",
         _join(falling, rising),
-        (
-            (
-                "cross vertices below the axis",
-                lambda fam: max(Fraction(-c, m) for m, c in fam.pairs[half:])
-                >= min(Fraction(-c, m) for m, c in fam.pairs[:half]),
-                "is",
-                False,
-            ),
-        ),
+        (("cross vertices below the axis", crossed, "is", False),),
     )
     return _lift(reflect_x(fam))
 
@@ -459,17 +474,15 @@ def figure10_family(l: int, epsilon_scale=1) -> LineFamily:
     """
     spec = ConstructionSpec("figure10", l=l, epsilon_scale=epsilon_scale)
     delta = min(spec.epsilon_scale, Fraction(2)) / (8 * (l - 1))
-    eta = delta / 3
-    lines = []
-    for j in range(l - 1):
-        s = Fraction(3, 4) + delta * Fraction(2 * j - (l - 2), 2)
-        lines.append(Line(s, 4 * s))
-        lines.append(Line(-s, 4 * s))
-    lines.append(Line(Fraction(3), -eta))
-    lines.append(Line(Fraction(-3), -eta))
+    dn, dd = delta.as_integer_ratio()
+    # over 12dd, fan slope j is M = 9dd + 6dn(2j - l + 2), its line passes
+    # through (-4, 0) and its mirror through (4, 0); eta = delta/3 is 4dn
+    ms = [9 * dd + 6 * dn * (2 * j - l + 2) for j in range(l - 1)]
+    pairs = [(-36 * dd, -4 * dn), *[(-m, 4 * m) for m in reversed(ms)]]
+    pairs += [*[(m, 4 * m) for m in ms], (36 * dd, -4 * dn)]
     fam = _certify(
         f"figure10_family({l})",
-        LineFamily(tuple(lines)),
+        LineFamily.from_pairs(12 * dd, pairs),
         (_concurrency("==", l - 1), _no_convex(5)),
     )
     return fam.with_meta(provenance=spec.provenance())

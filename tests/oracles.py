@@ -37,8 +37,10 @@ and split, which sliced the slope gaps of each range, for the splits of
 the join tree that one stack pass builds (IntegerView.joins).
 contract, which maps each line by Fraction operations, is the reference
 for the contraction that computes each line from the view's integer
-pairs; it reads the view's abscissa_bound as linecells' contract does, so
-both pick the same squeeze factor.
+pairs; it reads the view's abscissa_bound and picks the squeeze factor
+in Fractions, for the exponent linecells' contract compares in integers.
+construct_base, which built the pencils and the tangent line as Fraction
+Lines, is the reference for the base family written as integer pairs.
 
 intersect, orientation and side_of are the Fraction primitives that the
 tests build families and points with. Their sign conventions:
@@ -841,3 +843,20 @@ def contract(family, a, eps):
             for line in family
         )
     )
+
+
+def construct_base(p, l, epsilon_scale=1):
+    """The lines of linecells' construct_base(p, l, epsilon_scale), built
+    one Fraction Line at a time, uncertified: floor(p/2) pencils of l-1
+    lines through (h, h^2), slopes 2h + delta*(2j - (l-2))/2, and for odd p
+    the tangent at (p//2, (p//2)^2)."""
+    clusters = p // 2
+    delta = min(Fraction(epsilon_scale) / (4 * (l - 1) * (clusters + 1)), Fraction(1, l - 1))
+    lines = []
+    for h in range(clusters):
+        for j in range(l - 1):
+            s = 2 * h + delta * Fraction(2 * j - (l - 2), 2)
+            lines.append(Line(s, h * h - s * h))
+    if p % 2 == 1:
+        lines.append(Line(2 * clusters, -(clusters * clusters)))
+    return LineFamily(tuple(lines))

@@ -147,6 +147,15 @@ def test_contract_rejects_bad_eps():
         contract(LineFamily((Line(1, 0),)), Line(0, -1), 0)
 
 
+def test_contract_keeps_a_bound_that_is_a_power_of_two():
+    # y = x + 1 onto y = -1 with eps = 1: the bound -py/(2(1 + R)), R = 3,
+    # is 1/8 itself, so t is 1/8, not 1/16
+    fam, carrier = LineFamily.from_pairs(1, [(1, 1)]), Line(0, -1)
+    g = contract(fam, carrier, 1)
+    assert g.lines == oracles.contract(fam, carrier, 1).lines
+    assert g[0].m == Fraction(1, 8)
+
+
 def test_contract_reads_no_vertex_table():
     # the frame is the view's one n^2 table; contract needs only the pairs
     # and the rim, so it builds the frame on neither view
@@ -163,9 +172,9 @@ def test_contract_reads_no_vertex_table():
     ids=["F654", "prop32_3_3_even"],
 )
 def test_recursive_builders_make_no_lines(monkeypatch, build):
-    # Only the base families take Lines, through the public constructor;
-    # every family made from integer pairs leaves its lines unbuilt, and
-    # serializing the one returned prints its pairs without building them
+    # Every family, the base families too, is made from integer pairs and
+    # leaves its lines unbuilt, and serializing the one returned prints its
+    # pairs without building them
     made, given, paired = [0], [], []
     post_init, init = Line.__post_init__, LineFamily.__init__
     from_pairs = LineFamily.from_pairs.__func__
@@ -187,11 +196,11 @@ def test_recursive_builders_make_no_lines(monkeypatch, build):
     monkeypatch.setattr(LineFamily, "__init__", counted_init)
     monkeypatch.setattr(LineFamily, "from_pairs", classmethod(kept_from_pairs))
     fam = build()
-    assert made[0] == sum(given) > 0
+    assert (made[0], given) == (0, [])
     assert [f for f in paired if "lines" in vars(f)] == []
     assert fam in paired
     serialize_family(fam)
-    assert made[0] == sum(given)
+    assert made[0] == 0
     assert "lines" not in vars(fam)
 
 
@@ -572,11 +581,16 @@ def test_thm12_scaffold_checks_its_cross_vertices(monkeypatch):
         construct_thm12(3, 6)
 
 
+def cross_heights(falling, rising):
+    return [f.y_at((r.c - f.c) / (f.m - r.m)) for f in falling for r in rising]
+
+
 @pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("drop", [0, 3, 4, 10])
+@pytest.mark.parametrize("drop", [0, 3, 4, 10, "lowest"])
 def test_thm12_scaffold_root_test_matches_its_cross_vertices(monkeypatch, k, drop):
     # the scaffold compares the lines' roots; it must fail exactly when some
-    # falling line meets some rising line at or below the axis
+    # falling line meets some rising line at or below the axis ("lowest"
+    # drops the lowest such vertex onto the axis itself)
     def lowered(family, a, eps):
         return LineFamily(tuple(Line(line.m, line.c - drop) for line in contract(family, a, eps)))
 
@@ -586,22 +600,18 @@ def test_thm12_scaffold_root_test_matches_its_cross_vertices(monkeypatch, k, dro
         joined.append(families)
         return join(*families)
 
-    monkeypatch.setattr(constructions, "contract", lowered)
     monkeypatch.setattr(constructions, "_join", kept_join)
+    if drop == "lowest":
+        constructions._thm12_scaffold(k, Fraction(1), {})
+        drop = min(cross_heights(*joined[-1]))
+    monkeypatch.setattr(constructions, "contract", lowered)
     try:
         constructions._thm12_scaffold(k, Fraction(1), {})
         failed = False
     except ConstructionError as exc:
         assert "cross vertices below the axis" in str(exc)
         failed = True
-    falling, rising = joined[-1]
-    low = [
-        (f, r)
-        for f in falling
-        for r in rising
-        if f.y_at((r.c - f.c) / (f.m - r.m)) <= 0
-    ]
-    assert failed == bool(low)
+    assert failed == (min(cross_heights(*joined[-1])) <= 0)
 
 
 def test_every_assembly_runs_its_convex_position_check(monkeypatch):

@@ -11,6 +11,7 @@ from linecells import (
     Line,
     LineFamily,
     Point,
+    construct_base,
     contract,
     enumerate_cells,
     has_k_cell_unbounded,
@@ -176,6 +177,19 @@ CARRIERS = {
 def test_contract_matches_fraction_oracle(anchor, data, fam, eps):
     carrier = data.draw(CARRIERS[anchor])
     assert contract(fam, carrier, eps).lines == oracles.contract(fam, carrier, eps).lines
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    p=st.integers(2, 9),
+    l=st.integers(3, 7),
+    scale=st.fractions(min_value=Fraction(1, 10**6), max_value=10, max_denominator=10**6),
+)
+def test_base_family_matches_the_line_built_oracle(p, l, scale):
+    # the base family's pairs, written over one denominator, are the
+    # canonical form of the Fraction Lines it was once built from
+    fam, lines = construct_base(p, l, scale), oracles.construct_base(p, l, scale)
+    assert (fam.scale, fam.pairs) == (lines.scale, lines.pairs)
 
 
 @st.composite
