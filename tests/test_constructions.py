@@ -589,8 +589,9 @@ def cross_heights(falling, rising):
 @pytest.mark.parametrize("drop", [0, 3, 4, 10, "lowest"])
 def test_thm12_scaffold_root_test_matches_its_cross_vertices(monkeypatch, k, drop):
     # the scaffold compares the lines' roots; it must fail exactly when some
-    # falling line meets some rising line at or below the axis ("lowest"
-    # drops the lowest such vertex onto the axis itself)
+    # falling line meets some rising line at or below the axis. "lowest"
+    # lowers every bundle by the height of the lowest such vertex, which
+    # puts it on the axis where the core is a base family (k = 2)
     def lowered(family, a, eps):
         return LineFamily(tuple(Line(line.m, line.c - drop) for line in contract(family, a, eps)))
 
