@@ -6,10 +6,21 @@ Rows starting with "#!" carry metadata as key=value headers (the key
 rows starting with a single "#" are comments and are dropped. serialize
 followed by parse reproduces the family and its metadata exactly, or
 serialize raises ValueError; comments do not survive the trip.
+
+parse_family reads each record by one regex (_RECORD), parse_ratio's
+grammar for two literals, and reduces none. Its scale S is the lcm of the
+denominators as written: S = k*L for L the lcm of the reduced ones, and the
+pairs over S are k times those over L, which share no factor with L
+(LineFamily). So gcd(S, every M and C) = k, and from_pairs's one gcd leaves
+the family of the reduced literals. The first fault in file order is
+raised: before a malformed header or a record that _RECORD rejects (a zero
+denominator among them), the records above it are checked for a repeated
+slope (_check_slopes), as they are when the sorted pairs repeat one.
 """
 
 from __future__ import annotations
 
+import re
 from math import gcd, lcm
 
 from .errors import DuplicateSlopeError, FamilyParseError
@@ -17,21 +28,24 @@ from .geometry import LineFamily, parse_ratio
 
 __all__ = ["parse_family", "serialize_family"]
 
+# two literals of parse_ratio's grammar; a zero denominator is no match
+_RECORD = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?\s+([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
 
 def parse_family(text: str) -> LineFamily:
     name = None
     provenance = []
-    records = []
-    seen = {}
+    # (lineno, m, m_den, c, c_den), numerators read; dens shares denominators
+    records, dens = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped:
             continue
         if stripped.startswith("#!"):
-            body = stripped[2:].strip()
-            key, sep, value = body.partition("=")
+            key, sep, value = stripped[2:].partition("=")
             key = key.strip()
             if not sep or not key:
+                _check_slopes(records)
                 raise FamilyParseError(f"malformed header {stripped!r}", lineno)
             if key == "name":
                 name = value.strip()
@@ -40,31 +54,49 @@ def parse_family(text: str) -> LineFamily:
             continue
         if stripped.startswith("#"):
             continue
-        tokens = stripped.split()
-        if len(tokens) != 2:
-            raise FamilyParseError(
-                f"expected 'slope intercept', got {len(tokens)} fields", lineno
-            )
-        try:
-            slope = parse_ratio(tokens[0])
-            intercept = parse_ratio(tokens[1])
-        except ValueError as exc:
-            raise FamilyParseError(str(exc), lineno) from None
-        # a reduced pair is its value
-        if slope in seen:
-            raise DuplicateSlopeError(
-                f"line {lineno}: slope {_ratio(*slope)} already used at line {seen[slope]}"
-            )
-        seen[slope] = lineno
-        records.append((slope, intercept))
+        match = _RECORD.fullmatch(stripped)
+        if match is None:
+            _check_slopes(records)
+            raise _record_error(stripped, lineno)
+        m, m_den, c, c_den = match.groups()
+        records.append((lineno, int(m), dens.setdefault(m_den, m_den), int(c), dens.setdefault(c_den, c_den)))
     if not records:
         raise FamilyParseError("no line records")
-    # the lcm of the reduced denominators, so the pairs share no factor with it
-    s = lcm(*(den for pair in records for _, den in pair))
-    pairs = sorted(
-        (m * (s // m_den), c * (s // c_den)) for (m, m_den), (c, c_den) in records
-    )
-    return LineFamily.from_pairs(s, pairs, name, provenance or None)
+    dens = {den: int(den) for den in dens if den}
+    s = lcm(*dens.values())
+    factor = {den: s // d for den, d in dens.items()}
+    factor[None] = s
+    pairs = sorted([(m * factor[m_den], c * factor[c_den]) for _, m, m_den, c, c_den in records])
+    try:
+        return LineFamily.from_pairs(s, pairs, name, provenance or None)
+    except ValueError:
+        # sorted pairs over s > 0 fail only on a repeated slope
+        _check_slopes(records)
+        raise
+
+
+def _check_slopes(records) -> None:
+    """Raise DuplicateSlopeError at the first record whose slope an earlier
+    one used."""
+    seen = {}
+    for lineno, m, m_den, _, _ in records:
+        slope = _ratio(m, int(m_den or 1))
+        if slope in seen:
+            raise DuplicateSlopeError(f"line {lineno}: slope {slope} already used at line {seen[slope]}")
+        seen[slope] = lineno
+
+
+def _record_error(stripped: str, lineno: int) -> FamilyParseError:
+    """The error for a record line that _RECORD rejects: a field count other
+    than two, or a literal that parse_ratio rejects."""
+    tokens = stripped.split()
+    if len(tokens) != 2:
+        return FamilyParseError(f"expected 'slope intercept', got {len(tokens)} fields", lineno)
+    try:
+        for token in tokens:
+            parse_ratio(token)
+    except ValueError as exc:
+        return FamilyParseError(str(exc), lineno)
 
 
 def serialize_family(family: LineFamily) -> str:

@@ -305,7 +305,9 @@ class IntegerView:
         is the least, by vertex_key, of the parts' firsts among the parts
         with the largest group, so that of the leaves' firsts among the
         leaves with the largest group. When no vertex has three lines, the
-        first vertex is extreme, and the census reads it off the rim.
+        first vertex is extreme, and the census reads it off the rim. Either
+        way the least key wins, and height_key is read only among the
+        candidates that tie on it (_first).
 
         The leaf pass. Keys strictly rise along a cup and fall along a cap:
         per line, the pass keeps the tail array of the longest increasing
@@ -505,9 +507,12 @@ class IntegerView:
     def _first(self, pairs) -> Optional[Tuple[int, int]]:
         """The pair of pairs whose crossing comes first in Point order, or
         None if there is none."""
-        if len(pairs) == 1:
-            return pairs[0]
-        return min(pairs, key=lambda pair: self.vertex_key(*pair), default=None)
+        keys = [self.key(*pair) for pair in pairs]
+        least = min(keys, default=None)
+        tied = [pair for pair, key in zip(pairs, keys) if key == least]
+        if len(tied) < 2:
+            return tied[0] if tied else None
+        return min(tied, key=lambda pair: self.height_key(*pair))
 
     @cached_property
     def frame(self) -> Frame:
@@ -576,14 +581,6 @@ class IntegerView:
         n = len(self.pairs)
         wrap = [self.key(0, n - 1)] if n > 2 else []
         return max(map(abs, self.steps + wrap), default=0) + 1
-
-    def abscissa_bound(self) -> Rat:
-        """A bound on |x| over every crossing, read off the crossing keys.
-
-        X_ij lies in [key, key + 1) / 2^shift, so key_sentinel / 2^shift
-        is at least every |X_ij|.
-        """
-        return Fraction(self.key_sentinel, 1 << self.shift)
 
 
 def _joined(low_cup, low_cap, high_cup, high_cap, a: int):

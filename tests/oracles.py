@@ -37,10 +37,15 @@ and split, which sliced the slope gaps of each range, for the splits of
 the join tree that one stack pass builds (IntegerView.joins).
 contract, which maps each line by Fraction operations, is the reference
 for the contraction that computes each line from the view's integer
-pairs; it reads the view's abscissa_bound and picks the squeeze factor
-in Fractions, for the exponent linecells' contract compares in integers.
+pairs; it reads abscissa_bound, a bound on the crossings' |x| from the
+view's key_sentinel, and picks the squeeze factor in Fractions, for the
+exponent linecells' contract compares in integers.
 construct_base, which built the pencils and the tangent line as Fraction
 Lines, is the reference for the base family written as integer pairs.
+parse_family, which read each literal by parse_ratio into a reduced pair
+and checked each slope against the earlier ones as it went, is the
+reference for the parse that reads each record by one regex, reduces
+nothing and finds duplicate slopes in the sorted pairs.
 
 intersect, orientation and side_of are the Fraction primitives that the
 tests build families and points with. Their sign conventions:
@@ -62,12 +67,15 @@ from operator import gt, itemgetter, lt
 from linecells import (
     Cell,
     ChainResult,
+    DuplicateSlopeError,
+    FamilyParseError,
     InfeasibleSignVectorError,
     Line,
     LineFamily,
     ParameterRangeError,
     Point,
 )
+from linecells.geometry import parse_ratio
 
 
 def intersect(a, b):
@@ -817,6 +825,15 @@ def line_elements(family, box, width):
     return out
 
 
+def abscissa_bound(view):
+    """A bound on |x| over every crossing, read off the crossing keys.
+
+    X_ij lies in [key, key + 1) / 2^shift, so key_sentinel / 2^shift
+    is at least every |X_ij|.
+    """
+    return Fraction(view.key_sentinel, 1 << view.shift)
+
+
 def contract(family, a, eps):
     """The bundle of linecells' contract, line by line in Fractions: the
     same anchor (px, py) and squeeze factor t, then m' = mu + t*m and
@@ -832,7 +849,7 @@ def contract(family, a, eps):
     else:
         px, py = Fraction(0), Fraction(-1)
     max_m = max(abs(line.m) for line in family)
-    x_bound = family.view.abscissa_bound()
+    x_bound = abscissa_bound(family.view)
     reach = (1 + abs(mu) + max_m) * x_bound + max(abs(line.c) for line in family)
     bound = min(Fraction(1), eps / (2 * (1 + max_m)), min(-py, eps) / (2 * (1 + reach)))
     k = max(0, bound.denominator.bit_length() - bound.numerator.bit_length())
@@ -860,3 +877,55 @@ def construct_base(p, l, epsilon_scale=1):
     if p % 2 == 1:
         lines.append(Line(2 * clusters, -(clusters * clusters)))
     return LineFamily(tuple(lines))
+
+
+def parse_family(text):
+    """The family of a family file as linecells.parse_family reads it,
+    or its error: each literal read by parse_ratio into a reduced pair,
+    each slope checked against the earlier ones as it is read."""
+    name = None
+    provenance = []
+    records = []
+    seen = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#!"):
+            body = stripped[2:].strip()
+            key, sep, value = body.partition("=")
+            key = key.strip()
+            if not sep or not key:
+                raise FamilyParseError(f"malformed header {stripped!r}", lineno)
+            if key == "name":
+                name = value.strip()
+            else:
+                provenance.append((key, value.strip()))
+            continue
+        if stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 2:
+            raise FamilyParseError(
+                f"expected 'slope intercept', got {len(tokens)} fields", lineno
+            )
+        try:
+            slope = parse_ratio(tokens[0])
+            intercept = parse_ratio(tokens[1])
+        except ValueError as exc:
+            raise FamilyParseError(str(exc), lineno) from None
+        # a reduced pair is its value
+        if slope in seen:
+            raise DuplicateSlopeError(
+                f"line {lineno}: slope {Fraction(*slope)} already used at line {seen[slope]}"
+            )
+        seen[slope] = lineno
+        records.append((slope, intercept))
+    if not records:
+        raise FamilyParseError("no line records")
+    # the lcm of the reduced denominators, so the pairs share no factor with it
+    s = lcm(*(den for pair in records for _, den in pair))
+    pairs = sorted(
+        (m * (s // m_den), c * (s // c_den)) for (m, m_den), (c, c_den) in records
+    )
+    return LineFamily.from_pairs(s, pairs, name, provenance or None)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from linecells import (
 )
 
 from conftest import random_family
+import oracles
 
 SAMPLE = """\
 #! name=demo
@@ -196,3 +198,92 @@ def test_parse_matches_the_family_of_the_same_fractions(case):
     assert (fam.scale, fam.pairs, fam.name, fam.provenance) == (
         public.scale, public.pairs, public.name, public.provenance
     )
+
+
+def outcome(parse, text):
+    """What parse makes of text: the family's (scale, pairs, name,
+    provenance), or its error's class, message and lineno."""
+    try:
+        fam = parse(text)
+    except (DuplicateSlopeError, FamilyParseError) as exc:
+        return type(exc), str(exc), getattr(exc, "lineno", None)
+    return fam.scale, fam.pairs, fam.name, fam.provenance
+
+
+# literals that parse_ratio rejects: underscores, non-ASCII digits, signed
+# denominators, zero denominators, decimals
+BAD_LITERALS = ["1_0", "\u0661", "1/-2", "1/+2", "1/0", "-3/00", "2.5", "1/", "/2", "+-1", "x"]
+# literals it reads, some unreduced, signed or with a zero numerator, from
+# few values, so that slopes repeat
+GOOD_LITERALS = ["+3/6", "1/2", "2/4", "-0/3", "0", "+0", "-1", "-2/2", "3", "06/2", "7/5", "14/10"]
+# separators between fields: splitlines also ends a line at "\x0c"
+SEPARATORS = [" ", "  ", "\t", "\xa0", "\x0c", " \t "]
+
+
+@st.composite
+def family_files(draw):
+    """A family file, valid or not: records of two fields, whose slopes
+    now and then repeat, and up to three rows more anywhere among them:
+    headers, malformed headers, comments, blank rows, or records of one to
+    three fields from GOOD_LITERALS and BAD_LITERALS; rows padded, fields
+    apart by one of SEPARATORS, and LF or CRLF line ends."""
+    slope = st.one_of(st.sampled_from(GOOD_LITERALS), st.integers(-99, 99).map(str))
+    rows = [[draw(slope), draw(st.sampled_from(GOOD_LITERALS))] for _ in range(draw(st.integers(0, 6)))]
+    literal = st.sampled_from(GOOD_LITERALS + BAD_LITERALS)
+    extra = st.one_of(
+        st.sampled_from(["#! name=demo", "#! k = v", "# note", "", "#! justakey", "#! =v"]),
+        st.lists(literal, min_size=2, max_size=2),
+        st.lists(literal, min_size=1, max_size=3),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(extra))
+    sep, text = draw(st.sampled_from(SEPARATORS)), ""
+    for row in rows:
+        if isinstance(row, list):
+            row = sep.join(row)
+        text += draw(st.sampled_from(["", " ", "\t"])) + row + draw(st.sampled_from(["\n", "\r\n"]))
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(family_files())
+def test_parse_matches_the_oracle(text):
+    assert outcome(parse_family, text) == outcome(oracles.parse_family, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # each literal that parse_ratio rejects, and three fields
+        *(f"1 0\n{bad} 1\n" for bad in BAD_LITERALS),
+        *(f"1 0\n2 {bad}\n" for bad in BAD_LITERALS),
+        "1 0\n1 2 3\n",
+        # signed and unreduced literals, and a negative zero
+        "+3/6 1\n-0/3 2\n1/+2 0\n",
+        "+3/6 1\n-0/3 2\n",
+        # tab, NBSP and form feed separators, CRLF line ends
+        "1\t0\r\n2\xa03\r\n",
+        "1\x0c0\n",
+        # headers between records
+        "1 0\n#! name=a\n2 1\n#! k=v\n3 1\n",
+        # a duplicate slope before a bad literal or a malformed header wins
+        "1/2 0\n2/4 1\n2.5 0\n",
+        "1/2 0\n2/4 1\n#! justakey\n",
+        "1/2 0\n2/4 1\n1/0 0\n",
+        # a bad literal or a malformed header before a duplicate slope wins
+        "1/2 0\n2.5 0\n2/4 1\n",
+        "1/2 0\n#! justakey\n2/4 1\n",
+        "1/2 0\n1/0 0\n2/4 1\n",
+        # the first repeat in file order wins, not the first slope repeated
+        "1 0\n2 0\n2 1\n1 1\n",
+        "1 0\n2 0\n4/2 1\n1 1\n",
+    ],
+)
+def test_parse_matches_the_oracle_on_each_case(text):
+    assert outcome(parse_family, text) == outcome(oracles.parse_family, text)
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.parent.glob("bench/families/*.txt")), ids=lambda p: p.stem)
+def test_parse_matches_the_oracle_on_the_bench_families(path):
+    text = path.read_text()
+    assert outcome(parse_family, text) == outcome(oracles.parse_family, text)

@@ -389,6 +389,38 @@ def test_max_concurrency_builds_one_point():
     assert (report.max_count, report.point) == oracles.counted_concurrency(fam)[:2]
 
 
+def first_by_vertex_key(fam):
+    """Two lines through the first vertex in Point order of those on the
+    most lines, the lowest two: min(pairs, key=vertex_key) over one pair
+    per such vertex, from the Fraction Points of vertex_items."""
+    items = oracles.vertex_items(fam)
+    top = max(len(inc) for _, inc in items)
+    return min((inc[:2] for _, inc in items if len(inc) == top), key=lambda pair: fam.view.vertex_key(*pair))
+
+
+def check_first_vertex(fam):
+    first = first_by_vertex_key(fam)
+    assert fam.view.census.first == first
+    assert max_concurrency(fam).point == fam.view.vertex(*first)
+
+
+def test_first_vertex_is_the_least_by_vertex_key_where_abscissae_tie():
+    # lines through (0, 1) with slopes 1..k, then through (0, 0) with
+    # slopes k+1..2k: every other crossing is right of x = 0, so the two
+    # first by crossing key share it, and the later candidate, (0, 0), is
+    # the lower; k = 2 reads them off the rim, k = 3 off the leaf pass
+    for k in (2, 3):
+        lines = [Line(s, 1) for s in range(1, k + 1)] + [Line(s, 0) for s in range(k + 1, 2 * k + 1)]
+        fam = LineFamily(lines)
+        assert first_by_vertex_key(fam) == (k, k + 1)
+        check_first_vertex(fam)
+
+
+@BENCH_FAMILIES
+def test_first_vertex_is_the_least_by_vertex_key_on_bench_families(path):
+    check_first_vertex(parse_family(path.read_text()))
+
+
 @KERNELS
 @given(pencil_families(max_lines=8))
 def test_cell_predicates_match_interval_scan(fam):
@@ -956,8 +988,9 @@ def test_convex_search_matches_exhaustive_scan(fam):
 @given(pencil_families())
 def test_abscissa_bound_is_tight(fam):
     view = fam.view
+    bound = oracles.abscissa_bound(view)
     top = max(abs(point.x) for point, _ in oracles.vertex_items(fam))
-    assert view.abscissa_bound() - Fraction(2, 1 << view.shift) < top <= view.abscissa_bound()
+    assert bound - Fraction(2, 1 << view.shift) < top <= bound
 
 
 @KERNELS
