@@ -23,10 +23,10 @@ proving the rest from tests it runs:
   right-unbounded 4-cells (find_unbounded_cell derives these where the
   root is a join); construct_base_caps is its mirror.
 - construct_F measures nothing: a test at each join, that each part is in
-  slope order where the outermost two lines cross (in_join_order, which
-  each node of a join tree holds), proves the join's cup, cap and
-  concurrency from its parts' and bounds its right staircases by three
-  lines (construct_F).
+  slope order where the outermost two lines cross (in_join_order), proves
+  the join's cup, cap and concurrency from its parts' and bounds its right
+  staircases by three lines. It reads three keys of lines that each join
+  carries, and the family is emitted once, through composed integer maps.
 - The thm12 scaffold compares its two halves' roots, which proves its
   concurrency 2 (_thm12_scaffold); the prop32 scaffold is a recursive
   family moved by maps that keep sign vectors.
@@ -42,16 +42,18 @@ whose assemblies have n lines in convex position, raise.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Optional, Sequence, Tuple
 
 from .arrangement import max_concurrency  # noqa: F401, bench/tracing.py wraps this name
 from .chains import has_k_cell_unbounded, longest_cap, longest_cup
 from .errors import ConstructionError, ParameterRangeError, at_least
-from .geometry import Line, LineFamily, Point, Rat, _as_rat, format_rat, in_join_order, parse_rat
+from .geometry import Line, LineFamily, Point, Rat, _as_rat, _shift, crossing_key, format_rat
+from .geometry import parse_rat
 from .verify import find_n_convex, lower_bound_value
 
 
@@ -165,9 +167,17 @@ def _clog(a: int, b: int) -> int:
     return k + ((b << k) < a)
 
 
-def _contract(family: LineFamily, mu, nu, eps) -> LineFamily:
-    """contract onto y = mu*x + nu for mu, nu and eps as integer ratios
-    (numerator, positive denominator)."""
+def _reach(family: LineFamily):
+    """What _squeeze reads of family: scale, largest |M| and |C|, shift, key_sentinel."""
+    pairs, view = family.pairs, family.view
+    big_m = max(abs(pairs[0][0]), abs(pairs[-1][0]))
+    return family.scale, big_m, max([abs(c) for _, c in pairs]), view.shift, view.key_sentinel
+
+
+def _squeeze(part, mu, nu, eps):
+    """contract's map of part, a family or a _Node, onto y = mu*x + nu, for
+    mu, nu and eps as integer ratios (numerator, positive denominator): (den,
+    a, b, c, d, e) sends (M, C) over part's scale to (aM + b, cM + dC + e)."""
     (mn, md), (nn, nd), (en, ed) = mu, nu, eps
     # the anchor (px, py) = (xn/xd, yn/yd), xd, yd > 0: where the carrier
     # meets y = -1, or a flat one below the axis x = 0, else (0, -1)
@@ -176,20 +186,22 @@ def _contract(family: LineFamily, mu, nu, eps) -> LineFamily:
         xn, xd = (nd + nn) * md * (-1 if mn > 0 else 1), nd * abs(mn)
     elif nn < 0:
         yn, yd = nn, nd
-    s, pairs, h = family.scale, family.pairs, family.view.shift
-    big_m = max(abs(pairs[0][0]), abs(pairs[-1][0]))
-    big_c = max([abs(c) for _, c in pairs])
+    s, big_m, big_c, h, far = part.reach if isinstance(part, _Node) else _reach(part)
     e_n, e_d = (-yn, yd) if -yn * ed < en * yd else (en, ed)
-    reach = (md * (s + big_c) << h) + (md * (s + big_m) + abs(mn) * s) * family.view.key_sentinel
+    reach = (md * (s + big_c) << h) + (md * (s + big_m) + abs(mn) * s) * far
     k = max(_clog(2 * (s + big_m) * ed, s * en), _clog(2 * reach * e_d, (md * s << h) * e_n))
     # with t = 1/2^k, the line y = (M*x + C)/s maps to m' = mu + M/(s*2^k)
     # and c' = C/(s*4^k) + py - m'*px, both over md*xd*yd*s*4^k
     m_base, m_step = mn * s << k, xd * yd << k
     c_mul, c_step = md * xd * yd, xn * yd << k
-    c_base = yn * md * xd * s << 2 * k
-    nums = [m_base + md * m for m, _ in pairs]
-    bundle = [(m * m_step, c * c_mul + c_base - m * c_step) for m, (_, c) in zip(nums, pairs)]
-    return LineFamily.from_pairs(c_mul * s << 2 * k, bundle)
+    c_base = (yn * md * xd * s << 2 * k) - m_base * c_step
+    return c_mul * s << 2 * k, md * m_step, m_base * m_step, -md * c_step, c_mul, c_base
+
+
+def _contract(family: LineFamily, mu, nu, eps) -> LineFamily:
+    """contract onto y = mu*x + nu for mu, nu and eps as integer ratios."""
+    den, a, b, c, d, e = _squeeze(family, mu, nu, eps)
+    return LineFamily.from_pairs(den, [(a * m + b, c * m + d * y + e) for m, y in family.pairs])
 
 
 def construct_base(p: int, l: int, epsilon_scale=1) -> LineFamily:
@@ -235,10 +247,16 @@ def construct_base_caps(q: int, l: int, epsilon_scale=1) -> LineFamily:
     return fam.with_meta(provenance=spec.provenance())
 
 
-Memo = Dict[Tuple[int, int, int], LineFamily]
+# construct_F's node of a family: reach, what _squeeze reads (_reach); lines,
+# its lines 0 and n - 1 and the slope neighbours crossing leftmost and then
+# rightmost; basis, (u, d) for u and (0, d) spanning its pairs' differences;
+# parts, a leaf's family, else (node, map) for its low and high part, the map
+# (a, b, c, d, e, k) taking (M, C) to ((aM + b)/2^k, (cM + dC + e)/2^k)
+_Node = namedtuple("_Node", "reach lines basis parts")
+Memo = Dict[Tuple[int, int, int], _Node]
 
-# the carriers of F(p, q, l)'s two bundles, which meet at (0, 2)
-_F_CARRIERS = (Line(1, 2), Line(2, 2))
+# F(p, q, l)'s carriers y = x + 2 and y = 2x + 2, as (slope, intercept) ratios
+_F_CARRIERS = (((1, 1), (2, 1)), ((2, 1), (2, 1)))
 
 
 def _join(*families: LineFamily) -> LineFamily:
@@ -252,74 +270,130 @@ def _join(*families: LineFamily) -> LineFamily:
     return LineFamily.from_pairs(scale, pairs)
 
 
-def _join_test(a: int):
-    """construct_F's check on a low lines joined to the high ones: each part
-    rises in slope order at X0, where lines 0 and n-1 cross (in_join_order,
-    the test that each node of the join tree holds, fed here the largest
-    key of steps inside the two parts the construction joined)."""
+def _span(basis, vector):
+    """(u, d) for u and (0, d) spanning the lattice of basis and vector."""
+    ((a, b), d), (x, y) = basis, vector
+    while x:
+        q = a // x
+        (a, b), (x, y) = (x, y), (a - q * x, b - q * y)
+    d = gcd(d, y)
+    return (a, b % d if d else b), d
 
-    def holds(fam: LineFamily) -> bool:
-        inside = fam.view.steps[: a - 1] + fam.view.steps[a:]
-        # two single lines always pass
-        return not inside or in_join_order(fam.view, 0, len(fam), max(inside))
 
-    return ("join order", holds, "is", True)
+def _leaf(family: LineFamily) -> _Node:
+    pairs, steps = family.pairs, family.view.steps
+    i, j = (steps.index(f(steps)) if steps else 0 for f in (min, max))
+    basis = reduce(_span, [(m - pairs[0][0], c - pairs[0][1]) for m, c in pairs], ((0, 0), 0))
+    lines = (pairs[0], pairs[-1], *pairs[i : i + 2], *pairs[j : j + 2])
+    return _Node(_reach(family), lines, basis, family)
+
+
+def _join_node(name: str, low: _Node, high: _Node, eps) -> _Node:
+    """low and high contracted, joined and certified by its join test (construct_F)."""
+    squeezed = []
+    for part, (mu, nu) in zip((low, high), _F_CARRIERS):
+        den, a, b, c, d, e = _squeeze(part, mu, nu, eps)
+        (u, v), w = part.basis
+        # the images of the lines, then of the basis: with line 0's, these span all
+        image = [(a * m + b, c * m + d * y + e) for m, y in part.lines]
+        image += [(a * u, c * u + d * v), (0, d * w)]
+        g = gcd(den, *image[0], *image[-2], *image[-1])
+        squeezed.append((part, den // g, g, (a, b, c, d, e), image))
+    scale = lcm(squeezed[0][1], squeezed[1][1])
+    parts, images = [], []
+    for part, s, g, coef, image in squeezed:
+        r = scale // s
+        parts.append((part, (*[x * r for x in coef], g.bit_length() - 1)))
+        images.append([(m // g * r, y // g * r) for m, y in image])
+    (first, below, *lo), (above, last, *hi) = images
+    wrap, top, h = (first, last), (below, above), _shift(first[0], last[0])
+    keys = [crossing_key(*pair, h) for pair in (wrap, top, lo[:2], lo[2:4], hi[2:4])]
+    _certify(name, max(keys[3:]) < keys[0], (("join order", bool, "is", True),))
+    far = max(map(abs, keys[:3])) + 1
+    reach = (scale, max(abs(first[0]), abs(last[0])), max(abs(y) for _, y in (*wrap, *top)), h, far)
+    cross = (above[0] - first[0], above[1] - first[1])
+    basis = reduce(_span, [*lo[4:], *hi[4:], cross], ((0, 0), 0))
+    return _Node(reach, (*wrap, *lo[:2], *top), basis, tuple(parts))
+
+
+def _emit(root: _Node) -> LineFamily:
+    """root's family: each leaf's pairs under the maps composed down to it."""
+    pairs, todo = [], [(root, (1, 0, 0, 1, 0, 0))]
+    while todo:
+        node, (a, b, c, d, e, k) = todo.pop()
+        if isinstance(node.parts, LineFamily):
+            pairs += [((a * m + b) >> k, (c * m + d * y + e) >> k) for m, y in node.parts.pairs]
+            continue
+        # the high part is pushed first, so the low lines come out first
+        for part, (a2, b2, c2, d2, e2, k2) in reversed(node.parts):
+            ab = (a * a2, a * b2 + (b << k2), c * a2 + d * c2, d * d2, c * b2 + d * e2 + (e << k2))
+            todo.append((part, (*ab, k + k2)))
+    return LineFamily.from_pairs(root.reach[0], pairs)
 
 
 def _construct_F(p: int, q: int, l: int, scale: Rat, memo: Memo) -> LineFamily:
     """The (p, q, l) recursive family, certified by its joins (construct_F);
-    memo holds what one generator call has built at this scale."""
+    memo holds the nodes one generator call has built at this scale."""
     # slope windows of half-width at most 1/4 around 1 and 2 stay disjoint
-    eps = min(scale, Fraction(1)) / 4
+    eps = (min(scale, Fraction(1)) / 4).as_integer_ratio()
 
-    def build(p: int, q: int) -> LineFamily:
+    def build(p: int, q: int) -> _Node:
         if (p, q, l) in memo:
             return memo[p, q, l]
         # p == 1 or q == 1 collapses to a single line: two lines already
         # form both a 2-cup and a 2-cap
         if p == 1 or q == 1:
-            fam = LineFamily.from_pairs(1, ((1, 0),))
+            node = _leaf(LineFamily.from_pairs(1, ((1, 0),)))
         elif q == 2:
-            fam = construct_base(p, l, scale)
+            node = _leaf(construct_base(p, l, scale))
         elif p == 2:
-            fam = reflect_x(build(q, 2))
+            node = _leaf(reflect_x(build(q, 2).parts))
         else:
-            low = contract(build(p - 1, q), _F_CARRIERS[0], eps)
-            high = contract(build(p, q - 1), _F_CARRIERS[1], eps)
-            fam = _certify(f"F({p}, {q}, {l})", _join(low, high), (_join_test(len(low)),))
-        memo[p, q, l] = fam
-        return fam
+            node = _join_node(f"F({p}, {q}, {l})", build(p - 1, q), build(p, q - 1), eps)
+        memo[p, q, l] = node
+        return node
 
-    return build(p, q)
+    return _emit(build(p, q))
 
 
 def construct_F(p: int, q: int, l: int, epsilon_scale=1) -> LineFamily:
     """Family with no l concurrent, no (p+1)-cup, no (q+1)-cap and no
     4-cell unbounded to the right.
 
-    The carriers y = x + 2 and y = 2x + 2 are replaced by contracted copies
-    of the (p-1, q) and the (p, q-1) family, whose vertices contract puts
-    near (-3, -1) and (-3/2, -1), left of the carriers' crossing (0, 2).
-    Put the a low lines first in slope order and let X0 be where lines 0
-    and n-1 cross. Each join checks that each part is in slope order at X0
-    (_join_test), just when every crossing inside a part lies strictly left
-    of every low-high crossing (geometry.in_join_order). Crossings rise
-    along a cup, so it takes at most one high line after low ones, and a
-    cap at most one low line before high ones; no three lines meet at a
-    low-high crossing.
-    Hence cup = max(cup_low + 1, cup_high), cap = max(cap_low,
-    cap_high + 1) and concurrency = max(conc_low, conc_high, 2).
+    The carriers y = x + 2 and y = 2x + 2 are replaced by contracted copies of
+    the (p-1, q) and the (p, q-1) family, whose vertices contract puts near
+    (-3, -1) and (-3/2, -1), left of the carriers' crossing (0, 2). With the a
+    low lines first in slope order and X0 where lines 0 and n-1 cross, each
+    join checks that each part is in slope order at X0, just when every
+    crossing inside a part lies strictly left of every low-high crossing
+    (geometry.in_join_order). Crossings rise along a cup, so it takes at most
+    one high line after low ones, and a cap at most one low line before high
+    ones; no three lines meet at a low-high crossing. Hence the cup is
+    max(cup_low + 1, cup_high), the cap max(cap_low, cap_high + 1) and the
+    concurrency max(conc_low, conc_high, 2).
 
     The same order bounds the right staircases, whatever the two parts.
-    The right staircase r lies above lines 0..r-1 and below the rest, so
-    above line 0 and below line n-1, that is right of X0. There each part
-    is in slope order, so the envelope of any run of one part is a single
-    line: staircase r is bounded by at most lines r-1 and r and line a-1
-    (r > a) or line a (r < a). No join has a right-unbounded 4-cell, and
-    by induction from the certified base families (for p = 2 their mirror,
-    which keeps left and right) neither has F(p, q, l), so nothing is left
-    to measure. verify derives its right-side check for k >= 4 the same
-    way, from the root's join test (chains.find_unbounded_cell).
+    Staircase r lies above line 0 and below line n-1, so right of X0, where
+    each part is in slope order and the envelope of a run of one part is one
+    line: it is bounded by at most lines r-1, r and a-1 (r > a) or a (r < a).
+    By induction from the certified base families (for p = 2 their mirror,
+    which keeps left and right), F(p, q, l) has no right-unbounded 4-cell and
+    nothing is left to measure; verify derives its right check for k >= 4 the
+    same way (chains.find_unbounded_cell).
+
+    Each level is built once, as a node (_Node) of what the next reads, and
+    each base line's composed map, integers over a power of two, is applied
+    once (_emit). A join's scale is the lcm of its parts': a prime dividing
+    every rescaled pair would divide a reduced part. Contraction sends X to
+    tX + px, |tX| < eps/2 <= 1/8, keeping the order of a part's steps, so a join's
+    largest step is its bridge (a-1, a) and its least the low part's (near -3,
+    the high part's near -3/2): its test compares three keys, and key_sentinel
+    is read off its least step, bridge and wrap pair. A contracted part's
+    intercepts rise with slope, c' = t^2 y(-px/t) + const with -px/t right of
+    every vertex, so the largest |C| is at line 0, a-1, a or n-1. A contraction
+    divides out the gcd of den and the images of line 0 and of the pairs'
+    difference basis, which span every image: a power of two, as an odd prime
+    dividing them divides s, every M and every C (either carrier's map).
     """
     spec = ConstructionSpec("recursive_pq", p=p, q=q, l=l, epsilon_scale=epsilon_scale)
     fam = _construct_F(p, q, l, spec.epsilon_scale, {})

@@ -236,8 +236,7 @@ class IntegerView:
 
     def key(self, i: int, j: int) -> int:
         """The key of X_ij, floor(X_ij * 2^shift), for lines i != j."""
-        (mi, ci), (mj, cj) = self.pairs[i], self.pairs[j]
-        return ((cj - ci) << self.shift) // (mi - mj)
+        return crossing_key(self.pairs[i], self.pairs[j], self.shift)
 
     def rows(self) -> Iterator[List[int]]:
         """Row i of the crossing keys, [key(i, j) for j > i], for each line
@@ -468,7 +467,8 @@ class IntegerView:
         """The keys of the slope neighbours' crossings, key(i, i + 1) for
         each i < n - 1: the join test, the rim's keys and the cup and cap
         tests read them."""
-        return [self.key(i, i + 1) for i in range(len(self.pairs) - 1)]
+        ms, cs = [m for m, _ in self.pairs], [c << self.shift for _, c in self.pairs]
+        return [(c1 - c0) // (m0 - m1) for m0, m1, c0, c1 in zip(ms, ms[1:], cs, cs[1:])]
 
     def _census(self) -> Census:
         """The census of the view's lines read off their keys; first is None
@@ -631,6 +631,12 @@ def _normal_form(pairs) -> Tuple[Tuple[int, int], ...]:
     cs = [(c - c0) * dm - m * dc for m, (_, c) in zip(ms, pairs)]
     g, h = gcd(*ms), gcd(*cs) or 1
     return tuple([(m // g, c // h) for m, c in zip(ms, cs)])
+
+
+def crossing_key(pi: Tuple[int, int], pj: Tuple[int, int], shift: int) -> int:
+    """The key at 2^shift of the crossing of lines (M, C) = pi, pj (IntegerView.key)."""
+    (mi, ci), (mj, cj) = pi, pj
+    return ((cj - ci) << shift) // (mi - mj)
 
 
 def _shift(m_lo: int, m_hi: int) -> int:

@@ -100,8 +100,9 @@ def random_point(rng, span=40, denom=7):
 
 def shift_high_bundles(monkeypatch, dx):
     """Patch constructions.contract so that every bundle contracted onto
-    construct_F's high carrier y = 2x + 2 moves left by the integer dx: each
-    of its lines y = m*x + c becomes y = m*(x + dx) + c."""
+    the high carrier y = 2x + 2 of F(p, q, l) built level by level
+    (oracles.construct_F_by_levels) moves left by the integer dx: each of
+    its lines y = m*x + c becomes y = m*(x + dx) + c."""
     contract = constructions.contract
 
     def shifted(family, a, eps):

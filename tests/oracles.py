@@ -42,6 +42,12 @@ view's key_sentinel, and picks the squeeze factor in Fractions, for the
 exponent linecells' contract compares in integers.
 construct_base, which built the pencils and the tangent line as Fraction
 Lines, is the reference for the base family written as integer pairs.
+construct_F_by_levels, which contracted, joined and keyed every family
+of the recursion in full and certified each join by join_test on all of
+its slope neighbours' keys, is the reference for construct_F's nodes of
+carried lines, emitted once through composed integer maps; it calls
+linecells' contract, _join and _certify through their module, so a test
+that patches one of them patches this builder too.
 parse_family, which read each literal by parse_ratio into a reduced pair
 and checked each slope against the earlier ones as it went, is the
 reference for the parse that reads each record by one regex, reduces
@@ -75,7 +81,8 @@ from linecells import (
     ParameterRangeError,
     Point,
 )
-from linecells.geometry import parse_ratio
+from linecells import constructions
+from linecells.geometry import in_join_order, parse_ratio
 
 
 def intersect(a, b):
@@ -929,3 +936,44 @@ def parse_family(text):
         (m * (s // m_den), c * (s // c_den)) for (m, m_den), (c, c_den) in records
     )
     return LineFamily.from_pairs(s, pairs, name, provenance or None)
+
+
+def join_test(a):
+    """construct_F's check on a low lines joined to the high ones: each part
+    rises in slope order at X0, where lines 0 and n-1 cross (in_join_order,
+    fed the largest key of steps inside the two parts joined)."""
+
+    def holds(fam):
+        inside = fam.view.steps[: a - 1] + fam.view.steps[a:]
+        # two single lines always pass
+        return not inside or in_join_order(fam.view, 0, len(fam), max(inside))
+
+    return ("join order", holds, "is", True)
+
+
+def construct_F_by_levels(p, q, l, scale, memo):
+    """linecells' (p, q, l) recursive family built level by level: each
+    level contracts both parts onto the carriers y = x + 2 and y = 2x + 2,
+    joins them and certifies the join (join_test); memo holds every family
+    built at this scale, by (p, q, l)."""
+    eps = min(scale, Fraction(1)) / 4
+
+    def build(p, q):
+        if (p, q, l) in memo:
+            return memo[p, q, l]
+        if p == 1 or q == 1:
+            fam = LineFamily.from_pairs(1, ((1, 0),))
+        elif q == 2:
+            fam = constructions.construct_base(p, l, scale)
+        elif p == 2:
+            fam = constructions.reflect_x(build(q, 2))
+        else:
+            low = constructions.contract(build(p - 1, q), Line(1, 2), eps)
+            high = constructions.contract(build(p, q - 1), Line(2, 2), eps)
+            fam = constructions._certify(
+                f"F({p}, {q}, {l})", constructions._join(low, high), (join_test(len(low)),)
+            )
+        memo[p, q, l] = fam
+        return fam
+
+    return build(p, q)

@@ -21,10 +21,10 @@ from linecells import (
     serialize_family,
     upper_bound_value,
 )
-from linecells import cli
+from linecells import cli, constructions
 
 import oracles
-from conftest import shift_high_bundles, subfamily
+from conftest import subfamily
 
 
 def run(capsys, *argv):
@@ -114,9 +114,9 @@ def test_generate_large_epsilon_scale(tmp_path, capsys, gen_argv, verify_argv):
 
 
 def test_generate_exits_1_when_certification_fails(capsys, monkeypatch):
-    # a high bundle shifted left by 3 overlaps the low one, so the first
-    # join fails its order test
-    shift_high_bundles(monkeypatch, 3)
+    # bundles left uncontracted overlap, so the first join fails its
+    # order test
+    monkeypatch.setattr(constructions, "_clog", lambda a, b: 0)
     code, out, err = run(
         capsys, "generate", "--kind", "recursive_pq", "--p", "3", "--q", "3", "--l", "4",
     )

@@ -3,6 +3,7 @@ import collections
 import gc
 import hashlib
 import itertools
+import math
 import random
 import re
 import weakref
@@ -298,6 +299,95 @@ def test_construct_F_measures_right_cells_on_base_families_only(monkeypatch):
     assert sorted(measured) == sizes
 
 
+@pytest.mark.parametrize("scale", [1, Fraction(1, 3)], ids=str)
+@pytest.mark.parametrize("l", range(3, 7))
+def test_construct_F_is_the_level_by_level_family_byte_for_byte(l, scale):
+    # every F(p, q, l) with 2 <= p, q <= 8 and p + q <= 14, 46 of them for
+    # each l and scale: the nodes' carried lines decide each exponent and
+    # join as the whole families did (construct_F)
+    memo, count = {}, 0
+    for p, q in itertools.product(range(2, 9), repeat=2):
+        if p + q <= 14:
+            fam = construct_F(p, q, l, epsilon_scale=scale)
+            levels = oracles.construct_F_by_levels(p, q, l, Fraction(scale), memo)
+            assert serialize_family(fam) == serialize_family(levels.with_meta(provenance=fam.provenance))
+            count += 1
+    assert count == 46
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 3), 3], ids=str)
+@pytest.mark.parametrize("l", [3, 4, 5])
+def test_construct_F_nodes_carry_exactly_what_the_level_families_hold(l, scale):
+    # each node's reach (reduced scale included), lines and basis against
+    # the family the level-by-level builder made at that (p, q)
+    nodes, levels = {}, {}
+    constructions._construct_F(7, 7, l, Fraction(scale), nodes)
+    oracles.construct_F_by_levels(7, 7, l, Fraction(scale), levels)
+    assert nodes.keys() == levels.keys()
+    for fam, node in ((levels[key], nodes[key]) for key in nodes):
+        pairs, steps = fam.pairs, fam.view.steps
+        assert node.reach == constructions._reach(fam)
+        first, last, *lines = node.lines
+        assert (first, last) == (pairs[0], pairs[-1])
+        for (i, j), step in zip((lines[:2], lines[2:]), (min(steps), max(steps))):
+            at = pairs.index(i)
+            assert pairs[at + 1] == j and steps[at] == step
+        # the basis spans the pairs' differences: it holds each of them,
+        # and, checked up to 40 lines, its determinant is the gcd of their
+        # 2x2 minors
+        (a, b), d = node.basis
+        diffs = [(m - first[0], c - first[1]) for m, c in pairs]
+        for x, y in diffs:
+            assert x % a == 0 and (y - x // a * b) % d == 0
+        if len(diffs) <= 40:
+            minors = [x * v - y * u for (x, y), (u, v) in itertools.combinations(diffs, 2)]
+            assert abs(a) * d == math.gcd(*minors)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p: construct_F(p, p, 4),
+        lambda p: oracles.construct_F_by_levels(p, p, 4, Fraction(1), {}),
+    ],
+    ids=["nodes", "levels"],
+)
+def test_uncontracted_bundles_fail_the_first_join(monkeypatch, build, p):
+    # with the exponent forced to 0 the bundles are not squeezed, they
+    # overlap, and the first join built, F(3, 3, 4), must refuse them
+    monkeypatch.setattr(constructions, "_clog", lambda a, b: 0)
+    with pytest.raises(ConstructionError, match=re.escape("F(3, 3, 4) fails its join order check")):
+        build(p)
+
+
+def test_construct_F_contracts_and_joins_no_family(monkeypatch):
+    # bench/tracing.py looks these names up on the module
+    for name in ("contract", "max_concurrency", "longest_cup", "longest_cap", "has_k_cell_unbounded"):
+        assert callable(getattr(constructions, name))
+    bases = [construct_base(p, 4) for p in range(3, 9)]
+    allowed = {(f.scale, f.pairs) for base in bases for f in (base, reflect_x(base))}
+    calls, built = [], []
+    for name in ("contract", "_contract", "_join"):
+        monkeypatch.setattr(constructions, name, lambda *args, name=name: calls.append(name))
+    from_pairs = LineFamily.from_pairs.__func__
+
+    def spied(cls, *args, **kwargs):
+        built.append(from_pairs(cls, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(LineFamily, "from_pairs", classmethod(spied))
+    fam = construct_F(8, 8, 4)
+    assert calls == []
+    assert {(f.scale, f.pairs) for f in built} - allowed == {(fam.scale, fam.pairs)}
+    # the memo holds nodes, and of families only the leaves' base families
+    memo = {}
+    constructions._construct_F(8, 8, 4, Fraction(1), memo)
+    leaves = [node.parts for node in memo.values() if isinstance(node.parts, LineFamily)]
+    assert {(f.scale, f.pairs) for f in leaves} == allowed
+    assert len(leaves) == len(allowed) and len(memo) == len(leaves) + 36
+
+
 def test_construct_F_coordinate_bits():
     # 128 bits is what the retrying contraction reached; the closed form stays within it
     fam = construct_F(6, 5, 4)
@@ -320,8 +410,9 @@ CERTIFIED_GENERATORS = (
 def test_certification_is_never_silent(monkeypatch, build):
     if build is CERTIFIED_GENERATORS[0]:
         # construct_F's joins prove its contract: a join whose bundles
-        # overlap must fail the order test (test_join_order_is_what_bounds_the_chains)
-        shift_high_bundles(monkeypatch, 3)
+        # overlap, here left uncontracted, must fail the order test
+        # (test_join_order_is_what_bounds_the_chains)
+        monkeypatch.setattr(constructions, "_clog", lambda a, b: 0)
         check = "join order"
     else:
         # a pencil of l lines breaks the "fewer than l concurrent" contract
@@ -338,10 +429,8 @@ def test_join_order_is_what_bounds_the_chains(monkeypatch):
     # with the high bundle shifted left by 3 and the order test switched
     # off, the joins of F(4, 4, 4) build a 6-cup and a 6-cap
     shift_high_bundles(monkeypatch, 3)
-    monkeypatch.setattr(
-        constructions, "_join_test", lambda a: ("join order", lambda fam: True, "is", True)
-    )
-    fam = constructions._construct_F(4, 4, 4, Fraction(1), {})
+    monkeypatch.setattr(oracles, "join_test", lambda a: ("join order", lambda fam: True, "is", True))
+    fam = oracles.construct_F_by_levels(4, 4, 4, Fraction(1), {})
     assert (longest_cup(fam).size, longest_cap(fam).size) == (6, 6)
 
 
@@ -355,10 +444,8 @@ def test_join_order_is_what_bounds_the_right_staircases(monkeypatch, p, lines):
     # the overlapping joins of the shifted bundles, unchecked, open right
     # cells that no join passing the order test can have
     shift_high_bundles(monkeypatch, 3)
-    monkeypatch.setattr(
-        constructions, "_join_test", lambda a: ("join order", lambda fam: True, "is", True)
-    )
-    assert right_cell(constructions._construct_F(p, p, 4, Fraction(1), {})) == lines
+    monkeypatch.setattr(oracles, "join_test", lambda a: ("join order", lambda fam: True, "is", True))
+    assert right_cell(oracles.construct_F_by_levels(p, p, 4, Fraction(1), {})) == lines
 
 
 def random_part(rng):
@@ -379,7 +466,7 @@ def test_any_join_in_order_has_no_right_4_cell():
         low = contract(random_part(rng), Line(1, 2), eps)
         high = contract(random_part(rng), Line(2, 2), eps)
         fam = constructions._join(low, high)
-        assert constructions._join_test(len(low))[1](fam)
+        assert oracles.join_test(len(low))[1](fam)
         largest = max(largest, right_cell(fam))
     assert largest == 3
     # nor where the carriers lie: any two with rising slopes, each bundle
@@ -391,7 +478,7 @@ def test_any_join_in_order_has_no_right_4_cell():
         low = contract(random_part(rng), Line(m_low, rng.randint(-9, 9)), eps)
         high = contract(random_part(rng), Line(m_high, rng.randint(-9, 9)), eps)
         fam = constructions._join(low, high)
-        holds = constructions._join_test(len(low))[1](fam)
+        holds = oracles.join_test(len(low))[1](fam)
         assert holds is crossing_order(fam, len(low))
         if holds:
             check_join(low, high, fam)
@@ -427,7 +514,7 @@ def crossing_order(fam, a):
 
 def test_join_order_reads_every_crossing():
     memo = {}
-    constructions._construct_F(4, 4, 4, Fraction(1), memo)
+    oracles.construct_F_by_levels(4, 4, 4, Fraction(1), memo)
     low = contract(memo[3, 4, 4], Line(1, 2), Fraction(1, 4))
     high = contract(memo[4, 3, 4], Line(2, 2), Fraction(1, 4))
     # the low bundle moved right by 2 and up by 2: its crossings pass the
@@ -442,7 +529,7 @@ def test_join_order_reads_every_crossing():
     for a, b in joins:
         fam = constructions._join(a, b)
         order = crossing_order(fam, len(a))
-        assert constructions._join_test(len(a))[1](fam) is order
+        assert oracles.join_test(len(a))[1](fam) is order
         seen.add(order)
     assert seen == {True, False}
     fam, a = constructions._join(crossed, high), len(crossed)
@@ -478,7 +565,7 @@ def check_join_rule(p, q, l, scale):
     """Each join of F(p, q, l) at this scale keeps the join rule of its two
     bundles (check_join) within the contract. Returns the number of joins."""
     memo = {}
-    constructions._construct_F(p, q, l, Fraction(scale), memo)
+    oracles.construct_F_by_levels(p, q, l, Fraction(scale), memo)
     joins = [(a, b) for a, b, _ in memo if a >= 3 and b >= 3]
     for a, b in joins:
         cup, cap, conc = check_join(memo[a - 1, b, l], memo[a, b - 1, l], memo[a, b, l])

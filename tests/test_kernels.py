@@ -283,6 +283,26 @@ def test_key_table_matches_crossing_rows_on_bench_families(path):
     check_keys(parse_family(path.read_text()))
 
 
+def check_steps(fam):
+    """steps, read in one pass over the shifted intercepts, are the keys of
+    the slope neighbours' crossings, by key and by the oracle's rows."""
+    view, rows = fam.view, oracles.crossing_rows(fam.view)
+    assert view.steps == [view.key(i, i + 1) for i in range(len(fam) - 1)]
+    assert view.steps == [rows[i][i + 1] for i in range(len(fam) - 1)]
+
+
+@BENCH_FAMILIES
+def test_steps_are_the_slope_neighbours_keys_on_bench_families(path):
+    check_steps(parse_family(path.read_text()))
+
+
+def test_steps_are_the_slope_neighbours_keys_on_random_families():
+    rng = random.Random(43)
+    for trial in range(60):
+        check_steps(random_family(rng, 1, 12, span=20, denom=1 + trial % 5))
+    check_steps(construct_F(5, 4, 4))
+
+
 def check_cup_cap(fam):
     """is_cup and is_cap against the cross-product cell test, on the family
     and on its longest cup and cap, which are a cup and a cap."""
